@@ -42,8 +42,9 @@ struct BatchOptions {
     /// Host workers for the model's sharded stack passes (ModelOptions::
     /// jobs): 0 = hardware concurrency, 1 = serial.
     std::int64_t jobs = 0;
-    /// Packed-trace replay budget (ModelOptions::trace_buffer_bytes):
-    /// kTraceBufferAuto = derive from host RAM, 0 = always stream.
+    /// Packed-trace replay chunk budget (ModelOptions::
+    /// trace_buffer_bytes): kTraceBufferAuto = derive from host RAM,
+    /// 0 = the smallest chunk.
     std::uint64_t trace_buffer_bytes = kTraceBufferAuto;
     std::vector<std::uint32_t> l2_way_options = {2, 3, 4, 5, 6, 7};
     /// Per-matrix wall-clock budget in seconds; <= 0 disables the timeout.

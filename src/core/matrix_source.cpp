@@ -120,15 +120,6 @@ const char* to_string(LoadOrigin origin) noexcept {
                  "unknown generator family: " + family);
 }
 
-[[nodiscard]] Result<AnyCsrMatrix> load_matrix_source(
-    const MatrixSource& source) {
-    if (source.empty())
-        return Error(ErrorCode::ValidationError,
-                     "request names no matrix (need a path or a gen spec)");
-    if (!source.gen_spec.empty()) return generated_matrix_any(source);
-    return parse_file_source(source);
-}
-
 std::string spmvc_cache_path(const std::string& cache_dir,
                              const std::string& source_path,
                              bool strict_parse) {
@@ -228,6 +219,7 @@ std::string spmvc_cache_path(const std::string& cache_dir,
 
     {
         const MutexLock lock(mutex_);
+        while (loading_.contains(key)) load_done_.wait(mutex_);
         const auto it = entries_.find(key);
         if (it != entries_.end()) {
             const bool fresh =
@@ -242,10 +234,22 @@ std::string spmvc_cache_path(const std::string& cache_dir,
             }
             entries_.erase(it);
         }
+        loading_.insert(key);
     }
 
-    Result<LoadedMatrix> loaded = load_matrix_handle(source);
+    Result<LoadedMatrix> loaded = Error(ErrorCode::InternalError, "unrun");
+    try {
+        loaded = load_matrix_handle(source);
+    } catch (...) {
+        // A throwing load must not strand the waiters.
+        const MutexLock lock(mutex_);
+        loading_.erase(key);
+        load_done_.notify_all();
+        throw;
+    }
     const MutexLock lock(mutex_);
+    loading_.erase(key);
+    load_done_.notify_all();
     ++loads_;
     if (!loaded.ok()) return std::move(loaded).to_error();
 

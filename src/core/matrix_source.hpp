@@ -10,13 +10,14 @@
 // the stored fingerprint/stats are reused without touching the .mtx text;
 // a missing, stale or corrupt entry falls back to a parse (parallel when
 // parse_jobs != 1) and rewrites the cache. load_matrix_handle() is the
-// cache-aware entry point; the legacy load_matrix_source() always parses.
+// one entry point.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "sparse/any_csr.hpp"
 #include "sparse/binary_cache.hpp"
@@ -101,13 +102,6 @@ struct LoadedMatrix {
 [[nodiscard]] Result<CsrMatrix> generated_matrix(const std::string& spec,
                                                  std::uint64_t seed);
 
-/// Loads the source (file parse or generator run), typed errors on
-/// failure. Always parses file sources from text; ignores cache_dir.
-/// Honours source.index_width (forced 32 on an unrepresentable shape is
-/// UnsupportedError).
-[[nodiscard]] Result<AnyCsrMatrix> load_matrix_source(
-    const MatrixSource& source);
-
 /// Cache entry path for a file source: <cache_dir>/<stem>-<hash>[s].spmvc.
 /// The hash covers the absolute source path; strict parses get their own
 /// entry because strict acceptance is part of what the cache certifies.
@@ -124,7 +118,8 @@ struct LoadedMatrix {
 /// daemon serving repeated requests for the same source skips file I/O
 /// entirely (the serve hot path holds one of these). File-backed entries
 /// revalidate against the live file's size/mtime on every get; stale
-/// entries reload through load_matrix_handle. Thread-safe.
+/// entries reload through load_matrix_handle. Thread-safe; concurrent
+/// get()s of one key share a single load.
 class SourceCache {
 public:
     /// One consistent counter snapshot (single lock acquisition), so
@@ -164,6 +159,10 @@ private:
 
     mutable Mutex mutex_;
     std::unordered_map<std::string, Entry> entries_ SPMV_GUARDED_BY(mutex_);
+    /// Keys a get() is loading right now; other get()s of them wait on
+    /// load_done_ and then take the fresh entry as a hit.
+    std::unordered_set<std::string> loading_ SPMV_GUARDED_BY(mutex_);
+    CondVar load_done_;
     const std::size_t capacity_;  ///< immutable after construction
     std::uint64_t tick_ SPMV_GUARDED_BY(mutex_) = 0;
     std::uint64_t hits_ SPMV_GUARDED_BY(mutex_) = 0;

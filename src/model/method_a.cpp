@@ -1,18 +1,17 @@
 #include "model/method_a.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <functional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "model/replay.hpp"
-#include "model/shard.hpp"
 #include "reuse/histogram.hpp"
 #include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
-#include "reuse/sampled.hpp"
 #include "trace/packed_trace.hpp"
-#include "trace/spmv_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -43,52 +42,6 @@ const ConfigPrediction& ModelResult::at(std::uint32_t l2_sector_ways) const {
 
 namespace {
 
-/// Concrete-engine construction for the shard bodies, which are templated
-/// on the engine type so every access in the hot loops is devirtualized
-/// (the ReuseEngine interface remains for tests and tools).
-template <class Engine>
-struct EngineMaker;
-
-template <>
-struct EngineMaker<KimEngine> {
-    static KimEngine make(std::size_t /*lines_hint*/,
-                          std::uint64_t group_capacity,
-                          const SampleFilter& /*filter*/) {
-        return KimEngine(group_capacity);
-    }
-};
-
-template <>
-struct EngineMaker<OlkenEngine> {
-    static OlkenEngine make(std::size_t lines_hint,
-                            std::uint64_t /*group_capacity*/,
-                            const SampleFilter& /*filter*/) {
-        return OlkenEngine(lines_hint);
-    }
-};
-
-/// Sampled variants: the adapter carries the run's SHARDS filter; hints
-/// shrink by R because the engine only ever tracks the kept subset.
-template <>
-struct EngineMaker<SampledEngine<KimEngine>> {
-    static SampledEngine<KimEngine> make(std::size_t /*lines_hint*/,
-                                         std::uint64_t group_capacity,
-                                         const SampleFilter& filter) {
-        return SampledEngine<KimEngine>(filter, group_capacity);
-    }
-};
-
-template <>
-struct EngineMaker<SampledEngine<OlkenEngine>> {
-    static SampledEngine<OlkenEngine> make(std::size_t lines_hint,
-                                           std::uint64_t /*group_capacity*/,
-                                           const SampleFilter& filter) {
-        const auto hint = static_cast<std::size_t>(
-            static_cast<double>(lines_hint) * filter.rate());
-        return SampledEngine<OlkenEngine>(filter, hint + 64);
-    }
-};
-
 /// Everything one shard accumulates; queried after the parallel phase.
 /// Summing per-shard counters yields the same integer totals the single
 /// global counters accumulated before sharding, so predictions are
@@ -108,279 +61,154 @@ struct ShardCounters {
     CapacityMissCounter cnt0, cnt1, cnt_x;  // partitioned pass (Eq. 2)
     CapacityMissCounter cntU, cnt_xU;       // unpartitioned pass
     CapacityMissCounter cntL1, cnt_xL1;     // per-core L1 model
-    std::uint64_t references = 0;
-    std::uint64_t sampled_refs = 0;
-    double seconds = 0.0;
-    bool packed = false;
 };
 
-/// The engines one shard feeds: both sectors, the unpartitioned pass, and
-/// (optionally) one per-core L1 engine per simulated thread.
+/// Method (A)'s chunk consumer for one shard. It feeds both sectors'
+/// engines (Eq. 2), the unpartitioned engine and, optionally, one per-core
+/// L1 engine per simulated thread. It is templated on the concrete engine
+/// type so every access in the hot loop is devirtualized (the ReuseEngine
+/// interface remains for tests and tools).
 template <class Engine>
-struct ShardEngines {
-    ShardEngines(std::size_t lines_hint, std::uint64_t group_capacity,
-                 std::int64_t l1_engines, const SampleFilter& filter)
-        : eng0(EngineMaker<Engine>::make(lines_hint, group_capacity, filter)),
-          eng1(EngineMaker<Engine>::make(lines_hint, group_capacity, filter)),
-          engU(EngineMaker<Engine>::make(lines_hint, group_capacity, filter)) {
-        engL1.reserve(static_cast<std::size_t>(l1_engines));
-        for (std::int64_t c = 0; c < l1_engines; ++c)
-            engL1.push_back(
-                EngineMaker<Engine>::make(4096, group_capacity, filter));
+class ShardReplay {
+public:
+    ShardReplay(const detail::ReplayPlan& plan, std::int64_t s,
+                ShardCounters& counters)
+        : policy_(plan.options.policy),
+          filter_(plan.filter),
+          t_begin_(plan.first_thread(s)),
+          x_lines_(plan.layout.lines_of(DataObject::X)),
+          counters_(counters),
+          eng0_(make(plan, segment_lines(plan))),
+          eng1_(make(plan, segment_lines(plan))),
+          engU_(make(plan, segment_lines(plan))) {
+        SPMV_EXPECTS(plan.layout.base(DataObject::X) == 0);  // see record()
+        const std::int64_t l1_engines =
+            plan.options.predict_l1 ? plan.threads_in(s) : 0;
+        for (std::int64_t t = 0; t < l1_engines; ++t)
+            engL1_.push_back(make(plan, 4096));
+        linesL1_.resize(engL1_.size());
+        distL1_.resize(engL1_.size());
     }
 
-    Engine eng0, eng1, engU;
-    std::vector<Engine> engL1;
-};
+    /// Replays one chunk in batches of kReplayBatch words. Per batch:
+    /// gather each engine's lines (each engine sees exactly its
+    /// trace-order subsequence, so chunk and batch boundaries never change
+    /// a distance), run the batched prefetch-pipelined engine paths, then
+    /// scatter the distances, scaled by the SHARDS filter, into the
+    /// counters (counted pass only).
+    void operator()(std::span<const std::uint64_t> words, bool counting) {
+        for (std::size_t begin = 0; begin < words.size();
+             begin += detail::kReplayBatch)
+            replay_batch(words.subspan(
+                             begin, std::min(detail::kReplayBatch,
+                                             words.size() - begin)),
+                         counting);
+    }
 
-/// References the engines consume per access_batch call. Large enough to
-/// amortize the gather/scatter bookkeeping and keep the prefetch pipeline
-/// full, small enough that the scratch arrays stay L2-resident.
-constexpr std::size_t kReplayBatch = 1024;
+private:
+    static std::uint64_t segment_lines(const detail::ReplayPlan& plan) {
+        return plan.layout.total_lines() /
+                   static_cast<std::uint64_t>(plan.segments) +
+               64;
+    }
 
-/// Reusable per-chunk gather/scatter scratch for the packed replay.
-struct ReplayScratch {
-    explicit ReplayScratch(std::size_t l1_engines)
-        : linesL1(l1_engines), distL1(l1_engines), xL1(l1_engines) {
-        linesU.reserve(kReplayBatch);
-        lines0.reserve(kReplayBatch);
-        lines1.reserve(kReplayBatch);
-        xU.reserve(kReplayBatch);
-        x0.reserve(kReplayBatch);
-        for (std::size_t t = 0; t < l1_engines; ++t) {
-            linesL1[t].reserve(kReplayBatch);
-            xL1[t].reserve(kReplayBatch);
+    /// Under sampling the engines only ever track the kept ~R of `lines`.
+    static Engine make(const detail::ReplayPlan& plan, std::uint64_t lines) {
+        if constexpr (std::is_same_v<Engine, KimEngine>)
+            return KimEngine(plan.options.kim_group_capacity);
+        else if (plan.filter.exact())
+            return OlkenEngine(lines);
+        else
+            return OlkenEngine(static_cast<std::size_t>(
+                                   static_cast<double>(lines) *
+                                   plan.filter.rate()) +
+                               64);
+    }
+
+    static void run(Engine& engine, const std::vector<std::uint64_t>& lines,
+                    std::vector<std::uint64_t>& dists) {
+        dists.resize(lines.size());
+        engine.access_batch(lines.data(), dists.data(), lines.size());
+    }
+
+    /// Records every scaled distance in `all`, and those of x-vector lines
+    /// (x is the layout's first array) in `x` as well.
+    void record(const std::vector<std::uint64_t>& lines,
+                const std::vector<std::uint64_t>& dists,
+                CapacityMissCounter& all, CapacityMissCounter* x) const {
+        for (std::size_t i = 0; i < dists.size(); ++i) {
+            const std::uint64_t d = filter_.scale_distance(dists[i]);
+            all.record(d);
+            if (x != nullptr && lines[i] < x_lines_) x->record(d);
         }
     }
 
-    std::vector<std::uint64_t> linesU, lines0, lines1;
-    std::vector<std::uint64_t> distU, dist0, dist1;
-    std::vector<unsigned char> xU, x0;  // x-vector flags (x is sector 0)
-    std::vector<std::vector<std::uint64_t>> linesL1, distL1;
-    std::vector<std::vector<unsigned char>> xL1;
-};
-
-/// One replay pass over a packed segment buffer. Per chunk: gather each
-/// engine's lines (each engine sees exactly its trace-order subsequence,
-/// so distances are bit-identical to the streaming pass), run the batched
-/// prefetch-pipelined engine paths, then scatter distances into the
-/// counters (counted pass only).
-template <class Engine>
-void replay_packed_pass(const std::vector<std::uint64_t>& buffer,
-                        SectorPolicy policy, std::int64_t t_begin,
-                        ShardEngines<Engine>& eng, ReplayScratch& scratch,
-                        ShardCounters& st, bool counting) {
-    const std::size_t l1_engines = eng.engL1.size();
-    for (std::size_t begin = 0; begin < buffer.size();
-         begin += kReplayBatch) {
-        const std::size_t end =
-            std::min(buffer.size(), begin + kReplayBatch);
-        scratch.linesU.clear();
-        scratch.lines0.clear();
-        scratch.lines1.clear();
-        scratch.xU.clear();
-        scratch.x0.clear();
-        for (std::size_t t = 0; t < l1_engines; ++t) {
-            scratch.linesL1[t].clear();
-            scratch.xL1[t].clear();
-        }
-
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::uint64_t word = buffer[i];
-            if (packed_is_prefetch(word)) continue;  // demand accesses only
+    void replay_batch(std::span<const std::uint64_t> batch, bool counting) {
+        linesU_.clear();
+        lines0_.clear();
+        lines1_.clear();
+        for (auto& lines : linesL1_) lines.clear();
+        for (const std::uint64_t word : batch) {
             const std::uint64_t line = packed_line(word);
-            const DataObject object = packed_object(word);
-            const unsigned char is_x = object == DataObject::X ? 1 : 0;
-            scratch.linesU.push_back(line);
-            scratch.xU.push_back(is_x);
-            if (sector_of(object, policy) == 1) {
-                scratch.lines1.push_back(line);
-            } else {
-                scratch.lines0.push_back(line);
-                scratch.x0.push_back(is_x);
-            }
-            if (l1_engines > 0) {
-                const auto tl = static_cast<std::size_t>(
-                    static_cast<std::int64_t>(packed_thread(word)) -
-                    t_begin);
-                scratch.linesL1[tl].push_back(line);
-                scratch.xL1[tl].push_back(is_x);
-            }
+            linesU_.push_back(line);
+            (sector_of(packed_object(word), policy_) == 1 ? lines1_ : lines0_)
+                .push_back(line);
+            if (!engL1_.empty())
+                linesL1_[static_cast<std::size_t>(
+                             static_cast<std::int64_t>(packed_thread(word)) -
+                             t_begin_)]
+                    .push_back(line);
         }
 
-        scratch.distU.resize(scratch.linesU.size());
-        scratch.dist0.resize(scratch.lines0.size());
-        scratch.dist1.resize(scratch.lines1.size());
-        eng.engU.access_batch(scratch.linesU.data(), scratch.distU.data(),
-                              scratch.linesU.size());
-        eng.eng0.access_batch(scratch.lines0.data(), scratch.dist0.data(),
-                              scratch.lines0.size());
-        eng.eng1.access_batch(scratch.lines1.data(), scratch.dist1.data(),
-                              scratch.lines1.size());
-        for (std::size_t t = 0; t < l1_engines; ++t) {
-            scratch.distL1[t].resize(scratch.linesL1[t].size());
-            eng.engL1[t].access_batch(scratch.linesL1[t].data(),
-                                      scratch.distL1[t].data(),
-                                      scratch.linesL1[t].size());
-        }
+        run(engU_, linesU_, distU_);
+        run(eng0_, lines0_, dist0_);
+        run(eng1_, lines1_, dist1_);
+        for (std::size_t t = 0; t < engL1_.size(); ++t)
+            run(engL1_[t], linesL1_[t], distL1_[t]);
 
-        if (!counting) continue;
-        st.references += scratch.linesU.size();
-        for (std::size_t i = 0; i < scratch.dist0.size(); ++i) {
-            st.cnt0.record(scratch.dist0[i]);
-            if (scratch.x0[i]) st.cnt_x.record(scratch.dist0[i]);
-        }
-        for (std::size_t i = 0; i < scratch.dist1.size(); ++i)
-            st.cnt1.record(scratch.dist1[i]);
-        for (std::size_t i = 0; i < scratch.distU.size(); ++i) {
-            st.cntU.record(scratch.distU[i]);
-            if (scratch.xU[i]) st.cnt_xU.record(scratch.distU[i]);
-        }
-        for (std::size_t t = 0; t < l1_engines; ++t)
-            for (std::size_t i = 0; i < scratch.distL1[t].size(); ++i) {
-                st.cntL1.record(scratch.distL1[t][i]);
-                if (scratch.xL1[t][i])
-                    st.cnt_xL1.record(scratch.distL1[t][i]);
-            }
+        if (!counting) return;
+        record(lines0_, dist0_, counters_.cnt0, &counters_.cnt_x);
+        record(lines1_, dist1_, counters_.cnt1, nullptr);  // x is sector 0
+        record(linesU_, distU_, counters_.cntU, &counters_.cnt_xU);
+        for (std::size_t t = 0; t < engL1_.size(); ++t)
+            record(linesL1_[t], distL1_[t], counters_.cntL1,
+                   &counters_.cnt_xL1);
     }
-}
 
-/// Inputs shared by every shard of one run.
-template <class Idx>
-struct ShardContext {
-    const BasicCsrView<Idx>& m;
-    const SpmvLayout& layout;
-    const ModelOptions& options;
-    TraceConfig trace_cfg;
-    std::size_t lines_hint = 0;
-    std::vector<std::uint64_t> segment_lengths;  ///< demand refs per segment
-    std::uint64_t shard_budget_bytes = 0;
-    /// The run's SHARDS filter (exact unless sampling is on); shared by
-    /// the packed-trace pre-filter and the shard engines so both agree on
-    /// the kept line subset.
-    SampleFilter filter;
+    SectorPolicy policy_;
+    SampleFilter filter_;
+    std::int64_t t_begin_;
+    std::uint64_t x_lines_;
+    ShardCounters& counters_;
+    Engine eng0_, eng1_, engU_;
+    std::vector<Engine> engL1_;
+    // Per-batch gather/scatter scratch, reused across batches.
+    std::vector<std::uint64_t> linesU_, lines0_, lines1_;
+    std::vector<std::uint64_t> distU_, dist0_, dist1_;
+    std::vector<std::vector<std::uint64_t>> linesL1_, distL1_;
 };
 
-/// One shard = one L2 segment. Derives the segment's slice of the trace
-/// once into a packed buffer when it fits the shard's budget (replayed for
-/// warm-up + counted pass through the batched engine paths), or streams
-/// the derivation twice through a fused per-reference sink otherwise.
-/// Both paths feed the partitioned engines (Eq. 2), the unpartitioned
-/// engine, and the segment's per-core L1 engines, and produce bit-identical
-/// counter totals.
-template <class Idx, class Engine>
-void run_shard(const ShardContext<Idx>& ctx, std::int64_t s,
-               ShardCounters& st) {
-    const Timer shard_timer;
-    const ModelOptions& options = ctx.options;
-    const auto& machine = options.machine;
-    const std::int64_t t_begin = s * machine.cores_per_numa;
-    const std::int64_t t_count =
-        std::min(options.threads, t_begin + machine.cores_per_numa) - t_begin;
-
-    ShardEngines<Engine> eng(ctx.lines_hint, options.kim_group_capacity,
-                             options.predict_l1 ? t_count : 0, ctx.filter);
-
-    const std::optional<std::vector<std::uint64_t>> packed =
-        detail::pack_segment_within_budget(
-            ctx.m, ctx.layout, ctx.trace_cfg, machine.cores_per_numa, s,
-            ctx.segment_lengths[static_cast<std::size_t>(s)],
-            ctx.shard_budget_bytes, ctx.filter);
-    st.packed = packed.has_value();
-
-    if (packed.has_value()) {
-        ReplayScratch scratch(eng.engL1.size());
-        replay_packed_pass(*packed, options.policy, t_begin, eng, scratch,
-                           st, /*counting=*/false);  // warm-up
-        replay_packed_pass(*packed, options.policy, t_begin, eng, scratch,
-                           st, /*counting=*/true);  // measured
-        // A sampled buffer holds only the kept references, so the replay
-        // counted the sampled subset; the full demand count comes from
-        // the segment lengths.
-        st.sampled_refs = st.references;
-        if (!ctx.filter.exact())
-            st.references = ctx.segment_lengths[static_cast<std::size_t>(s)];
-        st.seconds = shard_timer.seconds();
-        return;
-    }
-
-    // Streaming fallback: derive the segment trace twice through a fused
-    // per-reference sink (the pre-packing pipeline, devirtualized).
-    bool counting = false;
-    auto sink = [&](const MemRef& ref) {
-        if (ref.is_prefetch) return;  // the model sees demand accesses
-        const int sector = sector_of(ref.object, options.policy);
-        const std::uint64_t dp =
-            (sector == 1 ? eng.eng1 : eng.eng0).access_one(ref.line);
-        if (dp == kSkippedDistance) {
-            // The sampling filter rejected this line; every engine would
-            // agree (same hash), so skip them and record nothing.
-            if (counting) ++st.references;
-            return;
-        }
-        const std::uint64_t du = eng.engU.access_one(ref.line);
-        std::uint64_t dl1 = 0;
-        if (options.predict_l1)
-            dl1 = eng.engL1[static_cast<std::size_t>(
-                                static_cast<std::int64_t>(ref.thread) -
-                                t_begin)]
-                      .access_one(ref.line);
-        if (!counting) return;
-        ++st.references;
-        ++st.sampled_refs;
-        if (sector == 1) {
-            st.cnt1.record(dp);
-        } else {
-            st.cnt0.record(dp);
-            if (ref.object == DataObject::X) st.cnt_x.record(dp);
-        }
-        st.cntU.record(du);
-        if (ref.object == DataObject::X) st.cnt_xU.record(du);
-        if (options.predict_l1) {
-            st.cntL1.record(dl1);
-            if (ref.object == DataObject::X) st.cnt_xL1.record(dl1);
-        }
-    };
-    generate_spmv_trace_segment(ctx.m, ctx.layout, ctx.trace_cfg,
-                                machine.cores_per_numa, s,
-                                sink);  // warm-up
-    counting = true;
-    generate_spmv_trace_segment(ctx.m, ctx.layout, ctx.trace_cfg,
-                                machine.cores_per_numa, s,
-                                sink);  // measured
-    st.seconds = shard_timer.seconds();
+/// One shard = one L2 segment, replayed through the chunked loop.
+template <class Engine>
+ShardStats run_shard(const detail::ReplayPlan& plan, std::int64_t s,
+                     ShardCounters& counters) {
+    ShardReplay<Engine> replay(plan, s, counters);
+    return detail::replay_segment(plan, s, std::ref(replay));
 }
 
 }  // namespace
 
-/// The templated body behind the AnyCsrView entry point. The trace layout
-/// spaces colidx/rowptr at the *accounted* element sizes, so a W32 matrix
-/// touches half the index lines a W64 one does — unless the caller pins
-/// the accounting (the width-differential tests do exactly that).
-template <class Idx>
-ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
-                              const ModelOptions& options,
-                              EngineKind engine_kind) {
-    SPMV_EXPECTS(options.threads >= 1);
-    SPMV_EXPECTS(options.threads <= options.machine.cores);
-    SPMV_EXPECTS(options.jobs >= 0);
-    SPMV_EXPECTS(options.sample_rate > 0.0 && options.sample_rate <= 1.0);
+/// The trace layout spaces colidx/rowptr at the *accounted* element sizes,
+/// so a W32 matrix touches half the index lines a W64 one does — unless the
+/// caller pins the accounting (the width-differential tests do exactly
+/// that).
+ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options,
+                         EngineKind engine_kind) {
     const Timer timer;
-
-    // Resolved once per run: every shard (and the packed-trace
-    // pre-filter) shares this filter, so all passes agree on the kept
-    // line subset. An armed `reuse.sample` fault yields the exact filter
-    // here — the whole run degrades to exact computation.
-    const SampleFilter filter =
-        detail::resolve_sample_filter(options.sample_rate);
+    const detail::ReplayPlan plan(m, options);
+    const SampleFilter& filter = plan.filter;
 
     const auto& machine = options.machine;
-    const SpmvLayout layout(m.rows(), m.cols(), m.nnz(),
-                            machine.l2.line_bytes,
-                            options.colidx_bytes_for(Idx::width),
-                            options.rowptr_bytes_for(Idx::width));
-    const std::int64_t segments =
-        trace_segment_count(options.threads, machine.cores_per_numa);
     const std::uint64_t l2_sets = machine.l2.sets();
     const std::uint64_t l2_total_ways = machine.l2.ways;
 
@@ -394,45 +222,19 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
     }
     const std::uint64_t cap_full = l2_total_ways * l2_sets;
     const std::uint64_t l1_cap = machine.l1.lines();
-    const std::int64_t jobs = detail::resolve_model_jobs(options.jobs);
-    const std::int64_t effective_jobs =
-        std::max<std::int64_t>(1, std::min(jobs, segments));
-
-    ShardContext<Idx> ctx{m, layout, options,
-                     TraceConfig{options.threads, options.partition,
-                                 options.quantum},
-                     static_cast<std::size_t>(
-                         layout.total_lines() /
-                         static_cast<std::uint64_t>(segments)) +
-                         64,
-                     spmv_segment_lengths(
-                         m,
-                         TraceConfig{options.threads, options.partition,
-                                     options.quantum},
-                         machine.cores_per_numa),
-                     detail::resolve_trace_buffer_bytes(
-                         options.trace_buffer_bytes) /
-                         static_cast<std::uint64_t>(effective_jobs),
-                     filter};
 
     std::vector<ShardCounters> shard_state;
-    shard_state.reserve(static_cast<std::size_t>(segments));
-    for (std::int64_t s = 0; s < segments; ++s)
+    shard_state.reserve(static_cast<std::size_t>(plan.segments));
+    for (std::int64_t s = 0; s < plan.segments; ++s)
         shard_state.emplace_back(caps0, caps1, cap_full, l1_cap);
+    std::vector<ShardStats> shards(static_cast<std::size_t>(plan.segments));
 
-    detail::for_each_shard(segments, jobs, [&](std::int64_t s) {
+    plan.for_each_shard([&](std::int64_t s) {
         auto& st = shard_state[static_cast<std::size_t>(s)];
-        if (engine_kind == EngineKind::Kim) {
-            if (filter.exact())
-                run_shard<Idx, KimEngine>(ctx, s, st);
-            else
-                run_shard<Idx, SampledEngine<KimEngine>>(ctx, s, st);
-        } else {
-            if (filter.exact())
-                run_shard<Idx, OlkenEngine>(ctx, s, st);
-            else
-                run_shard<Idx, SampledEngine<OlkenEngine>>(ctx, s, st);
-        }
+        shards[static_cast<std::size_t>(s)] =
+            engine_kind == EngineKind::Kim
+                ? run_shard<KimEngine>(plan, s, st)
+                : run_shard<OlkenEngine>(plan, s, st);
     });
 
     // ---- Assemble ---------------------------------------------------------
@@ -483,26 +285,11 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
     result.x_traffic_fraction =
         total_unpart > 0.0 ? result.configs.front().l2_x_misses / total_unpart
                            : 0.0;
-    for (std::int64_t s = 0; s < segments; ++s) {
-        const auto& st = shard_state[static_cast<std::size_t>(s)];
-        const std::int64_t t_begin = s * machine.cores_per_numa;
-        result.shards.push_back(ShardStats{
-            s,
-            std::min(options.threads, t_begin + machine.cores_per_numa) -
-                t_begin,
-            st.references, st.seconds, st.packed, st.sampled_refs});
-        result.sampled_refs += st.sampled_refs;
-    }
-    result.jobs = effective_jobs;
+    result.shards = std::move(shards);
+    for (const auto& st : result.shards) result.sampled_refs += st.sampled_refs;
+    result.jobs = plan.effective_jobs;
     result.seconds = timer.seconds();
     return result;
-}
-
-ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options,
-                         EngineKind engine_kind) {
-    return m.visit([&](const auto& v) {
-        return run_method_a_impl(v, options, engine_kind);
-    });
 }
 
 }  // namespace spmvcache

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "model/analytic.hpp"
 #include "model/replay.hpp"
-#include "model/shard.hpp"
 #include "reuse/histogram.hpp"
 #include "reuse/olken.hpp"
 #include "trace/packed_trace.hpp"
-#include "trace/spmv_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -62,28 +61,16 @@ std::uint64_t scaled_capacity(std::uint64_t lines, double factor) {
 template <class Idx>
 ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                               const ModelOptions& options) {
-    SPMV_EXPECTS(options.threads >= 1);
-    SPMV_EXPECTS(options.threads <= options.machine.cores);
-    SPMV_EXPECTS(options.jobs >= 0);
-    SPMV_EXPECTS(options.sample_rate > 0.0 && options.sample_rate <= 1.0);
     const Timer timer;
-
-    // One filter per run, shared by the packed-trace pre-filter and the
-    // x-vector stack passes; the analytic streaming terms below stay
-    // exact — sampling only approximates the reuse-distance part. An
-    // armed `reuse.sample` fault degrades the run to exact computation.
-    const SampleFilter filter =
-        detail::resolve_sample_filter(options.sample_rate);
+    // The analytic streaming terms below stay exact — the run's SHARDS
+    // filter only approximates the x-vector reuse-distance part.
+    const detail::ReplayPlan plan(m, options);
+    const SampleFilter& filter = plan.filter;
+    const std::int64_t segments = plan.segments;
 
     const std::uint64_t ci = options.colidx_bytes_for(Idx::width);
     const std::uint64_t rp = options.rowptr_bytes_for(Idx::width);
     const auto& machine = options.machine;
-    const SpmvLayout layout(m.rows(), m.cols(), m.nnz(),
-                            machine.l2.line_bytes,
-                            static_cast<std::uint32_t>(ci),
-                            static_cast<std::uint32_t>(rp));
-    const std::int64_t segments =
-        trace_segment_count(options.threads, machine.cores_per_numa);
     const std::uint64_t line_bytes = machine.l2.line_bytes;
     const std::uint64_t l2_sets = machine.l2.sets();
     const std::uint64_t l2_ways = machine.l2.ways;
@@ -132,7 +119,8 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         static_cast<std::size_t>(segments));
     std::vector<std::unique_ptr<CapacityMissCounter>> cntU(
         static_cast<std::size_t>(segments));
-    const std::uint64_t x_lines_hint = layout.lines_of(DataObject::X) + 64;
+    const std::uint64_t x_lines_hint =
+        plan.layout.lines_of(DataObject::X) + 64;
     for (std::size_t g = 0; g < cntP.size(); ++g) {
         cntP[g] = std::make_unique<CapacityMissCounter>(capsP[g]);
         cntU[g] = std::make_unique<CapacityMissCounter>(
@@ -151,58 +139,32 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         }
     }
 
-    const TraceConfig trace_cfg{options.threads, options.partition,
-                                options.quantum};
-    const std::int64_t jobs = detail::resolve_model_jobs(options.jobs);
-    const std::int64_t effective_jobs =
-        std::max<std::int64_t>(1, std::min(jobs, segments));
-    const auto segment_lengths =
-        spmv_segment_lengths(m, trace_cfg, machine.cores_per_numa);
-    const std::uint64_t shard_budget =
-        detail::resolve_trace_buffer_bytes(options.trace_buffer_bytes) /
-        static_cast<std::uint64_t>(effective_jobs);
     std::vector<ShardStats> shard_stats(static_cast<std::size_t>(segments));
-    detail::for_each_shard(segments, jobs, [&](std::int64_t g) {
-        const Timer shard_timer;
-        auto& st = shard_stats[static_cast<std::size_t>(g)];
-        const std::int64_t t_begin = g * machine.cores_per_numa;
-        const std::int64_t t_count =
-            std::min(options.threads, t_begin + machine.cores_per_numa) -
-            t_begin;
+    plan.for_each_shard([&](std::int64_t g) {
+        const std::int64_t t_begin = plan.first_thread(g);
         OlkenEngine eng(static_cast<std::size_t>(x_lines_hint));
         std::vector<OlkenEngine> engL1;
         if (options.predict_l1) {
-            engL1.reserve(static_cast<std::size_t>(t_count));
-            for (std::int64_t c = 0; c < t_count; ++c)
+            engL1.reserve(static_cast<std::size_t>(plan.threads_in(g)));
+            for (std::int64_t c = 0; c < plan.threads_in(g); ++c)
                 engL1.emplace_back(4096);
         }
         auto& cnt_p = *cntP[static_cast<std::size_t>(g)];
         auto& cnt_u = *cntU[static_cast<std::size_t>(g)];
 
-        const std::optional<std::vector<std::uint64_t>> packed =
-            detail::pack_segment_within_budget(
-                m, layout, trace_cfg, machine.cores_per_numa, g,
-                segment_lengths[static_cast<std::size_t>(g)], shard_budget,
-                filter);
-        st.packed_replay = packed.has_value();
-
-        if (packed.has_value()) {
-            // Derive once, replay twice: method (B)'s engines only consume
-            // x-vector references, so the replay gathers those per owner
-            // (L2 engine + per-core L1 engines) and runs the batched,
-            // prefetch-pipelined access path. Counters accumulate, so
-            // scatter order is free — totals are bit-identical to the
-            // streaming sink below.
-            std::vector<std::uint64_t> lines_x, dist_x;
-            std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
-                distL1(engL1.size());
-            for (const bool counting : {false, true}) {
-                std::uint64_t refs = 0;
+        // Method (B)'s engines only consume x-vector references, so each
+        // chunk gathers those per owner (L2 engine + per-core L1 engines)
+        // and runs the batched, prefetch-pipelined access path. Counters
+        // accumulate, so scatter order is free.
+        std::vector<std::uint64_t> lines_x, dist_x;
+        std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
+            distL1(engL1.size());
+        shard_stats[static_cast<std::size_t>(g)] = detail::replay_segment(
+            plan, g,
+            [&](std::span<const std::uint64_t> words, bool counting) {
                 lines_x.clear();
                 for (auto& v : linesL1) v.clear();
-                for (const std::uint64_t word : *packed) {
-                    if (packed_is_prefetch(word)) continue;
-                    ++refs;
+                for (const std::uint64_t word : words) {
                     if (packed_object(word) != DataObject::X) continue;
                     const std::uint64_t line = packed_line(word);
                     lines_x.push_back(line);
@@ -222,62 +184,17 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                                           distL1[t].data(),
                                           linesL1[t].size());
                 }
-                if (!counting) continue;
-                st.references += refs;
+                if (!counting) return;
                 for (const std::uint64_t d : dist_x) {
                     const std::uint64_t ds = filter.scale_distance(d);
                     cnt_p.record(ds);
                     cnt_u.record(ds);
                 }
-                if (options.predict_l1)
-                    for (const auto& dists : distL1)
-                        for (const std::uint64_t d : dists)
-                            cntL1[static_cast<std::size_t>(g)]->record(
-                                filter.scale_distance(d));
-            }
-            // A sampled buffer holds only the kept references, so the
-            // replay counted the sampled subset; the full demand count
-            // comes from the segment lengths.
-            st.sampled_refs = st.references;
-            if (!filter.exact())
-                st.references =
-                    segment_lengths[static_cast<std::size_t>(g)];
-        } else {
-            bool counting = false;
-            auto sink = [&](const MemRef& ref) {
-                if (ref.is_prefetch) return;
-                const bool kept = filter.keep(ref.line);
-                if (counting) {
-                    ++st.references;
-                    if (kept) ++st.sampled_refs;
-                }
-                if (!kept || ref.object != DataObject::X) return;
-                const std::uint64_t d =
-                    filter.scale_distance(eng.access_one(ref.line));
-                std::uint64_t dl1 = 0;
-                if (options.predict_l1)
-                    dl1 = filter.scale_distance(
-                        engL1[static_cast<std::size_t>(
-                                  static_cast<std::int64_t>(ref.thread) -
-                                  t_begin)]
-                            .access_one(ref.line));
-                if (!counting) return;
-                cnt_p.record(d);
-                cnt_u.record(d);
-                if (options.predict_l1)
-                    cntL1[static_cast<std::size_t>(g)]->record(dl1);
-            };
-            generate_spmv_trace_segment(m, layout, trace_cfg,
-                                        machine.cores_per_numa, g,
-                                        sink);  // warm-up
-            counting = true;
-            generate_spmv_trace_segment(m, layout, trace_cfg,
-                                        machine.cores_per_numa, g,
-                                        sink);  // measured
-        }
-        st.segment = g;
-        st.threads = t_count;
-        st.seconds = shard_timer.seconds();
+                for (const auto& dists : distL1)
+                    for (const std::uint64_t d : dists)
+                        cntL1[static_cast<std::size_t>(g)]->record(
+                            filter.scale_distance(d));
+            });
     });
 
     // ---- Analytic terms for a, colidx, rowptr and y (§3.1 / §3.2.2) ------
@@ -375,7 +292,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                            : 0.0;
     result.shards = std::move(shard_stats);
     for (const auto& st : result.shards) result.sampled_refs += st.sampled_refs;
-    result.jobs = std::max<std::int64_t>(1, std::min(jobs, segments));
+    result.jobs = plan.effective_jobs;
     result.seconds = timer.seconds();
     return result;
 }

@@ -42,14 +42,16 @@ struct ModelOptions {
     /// "Sharded host-parallel model execution".
     std::int64_t jobs = 0;
     /// Packed-trace replay budget in bytes, shared by the shards that can
-    /// run concurrently: a shard packs its segment trace (8 bytes per
-    /// reference, derived once, replayed for both passes) when it fits
-    /// budget / min(jobs, segments), and falls back to streaming
-    /// re-derivation otherwise — so arbitrarily large matrices still run.
-    /// kTraceBufferAuto (default) resolves to 1/8 of physical RAM clamped
-    /// to [64 MiB, 8 GiB]; 0 forces streaming everywhere. Predictions are
-    /// bit-identical either way (differential-tested); the knob trades
-    /// memory for trace-derivation throughput only. CLI: --trace-buffer.
+    /// run concurrently: each shard replays its segment trace (8 bytes per
+    /// kept reference) in chunks of at most budget / min(jobs, segments).
+    /// A segment that fits one chunk is derived once and replayed for both
+    /// passes; a larger one is derived again, chunk by chunk, for the
+    /// counted pass — so arbitrarily large matrices still run. The
+    /// smallest chunk is one 1024-reference replay batch, which is what 0
+    /// (or any smaller budget) means. kTraceBufferAuto (default) resolves
+    /// to 1/8 of physical RAM clamped to [64 MiB, 8 GiB]. Predictions are
+    /// bit-identical for every budget (golden-tested); the knob trades
+    /// memory for trace-derivation time only. CLI: --trace-buffer.
     std::uint64_t trace_buffer_bytes = kTraceBufferAuto;
     /// SHARDS spatial-sampling rate R in (0, 1]. 1 (default) is the exact
     /// model — bit-identical to every pre-sampling prediction. R < 1
@@ -107,8 +109,10 @@ struct ShardStats {
     /// slice of the derived trace; shards sum to spmv_trace_length).
     std::uint64_t references = 0;
     double seconds = 0.0;          ///< wall-clock of this shard's stack pass
-    /// True when the shard replayed a packed trace buffer; false when it
-    /// streamed (budget exceeded, --trace-buffer 0, or packing failed).
+    /// True when the segment was derived once (it fit one replay chunk);
+    /// false when the counted pass derived it again, chunk by chunk
+    /// (budget exceeded, --trace-buffer 0, armed `trace.pack` fault, or a
+    /// failed chunk allocation).
     bool packed_replay = false;
     /// References that survived the sampling filter and reached the
     /// engines (== references when the run was exact).

@@ -5,10 +5,14 @@
 #endif
 
 #include <algorithm>
+#include <new>
+#include <string>
 
-#include "model/options.hpp"
+#include "sync/thread_pool.hpp"
 #include "trace/packed_trace.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/timer.hpp"
 
 namespace spmvcache::detail {
 
@@ -17,6 +21,25 @@ constexpr std::uint64_t kMiB = std::uint64_t{1} << 20;
 constexpr std::uint64_t kAutoFallback = 256 * kMiB;
 constexpr std::uint64_t kAutoMin = 64 * kMiB;
 constexpr std::uint64_t kAutoMax = std::uint64_t{8} << 30;
+
+const ModelOptions& checked(const ModelOptions& opts) {
+    SPMV_EXPECTS(opts.threads >= 1);
+    SPMV_EXPECTS(opts.threads <= opts.machine.cores);
+    SPMV_EXPECTS(opts.jobs >= 0);
+    SPMV_EXPECTS(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0);
+    return opts;
+}
+
+/// Resolves ModelOptions::sample_rate into the filter every shard of the
+/// run shares. R = 1 yields the exact filter; so does an armed
+/// `reuse.sample` fault — sampling failure degrades the whole run to exact
+/// computation (slower, never wrong), the same contract as the smallest
+/// replay chunk. Callers detect degradation via filter.exact().
+SampleFilter resolve_sample_filter(double sample_rate) {
+    if (sample_rate >= 1.0) return SampleFilter{};
+    if (fault::should_fail("reuse.sample")) return SampleFilter{};
+    return SampleFilter(sample_rate);
+}
 }  // namespace
 
 std::uint64_t resolve_trace_buffer_bytes(std::uint64_t requested) noexcept {
@@ -33,45 +56,118 @@ std::uint64_t resolve_trace_buffer_bytes(std::uint64_t requested) noexcept {
     return std::min(kAutoMax, std::max(kAutoMin, physical / 8));
 }
 
-template <class Idx>
-std::optional<std::vector<std::uint64_t>> pack_segment_within_budget(
-    const BasicCsrView<Idx>& m, const SpmvLayout& layout,
-    const TraceConfig& cfg, std::int64_t cores_per_numa, std::int64_t segment,
-    std::uint64_t demand_refs, std::uint64_t budget_bytes,
-    const SampleFilter& filter) {
-    // Expected packed words: all demand refs when exact, ~R of them (with
-    // headroom for hash-subset variance) when sampling.
-    const std::uint64_t expected_words =
-        filter.exact()
-            ? demand_refs
-            : static_cast<std::uint64_t>(
-                  static_cast<double>(demand_refs) * filter.rate() * 1.25) +
-                  1024;
-    if (expected_words > budget_bytes / sizeof(std::uint64_t))
-        return std::nullopt;
-    Result<std::vector<std::uint64_t>> packed = try_pack_spmv_trace_segment(
-        m, layout, cfg, cores_per_numa, segment, filter);
-    if (!packed.ok()) return std::nullopt;
-    return std::move(packed).value();
+ReplayPlan::ReplayPlan(const AnyCsrView& matrix, const ModelOptions& opts)
+    : options(checked(opts)),
+      m(matrix),
+      layout(matrix.rows(), matrix.cols(), matrix.nnz(),
+             opts.machine.l2.line_bytes,
+             opts.colidx_bytes_for(matrix.index_width()),
+             opts.rowptr_bytes_for(matrix.index_width())),
+      trace_cfg{opts.threads, opts.partition, opts.quantum},
+      segments(trace_segment_count(opts.threads, opts.machine.cores_per_numa)),
+      effective_jobs(std::max<std::int64_t>(
+          1, std::min(opts.jobs >= 1 ? opts.jobs
+                                     : static_cast<std::int64_t>(
+                                           default_host_jobs()),
+                      segments))),
+      segment_lengths(matrix.visit([&](const auto& v) {
+          return spmv_segment_lengths(v, trace_cfg,
+                                      opts.machine.cores_per_numa);
+      })),
+      chunk_words(std::max<std::uint64_t>(
+          kReplayBatch, resolve_trace_buffer_bytes(opts.trace_buffer_bytes) /
+                            static_cast<std::uint64_t>(effective_jobs) /
+                            sizeof(std::uint64_t))),
+      filter(resolve_sample_filter(opts.sample_rate)) {
+    if (static_cast<std::uint64_t>(opts.threads) > kPackedThreadMask + 1 ||
+        layout.total_lines() > kPackedLineMask + 1)
+        throw_status(Error(ErrorCode::ValidationError,
+                           "trace does not fit the packed encoding: " +
+                               std::to_string(opts.threads) +
+                               " simulated threads (max 2048), " +
+                               std::to_string(layout.total_lines()) +
+                               " lines (max 2^48)"));
 }
 
-template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx32>(const BasicCsrView<Idx32>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
-template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx64>(const BasicCsrView<Idx64>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
+std::int64_t ReplayPlan::first_thread(std::int64_t segment) const {
+    return segment * options.machine.cores_per_numa;
+}
 
-SampleFilter resolve_sample_filter(double sample_rate) {
-    if (sample_rate >= 1.0) return SampleFilter{};
-    // Armed `reuse.sample` degrades the run to exact computation — the
-    // same never-wrong-only-slower contract as the packing fallback.
-    if (fault::should_fail("reuse.sample")) return SampleFilter{};
-    return SampleFilter(sample_rate);
+std::int64_t ReplayPlan::threads_in(std::int64_t segment) const {
+    return std::min(options.threads,
+                    first_thread(segment) + options.machine.cores_per_numa) -
+           first_thread(segment);
+}
+
+void ReplayPlan::for_each_shard(
+    const std::function<void(std::int64_t)>& fn) const {
+    if (effective_jobs <= 1) {
+        for (std::int64_t s = 0; s < segments; ++s) fn(s);
+        return;
+    }
+    ThreadPool pool(static_cast<std::size_t>(effective_jobs));
+    pool.parallel_for(static_cast<std::size_t>(segments),
+                      [&fn](std::size_t s) {
+                          fn(static_cast<std::int64_t>(s));
+                      });
+}
+
+ShardStats replay_segment(const ReplayPlan& plan, std::int64_t segment,
+                          const ChunkConsumer& consume) {
+    const Timer timer;
+    const std::uint64_t demand =
+        plan.segment_lengths[static_cast<std::size_t>(segment)];
+    // The SHARDS filter only drops references, so a chunk of `demand`
+    // words always holds the whole segment.
+    std::uint64_t capacity =
+        fault::should_fail("trace.pack")
+            ? kReplayBatch
+            : std::min(plan.chunk_words, std::max<std::uint64_t>(demand, 1));
+    std::vector<std::uint64_t> chunk;
+    try {
+        chunk.reserve(static_cast<std::size_t>(capacity));
+    } catch (const std::bad_alloc&) {
+        capacity = std::min<std::uint64_t>(capacity, kReplayBatch);
+        chunk.reserve(static_cast<std::size_t>(capacity));
+    }
+
+    ShardStats st;
+    st.segment = segment;
+    st.threads = plan.threads_in(segment);
+    st.references = demand;
+    st.packed_replay = true;
+    const auto flush = [&](bool counting) {
+        consume(chunk, counting);
+        if (counting) st.sampled_refs += chunk.size();
+        chunk.clear();
+    };
+    const auto derive = [&](bool counting) {
+        plan.m.visit([&](const auto& v) {
+            generate_spmv_trace_segment(
+                v, plan.layout, plan.trace_cfg,
+                plan.options.machine.cores_per_numa, segment,
+                [&](const MemRef& ref) {
+                    if (ref.is_prefetch || !plan.filter.keep(ref.line))
+                        return;
+                    if (chunk.size() == capacity) {
+                        flush(counting);
+                        st.packed_replay = false;
+                    }
+                    chunk.push_back(pack_memref(ref));
+                });
+        });
+    };
+
+    derive(/*counting=*/false);
+    if (st.packed_replay) {
+        consume(chunk, /*counting=*/false);  // the whole segment, once
+    } else {
+        flush(/*counting=*/false);
+        derive(/*counting=*/true);
+    }
+    flush(/*counting=*/true);
+    st.seconds = timer.seconds();
+    return st;
 }
 
 }  // namespace spmvcache::detail

@@ -1,33 +1,42 @@
-// Packed-trace replay support shared by methods (A) and (B).
+// The sharded, chunked trace replay shared by methods (A) and (B).
 //
-// Each model shard derives its segment's slice of the interleaved trace
-// twice (warm-up + counted pass). When the segment fits its share of the
-// ModelOptions::trace_buffer_bytes budget, the shard instead derives once
-// into a packed buffer (trace/packed_trace.hpp) and replays that buffer
-// for both passes — a linear uint64 scan feeding the engines' batched,
-// prefetch-pipelined access paths. Packing is best-effort: any failure
-// (budget of 0, oversized segment, unpackable reference, allocation
-// failure, armed `trace.pack` fault) silently selects the streaming
-// fallback, which computes bit-identical predictions.
+// The model is sharded by L2 segment: every per-segment stack engine (and
+// every per-core L1 engine, since cores do not move between segments)
+// consumes a disjoint, order-preserved slice of the interleaved trace
+// (generate_spmv_trace_segment), so shards are fully independent and can
+// run concurrently without changing any prediction.
+//
+// Each shard sends its slice through its engines twice: a warm-up pass,
+// then a counted pass. replay_segment() is the one loop that does it. It
+// derives the segment's demand references, drops those the run's SHARDS
+// filter rejects, packs the rest (trace/packed_trace.hpp) into a chunk no
+// larger than the shard's share of ModelOptions::trace_buffer_bytes, and
+// hands every full chunk to the method's consumer. A segment that fits one
+// chunk is derived once and both passes replay that buffer; a larger one
+// is derived again, chunk by chunk, for the counted pass. Chunking only
+// splits each engine's own access subsequence, so predictions are
+// bit-identical for every budget.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <functional>
+#include <span>
 #include <vector>
 
-#include "sparse/csr_view.hpp"
+#include "model/options.hpp"
+#include "sparse/any_csr.hpp"
 #include "trace/layout.hpp"
 #include "trace/sample.hpp"
 #include "trace/spmv_trace.hpp"
 
 namespace spmvcache::detail {
 
-/// Resolves ModelOptions::sample_rate into the filter every shard of the
-/// run shares. R = 1 yields the exact filter; so does an armed
-/// `reuse.sample` fault — sampling failure degrades to exact computation
-/// (slower, never wrong), mirroring how a packing failure degrades to
-/// streaming. Callers detect degradation via filter.exact().
-[[nodiscard]] SampleFilter resolve_sample_filter(double sample_rate);
+/// References the engines consume per access_batch call, and the smallest
+/// chunk: large enough to amortize the gather/scatter bookkeeping and keep
+/// the engines' prefetch pipelines full, small enough that the scratch
+/// arrays stay L2-resident.
+inline constexpr std::size_t kReplayBatch = 1024;
 
 /// Resolves ModelOptions::trace_buffer_bytes: kTraceBufferAuto becomes
 /// 1/8 of physical RAM clamped to [64 MiB, 8 GiB] (256 MiB when the host
@@ -35,45 +44,49 @@ namespace spmvcache::detail {
 [[nodiscard]] std::uint64_t resolve_trace_buffer_bytes(
     std::uint64_t requested) noexcept;
 
-/// Packs segment `segment`'s trace iff its expected packed size fits
-/// `budget_bytes` (8 bytes per reference; under sampling only ~R of the
-/// `demand_refs` survive the filter, so the budget check scales
-/// accordingly and larger segments stay packable). Empty optional = use
-/// the streaming fallback (over budget, packing fault, allocation
-/// failure, or a reference outside the packed encoding).
-template <class Idx>
-[[nodiscard]] std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget(const BasicCsrView<Idx>& m,
-                           const SpmvLayout& layout, const TraceConfig& cfg,
-                           std::int64_t cores_per_numa, std::int64_t segment,
-                           std::uint64_t demand_refs,
-                           std::uint64_t budget_bytes,
-                           const SampleFilter& filter = SampleFilter{});
+/// Everything the shards of one run share, resolved once at entry.
+struct ReplayPlan {
+    /// Checks the options' preconditions. Throws StatusError
+    /// (ValidationError) when the run's references cannot be packed: more
+    /// than 2048 simulated threads, or a line number of 2^48 or more.
+    ReplayPlan(const AnyCsrView& matrix, const ModelOptions& options);
 
-extern template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx32>(const BasicCsrView<Idx32>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
-extern template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx64>(const BasicCsrView<Idx64>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
+    const ModelOptions& options;  ///< must outlive the plan
+    AnyCsrView m;
+    /// Index arrays spaced at the *accounted* element sizes.
+    SpmvLayout layout;
+    TraceConfig trace_cfg;
+    std::int64_t segments;
+    /// Host workers the run uses: ModelOptions::jobs (0 = one per hardware
+    /// thread), at most one per segment.
+    std::int64_t effective_jobs;
+    std::vector<std::uint64_t> segment_lengths;  ///< demand refs per segment
+    /// Per-shard chunk capacity in words: the budget's share, at least
+    /// one replay batch.
+    std::uint64_t chunk_words;
+    /// The run's SHARDS filter (exact unless sampling is on).
+    SampleFilter filter;
 
-// Owning-matrix convenience (deduction cannot see through the implicit
-// matrix -> view conversion).
-template <class Idx>
-[[nodiscard]] std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget(const BasicCsrMatrix<Idx>& m,
-                           const SpmvLayout& layout, const TraceConfig& cfg,
-                           std::int64_t cores_per_numa, std::int64_t segment,
-                           std::uint64_t demand_refs,
-                           std::uint64_t budget_bytes,
-                           const SampleFilter& filter = SampleFilter{}) {
-    return pack_segment_within_budget(BasicCsrView<Idx>(m), layout, cfg,
-                                      cores_per_numa, segment, demand_refs,
-                                      budget_bytes, filter);
-}
+    [[nodiscard]] std::int64_t first_thread(std::int64_t segment) const;
+    [[nodiscard]] std::int64_t threads_in(std::int64_t segment) const;
+
+    /// Runs fn(segment) for every segment, concurrently on effective_jobs
+    /// pool workers (serial when that is 1 — no pool, no threads).
+    /// Exceptions from fn propagate to the caller in both modes.
+    void for_each_shard(const std::function<void(std::int64_t)>& fn) const;
+};
+
+/// Receives one chunk of packed demand words (trace order) and whether it
+/// belongs to the counted pass.
+using ChunkConsumer =
+    std::function<void(std::span<const std::uint64_t> words, bool counting)>;
+
+/// Runs segment `segment`'s warm-up and counted passes through `consume`
+/// and returns the shard's record. The smallest chunk — one replay batch —
+/// serves a budget below one batch (including 0), an armed `trace.pack`
+/// fault and a failed chunk allocation: slower, never a different number.
+[[nodiscard]] ShardStats replay_segment(const ReplayPlan& plan,
+                                        std::int64_t segment,
+                                        const ChunkConsumer& consume);
 
 }  // namespace spmvcache::detail

@@ -11,7 +11,7 @@
 #include "core/batch.hpp"
 #include "core/deadline.hpp"
 #include "core/model_runner.hpp"
-#include "serve/fingerprint.hpp"
+#include "sparse/fingerprint.hpp"
 #include "sparse/matrix_stats.hpp"
 #include "util/fault.hpp"
 #include "util/format.hpp"

@@ -1,11 +1,11 @@
 // Packed trace: one uint64 per memory reference.
 //
-// The model replays every segment trace twice (warm-up + counted pass).
-// Deriving it through the per-MemRef callback twice costs two passes of
-// cursor machinery and callback dispatch per reference; packing the
-// derivation once into a flat buffer of bit-packed words turns the second
-// (and every further) pass into a linear scan the reuse engines can consume
-// in batches. The encoding is lossless for every trace this repo derives:
+// The model replays every segment trace twice (warm-up + counted pass)
+// through its chunked replay loop (model/replay.hpp), which packs the
+// derived references into flat buffers of bit-packed words the reuse
+// engines consume in batches; a segment that fits one buffer is derived
+// once and its second pass is a linear scan. The encoding is lossless for
+// every trace this repo derives:
 //
 //   bits [0, 48)   cache-line number   (48 bits — 2^48 lines of 256 B
 //                                       is 64 PiB of addressed data)
@@ -14,11 +14,11 @@
 //   bit  62        is_write
 //   bit  63        is_prefetch
 //
-// A reference outside those ranges (or an armed `trace.pack` fault, or an
-// allocation failure at packing time) makes try_pack_spmv_trace_segment
-// return a typed error, and the model falls back to streaming
-// re-derivation — packing is a throughput optimisation, never a
-// correctness dependency.
+// The model rejects a run whose references fall outside those ranges
+// (more than 2048 simulated threads, or 2^48 lines) at entry with a
+// ValidationError. try_pack_spmv_trace_segment returns typed errors
+// instead of values for such a reference, an armed `trace.pack` fault or
+// an allocation failure.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +89,7 @@ inline constexpr int kPackedPrefetchShift = 63;
 /// ~R·refs words instead of refs (the default exact filter keeps all).
 /// Typed errors instead of values when a reference does not fit the
 /// encoding (ValidationError), the packing allocation fails
-/// (ResourceError), or the `trace.pack` fault point is armed — callers
-/// are expected to fall back to streaming re-derivation.
+/// (ResourceError), or the `trace.pack` fault point is armed.
 template <class Idx>
 [[nodiscard]] Result<std::vector<std::uint64_t>> try_pack_spmv_trace_segment(
     const BasicCsrView<Idx>& m, const SpmvLayout& layout,

@@ -6,17 +6,23 @@
 // integers stored in doubles, so EXPECT_EQ really is bit-identity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "model/method_a.hpp"
 #include "model/method_b.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/gen/banded.hpp"
 #include "sparse/gen/block.hpp"
+#include "sparse/gen/random.hpp"
 #include "sparse/gen/rmat.hpp"
 #include "sparse/gen/stencil.hpp"
+#include "trace/sample.hpp"
 #include "trace/spmv_trace.hpp"
 #include "util/fault.hpp"
 
@@ -123,47 +129,48 @@ TEST_P(ModelParallelTest, MethodBMatchesSerialForAllJobCounts) {
     }
 }
 
-void expect_replay_mode(const ModelResult& result, bool packed,
-                        const std::string& label) {
+void expect_derived_once(const ModelResult& result, bool once,
+                         const std::string& label) {
     ASSERT_FALSE(result.shards.empty()) << label;
     for (const ShardStats& shard : result.shards)
-        EXPECT_EQ(shard.packed_replay, packed)
+        EXPECT_EQ(shard.packed_replay, once)
             << label << " shard " << shard.segment;
 }
 
-TEST_P(ModelParallelTest, PackedReplayMatchesForcedStreaming) {
-    // The tentpole differential: the packed-trace replay path (default
-    // budget) and the streaming re-derivation fallback (--trace-buffer 0)
-    // must agree bit-for-bit across generators x jobs x engines x both
-    // methods; the shard stats must prove each run took the intended path.
+TEST_P(ModelParallelTest, DerivedOnceMatchesReDerived) {
+    // A segment derived once and replayed from one chunk (default budget)
+    // and one re-derived chunk by chunk for the counted pass (the smallest
+    // chunk, --trace-buffer 0) must agree bit-for-bit across generators x
+    // jobs x engines x both methods; the shard stats must prove each run
+    // took the intended path.
     for (const auto& [name, m] : generator_suite()) {
         for (const std::int64_t jobs : {std::int64_t{1}, std::int64_t{4}}) {
-            ModelOptions packed = base_options(GetParam(), jobs);
-            ModelOptions streamed = packed;
-            streamed.trace_buffer_bytes = 0;
+            ModelOptions once = base_options(GetParam(), jobs);
+            ModelOptions rederived = once;
+            rederived.trace_buffer_bytes = 0;
             const std::string label =
                 name + " jobs=" + std::to_string(jobs);
 
-            const auto a_packed = run_method_a(m, packed);
-            const auto a_streamed = run_method_a(m, streamed);
-            expect_replay_mode(a_packed, true, label + " A/olken packed");
-            expect_replay_mode(a_streamed, false,
-                               label + " A/olken streamed");
-            expect_identical(a_packed, a_streamed, label + " A/olken");
+            const auto a_once = run_method_a(m, once);
+            const auto a_rederived = run_method_a(m, rederived);
+            expect_derived_once(a_once, true, label + " A/olken derived once");
+            expect_derived_once(a_rederived, false,
+                                label + " A/olken re-derived");
+            expect_identical(a_once, a_rederived, label + " A/olken");
 
-            const auto kim_packed = run_method_a(m, packed, EngineKind::Kim);
-            const auto kim_streamed =
-                run_method_a(m, streamed, EngineKind::Kim);
-            expect_replay_mode(kim_packed, true, label + " A/kim packed");
-            expect_replay_mode(kim_streamed, false,
-                               label + " A/kim streamed");
-            expect_identical(kim_packed, kim_streamed, label + " A/kim");
+            const auto kim_once = run_method_a(m, once, EngineKind::Kim);
+            const auto kim_rederived =
+                run_method_a(m, rederived, EngineKind::Kim);
+            expect_derived_once(kim_once, true, label + " A/kim derived once");
+            expect_derived_once(kim_rederived, false,
+                                label + " A/kim re-derived");
+            expect_identical(kim_once, kim_rederived, label + " A/kim");
 
-            const auto b_packed = run_method_b(m, packed);
-            const auto b_streamed = run_method_b(m, streamed);
-            expect_replay_mode(b_packed, true, label + " B packed");
-            expect_replay_mode(b_streamed, false, label + " B streamed");
-            expect_identical(b_packed, b_streamed, label + " B");
+            const auto b_once = run_method_b(m, once);
+            const auto b_rederived = run_method_b(m, rederived);
+            expect_derived_once(b_once, true, label + " B derived once");
+            expect_derived_once(b_rederived, false, label + " B re-derived");
+            expect_identical(b_once, b_rederived, label + " B");
         }
     }
 }
@@ -178,42 +185,199 @@ INSTANTIATE_TEST_SUITE_P(
                    : "BalancedNonzeros";
     });
 
-TEST(ModelParallel, PackingFaultEngagesStreamingFallback) {
+TEST(ModelParallel, PackingFaultReDerivesInSmallestChunks) {
     // An armed trace.pack fault must not fail the model or change its
-    // predictions — every shard silently re-derives its trace instead.
+    // predictions — every shard silently re-derives its trace in the
+    // smallest chunk instead.
     const auto& m = generator_suite().front().matrix;
     const auto options = base_options(PartitionPolicy::BalancedRows, 4);
-    const auto packed = run_method_a(m, options);
-    expect_replay_mode(packed, true, "before fault");
+    const auto once = run_method_a(m, options);
+    expect_derived_once(once, true, "before fault");
 
-    // once=false: every shard's packing attempt must fail, not just the
-    // first one to hit the point.
+    // once=false: every shard's chunk sizing must see the fault, not just
+    // the first one to hit the point.
     fault::ScopedFault f("trace.pack", {.once = false});
     const auto faulted = run_method_a(m, options);
-    expect_replay_mode(faulted, false, "under fault");
-    expect_identical(packed, faulted, "trace.pack fallback");
+    expect_derived_once(faulted, false, "under fault");
+    expect_identical(once, faulted, "trace.pack smallest chunk");
 
     const auto faulted_b = run_method_b(m, options);
-    expect_replay_mode(faulted_b, false, "under fault methodB");
+    expect_derived_once(faulted_b, false, "under fault methodB");
 }
 
-TEST(ModelParallel, TinyBudgetStreamsOnlyOversizedShards) {
-    // A budget that admits nothing still predicts identically, and the
+TEST(ModelParallel, TinyBudgetReDerivesOnlyOversizedShards) {
+    // A budget below one replay batch still predicts identically, and the
     // decision is per shard: with jobs=1 the whole budget goes to each
-    // shard in turn, so a budget sized to one shard's trace packs it.
+    // shard in turn, so a budget sized to one shard's trace derives it
+    // once.
     const auto& m = generator_suite().front().matrix;
     ModelOptions o = base_options(PartitionPolicy::BalancedRows, 1);
     const auto reference = run_method_a(m, o);
 
     o.trace_buffer_bytes = 8;  // one reference: every shard over budget
     const auto starved = run_method_a(m, o);
-    expect_replay_mode(starved, false, "starved");
+    expect_derived_once(starved, false, "starved");
     expect_identical(reference, starved, "starved budget");
 
     o.trace_buffer_bytes = spmv_trace_length(m.rows(), m.nnz()) * 8;
     const auto roomy = run_method_a(m, o);
-    expect_replay_mode(roomy, true, "roomy");
+    expect_derived_once(roomy, true, "roomy");
     expect_identical(reference, roomy, "roomy budget");
+}
+
+// ---- Golden predictions ---------------------------------------------------
+// One digest per cell of matrix x {A/Olken, A/Kim, B} x partition policy x
+// {exact, R = 0.1}, recorded from the implementation that kept a
+// packed replay and a per-reference streaming replay side by side. Every
+// chunking of the replay loop must reproduce them bit for bit, and so must
+// 64-bit index storage, because the golden runs pin the paper's (4, 8)
+// index accounting.
+
+constexpr double kGoldenRate = 0.1;
+/// Chunk capacity of the splitting budget (jobs = 1, so one shard owns the
+/// whole budget): prime and above one replay batch, so chunk boundaries
+/// fall mid-batch and the last chunk is short, and below every exact
+/// segment of the suite, so every exact segment is re-derived.
+constexpr std::uint64_t kSplitChunkWords = 1031;
+
+struct GoldenCell {
+    const char* key;
+    std::uint64_t exact, sampled;  ///< digests at R = 1 and R = kGoldenRate
+};
+
+constexpr GoldenCell kGolden[] = {
+    {"banded/A-olken/rows", 0x8d8e60cbc6c1cd84ULL, 0xe5ca9f067bc84591ULL},
+    {"banded/A-kim/rows", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
+    {"banded/B/rows", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
+    {"banded/A-olken/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0xe5ca9f067bc84591ULL},
+    {"banded/A-kim/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
+    {"banded/B/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
+    {"stencil/A-olken/rows", 0x28ef1cc134990433ULL, 0xc94c7e492dc130d5ULL},
+    {"stencil/A-kim/rows", 0x2ecf0f9092e173e3ULL, 0x962c2b07b1f98822ULL},
+    {"stencil/B/rows", 0xdcfddd74f5cd78f3ULL, 0x0cb3aa3e02e85921ULL},
+    {"stencil/A-olken/nonzeros", 0x8c2d80b2087eaf09ULL, 0xc94c7e492dc130d5ULL},
+    {"stencil/A-kim/nonzeros", 0x2ecf0f9092e173e3ULL, 0x8d6526be61116915ULL},
+    {"stencil/B/nonzeros", 0xcbde906f6ca1e82aULL, 0x3416ea01346e4af9ULL},
+    {"rmat/A-olken/rows", 0x7d811a085c636e6bULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/A-kim/rows", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/B/rows", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/A-olken/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/A-kim/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/B/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
+    {"block/A-olken/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/A-kim/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/B/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/A-olken/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/A-kim/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/B/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"spill/A-olken/rows", 0xc5c2d1c75afb58fdULL, 0x0fc832d52ab81effULL},
+    {"spill/A-kim/rows", 0x8f2cca1c14c38ddaULL, 0x939cb4e98e6bc94fULL},
+    {"spill/B/rows", 0x32cd9adde1e7db3dULL, 0xd9f9a2ed8c8517f0ULL},
+    {"spill/A-olken/nonzeros", 0x4fc71f3bf225ea1fULL, 0x9e4e6a0a08284779ULL},
+    {"spill/A-kim/nonzeros", 0x1f450577c6848e67ULL, 0x939cb4e98e6bc94fULL},
+    {"spill/B/nonzeros", 0x139fee1e78215a10ULL, 0x732d01c8edffc091ULL},
+};
+
+std::uint64_t golden_digest(const std::string& key, double rate) {
+    for (const GoldenCell& cell : kGolden)
+        if (key == cell.key) return rate < 1.0 ? cell.sampled : cell.exact;
+    ADD_FAILURE() << "no golden digest for " << key;
+    return 0;
+}
+
+/// Order-sensitive digest of every prediction the golden cells pin.
+std::uint64_t prediction_digest(const ModelResult& r) {
+    std::uint64_t h = 0;
+    const auto mix = [&h](std::uint64_t v) { h = sample_hash(h ^ v); };
+    for (const ConfigPrediction& c : r.configs) {
+        mix(c.l2_sector_ways);
+        mix(std::bit_cast<std::uint64_t>(c.l2_misses));
+        mix(std::bit_cast<std::uint64_t>(c.l2_x_misses));
+    }
+    mix(std::bit_cast<std::uint64_t>(r.l1_misses));
+    mix(std::bit_cast<std::uint64_t>(r.l1_x_misses));
+    mix(r.sampled_refs);
+    return h;
+}
+
+std::string describe(const ModelResult& r) {
+    std::ostringstream out;
+    out.precision(17);
+    for (const ConfigPrediction& c : r.configs)
+        out << "\n  ways " << c.l2_sector_ways << ": l2_misses " << c.l2_misses
+            << ", l2_x_misses " << c.l2_x_misses;
+    out << "\n  l1_misses " << r.l1_misses << ", l1_x_misses "
+        << r.l1_x_misses << ", sampled_refs " << r.sampled_refs;
+    return out.str();
+}
+
+ModelResult run_golden_cell(const AnyCsrView& m, const std::string& method,
+                            const ModelOptions& options) {
+    if (method == "B") return run_method_b(m, options);
+    return run_method_a(m, options,
+                        method == "A-kim" ? EngineKind::Kim
+                                          : EngineKind::Olken);
+}
+
+/// The suite plus one matrix that spills every segment's L2: the suite's
+/// matrices fit the scaled machine's L2, so their cells pin only the L1
+/// predictions and reference counts.
+std::vector<NamedMatrix> golden_matrices() {
+    std::vector<NamedMatrix> matrices = generator_suite();
+    matrices.push_back(
+        {"spill", gen::random_variable_rows(12000, 12000, 12.0, 1.0, 17)});
+    return matrices;
+}
+
+TEST(ModelParallel, GoldenPredictionsHoldForEveryChunkBudget) {
+    const std::uint64_t budgets[] = {0, kSplitChunkWords * 8,
+                                     kTraceBufferAuto};
+    for (const auto& [name, m] : golden_matrices()) {
+        const CsrMatrix64 wide = convert_csr_width<Idx64>(CsrView(m));
+        for (const PartitionPolicy policy :
+             {PartitionPolicy::BalancedRows,
+              PartitionPolicy::BalancedNonzeros}) {
+            for (const std::string method : {"A-olken", "A-kim", "B"}) {
+                const std::string key =
+                    name + "/" + method + "/" +
+                    (policy == PartitionPolicy::BalancedRows ? "rows"
+                                                             : "nonzeros");
+                for (const double rate : {1.0, kGoldenRate}) {
+                    const std::uint64_t expected = golden_digest(key, rate);
+                    ModelOptions o = base_options(policy, /*jobs=*/1);
+                    o.accounting_colidx_bytes = 4;
+                    o.accounting_rowptr_bytes = 8;
+                    o.sample_rate = rate;
+                    for (const std::uint64_t budget : budgets) {
+                        o.trace_buffer_bytes = budget;
+                        // Derived once exactly when the kept words fit
+                        // one chunk (the smallest is one replay batch).
+                        const std::uint64_t chunk =
+                            budget == kTraceBufferAuto
+                                ? ~std::uint64_t{0}
+                                : std::max<std::uint64_t>(budget / 8, 1024);
+                        for (const AnyCsrView& storage :
+                             {AnyCsrView(m), AnyCsrView(wide)}) {
+                            const ModelResult r =
+                                run_golden_cell(storage, method, o);
+                            const std::string label =
+                                key + " R=" + std::to_string(rate) +
+                                " budget=" + std::to_string(budget) +
+                                (storage.index_width() == IndexWidth::W64
+                                     ? " W64"
+                                     : " W32");
+                            EXPECT_EQ(prediction_digest(r), expected)
+                                << label << describe(r);
+                            for (const ShardStats& shard : r.shards)
+                                EXPECT_EQ(shard.packed_replay,
+                                          shard.sampled_refs <= chunk)
+                                    << label << " shard " << shard.segment;
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(ModelParallel, ShardInstrumentationIsConsistent) {

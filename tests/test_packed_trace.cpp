@@ -1,12 +1,15 @@
 // Packed trace encoding: lossless pack/unpack, elementwise equivalence
-// with the streaming segment derivation, and the typed-error paths that
-// select the model's streaming fallback.
+// with the streaming segment derivation and its typed-error paths; and the
+// model's chunked replay loop built on it.
 #include "trace/packed_trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "model/method_b.hpp"
 #include "model/options.hpp"
 #include "model/replay.hpp"
 #include "sparse/gen/banded.hpp"
@@ -105,34 +108,91 @@ TEST(ReplayBudget, ExplicitValuesPassThroughAndAutoIsClamped) {
     EXPECT_LE(resolved, std::uint64_t{8} << 30);
 }
 
-TEST(ReplayBudget, PackDecisionFollowsTheBudget) {
-    const CsrMatrix m = gen::banded(200, 5, 15, 9);
-    const SpmvLayout layout(m, 256);
-    TraceConfig cfg;
-    cfg.threads = 1;
-    const auto lengths = spmv_segment_lengths(m, cfg, 12);
-    const std::uint64_t refs = lengths[0];
+/// What one replay_segment call hands its consumer, per pass: the words
+/// in order and the chunk sizes. Every chunking must concatenate to
+/// try_pack_spmv_trace_segment's words in both passes.
+struct Replayed {
+    ShardStats stats;
+    std::vector<std::uint64_t> packed, warm, counted;
+    std::vector<std::size_t> warm_chunks, counted_chunks;
+};
 
-    // Exactly enough bytes: packs.
-    const auto fits = detail::pack_segment_within_budget(
-        m, layout, cfg, 12, 0, refs, refs * 8);
-    ASSERT_TRUE(fits.has_value());
-    EXPECT_EQ(fits->size(), refs);
+Replayed replay_banded(std::uint64_t budget_bytes, bool pack_fault = false) {
+    const CsrMatrix m = gen::banded(600, 9, 40, 7);
+    ModelOptions o;
+    o.threads = 4;  // one L2 segment
+    o.jobs = 1;     // the shard owns the whole budget
+    o.trace_buffer_bytes = budget_bytes;
+    const detail::ReplayPlan plan(m, o);
+    Replayed r;
+    r.packed = try_pack_spmv_trace_segment(m, plan.layout, plan.trace_cfg,
+                                           o.machine.cores_per_numa, 0)
+                   .value();
+    std::optional<fault::ScopedFault> armed;
+    if (pack_fault)
+        armed.emplace("trace.pack", fault::FaultSpec{.once = false});
+    r.stats = detail::replay_segment(
+        plan, 0, [&r](std::span<const std::uint64_t> words, bool counting) {
+            auto& pass = counting ? r.counted : r.warm;
+            pass.insert(pass.end(), words.begin(), words.end());
+            (counting ? r.counted_chunks : r.warm_chunks)
+                .push_back(words.size());
+        });
+    EXPECT_EQ(r.warm, r.packed);
+    EXPECT_EQ(r.counted, r.packed);
+    EXPECT_EQ(r.stats.references, r.packed.size());
+    EXPECT_EQ(r.stats.sampled_refs, r.packed.size());
+    return r;
+}
 
-    // One reference short: streams.
-    EXPECT_FALSE(detail::pack_segment_within_budget(m, layout, cfg, 12, 0,
-                                                    refs, refs * 8 - 1)
-                     .has_value());
-    // Zero budget (--trace-buffer 0): streams.
-    EXPECT_FALSE(
-        detail::pack_segment_within_budget(m, layout, cfg, 12, 0, refs, 0)
-            .has_value());
+TEST(ReplayLoop, ChunksConcatenateToThePackedSegment) {
+    const std::size_t chunk = 1500;  // splits the segment unevenly
+    const Replayed r = replay_banded(chunk * 8);
+    EXPECT_FALSE(r.stats.packed_replay);
+    EXPECT_EQ(r.warm_chunks, r.counted_chunks);
+    ASSERT_GT(r.counted_chunks.size(), 2u);
+    for (std::size_t i = 0; i + 1 < r.counted_chunks.size(); ++i)
+        EXPECT_EQ(r.counted_chunks[i], chunk) << "chunk " << i;
+    EXPECT_LT(r.counted_chunks.back(), chunk);
+}
 
-    // Armed packing fault: streams even though the budget fits.
-    fault::ScopedFault f("trace.pack");
-    EXPECT_FALSE(detail::pack_segment_within_budget(m, layout, cfg, 12, 0,
-                                                    refs, refs * 8)
-                     .has_value());
+TEST(ReplayLoop, BudgetOfExactlyTheSegmentDerivesOnce) {
+    const std::size_t refs = replay_banded(kTraceBufferAuto).packed.size();
+    const Replayed r = replay_banded(refs * 8);
+    EXPECT_TRUE(r.stats.packed_replay);
+    EXPECT_EQ(r.counted_chunks, std::vector<std::size_t>{refs});
+}
+
+TEST(ReplayLoop, OneWordLessDerivesOncePerPass) {
+    const std::size_t refs = replay_banded(kTraceBufferAuto).packed.size();
+    const Replayed r = replay_banded(refs * 8 - 8);
+    EXPECT_FALSE(r.stats.packed_replay);
+    EXPECT_EQ(r.warm_chunks, (std::vector<std::size_t>{refs - 1, 1}));
+    EXPECT_EQ(r.counted_chunks, (std::vector<std::size_t>{refs - 1, 1}));
+}
+
+TEST(ReplayLoop, ZeroTinyBudgetAndPackFaultUseTheSmallestChunk) {
+    for (const Replayed& r :
+         {replay_banded(0), replay_banded(8),
+          replay_banded(kTraceBufferAuto, /*pack_fault=*/true)}) {
+        EXPECT_FALSE(r.stats.packed_replay);
+        EXPECT_EQ(r.counted_chunks.front(), detail::kReplayBatch);
+    }
+}
+
+TEST(ReplayLoop, UnpackableRunFailsAtEntry) {
+    // Thread ids above 2047 do not fit the packed encoding; no CLI or
+    // serve path can ask for them (threads <= machine.cores = 48).
+    const CsrMatrix m = gen::banded(50, 4, 10, 1);
+    ModelOptions o;
+    o.machine.cores = 4096;
+    o.threads = 2049;
+    try {
+        (void)run_method_b(m, o);
+        ADD_FAILURE() << "expected a ValidationError";
+    } catch (const StatusError& e) {
+        EXPECT_EQ(e.error().code, ErrorCode::ValidationError);
+    }
 }
 
 }  // namespace

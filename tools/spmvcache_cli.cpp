@@ -84,9 +84,11 @@ using namespace spmvcache;
            "         --jobs J  host workers for the sharded model (0 = all\n"
            "                   hardware threads, 1 = serial; predictions\n"
            "                   are identical for every value)\n"
-           "         --trace-buffer BYTES  packed-trace replay budget\n"
-           "                   (default: 1/8 of host RAM; 0 = always\n"
-           "                   re-derive; predictions are identical)\n"
+           "         --trace-buffer BYTES  packed-trace replay chunk budget\n"
+           "                   (default: 1/8 of host RAM; a segment that\n"
+           "                   fits is derived once, a larger one is\n"
+           "                   re-derived chunk by chunk; 0 = smallest\n"
+           "                   chunk; predictions are identical)\n"
            "         --approx[=R]  SHARDS-sampled approximate model\n"
            "                   (predict/tune/batch): process only refs\n"
            "                   whose line hashes below R (default 0.01)\n"
@@ -160,13 +162,8 @@ void report_error(const Error& e) {
     return source;
 }
 
-[[nodiscard]] Result<AnyCsrMatrix> load_matrix(const CliParser& cli,
-                                               std::size_t arg_index) {
-    return load_matrix_source(matrix_source(cli, arg_index));
-}
-
-/// Cache-aware load for the model-facing subcommands; honours --cache-dir
-/// and --parse-jobs and reports how the matrix was obtained.
+/// Cache-aware load for every matrix-reading subcommand; honours
+/// --cache-dir and --parse-jobs.
 [[nodiscard]] Result<LoadedMatrix> load_handle(const CliParser& cli,
                                                std::size_t arg_index) {
     return load_matrix_handle(matrix_source(cli, arg_index));
@@ -354,7 +351,7 @@ int cmd_predict(const CliParser& cli) {
                   << fmt_count(static_cast<unsigned long long>(
                          shard.references))
                   << " refs, " << fmt(shard.seconds, 3) << " s"
-                  << (shard.packed_replay ? " (packed)" : " (streamed)")
+                  << (shard.packed_replay ? " (derived once)" : " (re-derived)")
                   << "\n";
 
     const std::string json_path = cli.get("json", "");
@@ -464,7 +461,7 @@ int cmd_tune(const CliParser& cli) {
 
 int cmd_convert(const CliParser& cli) {
     if (cli.positionals().size() < 3 && !cli.has("gen")) usage();
-    const Result<AnyCsrMatrix> loaded = load_matrix(cli, 1);
+    const Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
         return 1;
@@ -473,7 +470,7 @@ int cmd_convert(const CliParser& cli) {
     // a 32-bit-representable matrix is narrowed here (the text output is
     // width-independent anyway). Shapes that genuinely need 64-bit indices
     // cannot be converted yet.
-    const AnyCsrMatrix& any = loaded.value();
+    const AnyCsrView& any = loaded.value().view;
     if (any.index_width() == IndexWidth::W64 &&
         !width32_representable(any.rows(), any.cols(), any.nnz())) {
         report_error(Error(ErrorCode::UnsupportedError,
@@ -481,9 +478,8 @@ int cmd_convert(const CliParser& cli) {
                            "matrix"));
         return 1;
     }
-    const CsrMatrix m = any.index_width() == IndexWidth::W32
-                            ? CsrMatrix(*any.as32())
-                            : convert_csr_width<Idx32>(*any.as64());
+    const CsrMatrix m = any.visit(
+        [](const auto& v) { return convert_csr_width<Idx32>(v); });
     const std::string out = cli.positionals().back();
     const CsrMatrix result = cli.has("rcm") ? rcm_reorder(m) : m;
     try {
@@ -773,18 +769,17 @@ struct KernelRow {
 };
 
 int cmd_kernelbench(const CliParser& cli) {
-    const Result<AnyCsrMatrix> loaded = load_matrix(cli, 1);
+    const Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
         return 1;
     }
-    const AnyCsrMatrix& m = loaded.value();
-    const AnyCsrView view = m.view();
+    const AnyCsrView& view = loaded.value().view;
     const std::int64_t threads = cli.get_int("threads", 1);
     const std::int64_t iters = cli.get_int(
-        "iters",
-        std::max<std::int64_t>(
-            3, (std::int64_t{1} << 26) / std::max<std::int64_t>(m.nnz(), 1)));
+        "iters", std::max<std::int64_t>(
+                     3, (std::int64_t{1} << 26) /
+                            std::max<std::int64_t>(view.nnz(), 1)));
 
     std::vector<KernelVariant> variants;
     const std::string requested = cli.get("variant", "");
@@ -802,9 +797,9 @@ int cmd_kernelbench(const CliParser& cli) {
                     KernelVariant::Auto};
     }
 
-    std::vector<double> x(static_cast<std::size_t>(m.cols()), 1.0);
-    std::vector<double> y(static_cast<std::size_t>(m.rows()), 0.0);
-    const double flops = 2.0 * static_cast<double>(m.nnz()) *
+    std::vector<double> x(static_cast<std::size_t>(view.cols()), 1.0);
+    std::vector<double> y(static_cast<std::size_t>(view.rows()), 0.0);
+    const double flops = 2.0 * static_cast<double>(view.nnz()) *
                          static_cast<double>(iters);
 
     // Baseline: the per-call spmv_csr_parallel entry point, at the loaded
