@@ -11,6 +11,12 @@
 //                path — throughput counted in *input* refs/s, since the
 //                model's cost per demand reference is what sampling cuts
 //
+// plus one capacity-stack leg: CapacityStackEngine's batched path pricing
+// the paper's six sector-0 capacities, the engine the model's exact path
+// runs. Its distances are class-exact rather than full, so the leg is
+// checked by miss counts: every capacity's total must equal the one
+// Olken's distances give on the same stream.
+//
 // The workload is a uniform-random line stream over a footprint large
 // enough that the line->node hash map falls out of every cache level, so
 // each probe is a dependent DRAM miss in the serial leg — exactly the
@@ -19,12 +25,15 @@
 // Emits a perf-trajectory point to BENCH_engine_throughput.json (--out
 // overrides the path). --smoke shrinks the stream for CI. The legacy
 // "kim"/"olken" keys keep their schema (batched = the interleaved path);
-// "interleaved" and "approx" carry the per-mode breakdown.
+// "interleaved" and "approx" carry the per-mode breakdown, and
+// "capacity_stack" the grouped-stack leg.
 #include <cstdint>
 #include <fstream>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "reuse/capacity_stack.hpp"
+#include "reuse/histogram.hpp"
 #include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
 #include "reuse/sampled.hpp"
@@ -122,6 +131,29 @@ Legs run_legs(const std::vector<std::uint64_t>& lines, double sample_rate,
     return legs;
 }
 
+/// The paper's six sector-0 capacities in lines: (16 - w) * 2048 for
+/// w = 2..7 sector-1 ways of the A64FX L2.
+std::vector<std::uint64_t> sector0_capacities() {
+    std::vector<std::uint64_t> caps;
+    for (std::uint64_t w = 2; w <= 7; ++w) caps.push_back((16 - w) * 2048);
+    return caps;
+}
+
+/// Miss counts at `caps` from `engine`'s batched distances (untimed).
+template <class Engine>
+CapacityMissCounter count_misses(Engine& engine,
+                                 const std::vector<std::uint64_t>& lines,
+                                 const std::vector<std::uint64_t>& caps) {
+    CapacityMissCounter counter(caps);
+    std::vector<std::uint64_t> dists(kBatch);
+    for (std::size_t i = 0; i < lines.size(); i += kBatch) {
+        const std::size_t n = std::min(kBatch, lines.size() - i);
+        engine.access_batch(lines.data() + i, dists.data(), n);
+        for (std::size_t k = 0; k < n; ++k) counter.record(dists[k]);
+    }
+    return counter;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -166,6 +198,26 @@ int main(int argc, char** argv) {
         }
     }
 
+    const std::vector<std::uint64_t> caps = sector0_capacities();
+    double stack_seconds = 0.0;
+    {
+        CapacityStackEngine engine(caps);
+        (void)run_batched(engine, lines, stack_seconds);
+    }
+    {
+        CapacityStackEngine stack(caps);
+        OlkenEngine reference(distinct);
+        const CapacityMissCounter got = count_misses(stack, lines, caps);
+        const CapacityMissCounter want = count_misses(reference, lines, caps);
+        for (const std::uint64_t c : caps) {
+            if (got.total_misses(c) != want.total_misses(c)) {
+                std::cerr << "FATAL: capacity-stack misses at " << c
+                          << " lines differ from Olken's\n";
+                return 1;
+            }
+        }
+    }
+
     const auto rate = [&](double s) {
         return s > 0 ? static_cast<double>(refs) / s : 0.0;
     };
@@ -198,6 +250,12 @@ int main(int argc, char** argv) {
               << kim.approx_sampled_refs << " kim / "
               << olken.approx_sampled_refs
               << " olken refs survived the filter)\n";
+    std::cout << "capacity stack at the " << caps.size()
+              << " sector-0 capacities: "
+              << fmt(rate(stack_seconds) / 1e6, 2) << " Mref/s batched ("
+              << fmt(speedup(olken.interleaved_seconds, stack_seconds), 2)
+              << "x Olken batched); miss counts equal Olken's at every "
+                 "capacity\n";
 
     const std::string out_path =
         cli.get("out", "BENCH_engine_throughput.json");
@@ -248,7 +306,14 @@ int main(int argc, char** argv) {
             << ",\n \"olken\": "
             << engine_json(olken, OlkenEngine::interleave_width(),
                            OlkenEngine::batch_mode())
-            << "}\n";
+            << ",\n \"capacity_stack\": {\"capacities\": [";
+        for (std::size_t i = 0; i < caps.size(); ++i)
+            out << (i > 0 ? ", " : "") << caps[i];
+        out << "], \"refs_per_sec\": " << std::to_string(rate(stack_seconds))
+            << ", \"speedup_vs_olken\": "
+            << std::to_string(
+                   speedup(olken.interleaved_seconds, stack_seconds))
+            << ", \"miss_counts_match_olken\": true}}\n";
         std::cout << "perf point written to " << out_path << "\n";
     } else {
         std::cerr << "cannot write " << out_path << "\n";

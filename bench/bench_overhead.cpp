@@ -1,9 +1,10 @@
 // Reproduces §4.5.1: the runtime overhead of method (A) relative to
 // method (B) (paper: 4.21x sequential, 3.02x with 48 threads; average
 // method (B) runtime 6.54 s / 9.22 s at paper scale), plus a comparison
-// of the Olken and Kim stack-processing engines inside method (A), plus
-// the serial-vs-parallel wall-clock of the host-sharded model (--jobs);
-// the latter is emitted as a perf-trajectory point to
+// of method (A)'s two stack-processing engines — the exact grouped stack
+// with one group per priced capacity (t_A) and Kim's fixed-size groups
+// (t_A(Kim)) — plus the serial-vs-parallel wall-clock of the host-sharded
+// model (--jobs); the latter is emitted as a perf-trajectory point to
 // BENCH_model_parallel.json (--out overrides the path).
 #include <fstream>
 
@@ -21,8 +22,8 @@ int main(int argc, char** argv) {
                  "1 thread, 3.02x at 48 threads)\n\n";
 
     const auto suite = build_suite(common);
-    TextTable table({"matrix", "threads", "t_A [s]", "t_A(Kim) [s]",
-                     "t_B [s]", "t_A/t_B"});
+    TextTable table({"matrix", "threads", "t_A(grouped stack) [s]",
+                     "t_A(Kim) [s]", "t_B [s]", "t_A/t_B"});
 
     for (const std::int64_t threads : {std::int64_t{1}, common.threads}) {
         double total_a = 0.0, total_b = 0.0;

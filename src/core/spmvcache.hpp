@@ -23,6 +23,7 @@
 #include "model/method_a.hpp"
 #include "model/method_b.hpp"
 #include "perf/timing.hpp"
+#include "reuse/capacity_stack.hpp"
 #include "reuse/histogram.hpp"
 #include "reuse/kim.hpp"
 #include "reuse/naive.hpp"

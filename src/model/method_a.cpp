@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "model/replay.hpp"
+#include "reuse/capacity_stack.hpp"
 #include "reuse/histogram.hpp"
 #include "reuse/kim.hpp"
-#include "reuse/olken.hpp"
 #include "trace/packed_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -65,9 +65,9 @@ struct ShardCounters {
 
 /// Method (A)'s chunk consumer for one shard. It feeds both sectors'
 /// engines (Eq. 2), the unpartitioned engine and, optionally, one per-core
-/// L1 engine per simulated thread. It is templated on the concrete engine
-/// type so every access in the hot loop is devirtualized (the ReuseEngine
-/// interface remains for tests and tools).
+/// L1 engine per simulated thread. Each engine prices the capacities of
+/// the counters its distances feed. It is templated on the concrete
+/// engine type so every access in the hot loop is devirtualized.
 template <class Engine>
 class ShardReplay {
 public:
@@ -78,14 +78,14 @@ public:
           t_begin_(plan.first_thread(s)),
           x_lines_(plan.layout.lines_of(DataObject::X)),
           counters_(counters),
-          eng0_(make(plan, segment_lines(plan))),
-          eng1_(make(plan, segment_lines(plan))),
-          engU_(make(plan, segment_lines(plan))) {
+          eng0_(make(plan, counters.cnt0)),
+          eng1_(make(plan, counters.cnt1)),
+          engU_(make(plan, counters.cntU)) {
         SPMV_EXPECTS(plan.layout.base(DataObject::X) == 0);  // see record()
         const std::int64_t l1_engines =
             plan.options.predict_l1 ? plan.threads_in(s) : 0;
         for (std::int64_t t = 0; t < l1_engines; ++t)
-            engL1_.push_back(make(plan, 4096));
+            engL1_.push_back(make(plan, counters.cntL1));
         linesL1_.resize(engL1_.size());
         distL1_.resize(engL1_.size());
     }
@@ -106,23 +106,13 @@ public:
     }
 
 private:
-    static std::uint64_t segment_lines(const detail::ReplayPlan& plan) {
-        return plan.layout.total_lines() /
-                   static_cast<std::uint64_t>(plan.segments) +
-               64;
-    }
-
-    /// Under sampling the engines only ever track the kept ~R of `lines`.
-    static Engine make(const detail::ReplayPlan& plan, std::uint64_t lines) {
+    /// An engine for the distances `priced` records.
+    static Engine make(const detail::ReplayPlan& plan,
+                       const CapacityMissCounter& priced) {
         if constexpr (std::is_same_v<Engine, KimEngine>)
             return KimEngine(plan.options.kim_group_capacity);
-        else if (plan.filter.exact())
-            return OlkenEngine(lines);
         else
-            return OlkenEngine(static_cast<std::size_t>(
-                                   static_cast<double>(lines) *
-                                   plan.filter.rate()) +
-                               64);
+            return CapacityStackEngine(priced.capacities(), plan.filter);
     }
 
     static void run(Engine& engine, const std::vector<std::uint64_t>& lines,
@@ -234,7 +224,7 @@ ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options,
         shards[static_cast<std::size_t>(s)] =
             engine_kind == EngineKind::Kim
                 ? run_shard<KimEngine>(plan, s, st)
-                : run_shard<OlkenEngine>(plan, s, st);
+                : run_shard<CapacityStackEngine>(plan, s, st);
     });
 
     // ---- Assemble ---------------------------------------------------------

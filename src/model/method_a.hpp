@@ -20,10 +20,16 @@
 
 namespace spmvcache {
 
-/// Which stack-processing engine method (A) uses.
+/// Which stack-processing engine method (A) uses. Both are Kim et al.'s
+/// grouped LRU stack, with a per-reference cost independent of the
+/// trace's locality; they differ in where the group boundaries sit.
 enum class EngineKind {
-    Olken,  ///< exact, O(log n) per reference
-    Kim,    ///< Kim et al. grouped stack: approximate, locality-independent
+    /// Exact: one group per priced capacity (reuse/capacity_stack.hpp),
+    /// so every miss count equals the one full reuse distances give.
+    Exact,
+    /// Approximate: fixed groups of ModelOptions::kim_group_capacity
+    /// lines (reuse/kim.hpp); distances are off by up to a group.
+    Kim,
 };
 
 /// Runs method (A). The result contains one entry per requested L2 way
@@ -33,6 +39,6 @@ enum class EngineKind {
 /// it (accounting_*_bytes).
 [[nodiscard]] ModelResult run_method_a(const AnyCsrView& m,
                                        const ModelOptions& options,
-                                       EngineKind engine = EngineKind::Olken);
+                                       EngineKind engine = EngineKind::Exact);
 
 }  // namespace spmvcache

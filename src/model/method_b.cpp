@@ -8,8 +8,8 @@
 
 #include "model/analytic.hpp"
 #include "model/replay.hpp"
+#include "reuse/capacity_stack.hpp"
 #include "reuse/histogram.hpp"
-#include "reuse/olken.hpp"
 #include "trace/packed_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -119,8 +119,6 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         static_cast<std::size_t>(segments));
     std::vector<std::unique_ptr<CapacityMissCounter>> cntU(
         static_cast<std::size_t>(segments));
-    const std::uint64_t x_lines_hint =
-        plan.layout.lines_of(DataObject::X) + 64;
     for (std::size_t g = 0; g < cntP.size(); ++g) {
         cntP[g] = std::make_unique<CapacityMissCounter>(capsP[g]);
         cntU[g] = std::make_unique<CapacityMissCounter>(
@@ -141,16 +139,21 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
 
     std::vector<ShardStats> shard_stats(static_cast<std::size_t>(segments));
     plan.for_each_shard([&](std::int64_t g) {
+        const auto gi = static_cast<std::size_t>(g);
         const std::int64_t t_begin = plan.first_thread(g);
-        OlkenEngine eng(static_cast<std::size_t>(x_lines_hint));
-        std::vector<OlkenEngine> engL1;
+        // The x engine feeds both counters, so it prices both capacity
+        // lists.
+        std::vector<std::uint64_t> caps_x = capsP[gi];
+        caps_x.push_back(capU[gi]);
+        CapacityStackEngine eng(caps_x, filter);
+        std::vector<CapacityStackEngine> engL1;
         if (options.predict_l1) {
             engL1.reserve(static_cast<std::size_t>(plan.threads_in(g)));
             for (std::int64_t c = 0; c < plan.threads_in(g); ++c)
-                engL1.emplace_back(4096);
+                engL1.emplace_back(cntL1[gi]->capacities(), filter);
         }
-        auto& cnt_p = *cntP[static_cast<std::size_t>(g)];
-        auto& cnt_u = *cntU[static_cast<std::size_t>(g)];
+        auto& cnt_p = *cntP[gi];
+        auto& cnt_u = *cntU[gi];
 
         // Method (B)'s engines only consume x-vector references, so each
         // chunk gathers those per owner (L2 engine + per-core L1 engines)
@@ -159,7 +162,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         std::vector<std::uint64_t> lines_x, dist_x;
         std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
             distL1(engL1.size());
-        shard_stats[static_cast<std::size_t>(g)] = detail::replay_segment(
+        shard_stats[gi] = detail::replay_segment(
             plan, g,
             [&](std::span<const std::uint64_t> words, bool counting) {
                 lines_x.clear();
@@ -192,8 +195,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                 }
                 for (const auto& dists : distL1)
                     for (const std::uint64_t d : dists)
-                        cntL1[static_cast<std::size_t>(g)]->record(
-                            filter.scale_distance(d));
+                        cntL1[gi]->record(filter.scale_distance(d));
             });
     });
 

@@ -26,7 +26,9 @@ const ModelOptions& checked(const ModelOptions& opts) {
     SPMV_EXPECTS(opts.threads >= 1);
     SPMV_EXPECTS(opts.threads <= opts.machine.cores);
     SPMV_EXPECTS(opts.jobs >= 0);
-    SPMV_EXPECTS(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0);
+    if (!valid_sample_rate(opts.sample_rate))
+        throw_status(Error(ErrorCode::ValidationError,
+                           "sample rate must be in [2^-53, 1]"));
     return opts;
 }
 

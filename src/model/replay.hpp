@@ -47,8 +47,9 @@ inline constexpr std::size_t kReplayBatch = 1024;
 /// Everything the shards of one run share, resolved once at entry.
 struct ReplayPlan {
     /// Checks the options' preconditions. Throws StatusError
-    /// (ValidationError) when the run's references cannot be packed: more
-    /// than 2048 simulated threads, or a line number of 2^48 or more.
+    /// (ValidationError) when the sample rate fails valid_sample_rate, or
+    /// when the run's references cannot be packed: more than 2048
+    /// simulated threads, or a line number of 2^48 or more.
     ReplayPlan(const AnyCsrView& matrix, const ModelOptions& options);
 
     const ModelOptions& options;  ///< must outlive the plan

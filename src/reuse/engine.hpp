@@ -10,10 +10,17 @@
 //  * NaiveStackEngine — O(distance) list walk; the executable definition,
 //    used to cross-check the others in tests.
 //  * OlkenEngine — exact, O(log n) per access via a Fenwick tree over
-//    access times; the workhorse used by the model.
+//    access times; the reference for full distances (reuse profiles,
+//    benches, differential tests).
 //  * KimEngine — the grouped-stack scheme of Kim et al. [SIGMETRICS'91]
 //    that the paper uses: approximate distances at group granularity with
 //    per-access cost independent of the locality of the trace.
+//
+// The model's exact path runs none of them: CapacityStackEngine
+// (reuse/capacity_stack.hpp) puts Kim et al.'s group boundaries at the
+// capacities being priced. It reports only which of those capacities a
+// distance reaches, so it does not implement this full-distance contract
+// and is not a ReuseEngine.
 #pragma once
 
 #include <cstdint>

@@ -18,7 +18,8 @@ namespace detail {
 struct InterleaveCalibration;
 }
 
-/// Exact engine; the workhorse behind methods (A) and (B).
+/// Exact full-distance engine: reuse profiles, SampledEngine callers, the
+/// benches, and the reference the capacity stack is tested against.
 class OlkenEngine final : public ReuseEngine {
 public:
     /// `expected_lines` presizes the hash map (purely a performance hint).

@@ -8,6 +8,7 @@
 
 #include "model/options.hpp"
 #include "sparse/fingerprint.hpp"
+#include "trace/sample.hpp"
 #include "util/cli.hpp"
 
 namespace spmvcache {
@@ -402,14 +403,14 @@ const char* to_string(RequestOp op) noexcept {
         if (approx->kind == Json::Kind::Bool) {
             request.sample_rate = approx->boolean ? 0.01 : 1.0;
         } else if (approx->kind == Json::Kind::Number) {
-            if (!(approx->number > 0.0 && approx->number <= 1.0))
+            if (!valid_sample_rate(approx->number))
                 return Error(ErrorCode::ValidationError,
-                             "field 'approx' must be a rate in (0, 1]");
+                             "field 'approx' must be a rate in [2^-53, 1]");
             request.sample_rate = approx->number;
         } else {
             return Error(ErrorCode::ValidationError,
                          "field 'approx' must be a bool or a rate in "
-                         "(0, 1]");
+                         "[2^-53, 1]");
         }
     }
 

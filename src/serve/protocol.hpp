@@ -92,8 +92,8 @@ struct ServeRequest {
     std::vector<std::uint32_t> l2_ways;
     /// SHARDS sampling rate (ModelOptions::sample_rate) from the request's
     /// "approx" field: absent = 1 (exact), true = 0.01, a number = that
-    /// rate. Part of the plan-cache key — exact and sampled plans for the
-    /// same matrix never alias.
+    /// rate (it must pass valid_sample_rate). Part of the plan-cache key —
+    /// exact and sampled plans for the same matrix never alias.
     double sample_rate = 1.0;
 };
 

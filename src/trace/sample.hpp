@@ -38,6 +38,15 @@ namespace spmvcache {
     return h ^ (h >> 31);
 }
 
+/// True when `rate` is a SHARDS rate the filter can represent: in
+/// [2^-53, 1]. The keep threshold quantizes R at 2^-53 before shifting it
+/// up to R·2⁶⁴, so a smaller R would keep no line at all and every
+/// "estimate" would be zero. NaN is rejected too. Entry points that take
+/// a rate from a user check it here and answer ValidationError.
+[[nodiscard]] constexpr bool valid_sample_rate(double rate) noexcept {
+    return rate >= 0x1p-53 && rate <= 1.0;
+}
+
 /// The fixed-rate filter plus the two scaling identities. Default
 /// construction (or rate 1.0) is the exact filter: keep() is always true
 /// and both scales are the identity, so exact-mode callers pay nothing.
@@ -45,9 +54,9 @@ class SampleFilter {
 public:
     SampleFilter() = default;
 
-    /// Pre: 0 < rate <= 1.
+    /// Pre: valid_sample_rate(rate).
     explicit SampleFilter(double rate) : rate_(rate) {
-        SPMV_EXPECTS(rate > 0.0 && rate <= 1.0);
+        SPMV_EXPECTS(valid_sample_rate(rate));
         if (rate < 1.0) {
             inverse_ = 1.0 / rate;
             // R·2⁶⁴ without overflowing the double→uint64 cast: quantise
@@ -74,6 +83,22 @@ public:
         if (exact() || distance == ~std::uint64_t{0}) return distance;
         return static_cast<std::uint64_t>(
             std::llround(static_cast<double>(distance) * inverse_));
+    }
+
+    /// The smallest sampled distance T with scale_distance(T) >= capacity
+    /// (`capacity` itself when the filter is exact). scale_distance is
+    /// monotone, so a sampled distance d scales to at least `capacity`
+    /// exactly when d >= T: an engine that preserves the comparisons
+    /// d >= T preserves the scaled ones against `capacity`.
+    [[nodiscard]] std::uint64_t sampled_threshold(
+        std::uint64_t capacity) const noexcept {
+        if (exact()) return capacity;
+        // R·capacity lands within a step or two of T; walk to it.
+        auto t = static_cast<std::uint64_t>(static_cast<double>(capacity) *
+                                            rate_);
+        while (t > 0 && scale_distance(t - 1) >= capacity) --t;
+        while (scale_distance(t) < capacity) ++t;
+        return t;
     }
 
     /// count → count / R (each kept reference stands for 1/R).

@@ -1,10 +1,11 @@
 // Fault-injection harness tests: arming semantics, deterministic triggers,
 // and the named injection points threaded through the parser, the trace
-// generator, and the reuse engine.
+// generator, and the reuse engines.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "reuse/capacity_stack.hpp"
 #include "reuse/olken.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/matrix_market.hpp"
@@ -147,11 +148,23 @@ TEST_F(FaultTest, TraceWorkerFaultPropagatesAcrossThreads) {
                  fault::FaultInjectedError);
 }
 
-TEST_F(FaultTest, ReuseEngineAccessPointFires) {
-    OlkenEngine engine;
-    EXPECT_EQ(engine.access(1), kInfiniteDistance);  // disarmed: normal
+/// `access` (one engine's per-access path) is a normal access while
+/// `reuse.access` is disarmed and throws once it is armed.
+template <class Access>
+void expect_access_point_fires(Access access) {
+    EXPECT_EQ(access(1), kInfiniteDistance);  // disarmed: normal
     fault::ScopedFault f("reuse.access");
-    EXPECT_THROW((void)engine.access(2), fault::FaultInjectedError);
+    EXPECT_THROW((void)access(2), fault::FaultInjectedError);
+}
+
+TEST_F(FaultTest, ReuseEngineAccessPointFires) {
+    OlkenEngine olken;
+    expect_access_point_fires(
+        [&olken](std::uint64_t line) { return olken.access(line); });
+    const std::uint64_t capacities[] = {4};
+    CapacityStackEngine stack(capacities);
+    expect_access_point_fires(
+        [&stack](std::uint64_t line) { return stack.access_one(line); });
 }
 
 TEST_F(FaultTest, RearmingResetsCounters) {

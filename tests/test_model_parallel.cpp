@@ -1,7 +1,7 @@
 // Differential tests for host-parallel sharded model execution: for the
 // generator suite and every partition policy, parallel method (A)
 // (jobs in {1, 2, 4}) must produce bit-identical ConfigPrediction miss
-// counts to the serial path, for both the Olken and Kim engines; method
+// counts to the serial path, for both the exact and Kim engines; method
 // (B)'s sharded trace pass is held to the same standard. Miss counts are
 // integers stored in doubles, so EXPECT_EQ really is bit-identity.
 #include <gtest/gtest.h>
@@ -98,7 +98,7 @@ TEST_P(ModelParallelTest, MethodAOlkenMatchesSerialForAllJobCounts) {
             const auto parallel =
                 run_method_a(m, base_options(GetParam(), jobs));
             expect_identical(serial, parallel,
-                             name + " olken jobs=" + std::to_string(jobs));
+                             name + " exact jobs=" + std::to_string(jobs));
         }
     }
 }
@@ -153,10 +153,10 @@ TEST_P(ModelParallelTest, DerivedOnceMatchesReDerived) {
 
             const auto a_once = run_method_a(m, once);
             const auto a_rederived = run_method_a(m, rederived);
-            expect_derived_once(a_once, true, label + " A/olken derived once");
+            expect_derived_once(a_once, true, label + " A/exact derived once");
             expect_derived_once(a_rederived, false,
-                                label + " A/olken re-derived");
-            expect_identical(a_once, a_rederived, label + " A/olken");
+                                label + " A/exact re-derived");
+            expect_identical(a_once, a_rederived, label + " A/exact");
 
             const auto kim_once = run_method_a(m, once, EngineKind::Kim);
             const auto kim_rederived =
@@ -226,9 +226,10 @@ TEST(ModelParallel, TinyBudgetReDerivesOnlyOversizedShards) {
 }
 
 // ---- Golden predictions ---------------------------------------------------
-// One digest per cell of matrix x {A/Olken, A/Kim, B} x partition policy x
+// One digest per cell of matrix x {A/exact, A/Kim, B} x partition policy x
 // {exact, R = 0.1}, recorded from the implementation that kept a
-// packed replay and a per-reference streaming replay side by side. Every
+// packed replay and a per-reference streaming replay side by side and
+// priced every capacity from Olken's full reuse distances. Every
 // chunking of the replay loop must reproduce them bit for bit, and so must
 // 64-bit index storage, because the golden runs pin the paper's (4, 8)
 // index accounting.
@@ -246,34 +247,34 @@ struct GoldenCell {
 };
 
 constexpr GoldenCell kGolden[] = {
-    {"banded/A-olken/rows", 0x8d8e60cbc6c1cd84ULL, 0xe5ca9f067bc84591ULL},
+    {"banded/A-exact/rows", 0x8d8e60cbc6c1cd84ULL, 0xe5ca9f067bc84591ULL},
     {"banded/A-kim/rows", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
     {"banded/B/rows", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
-    {"banded/A-olken/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0xe5ca9f067bc84591ULL},
+    {"banded/A-exact/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0xe5ca9f067bc84591ULL},
     {"banded/A-kim/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
     {"banded/B/nonzeros", 0x8d8e60cbc6c1cd84ULL, 0x6fdd73db1a0e910cULL},
-    {"stencil/A-olken/rows", 0x28ef1cc134990433ULL, 0xc94c7e492dc130d5ULL},
+    {"stencil/A-exact/rows", 0x28ef1cc134990433ULL, 0xc94c7e492dc130d5ULL},
     {"stencil/A-kim/rows", 0x2ecf0f9092e173e3ULL, 0x962c2b07b1f98822ULL},
     {"stencil/B/rows", 0xdcfddd74f5cd78f3ULL, 0x0cb3aa3e02e85921ULL},
-    {"stencil/A-olken/nonzeros", 0x8c2d80b2087eaf09ULL, 0xc94c7e492dc130d5ULL},
+    {"stencil/A-exact/nonzeros", 0x8c2d80b2087eaf09ULL, 0xc94c7e492dc130d5ULL},
     {"stencil/A-kim/nonzeros", 0x2ecf0f9092e173e3ULL, 0x8d6526be61116915ULL},
     {"stencil/B/nonzeros", 0xcbde906f6ca1e82aULL, 0x3416ea01346e4af9ULL},
-    {"rmat/A-olken/rows", 0x7d811a085c636e6bULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/A-exact/rows", 0x7d811a085c636e6bULL, 0x9bd3743dc5479ccdULL},
     {"rmat/A-kim/rows", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
     {"rmat/B/rows", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
-    {"rmat/A-olken/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
+    {"rmat/A-exact/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
     {"rmat/A-kim/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
     {"rmat/B/nonzeros", 0xeea99fbcea28e4a3ULL, 0x9bd3743dc5479ccdULL},
-    {"block/A-olken/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/A-exact/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
     {"block/A-kim/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
     {"block/B/rows", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
-    {"block/A-olken/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
+    {"block/A-exact/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
     {"block/A-kim/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
     {"block/B/nonzeros", 0xadea084b1b7dae3cULL, 0x4ee2efdaf8073ef5ULL},
-    {"spill/A-olken/rows", 0xc5c2d1c75afb58fdULL, 0x0fc832d52ab81effULL},
+    {"spill/A-exact/rows", 0xc5c2d1c75afb58fdULL, 0x0fc832d52ab81effULL},
     {"spill/A-kim/rows", 0x8f2cca1c14c38ddaULL, 0x939cb4e98e6bc94fULL},
     {"spill/B/rows", 0x32cd9adde1e7db3dULL, 0xd9f9a2ed8c8517f0ULL},
-    {"spill/A-olken/nonzeros", 0x4fc71f3bf225ea1fULL, 0x9e4e6a0a08284779ULL},
+    {"spill/A-exact/nonzeros", 0x4fc71f3bf225ea1fULL, 0x9e4e6a0a08284779ULL},
     {"spill/A-kim/nonzeros", 0x1f450577c6848e67ULL, 0x939cb4e98e6bc94fULL},
     {"spill/B/nonzeros", 0x139fee1e78215a10ULL, 0x732d01c8edffc091ULL},
 };
@@ -316,7 +317,7 @@ ModelResult run_golden_cell(const AnyCsrView& m, const std::string& method,
     if (method == "B") return run_method_b(m, options);
     return run_method_a(m, options,
                         method == "A-kim" ? EngineKind::Kim
-                                          : EngineKind::Olken);
+                                          : EngineKind::Exact);
 }
 
 /// The suite plus one matrix that spills every segment's L2: the suite's
@@ -337,7 +338,7 @@ TEST(ModelParallel, GoldenPredictionsHoldForEveryChunkBudget) {
         for (const PartitionPolicy policy :
              {PartitionPolicy::BalancedRows,
               PartitionPolicy::BalancedNonzeros}) {
-            for (const std::string method : {"A-olken", "A-kim", "B"}) {
+            for (const std::string method : {"A-exact", "A-kim", "B"}) {
                 const std::string key =
                     name + "/" + method + "/" +
                     (policy == PartitionPolicy::BalancedRows ? "rows"

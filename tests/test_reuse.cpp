@@ -1,15 +1,22 @@
 // Unit and property tests for the reuse-distance engines and miss
 // counters: the naive stack is the executable definition; Olken must agree
-// with it exactly, Kim approximately at group granularity.
+// with it exactly, Kim approximately at group granularity, and the
+// capacity stack with Olken on every comparison against a priced
+// capacity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "reuse/capacity_stack.hpp"
 #include "reuse/flat_map.hpp"
 #include "reuse/histogram.hpp"
 #include "reuse/kim.hpp"
 #include "reuse/naive.hpp"
 #include "reuse/olken.hpp"
+#include "trace/sample.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/prng.hpp"
 
@@ -281,6 +288,149 @@ TEST(Kim, GroupChainStaysBounded) {
     EXPECT_GE(kim.group_count(), 70u);
     EXPECT_LE(kim.group_count(), 90u);
     EXPECT_EQ(kim.distinct_lines(), 10000u);
+}
+
+// ---- Capacity stack ------------------------------------------------------
+
+/// The test traces: uniform random over more lines than the paper's
+/// largest sector-0 capacity (so the stack evicts), a cyclic sweep whose
+/// reuse distance falls between two of those capacities, and an
+/// SpMV-shaped mix of a hot set, a long random tail and a sequential
+/// stream.
+std::vector<std::uint64_t> capacity_trace(const std::string& shape) {
+    Xoshiro256 rng(4242);
+    std::vector<std::uint64_t> lines;
+    for (std::uint64_t i = 0; i < 200000; ++i) {
+        if (shape == "random")
+            lines.push_back(rng.bounded(40000));
+        else if (shape == "sequential")
+            lines.push_back(i % 24000);
+        else if (i % 3 == 0)
+            lines.push_back(100000 + i / 3);
+        else
+            lines.push_back(rng.uniform() < 0.6 ? rng.bounded(96)
+                                                : rng.bounded(50000) + 96);
+    }
+    return lines;
+}
+
+/// Drives a capacity stack over `capacities` and Olken side by side: for
+/// every access and every capacity c, the two distances must agree on
+/// scale(d) >= c, and the stack must never hold more lines than its
+/// largest boundary.
+void expect_class_exact(const std::vector<std::uint64_t>& lines,
+                        const std::vector<std::uint64_t>& capacities,
+                        const SampleFilter& filter = {}) {
+    CapacityStackEngine stack(capacities, filter);
+    OlkenEngine olken;
+    const std::uint64_t largest = filter.sampled_threshold(
+        *std::max_element(capacities.begin(), capacities.end()));
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::uint64_t d =
+            filter.scale_distance(stack.access_one(lines[i]));
+        const std::uint64_t want =
+            filter.scale_distance(olken.access(lines[i]));
+        for (const std::uint64_t c : capacities)
+            ASSERT_EQ(d >= c, want >= c)
+                << "access " << i << ", capacity " << c << ": stack " << d
+                << ", olken " << want;
+        ASSERT_LE(stack.resident_lines(), largest) << "access " << i;
+    }
+}
+
+/// The paper's six sector-0 capacities: (16 - w) * 2048 lines for
+/// w = 2..7 sector-1 ways.
+std::vector<std::uint64_t> paper_sector0_capacities() {
+    std::vector<std::uint64_t> caps;
+    for (std::uint64_t w = 2; w <= 7; ++w) caps.push_back((16 - w) * 2048);
+    return caps;
+}
+
+TEST(CapacityStack, ClassExactAgainstOlken) {
+    const std::vector<std::vector<std::uint64_t>> capacity_sets = {
+        {512},
+        paper_sector0_capacities(),
+        {300, 7, 4096, 300, 64, 7, 20000},  // unsorted, duplicates
+        {1},
+        {std::uint64_t{1} << 20, std::uint64_t{3} << 20},  // never fills
+    };
+    for (const std::string shape : {"random", "sequential", "mixed"}) {
+        const std::vector<std::uint64_t> lines = capacity_trace(shape);
+        for (const auto& caps : capacity_sets) {
+            SCOPED_TRACE(shape + " trace, " + std::to_string(caps.size()) +
+                         " capacities from " + std::to_string(caps.front()));
+            expect_class_exact(lines, caps);
+        }
+    }
+}
+
+TEST(CapacityStack, SampledBoundariesKeepScaledComparisons) {
+    // With a SHARDS filter the boundaries move to sampled_threshold(c),
+    // so the *scaled* distances must agree with Olken's on every capacity.
+    for (const double rate : {0.5, 0.1}) {
+        SCOPED_TRACE("R = " + std::to_string(rate));
+        expect_class_exact(capacity_trace("mixed"),
+                           paper_sector0_capacities(), SampleFilter(rate));
+    }
+}
+
+TEST(CapacityStack, ReportsGroupLowerBoundaries) {
+    // Boundaries 2 and 4 (given unsorted): groups [0, 2) and [2, 4).
+    const std::vector<std::uint64_t> caps = {4, 2};
+    CapacityStackEngine e(caps);
+    for (const std::uint64_t line : {1, 2, 3})
+        EXPECT_EQ(e.access_one(line), kInfiniteDistance);
+    EXPECT_EQ(e.access_one(1), 2u);  // true distance 2: group [2, 4)
+    EXPECT_EQ(e.access_one(1), 0u);  // distance 0: group [0, 2)
+    EXPECT_EQ(e.access_one(3), 0u);  // stack 1 3 2: distance 1
+    EXPECT_EQ(e.access_one(2), 2u);  // stack 3 1 2: distance 2
+    EXPECT_EQ(e.access_one(4), kInfiniteDistance);  // stack 4 2 3 1: full
+    EXPECT_EQ(e.resident_lines(), 4u);
+    EXPECT_EQ(e.access_one(5), kInfiniteDistance);  // 1 falls off
+    EXPECT_EQ(e.resident_lines(), 4u);
+    EXPECT_EQ(e.access_one(1), kInfiniteDistance);  // true distance 4
+    EXPECT_EQ(e.access_one(4), 2u);  // stack 1 5 4 2: distance 2
+}
+
+TEST(CapacityStack, BatchMatchesSerialForEveryChunking) {
+    const std::vector<std::uint64_t> lines = capacity_trace("mixed");
+    const std::vector<std::uint64_t> caps = paper_sector0_capacities();
+    CapacityStackEngine serial(caps);
+    std::vector<std::uint64_t> expected;
+    for (const std::uint64_t line : lines)
+        expected.push_back(serial.access_one(line));
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{1024}, lines.size()}) {
+        CapacityStackEngine batched(caps);
+        std::vector<std::uint64_t> dists(lines.size());
+        for (std::size_t i = 0; i < lines.size(); i += chunk) {
+            const std::size_t n = std::min(chunk, lines.size() - i);
+            batched.access_batch(lines.data() + i, dists.data() + i, n);
+        }
+        ASSERT_EQ(dists, expected) << "chunk " << chunk;
+        EXPECT_EQ(batched.resident_lines(), serial.resident_lines());
+    }
+}
+
+TEST(CapacityStack, RejectsEmptyOrZeroCapacities) {
+    const std::vector<std::uint64_t> none;
+    const std::vector<std::uint64_t> zero = {0, 16};
+    EXPECT_THROW(CapacityStackEngine{none}, ContractViolation);
+    EXPECT_THROW(CapacityStackEngine{zero}, ContractViolation);
+}
+
+TEST(SampledThreshold, IsTheSmallestDistanceThatScalesToTheCapacity) {
+    EXPECT_EQ(SampleFilter().sampled_threshold(12345), 12345u);
+    for (const double rate : {0.5, 0.1, 0.01, 0.001}) {
+        const SampleFilter filter(rate);
+        for (std::uint64_t cap = 1; cap <= (std::uint64_t{1} << 20); ++cap) {
+            const std::uint64_t t = filter.sampled_threshold(cap);
+            ASSERT_GE(filter.scale_distance(t), cap)
+                << "R = " << rate << ", capacity " << cap;
+            ASSERT_TRUE(t == 0 || filter.scale_distance(t - 1) < cap)
+                << "R = " << rate << ", capacity " << cap;
+        }
+    }
 }
 
 TEST(CapacityMissCounter, ExactThresholds) {

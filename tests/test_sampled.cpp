@@ -48,6 +48,15 @@ TEST(SampleFilter, RejectsRatesOutsideUnitInterval) {
     EXPECT_THROW(SampleFilter{1.5}, ContractViolation);
 }
 
+TEST(SampleFilter, ValidRatesAreTheOnesTheFilterCanRepresent) {
+    // The keep threshold quantizes R at 2^-53: below that no line is kept.
+    for (const double rate : {1.0, 0.5, 0.01, 1e-9, 0x1p-53})
+        EXPECT_TRUE(valid_sample_rate(rate)) << rate;
+    for (const double rate : {0x1p-54, 1e-17, 0.0, -0.5, 1.5, std::nan("")})
+        EXPECT_FALSE(valid_sample_rate(rate)) << rate;
+    EXPECT_THROW(SampleFilter{1e-17}, ContractViolation);
+}
+
 TEST(SampleFilter, KeepFractionTracksRate) {
     // Sequential line numbers are the worst case for a weak hash; the
     // splitmix64 finalizer must still keep ~R of them.
@@ -294,6 +303,22 @@ TEST(SampledModel, SampleFaultDegradesToExact) {
     EXPECT_FALSE(degraded.sampled);
     EXPECT_EQ(degraded.sample_rate, 1.0);
     EXPECT_EQ(degraded.sampled_refs, exact.sampled_refs);
+}
+
+TEST(SampledModel, UnrepresentableRateIsAValidationError) {
+    // R = 1e-17 would quantize to a zero keep threshold: no line kept,
+    // every prediction zero.
+    const CsrMatrix m = gen::random_uniform(2048, 2048, 128, 77);
+    const ModelOptions o = model_options(SectorPolicy::IsolateMatrix, 1e-17);
+    for (const bool method_b : {false, true}) {
+        try {
+            (void)(method_b ? run_method_b(m, o) : run_method_a(m, o));
+            ADD_FAILURE() << (method_b ? "method B" : "method A")
+                          << " ran at R = 1e-17";
+        } catch (const StatusError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::ValidationError);
+        }
+    }
 }
 
 TEST(SampledModel, SampledRunReportsItself) {

@@ -81,6 +81,28 @@ TEST(ServeProtocol, ParsesARequestAndValidatesFields) {
             .ok());
 }
 
+TEST(ServeProtocol, RejectsSampleRatesTheFilterCannotRepresent) {
+    const auto with_approx = [](const std::string& approx) {
+        return parse_request(
+            "{\"op\":\"predict\",\"gen\":\"banded:64\",\"approx\":" +
+            approx + "}");
+    };
+    const auto tiny = with_approx("1e-17");
+    ASSERT_FALSE(tiny.ok());
+    EXPECT_EQ(tiny.code(), ErrorCode::ValidationError);
+    EXPECT_FALSE(with_approx("0").ok());
+    ASSERT_TRUE(with_approx("0.01").ok());
+    EXPECT_EQ(with_approx("0.01").value().sample_rate, 0.01);
+
+    // Served, the request is refused instead of answering all zeros.
+    Server server;
+    const std::string line = server.handle_line(
+        "{\"id\":\"z\",\"op\":\"predict\",\"gen\":\"randomcv:2000\","
+        "\"approx\":1e-17}");
+    EXPECT_FALSE(response_ok(line)) << line;
+    EXPECT_NE(line.find("ValidationError"), std::string::npos) << line;
+}
+
 TEST(ServeProtocol, BoundedReadRejectsOversizedLinesAndStaysSynced) {
     std::istringstream in(std::string(64, 'x') + "\nshort\n");
     std::string line;

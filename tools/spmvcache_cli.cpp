@@ -36,6 +36,7 @@
 #include "core/spmvcache.hpp"
 #include "kernels/engine.hpp"
 #include "serve/server.hpp"
+#include "trace/sample.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/signal.hpp"
@@ -124,14 +125,14 @@ void report_error(const Error& e) {
 }
 
 /// Resolves --approx[=R] into a ModelOptions::sample_rate: absent = 1
-/// (exact), bare --approx = 0.01, --approx=R = R. Rates outside (0, 1]
-/// are a usage error.
+/// (exact), bare --approx = 0.01, --approx=R = R. Rates that fail
+/// valid_sample_rate are a usage error.
 [[nodiscard]] Result<double> approx_rate(const CliParser& cli) {
     if (!cli.has("approx")) return 1.0;
     const double rate = cli.get_double("approx", 0.01);
-    if (!(rate > 0.0 && rate <= 1.0))
+    if (!valid_sample_rate(rate))
         return Error(ErrorCode::ValidationError,
-                     "--approx rate must be in (0, 1]");
+                     "--approx rate must be in [2^-53, 1]");
     return rate;
 }
 
