@@ -1,31 +1,26 @@
-// Raw reuse-distance engine throughput across the three execution modes:
+// Raw reuse-distance engine throughput in three modes:
 //
-//   exact        serial virtual access() and the pre-interleave batched
-//                lookahead pipeline (measured by arming the
-//                `reuse.interleave` fault, which makes access_batch fall
-//                back to the simple loop)
-//   interleaved  access_batch's AMAC-style multi-stream probe scheduler
-//                (the default batched path; distances stay bit-identical
-//                to serial)
-//   approx       SampledEngine at R = 0.01 over the interleaved batch
-//                path — throughput counted in *input* refs/s, since the
-//                model's cost per demand reference is what sampling cuts
+//   serial   virtual access(), one call per reference
+//   batched  access_batch(), the engine's lookahead loop; distances stay
+//            bit-identical to serial (checked by checksum)
+//   approx   SampledEngine at R = 0.01 over the batched loop — throughput
+//            counted in *input* refs/s, since the model's cost per demand
+//            reference is what sampling cuts
 //
 // plus one capacity-stack leg: CapacityStackEngine's batched path pricing
-// the paper's six sector-0 capacities, the engine the model's exact path
-// runs. Its distances are class-exact rather than full, so the leg is
-// checked by miss counts: every capacity's total must equal the one
-// Olken's distances give on the same stream.
+// the paper's six sector-0 capacities, the engine the model runs. Its
+// distances are class-exact rather than full, so the leg is checked by
+// miss counts: every capacity's total must equal the one Olken's
+// distances give on the same stream.
 //
 // The workload is a uniform-random line stream over a footprint large
 // enough that the line->node hash map falls out of every cache level, so
-// each probe is a dependent DRAM miss in the serial leg — exactly the
-// stall the interleaved scheduler hides by keeping N probes in flight.
+// each probe is a dependent DRAM miss in the serial leg — the stall the
+// batched loop's prefetches overlap.
 //
 // Emits a perf-trajectory point to BENCH_engine_throughput.json (--out
-// overrides the path). --smoke shrinks the stream for CI. The legacy
-// "kim"/"olken" keys keep their schema (batched = the interleaved path);
-// "interleaved" and "approx" carry the per-mode breakdown, and
+// overrides the path). --smoke shrinks the stream for CI. The "kim" and
+// "olken" keys carry the serial, batched and approx legs, and
 // "capacity_stack" the grouped-stack leg.
 #include <cstdint>
 #include <fstream>
@@ -37,7 +32,6 @@
 #include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
 #include "reuse/sampled.hpp"
-#include "util/fault.hpp"
 
 namespace {
 
@@ -87,16 +81,14 @@ std::uint64_t run_batched(Engine& engine,
 
 struct Legs {
     double serial_seconds = 0.0;
-    double simple_seconds = 0.0;       ///< pre-interleave batched pipeline
-    double interleaved_seconds = 0.0;  ///< default access_batch
-    double approx_seconds = 0.0;       ///< SampledEngine, input refs/s
+    double batched_seconds = 0.0;
+    double approx_seconds = 0.0;  ///< SampledEngine, input refs/s
     std::uint64_t checksum_serial = 0;
-    std::uint64_t checksum_simple = 0;
-    std::uint64_t checksum_interleaved = 0;
+    std::uint64_t checksum_batched = 0;
     std::uint64_t approx_sampled_refs = 0;
 };
 
-/// Runs all four legs on fresh engines over the same stream.
+/// Runs all three legs on fresh engines over the same stream.
 template <class Engine, class... Args>
 Legs run_legs(const std::vector<std::uint64_t>& lines, double sample_rate,
               Args&&... args) {
@@ -110,18 +102,9 @@ Legs run_legs(const std::vector<std::uint64_t>& lines, double sample_rate,
         legs.serial_seconds = timer.seconds();
     }
     {
-        // Armed reuse.interleave = access_batch degrades to the simple
-        // lookahead loop: this is the pre-interleave exact batched path.
-        fault::ScopedFault fallback("reuse.interleave",
-                                    {.probability = 1.0, .once = false});
         Engine engine(args...);
-        legs.checksum_simple =
-            run_batched(engine, lines, legs.simple_seconds);
-    }
-    {
-        Engine engine(args...);
-        legs.checksum_interleaved =
-            run_batched(engine, lines, legs.interleaved_seconds);
+        legs.checksum_batched =
+            run_batched(engine, lines, legs.batched_seconds);
     }
     {
         SampledEngine<Engine> engine(SampleFilter(sample_rate), args...);
@@ -191,8 +174,7 @@ int main(int argc, char** argv) {
     const Legs kim = run_legs<KimEngine>(lines, sample_rate, kim_groups);
     const Legs olken = run_legs<OlkenEngine>(lines, sample_rate, distinct);
     for (const Legs* legs : {&kim, &olken}) {
-        if (legs->checksum_serial != legs->checksum_simple ||
-            legs->checksum_serial != legs->checksum_interleaved) {
+        if (legs->checksum_serial != legs->checksum_batched) {
             std::cerr << "FATAL: batched distances differ from serial\n";
             return 1;
         }
@@ -225,35 +207,28 @@ int main(int argc, char** argv) {
         return s > 0 ? base / s : 0.0;
     };
 
-    TextTable table({"engine", "serial [Mref/s]", "simple [Mref/s]",
-                     "interleaved [Mref/s]", "approx [Mref/s]",
-                     "ilv width", "mode", "approx/serial"});
-    const auto add_row = [&](const char* name, const Legs& legs,
-                             std::size_t width, const char* mode) {
+    TextTable table({"engine", "serial [Mref/s]", "batched [Mref/s]",
+                     "approx [Mref/s]", "approx/serial"});
+    const auto add_row = [&](const char* name, const Legs& legs) {
         table.add_row({name, fmt(rate(legs.serial_seconds) / 1e6, 2),
-                       fmt(rate(legs.simple_seconds) / 1e6, 2),
-                       fmt(rate(legs.interleaved_seconds) / 1e6, 2),
+                       fmt(rate(legs.batched_seconds) / 1e6, 2),
                        fmt(rate(legs.approx_seconds) / 1e6, 2),
-                       std::to_string(width), mode,
                        fmt(speedup(legs.serial_seconds,
                                    legs.approx_seconds),
                            1)});
     };
-    add_row("kim", kim, KimEngine::interleave_width(),
-            KimEngine::batch_mode());
-    add_row("olken", olken, OlkenEngine::interleave_width(),
-            OlkenEngine::batch_mode());
+    add_row("kim", kim);
+    add_row("olken", olken);
     table.render(std::cout);
-    std::cout << "exact distances identical across serial/simple/"
-                 "interleaved legs (checksums match); approx counted in "
-                 "input refs/s ("
+    std::cout << "exact distances identical across serial/batched legs "
+                 "(checksums match); approx counted in input refs/s ("
               << kim.approx_sampled_refs << " kim / "
               << olken.approx_sampled_refs
               << " olken refs survived the filter)\n";
     std::cout << "capacity stack at the " << caps.size()
               << " sector-0 capacities: "
               << fmt(rate(stack_seconds) / 1e6, 2) << " Mref/s batched ("
-              << fmt(speedup(olken.interleaved_seconds, stack_seconds), 2)
+              << fmt(speedup(olken.batched_seconds, stack_seconds), 2)
               << "x Olken batched); miss counts equal Olken's at every "
                  "capacity\n";
 
@@ -261,27 +236,14 @@ int main(int argc, char** argv) {
         cli.get("out", "BENCH_engine_throughput.json");
     std::ofstream out(out_path);
     if (out) {
-        const auto engine_json = [&](const Legs& legs, std::size_t width,
-                                     const char* mode) {
+        const auto engine_json = [&](const Legs& legs) {
             std::string s = "{\"serial_refs_per_sec\": " +
                             std::to_string(rate(legs.serial_seconds));
-            // The mode best-of calibration shipped for access_batch:
-            // "interleaved" only when it beat the simple exact path.
-            s += ", \"chosen_mode\": \"" + std::string(mode) + "\"";
             s += ", \"batched_refs_per_sec\": " +
-                 std::to_string(rate(legs.interleaved_seconds));
+                 std::to_string(rate(legs.batched_seconds));
             s += ", \"speedup\": " +
                  std::to_string(speedup(legs.serial_seconds,
-                                        legs.interleaved_seconds));
-            s += ", \"exact\": {\"simple_refs_per_sec\": " +
-                 std::to_string(rate(legs.simple_seconds)) + "}";
-            s += ", \"interleaved\": {\"width\": " + std::to_string(width);
-            s += ", \"refs_per_sec\": " +
-                 std::to_string(rate(legs.interleaved_seconds));
-            s += ", \"speedup_vs_simple\": " +
-                 std::to_string(speedup(legs.simple_seconds,
-                                        legs.interleaved_seconds)) +
-                 "}";
+                                        legs.batched_seconds));
             s += ", \"approx\": {\"sample_rate\": " +
                  std::to_string(sample_rate);
             s += ", \"input_refs_per_sec\": " +
@@ -289,7 +251,7 @@ int main(int argc, char** argv) {
             s += ", \"sampled_refs\": " +
                  std::to_string(legs.approx_sampled_refs);
             s += ", \"speedup_vs_batched\": " +
-                 std::to_string(speedup(legs.simple_seconds,
+                 std::to_string(speedup(legs.batched_seconds,
                                         legs.approx_seconds));
             s += ", \"speedup_vs_serial\": " +
                  std::to_string(speedup(legs.serial_seconds,
@@ -301,18 +263,14 @@ int main(int argc, char** argv) {
             << ", \"distinct_lines\": " << distinct
             << ", \"smoke\": " << (smoke ? "true" : "false")
             << ", \"sample_rate\": " << sample_rate << ",\n \"kim\": "
-            << engine_json(kim, KimEngine::interleave_width(),
-                           KimEngine::batch_mode())
-            << ",\n \"olken\": "
-            << engine_json(olken, OlkenEngine::interleave_width(),
-                           OlkenEngine::batch_mode())
+            << engine_json(kim) << ",\n \"olken\": " << engine_json(olken)
             << ",\n \"capacity_stack\": {\"capacities\": [";
         for (std::size_t i = 0; i < caps.size(); ++i)
             out << (i > 0 ? ", " : "") << caps[i];
         out << "], \"refs_per_sec\": " << std::to_string(rate(stack_seconds))
             << ", \"speedup_vs_olken\": "
             << std::to_string(
-                   speedup(olken.interleaved_seconds, stack_seconds))
+                   speedup(olken.batched_seconds, stack_seconds))
             << ", \"miss_counts_match_olken\": true}}\n";
         std::cout << "perf point written to " << out_path << "\n";
     } else {

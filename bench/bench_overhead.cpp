@@ -1,10 +1,9 @@
 // Reproduces §4.5.1: the runtime overhead of method (A) relative to
 // method (B) (paper: 4.21x sequential, 3.02x with 48 threads; average
-// method (B) runtime 6.54 s / 9.22 s at paper scale), plus a comparison
-// of method (A)'s two stack-processing engines — the exact grouped stack
-// with one group per priced capacity (t_A) and Kim's fixed-size groups
-// (t_A(Kim)) — plus the serial-vs-parallel wall-clock of the host-sharded
-// model (--jobs); the latter is emitted as a perf-trajectory point to
+// method (B) runtime 6.54 s / 9.22 s at paper scale), with method (A) on
+// its grouped stack with one group per priced capacity (t_A), plus the
+// serial-vs-parallel wall-clock of the host-sharded model (--jobs); the
+// latter is emitted as a perf-trajectory point to
 // BENCH_model_parallel.json (--out overrides the path).
 #include <fstream>
 
@@ -23,7 +22,7 @@ int main(int argc, char** argv) {
 
     const auto suite = build_suite(common);
     TextTable table({"matrix", "threads", "t_A(grouped stack) [s]",
-                     "t_A(Kim) [s]", "t_B [s]", "t_A/t_B"});
+                     "t_B [s]", "t_A/t_B"});
 
     for (const std::int64_t threads : {std::int64_t{1}, common.threads}) {
         double total_a = 0.0, total_b = 0.0;
@@ -34,13 +33,11 @@ int main(int argc, char** argv) {
             options.threads = threads;
             options.predict_l1 = false;
             const auto a = run_method_a(m, options);
-            const auto a_kim = run_method_a(m, options, EngineKind::Kim);
             const auto b = run_method_b(m, options);
             total_a += a.seconds;
             total_b += b.seconds;
             table.add_row({spec.name, std::to_string(threads),
-                           fmt(a.seconds, 3), fmt(a_kim.seconds, 3),
-                           fmt(b.seconds, 3),
+                           fmt(a.seconds, 3), fmt(b.seconds, 3),
                            fmt(b.seconds > 0 ? a.seconds / b.seconds : 0.0,
                                2)});
             std::cerr << spec.name << " @" << threads << " threads done\n";

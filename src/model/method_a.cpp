@@ -4,13 +4,11 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "model/replay.hpp"
 #include "reuse/capacity_stack.hpp"
 #include "reuse/histogram.hpp"
-#include "reuse/kim.hpp"
 #include "trace/packed_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -66,9 +64,7 @@ struct ShardCounters {
 /// Method (A)'s chunk consumer for one shard. It feeds both sectors'
 /// engines (Eq. 2), the unpartitioned engine and, optionally, one per-core
 /// L1 engine per simulated thread. Each engine prices the capacities of
-/// the counters its distances feed. It is templated on the concrete
-/// engine type so every access in the hot loop is devirtualized.
-template <class Engine>
+/// the counters its distances feed.
 class ShardReplay {
 public:
     ShardReplay(const detail::ReplayPlan& plan, std::int64_t s,
@@ -107,15 +103,13 @@ public:
 
 private:
     /// An engine for the distances `priced` records.
-    static Engine make(const detail::ReplayPlan& plan,
-                       const CapacityMissCounter& priced) {
-        if constexpr (std::is_same_v<Engine, KimEngine>)
-            return KimEngine(plan.options.kim_group_capacity);
-        else
-            return CapacityStackEngine(priced.capacities(), plan.filter);
+    static CapacityStackEngine make(const detail::ReplayPlan& plan,
+                                    const CapacityMissCounter& priced) {
+        return CapacityStackEngine(priced.capacities(), plan.filter);
     }
 
-    static void run(Engine& engine, const std::vector<std::uint64_t>& lines,
+    static void run(CapacityStackEngine& engine,
+                    const std::vector<std::uint64_t>& lines,
                     std::vector<std::uint64_t>& dists) {
         dists.resize(lines.size());
         engine.access_batch(lines.data(), dists.data(), lines.size());
@@ -170,8 +164,8 @@ private:
     std::int64_t t_begin_;
     std::uint64_t x_lines_;
     ShardCounters& counters_;
-    Engine eng0_, eng1_, engU_;
-    std::vector<Engine> engL1_;
+    CapacityStackEngine eng0_, eng1_, engU_;
+    std::vector<CapacityStackEngine> engL1_;
     // Per-batch gather/scatter scratch, reused across batches.
     std::vector<std::uint64_t> linesU_, lines0_, lines1_;
     std::vector<std::uint64_t> distU_, dist0_, dist1_;
@@ -179,10 +173,9 @@ private:
 };
 
 /// One shard = one L2 segment, replayed through the chunked loop.
-template <class Engine>
 ShardStats run_shard(const detail::ReplayPlan& plan, std::int64_t s,
                      ShardCounters& counters) {
-    ShardReplay<Engine> replay(plan, s, counters);
+    ShardReplay replay(plan, s, counters);
     return detail::replay_segment(plan, s, std::ref(replay));
 }
 
@@ -192,8 +185,7 @@ ShardStats run_shard(const detail::ReplayPlan& plan, std::int64_t s,
 /// so a W32 matrix touches half the index lines a W64 one does — unless the
 /// caller pins the accounting (the width-differential tests do exactly
 /// that).
-ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options,
-                         EngineKind engine_kind) {
+ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options) {
     const Timer timer;
     const detail::ReplayPlan plan(m, options);
     const SampleFilter& filter = plan.filter;
@@ -220,11 +212,8 @@ ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options,
     std::vector<ShardStats> shards(static_cast<std::size_t>(plan.segments));
 
     plan.for_each_shard([&](std::int64_t s) {
-        auto& st = shard_state[static_cast<std::size_t>(s)];
         shards[static_cast<std::size_t>(s)] =
-            engine_kind == EngineKind::Kim
-                ? run_shard<KimEngine>(plan, s, st)
-                : run_shard<CapacityStackEngine>(plan, s, st);
+            run_shard(plan, s, shard_state[static_cast<std::size_t>(s)]);
     });
 
     // ---- Assemble ---------------------------------------------------------

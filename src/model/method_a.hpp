@@ -2,8 +2,10 @@
 //
 // The SpMV memory trace is generated from the sparsity pattern (never from
 // instrumentation), per-thread streams are interleaved round-robin within
-// each shared L2 segment, and a stack-processing engine computes the reuse
-// distance of every reference. Two passes are made, exactly as the paper
+// each shared L2 segment, and Kim et al.'s grouped LRU stack, with one
+// group per priced capacity (reuse/capacity_stack.hpp), finds which of
+// those capacities each reference's reuse distance reaches, exactly. Two
+// passes are made, exactly as the paper
 // describes: one with all references counted in a single partition (sector
 // cache off) and one with references split between partitions by the
 // sector policy (Eq. 2). A warm-up iteration populates the stack so the
@@ -20,25 +22,12 @@
 
 namespace spmvcache {
 
-/// Which stack-processing engine method (A) uses. Both are Kim et al.'s
-/// grouped LRU stack, with a per-reference cost independent of the
-/// trace's locality; they differ in where the group boundaries sit.
-enum class EngineKind {
-    /// Exact: one group per priced capacity (reuse/capacity_stack.hpp),
-    /// so every miss count equals the one full reuse distances give.
-    Exact,
-    /// Approximate: fixed groups of ModelOptions::kim_group_capacity
-    /// lines (reuse/kim.hpp); distances are off by up to a group.
-    Kim,
-};
-
 /// Runs method (A). The result contains one entry per requested L2 way
 /// option plus the unpartitioned case. Accepts either physical index
 /// width (AnyCsrView converts implicitly from both concrete views); the
 /// traffic accounting follows the storage width unless ModelOptions pins
 /// it (accounting_*_bytes).
 [[nodiscard]] ModelResult run_method_a(const AnyCsrView& m,
-                                       const ModelOptions& options,
-                                       EngineKind engine = EngineKind::Exact);
+                                       const ModelOptions& options);
 
 }  // namespace spmvcache

@@ -32,7 +32,8 @@ struct ModelOptions {
     PartitionPolicy partition = PartitionPolicy::BalancedRows;
     /// Interleave granularity in nonzeros (see TraceConfig::quantum).
     std::int64_t quantum = 1;
-    /// Engine group capacity when a Kim engine is used (method variants).
+    /// Group capacity of a KimEngine. The model no longer reads it;
+    /// perfbench's reuse-layer probe builds its KimEngine from it.
     std::uint64_t kim_group_capacity = 512;
     /// Host worker threads for the model's stack passes. The model is
     /// sharded by L2 segment (each shard re-derives only its segment's

@@ -13,14 +13,18 @@
 //    access times; the reference for full distances (reuse profiles,
 //    benches, differential tests).
 //  * KimEngine — the grouped-stack scheme of Kim et al. [SIGMETRICS'91]
-//    that the paper uses: approximate distances at group granularity with
-//    per-access cost independent of the locality of the trace.
+//    that the paper uses, with fixed-size groups: approximate distances
+//    at group granularity with per-access cost independent of the
+//    locality of the trace (tests and benches).
 //
-// The model's exact path runs none of them: CapacityStackEngine
-// (reuse/capacity_stack.hpp) puts Kim et al.'s group boundaries at the
-// capacities being priced. It reports only which of those capacities a
-// distance reaches, so it does not implement this full-distance contract
-// and is not a ReuseEngine.
+// Each has one batch path, access_batch: a lookahead loop that prefetches
+// the state of upcoming accesses, with results identical to serial access.
+//
+// The model runs none of them: methods (A) and (B) price through
+// CapacityStackEngine (reuse/capacity_stack.hpp), which puts Kim et al.'s
+// group boundaries at the capacities being priced. It reports only which
+// of those capacities a distance reaches, so it does not implement this
+// full-distance contract and is not a ReuseEngine.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +35,8 @@ namespace spmvcache {
 inline constexpr std::uint64_t kInfiniteDistance = ~std::uint64_t{0};
 
 /// Read prefetch hint; a no-op (and harmless on any address) where the
-/// builtin is unavailable. The engines' access_batch pipelines use it to
-/// overlap the dependent-load misses of upcoming accesses.
+/// builtin is unavailable. The engines' access_batch lookahead loops use
+/// it to overlap the dependent-load misses of upcoming accesses.
 inline void prefetch_ro(const void* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(p);

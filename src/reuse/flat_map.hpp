@@ -4,9 +4,9 @@
 // reference — hundreds of millions per experiment — which makes
 // std::unordered_map's node allocations the bottleneck. A simple
 // linear-probing table with a reserved empty key suffices; erase uses
-// tombstone-free backward-shift deletion (needed by SHARDS eviction when
-// the sampling rate is lowered adaptively), so probe chains never grow
-// stale markers and lookups stay one linear scan.
+// tombstone-free backward-shift deletion (the capacity stack evicts a
+// line once it falls past the largest priced capacity), so probe chains
+// never grow stale markers and lookups stay one linear scan.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,7 @@
 #include "reuse/kim.hpp"
 
-#include <algorithm>
-#include <array>
-
-#include "reuse/interleave.hpp"
 #include "util/checked.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 
 namespace spmvcache {
 
@@ -74,14 +69,8 @@ std::uint64_t KimEngine::access_one(std::uint64_t line) {
         distance = above + groups_[group].size / 2;
         unlink(node_index);
     } else {
-        if (free_nodes_.empty()) {
-            SPMV_EXPECT(checked_narrow(nodes_.size(), node_index));
-            nodes_.push_back(Node{line, -1, -1, 0});
-        } else {
-            node_index = free_nodes_.back();
-            free_nodes_.pop_back();
-            nodes_[static_cast<std::size_t>(node_index)] = Node{line, -1, -1, 0};
-        }
+        SPMV_EXPECT(checked_narrow(nodes_.size(), node_index));
+        nodes_.push_back(Node{line, -1, -1, 0});
         *slot = static_cast<std::uint64_t>(node_index);
         ++line_count_;
     }
@@ -101,21 +90,6 @@ std::uint64_t KimEngine::access_one(std::uint64_t line) {
 
 void KimEngine::access_batch(const std::uint64_t* lines,
                              std::uint64_t* dists, std::size_t n) {
-    const detail::InterleaveCalibration& cal = calibration();
-    // Armed `reuse.interleave` degrades to the lookahead pipeline;
-    // results are identical either way (chaos tests assert it). The same
-    // fallback ships permanently when calibration found the simple
-    // pipeline faster on this machine.
-    if (!cal.use_interleaved || n < 2 * cal.width ||
-        fault::should_fail("reuse.interleave")) {
-        access_batch_simple(lines, dists, n);
-        return;
-    }
-    access_batch_interleaved(lines, dists, n, cal.width);
-}
-
-void KimEngine::access_batch_simple(const std::uint64_t* lines,
-                                    std::uint64_t* dists, std::size_t n) {
     // Three-stage software pipeline over the dependent-load chain of a
     // hit: hash slot -> node -> the node's list neighbours. Far ahead the
     // hash slot is prefetched; closer in, the (now cheap) slot is read
@@ -158,97 +132,8 @@ void KimEngine::access_batch_simple(const std::uint64_t* lines,
     }
 }
 
-void KimEngine::access_batch_interleaved(const std::uint64_t* lines,
-                                         std::uint64_t* dists, std::size_t n,
-                                         std::size_t width) {
-    // AMAC-style interleaving: `width` probe streams in flight, advanced
-    // round-robin through four stages with a prefetch at every transition —
-    //
-    //   stage 0  map-slot prefetch (issued one block ahead, below)
-    //   stage 1  slot read: find() the line once, park the node index in
-    //            the stream state, prefetch the node
-    //   stage 2  node read: prefetch the prev/next neighbours unlink()
-    //            will touch and the group tails the demotion cascade pops
-    //   stage 3  in-order retire via access_one()
-    //
-    // All streams sit at the same stage at the same time, so the machine
-    // flattens into per-stage loops over each block of `width` accesses;
-    // retirement order equals program order, keeping results bit-identical
-    // to the serial path. Unlike the lookahead pipeline (which re-probes
-    // the map at every stage), the parked node index means each access
-    // pays exactly one speculative find() plus the retiring
-    // find_or_insert(). Stage-1/2 reads may observe state that younger
-    // in-block retires later mutate — stale prefetches only, never wrong
-    // results.
-    std::array<std::int64_t, detail::kMaxInterleaveWidth> node{};
-    const std::size_t primed = std::min(width, n);
-    for (std::size_t j = 0; j < primed; ++j) node_of_line_.prefetch(lines[j]);
-    for (std::size_t base = 0; base < n; base += width) {
-        const std::size_t m = std::min(width, n - base);
-        for (std::size_t j = 0; j < m; ++j) {
-            const std::uint64_t* slot = node_of_line_.find(lines[base + j]);
-            node[j] = slot ? static_cast<std::int64_t>(*slot) : -1;
-            if (node[j] >= 0)
-                prefetch_ro(&nodes_[static_cast<std::size_t>(node[j])]);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            if (node[j] < 0) continue;
-            const Node& nd = nodes_[static_cast<std::size_t>(node[j])];
-            if (nd.prev >= 0)
-                prefetch_ro(&nodes_[static_cast<std::size_t>(nd.prev)]);
-            if (nd.next >= 0)
-                prefetch_ro(&nodes_[static_cast<std::size_t>(nd.next)]);
-            for (std::uint32_t g = 0; g < nd.group; ++g) {
-                const std::int64_t tail = groups_[g].tail;
-                if (tail >= 0)
-                    prefetch_ro(&nodes_[static_cast<std::size_t>(tail)]);
-            }
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            if (base + width + j < n)
-                node_of_line_.prefetch(lines[base + width + j]);
-            dists[base + j] = access_one(lines[base + j]);
-        }
-    }
-}
-
-const detail::InterleaveCalibration& KimEngine::calibration() {
-    static const detail::InterleaveCalibration cal =
-        detail::calibrate_interleave(
-            [](std::size_t w, const std::uint64_t* lines,
-               std::uint64_t* dists, std::size_t n) {
-                KimEngine engine(512);
-                engine.access_batch_interleaved(lines, dists, n, w);
-            },
-            [](const std::uint64_t* lines, std::uint64_t* dists,
-               std::size_t n) {
-                KimEngine engine(512);
-                engine.access_batch_simple(lines, dists, n);
-            });
-    return cal;
-}
-
-std::size_t KimEngine::interleave_width() { return calibration().width; }
-
-const char* KimEngine::batch_mode() {
-    return calibration().use_interleaved ? "interleaved" : "simple";
-}
-
-bool KimEngine::evict(std::uint64_t line) {
-    const std::uint64_t* slot = node_of_line_.find(line);
-    if (!slot) return false;
-    std::int64_t node_index = -1;
-    SPMV_EXPECT(checked_narrow(*slot, node_index));
-    unlink(node_index);
-    free_nodes_.push_back(node_index);
-    node_of_line_.erase(line);
-    --line_count_;
-    return true;
-}
-
 void KimEngine::clear() {
     nodes_.clear();
-    free_nodes_.clear();
     groups_.assign(1, Group{});
     node_of_line_.clear();
     line_count_ = 0;

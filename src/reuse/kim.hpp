@@ -19,11 +19,9 @@
 
 namespace spmvcache {
 
-namespace detail {
-struct InterleaveCalibration;
-}
-
-/// Approximate engine with locality-independent per-access cost.
+/// Approximate engine with locality-independent per-access cost, for the
+/// tests and benches. The model runs CapacityStackEngine instead, which
+/// puts the group boundaries at the priced capacities.
 class KimEngine final : public ReuseEngine {
 public:
     /// `group_capacity` trades accuracy (distances are +-capacity/2) for
@@ -42,36 +40,16 @@ public:
     std::uint64_t access_one(std::uint64_t line);
 
     /// Processes `n` accesses, writing each reuse distance to `dists`.
-    /// Identical results to n access() calls in order. Large batches run
-    /// the AMAC-style interleaved scheduler (interleave_width() probe
-    /// streams advanced round-robin: slot prefetch → slot read + node
-    /// prefetch → node read + link/tail prefetch → in-order retire);
-    /// short batches, or any batch while the `reuse.interleave` fault is
-    /// armed, degrade to the lookahead pipeline with the same results.
+    /// Identical results to n access() calls in order; a three-stage
+    /// lookahead loop prefetches each upcoming hit's hash slot, node and
+    /// list neighbours.
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
-    /// Removes `line`'s history (SHARDS eviction when the sampling rate
-    /// is lowered); returns whether the line was tracked. The vacated
-    /// pool slot is recycled by the next insertion.
-    bool evict(std::uint64_t line);
-
-    /// Calls fn(line) for every tracked line (arbitrary order).
-    template <class Fn>
-    void for_each_line(Fn&& fn) const {
-        node_of_line_.for_each(
-            [&](std::uint64_t line, std::uint64_t) { fn(line); });
-    }
-
-    /// Calibrated in-flight probe-stream count (once per process; timed
-    /// candidates, like KernelEngine's prefetch distance).
-    [[nodiscard]] static std::size_t interleave_width();
-
-    /// Batch mode chosen by best-of calibration: "interleaved" when some
-    /// probe-stream width beat the simple lookahead pipeline on this
-    /// machine, "simple" otherwise — calibration picks a mode, never a
-    /// regression.
-    [[nodiscard]] static const char* batch_mode();
+    /// Probe streams and batch mode of access_batch: one lookahead loop.
+    /// Constants, kept because perfbench's run record reads them.
+    [[nodiscard]] static constexpr std::size_t interleave_width() { return 1; }
+    [[nodiscard]] static constexpr const char* batch_mode() { return "simple"; }
 
     [[nodiscard]] std::uint64_t group_capacity() const noexcept {
         return group_capacity_;
@@ -99,17 +77,9 @@ private:
     void push_front(std::uint32_t group_index, std::int64_t node_index) noexcept;
     /// Detaches the LRU node of group `g` and returns its index.
     std::int64_t pop_tail(std::uint32_t group_index) noexcept;
-    void access_batch_simple(const std::uint64_t* lines, std::uint64_t* dists,
-                             std::size_t n);
-    void access_batch_interleaved(const std::uint64_t* lines,
-                                  std::uint64_t* dists, std::size_t n,
-                                  std::size_t width);
-    /// Once-per-process best-of calibration over both batch pipelines.
-    [[nodiscard]] static const detail::InterleaveCalibration& calibration();
 
     std::uint64_t group_capacity_;
     std::vector<Node> nodes_;
-    std::vector<std::int64_t> free_nodes_;  ///< pool slots vacated by evict()
     std::vector<Group> groups_;
     FlatMap64 node_of_line_;  ///< line -> index into nodes_
     std::uint64_t line_count_ = 0;

@@ -14,10 +14,6 @@
 
 namespace spmvcache {
 
-namespace detail {
-struct InterleaveCalibration;
-}
-
 /// Exact full-distance engine: reuse profiles, SampledEngine callers, the
 /// benches, and the reference the capacity stack is tested against.
 class OlkenEngine final : public ReuseEngine {
@@ -36,45 +32,17 @@ public:
     std::uint64_t access_one(std::uint64_t line);
 
     /// Processes `n` accesses, writing each reuse distance to `dists`.
-    /// Identical results to n access() calls in order. Large batches run
-    /// the AMAC-style interleaved scheduler (interleave_width() probe
-    /// streams advanced round-robin: map-slot prefetch → slot read plus
-    /// Fenwick-path prefetch → in-order retire); short batches, or any
-    /// batch while the `reuse.interleave` fault is armed, degrade to the
-    /// simple lookahead loop with the same results.
+    /// Identical results to n access() calls in order; a lookahead loop
+    /// prefetches the hash slots of upcoming accesses.
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
-    /// Removes `line`'s history (SHARDS eviction when the sampling rate
-    /// is lowered); returns whether the line was tracked. Subsequent
-    /// distances behave as if the line had never been accessed.
-    bool evict(std::uint64_t line);
-
-    /// Calls fn(line) for every tracked line (arbitrary order).
-    template <class Fn>
-    void for_each_line(Fn&& fn) const {
-        last_access_.for_each(
-            [&](std::uint64_t line, std::uint64_t) { fn(line); });
-    }
-
-    /// Calibrated in-flight probe-stream count (once per process; timed
-    /// candidates, like KernelEngine's prefetch distance).
-    [[nodiscard]] static std::size_t interleave_width();
-
-    /// Batch mode chosen by best-of calibration: "interleaved" when some
-    /// probe-stream width beat the simple lookahead pipeline on this
-    /// machine, "simple" otherwise — calibration picks a mode, never a
-    /// regression.
-    [[nodiscard]] static const char* batch_mode();
+    /// Probe streams and batch mode of access_batch: one lookahead loop.
+    /// Constants, kept because perfbench's run record reads them.
+    [[nodiscard]] static constexpr std::size_t interleave_width() { return 1; }
+    [[nodiscard]] static constexpr const char* batch_mode() { return "simple"; }
 
 private:
-    void access_batch_simple(const std::uint64_t* lines, std::uint64_t* dists,
-                             std::size_t n);
-    void access_batch_interleaved(const std::uint64_t* lines,
-                                  std::uint64_t* dists, std::size_t n,
-                                  std::size_t width);
-    /// Once-per-process best-of calibration over both batch pipelines.
-    [[nodiscard]] static const detail::InterleaveCalibration& calibration();
     void fenwick_add(std::size_t index, int delta) noexcept;
     [[nodiscard]] std::uint64_t fenwick_prefix(std::size_t index) const noexcept;
     void compact();

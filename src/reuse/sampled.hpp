@@ -5,24 +5,19 @@
 // access_one / access_batch return full-trace distance *estimates* for
 // kept references (d_sampled / R, kInfiniteDistance preserved) and
 // kSkippedDistance for filtered ones; batches compact the kept lines
-// first so the wrapped engine's interleaved batch path runs at full
-// density and the filtered majority costs one hash + compare each. With
-// an exact filter (R = 1) every call forwards untouched — results are
-// bit-identical to the bare engine.
-//
-// lower_rate() implements SHARDS rate adaptation: the filter tightens
-// and, when the wrapped engine supports eviction (Olken and Kim both
-// do), every tracked line the tighter filter rejects is evicted — as if
-// the engine had run at the lower rate from the start.
+// first so the wrapped engine's batch loop runs at full density and the
+// filtered majority costs one hash + compare each. With an exact filter
+// (R = 1) every call forwards untouched — results are bit-identical to
+// the bare engine. The rate is fixed for the adapter's lifetime.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "reuse/engine.hpp"
 #include "trace/sample.hpp"
-#include "util/error.hpp"
 
 namespace spmvcache {
 
@@ -30,14 +25,6 @@ namespace spmvcache {
 /// must not record it. Distinct from kInfiniteDistance (a sampled cold
 /// miss), which *is* recorded.
 inline constexpr std::uint64_t kSkippedDistance = ~std::uint64_t{0} - 1;
-
-/// Engines that support SHARDS eviction: removing one line's history so
-/// a lowered rate R' < R can discard lines with hash >= R'·2⁶⁴.
-template <class E>
-concept EvictableEngine = requires(E e, const E ce, std::uint64_t line) {
-    { e.evict(line) } -> std::convertible_to<bool>;
-    ce.for_each_line([](std::uint64_t) {});
-};
 
 /// Adapter running any concrete engine on the sampled subtrace.
 template <class E>
@@ -99,21 +86,6 @@ public:
                              kept);
         for (std::size_t k = 0; k < kept; ++k)
             dists[scratch_index_[k]] = filter_.scale_distance(scratch_dists_[k]);
-    }
-
-    /// SHARDS rate lowering: tightens the filter to `new_rate` and, when
-    /// the wrapped engine supports eviction, removes every tracked line
-    /// that the tighter filter rejects. Pre: 0 < new_rate <= current rate.
-    void lower_rate(double new_rate) {
-        SPMV_EXPECTS(new_rate > 0.0 && new_rate <= filter_.rate());
-        filter_ = SampleFilter(new_rate);
-        if constexpr (EvictableEngine<E>) {
-            std::vector<std::uint64_t> evicted;
-            engine_.for_each_line([&](std::uint64_t line) {
-                if (!filter_.keep(line)) evicted.push_back(line);
-            });
-            for (const std::uint64_t line : evicted) engine_.evict(line);
-        }
     }
 
     [[nodiscard]] const SampleFilter& filter() const noexcept {

@@ -6,6 +6,7 @@
 #include <istream>
 #include <utility>
 
+#include "cachesim/a64fx.hpp"
 #include "model/options.hpp"
 #include "sparse/fingerprint.hpp"
 #include "trace/sample.hpp"
@@ -377,9 +378,13 @@ const char* to_string(RequestOp op) noexcept {
     request.source.seed = static_cast<std::uint64_t>(seed);
     SPMV_RETURN_IF_ERROR(read_int_member(root, "threads", request.threads));
     SPMV_RETURN_IF_ERROR(read_int_member(root, "jobs", request.jobs));
-    if (request.threads < 1 || request.threads > 4096)
+    // The served model simulates a64fx_default(); more threads than it has
+    // cores is a bad request, refused here before it reaches the model.
+    const std::int64_t cores = a64fx_default().cores;
+    if (request.threads < 1 || request.threads > cores)
         return Error(ErrorCode::ValidationError,
-                     "field 'threads' out of range [1, 4096]");
+                     "field 'threads' out of range [1, " +
+                         std::to_string(cores) + "]");
     if (request.jobs < 0 || request.jobs > 4096)
         return Error(ErrorCode::ValidationError,
                      "field 'jobs' out of range [0, 4096]");

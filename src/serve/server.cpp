@@ -97,6 +97,15 @@ PlanKey plan_key_for(const MatrixFingerprint& fp,
     return PlanKey{fp.hash_hi ^ digest, fp.hash_lo ^ mix64(digest)};
 }
 
+/// The string "id" of a line that is a JSON object, "" when it has none,
+/// so a line parse_request rejects can still be answered under its id.
+std::string request_id_of(const std::string& line) {
+    const Result<Json> parsed = parse_json(line);
+    if (!parsed.ok()) return "";
+    const Json* id = parsed.value().find("id");
+    return id != nullptr && id->kind == Json::Kind::String ? id->text : "";
+}
+
 ServeResponse error_response(std::string id, const char* op,
                              const Error& error) {
     ServeResponse response;
@@ -386,6 +395,20 @@ std::string Server::render_health_payload() const {
     return out;
 }
 
+ServeResponse Server::refuse_line(const std::string& line,
+                                  std::string fallback_id,
+                                  const Error& error) {
+    std::string id = request_id_of(line);
+    ServeResponse response =
+        error_response(id.empty() ? std::move(fallback_id) : std::move(id),
+                       "", error);
+    // Malformed lines carry whatever code the parser assigned
+    // (ParseError or ValidationError) but always count here.
+    const MutexLock lock(stats_mutex_);
+    ++counters_.parse_errors;
+    return response;
+}
+
 std::string Server::handle_line(const std::string& line) {
     const std::string fallback_id =
         "req-" + std::to_string(next_request_number_.fetch_add(
@@ -394,11 +417,7 @@ std::string Server::handle_line(const std::string& line) {
     ServeResponse response;
     Result<ServeRequest> parsed = parse_request(trimmed);
     if (!parsed.ok()) {
-        response = error_response(fallback_id, "", parsed.error());
-        // Malformed lines carry whatever code the parser assigned
-        // (ParseError or ValidationError) but always count here.
-        const MutexLock lock(stats_mutex_);
-        ++counters_.parse_errors;
+        response = refuse_line(trimmed, fallback_id, parsed.error());
     } else {
         ServeRequest request = std::move(parsed).value();
         if (request.id.empty()) request.id = fallback_id;
@@ -456,15 +475,10 @@ int Server::run(std::istream& in, std::ostream& out, std::ostream& log) {
             "req-" + std::to_string(next_request_number_.fetch_add(
                          1, std::memory_order_relaxed));
         if (!got.ok()) {
-            // Oversized line: answered like any bad request; the stream
-            // is already resynchronized to the next line.
-            ServeResponse response =
-                error_response(fallback_id, "", got.error());
-            {
-                const MutexLock lock(stats_mutex_);
-                ++counters_.parse_errors;
-            }
-            respond(response);
+            // Oversized line: answered like any bad request, without an
+            // id (the line was never read whole); the stream is already
+            // resynchronized to the next line.
+            respond(refuse_line("", fallback_id, got.error()));
             continue;
         }
         if (!got.value()) {
@@ -476,11 +490,7 @@ int Server::run(std::istream& in, std::ostream& out, std::ostream& log) {
 
         Result<ServeRequest> parsed = parse_request(trimmed);
         if (!parsed.ok()) {
-            {
-                const MutexLock lock(stats_mutex_);
-                ++counters_.parse_errors;
-            }
-            respond(error_response(fallback_id, "", parsed.error()));
+            respond(refuse_line(trimmed, fallback_id, parsed.error()));
             continue;
         }
         ServeRequest request = std::move(parsed).value();

@@ -154,6 +154,13 @@ private:
         SPMV_EXCLUDES(stats_mutex_);
     void count_response(const ServeResponse& response)
         SPMV_EXCLUDES(stats_mutex_);
+    /// The refusal of a line that was never parsed into a request: it
+    /// echoes the line's own id when it has one, else `fallback_id`, and
+    /// counts a parse error.
+    [[nodiscard]] ServeResponse refuse_line(const std::string& line,
+                                            std::string fallback_id,
+                                            const Error& error)
+        SPMV_EXCLUDES(stats_mutex_);
 
     ServeOptions options_;
     std::shared_ptr<PlanCache> cache_;

@@ -39,7 +39,6 @@ inline constexpr std::string_view kRegisteredPoints[] = {
     // Reuse-distance engines (reuse/)
     "reuse.access",
     "reuse.sample",
-    "reuse.interleave",
     // Batch driver (core/batch)
     "batch.item",
     // Kernel engine (kernels/engine)

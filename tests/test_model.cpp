@@ -127,22 +127,6 @@ TEST_F(MethodATest, L1PredictionAtLeastStreamingTraffic) {
     EXPECT_GE(result.l1_misses, static_cast<double>(stream.matrix_data()));
 }
 
-TEST_F(MethodATest, KimEngineAgreesWithOlkenWithinGroupError) {
-    const auto exact = run_method_a(matrix(), options());
-    // Kim distances are accurate to +- the group capacity, so the group
-    // must be small relative to the evaluated partition capacities (256+
-    // lines on the scaled machine).
-    ModelOptions kim_options = options();
-    kim_options.kim_group_capacity = 32;
-    const auto approx =
-        run_method_a(matrix(), kim_options, EngineKind::Kim);
-    for (std::size_t i = 0; i < exact.configs.size(); ++i) {
-        const double e = exact.configs[i].l2_misses;
-        const double a = approx.configs[i].l2_misses;
-        EXPECT_NEAR(a, e, 0.05 * e + 100) << "config " << i;
-    }
-}
-
 TEST(MethodA, Class1MatrixMissesOnlyFromTooSmallSector) {
     // 64x64 stencil: working set (~280 KiB) fits the 512 KiB cache, so
     // without partitioning there are no capacity misses. *With* a 2-way

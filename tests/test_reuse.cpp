@@ -17,7 +17,6 @@
 #include "reuse/olken.hpp"
 #include "trace/sample.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 #include "util/prng.hpp"
 
 namespace spmvcache {
@@ -145,98 +144,6 @@ TEST(Kim, BatchMatchesSerialForEveryChunking) {
 
 TEST(Kim, BatchMatchesSerialWithWideGroups) {
     expect_batch_matches_serial<KimEngine>(std::uint64_t{1} << 16);
-}
-
-TEST(Olken, BatchWithInterleaveFaultArmedMatchesSerial) {
-    // An armed reuse.interleave fault degrades access_batch to the simple
-    // lookahead loop; results must stay bit-identical to serial access().
-    fault::ScopedFault fallback("reuse.interleave",
-                                {.probability = 1.0, .once = false});
-    expect_batch_matches_serial<OlkenEngine>();
-}
-
-TEST(Kim, BatchWithInterleaveFaultArmedMatchesSerial) {
-    fault::ScopedFault fallback("reuse.interleave",
-                                {.probability = 1.0, .once = false});
-    expect_batch_matches_serial<KimEngine>(std::uint64_t{64});
-}
-
-TEST(Olken, EvictedLineBehavesAsNeverAccessed) {
-    // Differential: engine A accesses a probe line and immediately evicts
-    // it; engine B never sees the probe. With no accesses between the
-    // probe's insert and evict, the two engines' trees are isomorphic, so
-    // every later distance must match — eviction fully unwinds the insert.
-    OlkenEngine with_evict;
-    OlkenEngine without;
-    Xoshiro256 rng(77);
-    for (int round = 0; round < 20000; ++round) {
-        if (rng.uniform() < 0.25) {
-            const std::uint64_t probe = 1u << 20;  // outside the common set
-            (void)with_evict.access(probe);
-            ASSERT_TRUE(with_evict.evict(probe));
-        }
-        const std::uint64_t line = rng.uniform() < 0.6
-                                       ? rng.bounded(96)
-                                       : rng.bounded(20000) + 96;
-        ASSERT_EQ(with_evict.access(line), without.access(line))
-            << "round " << round;
-    }
-    EXPECT_EQ(with_evict.distinct_lines(), without.distinct_lines());
-}
-
-TEST(Olken, EvictBasics) {
-    OlkenEngine e;
-    EXPECT_FALSE(e.evict(5));  // unknown line
-    e.access(5);
-    e.access(6);
-    EXPECT_EQ(e.distinct_lines(), 2u);
-    EXPECT_TRUE(e.evict(5));
-    EXPECT_EQ(e.distinct_lines(), 1u);
-    EXPECT_FALSE(e.evict(5));                      // already gone
-    EXPECT_EQ(e.access(5), kInfiniteDistance);     // cold again
-    EXPECT_EQ(e.access(6), 1u);                    // 5 re-inserted above it
-}
-
-TEST(Kim, EvictBasics) {
-    KimEngine e(4);
-    for (std::uint64_t line = 0; line < 40; ++line) e.access(line);
-    EXPECT_EQ(e.distinct_lines(), 40u);
-    EXPECT_FALSE(e.evict(999));
-    EXPECT_TRUE(e.evict(17));
-    EXPECT_EQ(e.distinct_lines(), 39u);
-    EXPECT_FALSE(e.evict(17));
-    // An evicted line is cold on re-access.
-    EXPECT_EQ(e.access(17), kInfiniteDistance);
-    EXPECT_EQ(e.distinct_lines(), 40u);
-}
-
-template <class Engine, class... Args>
-void expect_for_each_line_tracks_membership(Args&&... args) {
-    Engine e(args...);
-    for (std::uint64_t line = 0; line < 100; ++line) e.access(line);
-    ASSERT_TRUE(e.evict(10));
-    ASSERT_TRUE(e.evict(90));
-    std::vector<bool> seen(100, false);
-    std::size_t count = 0;
-    e.for_each_line([&](std::uint64_t line) {
-        ASSERT_LT(line, 100u);
-        EXPECT_FALSE(seen[line]) << "line " << line << " visited twice";
-        seen[line] = true;
-        ++count;
-    });
-    EXPECT_EQ(count, 98u);
-    EXPECT_FALSE(seen[10]);
-    EXPECT_FALSE(seen[90]);
-    EXPECT_TRUE(seen[0]);
-    EXPECT_TRUE(seen[99]);
-}
-
-TEST(Olken, ForEachLineTracksMembership) {
-    expect_for_each_line_tracks_membership<OlkenEngine>();
-}
-
-TEST(Kim, ForEachLineTracksMembership) {
-    expect_for_each_line_tracks_membership<KimEngine>(std::uint64_t{8});
 }
 
 TEST(Olken, ClearForgetsHistory) {

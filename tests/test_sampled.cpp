@@ -1,9 +1,9 @@
 // SHARDS sampling tests: the SampleFilter's hash/scaling identities, the
-// SampledEngine adapter (R = 1 bit-identity, skip/scale semantics, rate
-// lowering with eviction), fault-point degradation to exact computation,
-// and the model-level accuracy contract — sampled predictions at R = 0.01
-// within 5% MAPE of exact across the generator suite, with error shrinking
-// as R approaches 1 and R = 1 bit-identical.
+// SampledEngine adapter (R = 1 bit-identity, skip/scale semantics),
+// fault-point degradation to exact computation, and the model-level
+// accuracy contract — sampled predictions at R = 0.01 within 5% MAPE of
+// exact across the generator suite, with error shrinking as R approaches
+// 1 and R = 1 bit-identical.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -181,54 +181,6 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
     const double truth = static_cast<double>(reference.distinct_lines()) /
                          kRate;  // reference saw only kept lines
     EXPECT_DOUBLE_EQ(estimate, std::llround(truth));
-}
-
-template <class Engine, class... Args>
-void expect_lower_rate_evicts(Args&&... args) {
-    SampledEngine<Engine> sampled(SampleFilter(0.5), args...);
-    Xoshiro256 rng(23);
-    for (int i = 0; i < 30000; ++i) (void)sampled.access_one(rng.bounded(8000));
-    const std::uint64_t tracked_before = sampled.engine().distinct_lines();
-    ASSERT_GT(tracked_before, 0u);
-
-    sampled.lower_rate(0.05);
-    EXPECT_DOUBLE_EQ(sampled.filter().rate(), 0.05);
-    // Every surviving line satisfies the tighter filter...
-    std::uint64_t survivors = 0;
-    sampled.engine().for_each_line([&](std::uint64_t line) {
-        EXPECT_TRUE(sampled.filter().keep(line)) << "line " << line;
-        ++survivors;
-    });
-    EXPECT_EQ(survivors, sampled.engine().distinct_lines());
-    // ...and roughly 0.05/0.5 of the old set survives.
-    EXPECT_LT(survivors, tracked_before / 5);
-    EXPECT_GT(survivors, 0u);
-
-    // A line the tighter filter rejects now skips; a kept line is cold
-    // only if it was evicted or never sampled.
-    const SampleFilter tight(0.05);
-    std::uint64_t rejected_line = 0;
-    for (std::uint64_t line = 0;; ++line) {
-        if (SampleFilter(0.5).keep(line) && !tight.keep(line)) {
-            rejected_line = line;
-            break;
-        }
-    }
-    EXPECT_EQ(sampled.access_one(rejected_line), kSkippedDistance);
-}
-
-TEST(SampledEngine, LowerRateEvictsOlken) {
-    expect_lower_rate_evicts<OlkenEngine>();
-}
-
-TEST(SampledEngine, LowerRateEvictsKim) {
-    expect_lower_rate_evicts<KimEngine>(std::uint64_t{32});
-}
-
-TEST(SampledEngine, LowerRateRejectsRaisingTheRate) {
-    SampledEngine<OlkenEngine> sampled{SampleFilter(0.1)};
-    EXPECT_THROW(sampled.lower_rate(0.5), ContractViolation);
-    EXPECT_THROW(sampled.lower_rate(0.0), ContractViolation);
 }
 
 // ---------------------------------------------------------------------------

@@ -75,6 +75,11 @@ TEST(ServeProtocol, ParsesARequestAndValidatesFields) {
         parse_request(
             "{\"op\":\"predict\",\"gen\":\"x:1\",\"threads\":0}")
             .ok());
+    // More threads than the served machine has cores.
+    const auto too_many = parse_request(
+        "{\"op\":\"predict\",\"gen\":\"x:1\",\"threads\":49}");
+    ASSERT_FALSE(too_many.ok());
+    EXPECT_EQ(too_many.code(), ErrorCode::ValidationError);
     EXPECT_FALSE(
         parse_request(
             "{\"op\":\"predict\",\"gen\":\"x:1\",\"l2_ways\":[99]}")
@@ -101,6 +106,7 @@ TEST(ServeProtocol, RejectsSampleRatesTheFilterCannotRepresent) {
         "\"approx\":1e-17}");
     EXPECT_FALSE(response_ok(line)) << line;
     EXPECT_NE(line.find("ValidationError"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"id\":\"z\""), std::string::npos) << line;
 }
 
 TEST(ServeProtocol, BoundedReadRejectsOversizedLinesAndStaysSynced) {
@@ -269,6 +275,22 @@ TEST(ServeServer, QuarantineFastFailsARepeatedlyFailingSource) {
     const ServeStats stats = server.stats();
     EXPECT_EQ(stats.quarantine.fast_failed, 1u);
     EXPECT_GE(stats.quarantine.quarantined, 1u);
+}
+
+TEST(ServeServer, RefusedThreadCountsEarnNoQuarantineStrike) {
+    // Requests the protocol refuses never reach the model, so however
+    // many arrive, they must not quarantine the matrix they name.
+    Server server;
+    for (int i = 0; i < 3; ++i) {
+        const std::string refused =
+            server.handle_line(predict_line("t49", "stencil2d5:12", 49));
+        EXPECT_FALSE(response_ok(refused)) << refused;
+        EXPECT_NE(refused.find("ValidationError"), std::string::npos)
+            << refused;
+    }
+    const std::string line =
+        server.handle_line(predict_line("t48", "stencil2d5:12", 48));
+    EXPECT_TRUE(response_ok(line)) << line;
 }
 
 TEST(ServeServer, DeadlineExpiryAnswersTimeoutError) {

@@ -136,6 +136,23 @@ void report_error(const Error& e) {
     return rate;
 }
 
+/// Reads --threads (simulated threads, default 48) and --jobs (host model
+/// workers, default 0 = one per hardware thread). A thread count outside
+/// [1, machine cores] or a negative job count is a usage error.
+[[nodiscard]] Status thread_counts(const CliParser& cli, std::int64_t& threads,
+                                   std::int64_t& jobs) {
+    const std::int64_t cores = a64fx_default().cores;
+    threads = cli.get_int("threads", 48);
+    jobs = cli.get_int("jobs", 0);
+    if (threads < 1 || threads > cores)
+        return Error(ErrorCode::ValidationError,
+                     "--threads must be in [1, " + std::to_string(cores) +
+                         "]");
+    if (jobs < 0)
+        return Error(ErrorCode::ValidationError, "--jobs must be >= 0");
+    return OkStatus();
+}
+
 /// Builds the MatrixSource the flags describe; loading goes through the
 /// same core/matrix_source path the serve daemon uses.
 [[nodiscard]] MatrixSource matrix_source(const CliParser& cli,
@@ -297,8 +314,12 @@ int cmd_predict(const CliParser& cli) {
     report_load_origin(m);
     ModelOptions options;
     options.machine = a64fx_default();
-    options.threads = cli.get_int("threads", 48);
-    options.jobs = cli.get_int("jobs", 0);
+    if (const Status counts =
+            thread_counts(cli, options.threads, options.jobs);
+        !counts.ok()) {
+        report_error(counts.error());
+        return kExitUsage;
+    }
     if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
         options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.l2_way_options = {2, 3, 4, 5, 6, 7};
@@ -415,8 +436,12 @@ int cmd_tune(const CliParser& cli) {
     report_load_origin(m);
     ModelOptions options;
     options.machine = a64fx_default();
-    options.threads = cli.get_int("threads", 48);
-    options.jobs = cli.get_int("jobs", 0);
+    if (const Status counts =
+            thread_counts(cli, options.threads, options.jobs);
+        !counts.ok()) {
+        report_error(counts.error());
+        return kExitUsage;
+    }
     if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
         options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
@@ -508,8 +533,12 @@ int cmd_batch(const CliParser& cli) {
     BatchOptions options;
     options.strict_parse = cli.has("strict");
     options.run_model = !cli.has("no-model");
-    options.threads = cli.get_int("threads", 48);
-    options.jobs = cli.get_int("jobs", 0);
+    if (const Status counts =
+            thread_counts(cli, options.threads, options.jobs);
+        !counts.ok()) {
+        report_error(counts.error());
+        return kExitUsage;
+    }
     if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
         options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.timeout_seconds = cli.get_double("timeout", 0.0);
