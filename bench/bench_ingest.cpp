@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "sparse/matrix_market.hpp"
@@ -148,12 +149,19 @@ int main(int argc, char** argv) {
               << "x; warm load " << fmt(cached_total, 4) << " s vs "
               << fmt(cached_w64_total, 4) << " s\n";
 
+    const double mtx_mb = static_cast<double>(total_mtx_bytes) / 1e6;
+    const double parse_mb_per_s =
+        parse_total > 0 ? mtx_mb / parse_total : 0.0;
+    const double parallel_parse_mb_per_s =
+        parallel_total > 0 ? mtx_mb / parallel_total : 0.0;
     const double speedup =
         cached_total > 0 ? parse_total / cached_total : 0.0;
     const double parallel_speedup =
         parallel_total > 0 ? parse_total / parallel_total : 0.0;
-    std::cout << "total: parse " << fmt(parse_total, 3) << " s, parallel "
+    std::cout << "total: parse " << fmt(parse_total, 3) << " s ("
+              << fmt(parse_mb_per_s, 1) << " MB/s), parallel "
               << fmt(parallel_total, 3) << " s ("
+              << fmt(parallel_parse_mb_per_s, 1) << " MB/s, "
               << fmt(parallel_speedup, 2) << "x), cache write "
               << fmt(write_total, 3) << " s, cached load "
               << fmt(cached_total, 4) << " s -> "
@@ -166,12 +174,16 @@ int main(int argc, char** argv) {
     if (out) {
         out << "{\"bench\": \"ingest\", \"smoke\": "
             << (smoke ? "true" : "false")
+            << ", \"host_cores\": " << std::thread::hardware_concurrency()
+            << ", \"build_type\": \"" << SPMV_BENCH_BUILD_TYPE << "\""
             << ", \"matrices\": " << paths.size()
             << ", \"total_nnz\": " << total_nnz
             << ", \"mtx_bytes\": " << total_mtx_bytes
             << ", \"parse_jobs\": " << jobs
             << ", \"parse_seconds\": " << parse_total
+            << ", \"parse_mb_per_s\": " << parse_mb_per_s
             << ", \"parallel_parse_seconds\": " << parallel_total
+            << ", \"parallel_parse_mb_per_s\": " << parallel_parse_mb_per_s
             << ", \"parallel_parse_speedup\": " << parallel_speedup
             << ", \"cache_write_seconds\": " << write_total
             << ", \"cached_load_seconds\": " << cached_total

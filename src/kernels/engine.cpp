@@ -198,7 +198,9 @@ void BasicKernelEngine<Idx>::setup_csr(const BasicCsrView<Idx>& a,
             src_rowptr[static_cast<std::size_t>(range.end)]);
         for (std::int64_t r = range.begin; r < range.end; ++r)
             own_rowptr_.data()[r] = src_rowptr[static_cast<std::size_t>(r)];
-        if (range.end == rows_)
+        // Empty trailing ranges end at rows_ too; only the last range
+        // writes the closing entry, so exactly one worker stores it.
+        if (static_cast<std::int64_t>(t) + 1 == partition_.threads())
             own_rowptr_.data()[rows_] =
                 src_rowptr[static_cast<std::size_t>(rows_)];
         for (std::int64_t i = lo; i < hi; ++i) {

@@ -1,7 +1,10 @@
 #include "sparse/coo.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "sparse/any_csr.hpp"
 #include "sparse/csr.hpp"
@@ -21,78 +24,148 @@ void CooMatrix::add(std::int64_t row, std::int64_t col, double value) {
     entries_.push_back(CooEntry{row, col, value});
 }
 
-std::size_t CooMatrix::sort_and_combine() {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const CooEntry& a, const CooEntry& b) {
-                  return a.row != b.row ? a.row < b.row : a.col < b.col;
-              });
-    // Merge duplicates in place.
-    const std::size_t before = entries_.size();
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (out > 0 && entries_[out - 1].row == entries_[i].row &&
-            entries_[out - 1].col == entries_[i].col) {
-            entries_[out - 1].value += entries_[i].value;
-        } else {
-            entries_[out++] = entries_[i];
-        }
+template <class Idx>
+BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
+    using index_type = typename Idx::index_type;
+    using offset_type = typename Idx::offset_type;
+    const std::size_t n = entries_.size();
+    SPMV_EXPECTS(cols_ <= static_cast<std::int64_t>(
+                              std::numeric_limits<index_type>::max()));
+    SPMV_EXPECTS(rows_ < static_cast<std::int64_t>(
+                             std::numeric_limits<offset_type>::max()));
+    SPMV_EXPECTS(n <= static_cast<std::uint64_t>(
+                          std::numeric_limits<offset_type>::max()));
+    const auto rows = static_cast<std::size_t>(rows_);
+
+    BasicCsrMatrix<Idx> m;
+    m.rows_ = rows_;
+    m.cols_ = cols_;
+    // Count row r's entries into slot r + 2; after the prefix sum slot
+    // r + 1 holds row r's start and serves as its insertion cursor, so
+    // once every entry is placed it holds row r's end: the final rowptr
+    // with one spare slot.
+    auto& rowptr = m.rowptr_;
+    rowptr.assign(rows + 2, 0);
+    for (const CooEntry& e : entries_) {
+        SPMV_EXPECTS(e.row >= 0 && e.row < rows_);
+        ++rowptr[static_cast<std::size_t>(e.row) + 2];
     }
-    entries_.resize(out);
-    return before - out;
+    for (std::size_t r = 2; r < rows + 2; ++r) rowptr[r] += rowptr[r - 1];
+    auto& colidx = m.colidx_;
+    auto& values = m.values_;
+    colidx.resize(n);
+    values.resize(n);
+    for (const CooEntry& e : entries_) {
+        SPMV_EXPECTS(e.col >= 0 && e.col < cols_);
+        const auto at = static_cast<std::size_t>(
+            rowptr[static_cast<std::size_t>(e.row) + 1]++);
+        colidx[at] = static_cast<index_type>(e.col);
+        values[at] = e.value;
+    }
+    std::vector<CooEntry>().swap(entries_);
+    rowptr.pop_back();
+
+    // Rows arrive sorted unless the input listed a row's columns out of
+    // order or repeated one; only those rows are sorted and merged. Rows
+    // move down over the slots freed by earlier merges.
+    std::vector<std::pair<index_type, double>> row_buf;
+    std::size_t out = 0;
+    std::size_t begin = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto end = static_cast<std::size_t>(rowptr[r + 1]);
+        const auto first = colidx.begin() + static_cast<std::ptrdiff_t>(begin);
+        const auto last = colidx.begin() + static_cast<std::ptrdiff_t>(end);
+        if (std::adjacent_find(first, last, std::greater_equal<>()) == last) {
+            if (out != begin) {
+                std::memmove(colidx.data() + out, colidx.data() + begin,
+                             (end - begin) * sizeof(index_type));
+                std::memmove(values.data() + out, values.data() + begin,
+                             (end - begin) * sizeof(double));
+            }
+            out += end - begin;
+        } else {
+            row_buf.clear();
+            for (std::size_t i = begin; i < end; ++i)
+                row_buf.emplace_back(colidx[i], values[i]);
+            std::stable_sort(row_buf.begin(), row_buf.end(),
+                             [](const auto& a, const auto& b) {
+                                 return a.first < b.first;
+                             });
+            const std::size_t row_out = out;
+            for (const auto& [c, v] : row_buf) {
+                if (out > row_out && colidx[out - 1] == c) {
+                    values[out - 1] += v;
+                    continue;
+                }
+                SPMV_EXPECTS(out == row_out || colidx[out - 1] < c);
+                colidx[out] = c;
+                values[out] = v;
+                ++out;
+            }
+        }
+        rowptr[r + 1] = static_cast<offset_type>(out);
+        begin = end;
+    }
+    if (duplicates != nullptr) *duplicates = n - out;
+    if (out < n) {
+        colidx.resize(out);
+        values.resize(out);
+        colidx.shrink_to_fit();
+        values.shrink_to_fit();
+    }
+    return m;
+}
+
+[[nodiscard]] Result<AnyCsrMatrix> CooMatrix::to_csr_any(
+    IndexWidthChoice choice, std::size_t* duplicates) && {
+    const auto raw = static_cast<std::int64_t>(entries_.size());
+    try {
+        // Merging duplicates only lowers nnz, so the unmerged shape
+        // resolves to the width the merged one would, unless the unmerged
+        // count alone breaks the W32 nnz bound: then assemble wide and
+        // resolve after the merge.
+        if (choice == IndexWidthChoice::W64 ||
+            width32_representable(rows_, cols_, raw) ||
+            !width32_representable(rows_, cols_, 0)) {
+            SPMV_ASSIGN_OR_RETURN(
+                const IndexWidth width,
+                resolve_index_width(choice, rows_, cols_, raw));
+            if (width == IndexWidth::W32)
+                return AnyCsrMatrix(assemble<Idx32>(duplicates));
+            return AnyCsrMatrix(assemble<Idx64>(duplicates));
+        }
+        CsrMatrix64 wide = assemble<Idx64>(duplicates);
+        SPMV_ASSIGN_OR_RETURN(
+            const IndexWidth width,
+            resolve_index_width(choice, wide.rows(), wide.cols(),
+                                wide.nnz()));
+        if (width == IndexWidth::W64) return AnyCsrMatrix(std::move(wide));
+        return AnyCsrMatrix(convert_csr_width<Idx32>(wide));
+    } catch (const std::bad_alloc&) {
+        return Error(ErrorCode::ResourceError,
+                     "out of memory assembling CSR (" + std::to_string(raw) +
+                         " entries)");
+    }
 }
 
 template <class Idx>
 [[nodiscard]] Result<BasicCsrMatrix<Idx>> CooMatrix::to_csr_width(
     std::size_t* duplicates) && {
-    const std::size_t merged = sort_and_combine();
-    if (duplicates != nullptr) *duplicates = merged;
-    if constexpr (Idx::width == IndexWidth::W32) {
-        if (!width32_representable(rows_, cols_,
-                                   static_cast<std::int64_t>(entries_.size())))
-            return Error(ErrorCode::UnsupportedError,
-                         "matrix does not fit the 32-bit index layout "
-                         "(rows " + std::to_string(rows_) + ", cols " +
-                             std::to_string(cols_) + ", nnz " +
-                             std::to_string(entries_.size()) + ")");
-    }
-    try {
-        BasicCsrBuilder<Idx> builder(rows_, cols_, entries_.size());
-        for (const auto& e : entries_) builder.push(e.row, e.col, e.value);
-        entries_.clear();
-        entries_.shrink_to_fit();
-        return std::move(builder).finish();
-    } catch (const std::bad_alloc&) {
-        return Error(ErrorCode::ResourceError,
-                     "out of memory assembling CSR (" +
-                         std::to_string(entries_.size()) + " entries)");
-    }
-}
-
-[[nodiscard]] Result<AnyCsrMatrix> CooMatrix::to_csr_any(
-    IndexWidthChoice choice, std::size_t* duplicates) && {
-    const std::size_t merged = sort_and_combine();
-    if (duplicates != nullptr) *duplicates = merged;
-    Result<IndexWidth> width = resolve_index_width(
-        choice, rows_, cols_, static_cast<std::int64_t>(entries_.size()));
-    if (!width.ok()) return std::move(width).to_error();
-    if (width.value() == IndexWidth::W32) {
-        Result<CsrMatrix> narrow = std::move(*this).to_csr_width<Idx32>();
-        if (!narrow.ok()) return std::move(narrow).to_error();
-        return AnyCsrMatrix(std::move(narrow).value());
-    }
-    Result<CsrMatrix64> wide = std::move(*this).to_csr_width<Idx64>();
-    if (!wide.ok()) return std::move(wide).to_error();
-    return AnyCsrMatrix(std::move(wide).value());
+    constexpr IndexWidthChoice choice = Idx::width == IndexWidth::W32
+                                            ? IndexWidthChoice::W32
+                                            : IndexWidthChoice::W64;
+    SPMV_ASSIGN_OR_RETURN(AnyCsrMatrix m,
+                          std::move(*this).to_csr_any(choice, duplicates));
+    if constexpr (Idx::width == IndexWidth::W32)
+        return std::move(m).take32();
+    else
+        return std::move(m).take64();
 }
 
 CsrMatrix CooMatrix::to_csr() && {
-    sort_and_combine();
-
-    CsrBuilder builder(rows_, cols_, entries_.size());
-    for (const auto& e : entries_) builder.push(e.row, e.col, e.value);
-    entries_.clear();
-    entries_.shrink_to_fit();
-    return std::move(builder).finish();
+    Result<CsrMatrix> m = std::move(*this).to_csr_width<Idx32>();
+    if (!m.ok()) throw_status(std::move(m).to_error());
+    return std::move(m).value();
 }
 
 [[nodiscard]] Result<CsrMatrix> CooMatrix::try_to_csr(std::size_t* duplicates) && {

@@ -26,7 +26,11 @@ struct CooEntry {
     double value = 0.0;
 };
 
-/// Mutable coordinate-format matrix used during construction.
+/// Mutable coordinate-format matrix used during construction. Every
+/// conversion to CSR runs in O(nnz + rows): entries are bucketed by row in
+/// insertion order, a row whose columns arrive out of order is
+/// stable-sorted, and duplicate (row, col) entries are summed in insertion
+/// order.
 class CooMatrix {
 public:
     CooMatrix() = default;
@@ -40,12 +44,8 @@ public:
     /// Reserves storage for `n` entries.
     void reserve(std::size_t n) { entries_.reserve(n); }
 
-    /// Sorts entries row-major and merges duplicates by summing values.
-    /// Returns the number of entries removed by merging (0 = no duplicates).
-    std::size_t sort_and_combine();
-
-    /// Converts to narrow CSR; sorts and combines duplicates first.
-    /// Pre: the shape fits the W32 layout.
+    /// Converts to narrow CSR. Throws StatusError when the shape exceeds
+    /// the W32 bounds (UnsupportedError) or memory runs out (ResourceError).
     [[nodiscard]] CsrMatrix to_csr() &&;
 
     /// Typed narrow conversion for input pipelines: never throws for data
@@ -75,6 +75,11 @@ public:
     }
 
 private:
+    /// The row-bucketed assembly. Frees the entries once they are placed.
+    /// Pre: the unmerged shape fits `Idx`'s layout.
+    template <class Idx>
+    [[nodiscard]] BasicCsrMatrix<Idx> assemble(std::size_t* duplicates);
+
     std::int64_t rows_ = 0;
     std::int64_t cols_ = 0;
     std::vector<CooEntry> entries_;

@@ -107,6 +107,7 @@ public:
 
 private:
     friend class BasicCsrBuilder<Idx>;
+    friend class CooMatrix;  // fills the arrays by row bucketing
 
     std::int64_t rows_ = 0;
     std::int64_t cols_ = 0;

@@ -1,6 +1,7 @@
 #include "sparse/matrix_market.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <string_view>
 #include <unordered_set>
@@ -18,50 +19,61 @@ namespace {
 using mm_detail::MmHeader;
 using mm_detail::MmSize;
 
-/// Reads lines through istream::getline into a fixed buffer, so a single
-/// pathological line can never allocate more than max_line_bytes. Tracks
-/// 1-based line numbers for diagnostics.
-class LineReader {
+/// Reads the stream in blocks into one fixed buffer and splits them with
+/// the line cursor both parsers share. A line cut by the end of a block
+/// moves to the front of the buffer before the next read; the cursor
+/// rejects any line longer than max_line_bytes, so the max_line_bytes + 2
+/// floor on the buffer always leaves room to read on.
+class BlockLineReader {
 public:
-    LineReader(std::istream& in, std::size_t max_line_bytes)
-        : in_(in), buf_(max_line_bytes + 2) {}
+    BlockLineReader(std::istream& in, std::size_t max_line_bytes)
+        : in_(in),
+          buf_(std::max(kBlockBytes, max_line_bytes + 2)),
+          cursor_({}, max_line_bytes, /*ends_input=*/false) {}
 
     /// true = a line is available via view(); false = clean end of input.
     [[nodiscard]] Result<bool> next() {
-        in_.getline(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-        const auto got = in_.gcount();
-        if (in_.fail()) {
-            // Buffer filled without finding a newline: bounded-length guard.
-            if (got == static_cast<std::streamsize>(buf_.size()) - 1)
-                return Error(ErrorCode::ParseError,
-                             "line exceeds maximum length of " +
-                                 std::to_string(buf_.size() - 2) + " bytes",
-                             line_no_ + 1);
-            return false;  // end of input
+        for (;;) {
+            SPMV_ASSIGN_OR_RETURN(const bool have_line, cursor_.next());
+            if (have_line || at_end_) return have_line;
+            refill();
         }
-        ++line_no_;
-        // gcount() includes the consumed newline unless EOF ended the line.
-        auto len = static_cast<std::size_t>(got);
-        if (!in_.eof() && len > 0) --len;
-        view_ = std::string_view(buf_.data(), len);
-        return true;
     }
 
-    [[nodiscard]] std::string_view view() const noexcept { return view_; }
-    [[nodiscard]] std::int64_t line_no() const noexcept { return line_no_; }
+    [[nodiscard]] std::string_view view() const noexcept {
+        return cursor_.view();
+    }
+    [[nodiscard]] std::int64_t line_no() const noexcept {
+        return cursor_.line_no();
+    }
 
 private:
+    static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+    void refill() {
+        const std::size_t tail = filled_ - cursor_.pos();
+        std::memmove(buf_.data(), buf_.data() + cursor_.pos(), tail);
+        in_.read(buf_.data() + tail,
+                 static_cast<std::streamsize>(buf_.size() - tail));
+        filled_ = tail + static_cast<std::size_t>(in_.gcount());
+        // A short read sets failbit: the input ended or the stream
+        // failed, and either way what was read is all there is.
+        at_end_ = !in_;
+        cursor_.rebase(std::string_view(buf_.data(), filled_), at_end_);
+    }
+
     std::istream& in_;
     std::vector<char> buf_;
-    std::string_view view_;
-    std::int64_t line_no_ = 0;
+    mm_detail::BufLineCursor cursor_;
+    std::size_t filled_ = 0;
+    bool at_end_ = false;
 };
 
 [[nodiscard]] Result<AnyCsrMatrix> read_impl(std::istream& in,
                                              const MmReadOptions& options,
                                              IndexWidthChoice width) {
     SPMV_RETURN_IF_ERROR(fault::maybe_fail("mm.header"));
-    LineReader reader(in, options.max_line_bytes);
+    BlockLineReader reader(in, options.max_line_bytes);
 
     SPMV_ASSIGN_OR_RETURN(bool have_banner, reader.next());
     if (!have_banner)
@@ -168,7 +180,7 @@ private:
                                               const MmReadOptions& options) {
     if (const Status s = fault::maybe_fail("mm.open"); !s.ok())
         return Status(s).wrap("reading '" + path + "'");
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return Error(ErrorCode::ResourceError, "cannot open '" + path + "'");
     return narrow_result(std::move(read_impl(in, options, IndexWidthChoice::W32))
@@ -185,7 +197,7 @@ private:
     const std::string& path, const MmReadOptions& options) {
     if (const Status s = fault::maybe_fail("mm.open"); !s.ok())
         return Status(s).wrap("reading '" + path + "'");
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         return Error(ErrorCode::ResourceError, "cannot open '" + path + "'");
     return std::move(read_impl(in, options, options.index_width))

@@ -40,7 +40,8 @@ struct MmReadOptions {
 };
 
 /// Parses a Matrix Market stream. Errors carry the 1-based line number of
-/// the offending input line.
+/// the offending input line. The stream is read in blocks, so input after
+/// the final entry may be consumed too.
 [[nodiscard]] Result<CsrMatrix> try_read_matrix_market(
     std::istream& in, const MmReadOptions& options = {});
 

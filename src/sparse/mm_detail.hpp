@@ -1,11 +1,12 @@
 // Internal Matrix Market parsing primitives shared by the serial parser
 // (matrix_market.cpp) and the chunked parallel parser (mm_parallel.cpp).
 //
-// Both front ends must agree bit-for-bit: same accepted grammar, same typed
-// error codes and messages, same double parsing (std::from_chars over the
-// identical byte range). Keeping the per-token and per-line logic in one
-// header is what makes the parallel parser's differential test against the
-// serial parser a real invariant instead of a coincidence.
+// Both front ends must agree bit-for-bit: same line splitting and length
+// rule, same accepted grammar, same typed error codes and messages, same
+// double parsing (std::from_chars over the identical byte range). Keeping
+// the per-line, per-token and per-entry logic in one header is what makes
+// the parallel parser's differential test against the serial parser a
+// real invariant instead of a coincidence.
 //
 // Not installed API — include only from sparse/*.cpp and tests.
 #pragma once
@@ -13,6 +14,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -45,6 +47,67 @@ struct MmEntry {
     std::int64_t row = 0;
     std::int64_t col = 0;
     double value = 1.0;
+};
+
+/// Splits an in-memory byte range into lines, the one line rule of both
+/// parsers: '\n' ends a line (a '\r' before it stays in the line and
+/// counts towards its length), a trailing fragment without '\n' is a line
+/// once the range reaches the end of the input, and a line longer than
+/// max_line_bytes is a ParseError attributed to that (not yet counted)
+/// line. Line numbers are 1-based and carry across rebase(), so a block
+/// reader can feed one cursor buffer after buffer.
+class BufLineCursor {
+public:
+    /// `ends_input`: `text` runs to the end of the input.
+    BufLineCursor(std::string_view text, std::size_t max_line_bytes,
+                  bool ends_input = true)
+        : text_(text),
+          max_line_bytes_(max_line_bytes),
+          ends_input_(ends_input) {}
+
+    /// true = a line is available via view(); false = the range is used
+    /// up. At the end of a range that does not end the input, pos() marks
+    /// the start of an unfinished line the next range must begin with.
+    [[nodiscard]] Result<bool> next() {
+        if (pos_ >= text_.size()) return false;
+        const char* begin = text_.data() + pos_;
+        const std::size_t rest = text_.size() - pos_;
+        const char* nl =
+            static_cast<const char*>(std::memchr(begin, '\n', rest));
+        const std::size_t len =
+            nl != nullptr ? static_cast<std::size_t>(nl - begin) : rest;
+        if (len > max_line_bytes_)
+            return Error(ErrorCode::ParseError,
+                         "line exceeds maximum length of " +
+                             std::to_string(max_line_bytes_) + " bytes",
+                         line_no_ + 1);
+        if (nl == nullptr && !ends_input_) return false;
+        ++line_no_;
+        view_ = std::string_view(begin, len);
+        pos_ += len + (nl != nullptr ? 1 : 0);
+        return true;
+    }
+
+    /// Continues on `text`, the next range of the input; the caller has
+    /// moved the unfinished line (pos() onwards) to its front.
+    void rebase(std::string_view text, bool ends_input) noexcept {
+        text_ = text;
+        ends_input_ = ends_input;
+        pos_ = 0;
+    }
+
+    [[nodiscard]] std::string_view view() const noexcept { return view_; }
+    [[nodiscard]] std::int64_t line_no() const noexcept { return line_no_; }
+    /// Byte offset of the first unread character.
+    [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
+
+private:
+    std::string_view text_;
+    std::size_t max_line_bytes_;
+    bool ends_input_;
+    std::size_t pos_ = 0;
+    std::string_view view_;
+    std::int64_t line_no_ = 0;
 };
 
 inline const char* skip_ws(const char* p, const char* end) {

@@ -18,51 +18,10 @@ namespace spmvcache {
 
 namespace {
 
+using mm_detail::BufLineCursor;
 using mm_detail::MmEntry;
 using mm_detail::MmHeader;
 using mm_detail::MmSize;
-
-/// Line iterator over an in-memory buffer with the serial LineReader's
-/// exact semantics: '\n' delimits lines, a non-empty trailing fragment
-/// without '\n' is a line, and any line longer than max_line_bytes is a
-/// ParseError attributed to that (not-yet-counted) line.
-class BufLineCursor {
-public:
-    BufLineCursor(std::string_view text, std::size_t max_line_bytes)
-        : text_(text), max_line_bytes_(max_line_bytes) {}
-
-    /// true = a line is available via view(); false = clean end of input.
-    [[nodiscard]] Result<bool> next() {
-        if (pos_ >= text_.size()) return false;
-        const char* begin = text_.data() + pos_;
-        const char* nl = static_cast<const char*>(
-            std::memchr(begin, '\n', text_.size() - pos_));
-        const std::size_t len =
-            nl != nullptr ? static_cast<std::size_t>(nl - begin)
-                          : text_.size() - pos_;
-        if (len > max_line_bytes_)
-            return Error(ErrorCode::ParseError,
-                         "line exceeds maximum length of " +
-                             std::to_string(max_line_bytes_) + " bytes",
-                         line_no_ + 1);
-        ++line_no_;
-        view_ = std::string_view(begin, len);
-        pos_ += len + (nl != nullptr ? 1 : 0);
-        return true;
-    }
-
-    [[nodiscard]] std::string_view view() const noexcept { return view_; }
-    [[nodiscard]] std::int64_t line_no() const noexcept { return line_no_; }
-    /// Byte offset of the first unread character.
-    [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-
-private:
-    std::string_view text_;
-    std::size_t max_line_bytes_;
-    std::size_t pos_ = 0;
-    std::string_view view_;
-    std::int64_t line_no_ = 0;
-};
 
 /// What one chunk worker hands to the merge: validated entries in file
 /// order with their chunk-relative (1-based) line numbers, the chunk's

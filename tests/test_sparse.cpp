@@ -55,6 +55,26 @@ TEST(Coo, CombinesDuplicates) {
     EXPECT_DOUBLE_EQ(m.values()[0], 4.0);
 }
 
+TEST(Coo, DuplicatesSumInInsertionOrder) {
+    // (1e16 + -1e16) + 1 is exactly 1; adding 1 to either large value
+    // first loses it. Row 1 lists its columns in descending order with
+    // the three entries at column 5 spread across it, so sorting all
+    // entries at once would be free to reorder them.
+    CooMatrix coo(2, 64);
+    coo.add(1, 5, 1e16);
+    for (std::int64_t c = 63; c >= 0; --c) {
+        if (c == 31) coo.add(1, 5, -1e16);
+        if (c != 5) coo.add(1, c, 1.0);
+        coo.add(0, c, 2.0);
+    }
+    coo.add(1, 5, 1.0);
+    const CsrMatrix m = std::move(coo).to_csr();
+    m.validate();
+    ASSERT_EQ(m.nnz(), 128);
+    EXPECT_EQ(m.colidx()[64 + 5], 5);
+    EXPECT_EQ(m.values()[64 + 5], 1.0);
+}
+
 TEST(Coo, RejectsOutOfRange) {
     CooMatrix coo(2, 2);
     EXPECT_THROW(coo.add(2, 0, 1.0), ContractViolation);

@@ -400,7 +400,12 @@ int cmd_simulate(const CliParser& cli) {
     const AnyCsrView m = loaded.value().view;
     ExperimentOptions options;
     options.machine = a64fx_default();
-    options.threads = cli.get_int("threads", 48);
+    std::int64_t jobs = 0;  // simulate runs no host model workers
+    if (const Status counts = thread_counts(cli, options.threads, jobs);
+        !counts.ok()) {
+        report_error(counts.error());
+        return kExitUsage;
+    }
     const SectorWays ways{
         static_cast<std::uint32_t>(cli.get_int("l2-ways", 0)),
         static_cast<std::uint32_t>(cli.get_int("l1-ways", 0))};
