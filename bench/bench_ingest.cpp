@@ -1,19 +1,45 @@
-// Ingestion benchmark for the `.spmvc` binary cache: serial .mtx parse
-// vs chunked-parallel parse vs cached mmap load, over the synthetic suite
-// (or --mm DIR). Every leg goes through load_matrix_handle so the three
-// numbers measure the same contract — a ready-to-model LoadedMatrix with
-// fingerprint and stats attached. Emits a perf-trajectory point to
-// BENCH_ingest.json (--out overrides the path); the headline number is
-// the parse/cached-load speedup, expected well above 10x. --smoke
-// shrinks the suite for CI.
+// Ingestion benchmark for the `.spmvc` binary cache: one-job .mtx parse
+// vs --jobs parse vs cached mmap load, over the synthetic suite (or --mm
+// DIR). Every leg goes through load_matrix_handle so the three numbers
+// measure the same contract — a ready-to-model LoadedMatrix with
+// fingerprint and stats attached. Each parse leg also reports the
+// process's peak RSS (VmHWM, reset before every load through
+// /proc/self/clear_refs; omitted where the kernel refuses the reset).
+// Emits a perf-trajectory point to BENCH_ingest.json (--out overrides the
+// path); the headline number is the parse/cached-load speedup, expected
+// well above 10x. --smoke shrinks the suite for CI.
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "bench_common.hpp"
 #include "sparse/matrix_market.hpp"
+
+namespace {
+
+/// Resets the process's peak RSS (VmHWM) to its current RSS; false when
+/// the kernel refuses.
+bool reset_peak_rss() {
+    std::ofstream out("/proc/self/clear_refs");
+    out << "5";
+    out.flush();
+    return static_cast<bool>(out);
+}
+
+/// VmHWM from /proc/self/status in MiB; 0 when unreadable.
+double peak_rss_mib() {
+    std::ifstream in("/proc/self/status");
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::stod(line.substr(6)) / 1024.0;  // kB
+    return 0.0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     using namespace spmvcache;
@@ -63,19 +89,28 @@ int main(int argc, char** argv) {
         }
         return timer.seconds();
     };
+    // A parse leg's seconds, folding its peak RSS into `peak_mib`.
+    bool rss_ok = true;
+    const auto parse_leg = [&](const MatrixSource& source, double& peak_mib) {
+        rss_ok = reset_peak_rss() && rss_ok;
+        const double s = load_seconds(source);
+        peak_mib = std::max(peak_mib, peak_rss_mib());
+        return s;
+    };
 
     TextTable table({"matrix", "parse [s]", "par parse [s]", "warm write",
                      "cached [s]", "speedup", "origin ok"});
     double parse_total = 0.0, parallel_total = 0.0, write_total = 0.0,
            cached_total = 0.0;
+    double parse_peak_mib = 0.0, parallel_peak_mib = 0.0;
     bool all_cached = true;
     for (std::size_t n = 0; n < paths.size(); ++n) {
         MatrixSource source;
         source.path = paths[n];
 
-        const double parse_s = load_seconds(source);
+        const double parse_s = parse_leg(source, parse_peak_mib);
         source.parse_jobs = jobs;
-        const double parallel_s = load_seconds(source);
+        const double parallel_s = parse_leg(source, parallel_peak_mib);
         source.parse_jobs = 1;
 
         // Cold load with the cache enabled: parse + .spmvc write.
@@ -166,6 +201,10 @@ int main(int argc, char** argv) {
               << fmt(write_total, 3) << " s, cached load "
               << fmt(cached_total, 4) << " s -> "
               << fmt(speedup, 1) << "x over parse\n";
+    if (rss_ok)
+        std::cout << "peak RSS: parse " << fmt(parse_peak_mib, 1)
+                  << " MiB, parallel " << fmt(parallel_peak_mib, 1)
+                  << " MiB\n";
     if (!all_cached)
         std::cout << "WARNING: some warm loads missed the cache\n";
 
@@ -184,8 +223,12 @@ int main(int argc, char** argv) {
             << ", \"parse_mb_per_s\": " << parse_mb_per_s
             << ", \"parallel_parse_seconds\": " << parallel_total
             << ", \"parallel_parse_mb_per_s\": " << parallel_parse_mb_per_s
-            << ", \"parallel_parse_speedup\": " << parallel_speedup
-            << ", \"cache_write_seconds\": " << write_total
+            << ", \"parallel_parse_speedup\": " << parallel_speedup;
+        if (rss_ok)
+            out << ", \"parse_peak_rss_mib\": " << parse_peak_mib
+                << ", \"parallel_parse_peak_rss_mib\": "
+                << parallel_peak_mib;
+        out << ", \"cache_write_seconds\": " << write_total
             << ", \"cached_load_seconds\": " << cached_total
             << ", \"cached_speedup\": " << speedup
             << ", \"all_cache_hits\": " << (all_cached ? "true" : "false")

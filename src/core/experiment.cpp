@@ -28,6 +28,14 @@ double MeasuredConfig::speedup_over(const MeasuredConfig& baseline) const {
 
 namespace {
 
+/// The layout run_sector_sweep simulates: the paper's (4, 8)-byte
+/// accounting at either width. model_vs_measured prices the model at its
+/// element sizes, so both sides account the same bytes.
+SpmvLayout sweep_layout(std::int64_t rows, std::int64_t cols,
+                        std::int64_t nnz, const A64fxConfig& machine) {
+    return SpmvLayout(rows, cols, nnz, machine.l2.line_bytes);
+}
+
 /// Width-typed body of run_sector_sweep: the trace generator is templated
 /// on the physical index, but the simulated addresses come from SpmvLayout
 /// with the paper's (4, 8)-byte accounting at either width, so the sweep
@@ -53,7 +61,8 @@ std::vector<MeasuredConfig> run_sector_sweep_impl(
         sims.push_back(std::move(sim));
     }
 
-    const SpmvLayout layout(m, machine.l2.line_bytes);
+    const SpmvLayout layout =
+        sweep_layout(m.rows(), m.cols(), m.nnz(), machine);
     const TraceConfig trace_cfg{options.threads, options.partition,
                                 options.quantum,
                                 options.x_prefetch_distance};
@@ -133,6 +142,10 @@ ModelComparison model_vs_measured(
     model_options.l2_way_options = l2_way_options;
     model_options.partition = options.partition;
     model_options.quantum = options.quantum;
+    const SpmvLayout layout =
+        sweep_layout(m.rows(), m.cols(), m.nnz(), options.machine);
+    model_options.accounting_colidx_bytes = layout.colidx_bytes();
+    model_options.accounting_rowptr_bytes = layout.rowptr_bytes();
     comparison.method_a = run_method_a(m, model_options);
     comparison.method_b = run_method_b(m, model_options);
     return comparison;

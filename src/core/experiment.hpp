@@ -76,7 +76,10 @@ struct ModelComparison {
 
 /// Runs methods (A) and (B) plus the matching simulator measurements for
 /// the unpartitioned case and every way count in `l2_way_options`
-/// (L1 sector cache disabled throughout, as in Tables 2 and 3).
+/// (L1 sector cache disabled throughout, as in Tables 2 and 3). The model
+/// accounts the index arrays at the element sizes of the layout the
+/// sweep simulates (4-byte colidx, 8-byte rowptr), whatever the storage
+/// width.
 [[nodiscard]] ModelComparison model_vs_measured(
     const AnyCsrView& m, const std::vector<std::uint32_t>& l2_way_options,
     const ExperimentOptions& options);

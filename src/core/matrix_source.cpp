@@ -10,7 +10,6 @@
 #include "sparse/gen/random.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/matrix_market.hpp"
-#include "sparse/mm_parallel.hpp"
 #include "util/cli.hpp"
 
 namespace spmvcache {
@@ -19,23 +18,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Parses the .mtx text of a file source, serial or chunked-parallel
-/// depending on parse_jobs, at the width source.index_width resolves to.
+/// Parses the .mtx text of a file source with parse_jobs workers (0 = all
+/// cores) at the width source.index_width resolves to.
 [[nodiscard]] Result<AnyCsrMatrix> parse_file_source(
     const MatrixSource& source) {
-    if (source.parse_jobs == 1) {
-        MmReadOptions options;
-        options.strict = source.strict_parse;
-        options.index_width = source.index_width;
-        return try_read_matrix_market_any_file(source.path, options);
-    }
-    MmParallelOptions options;
-    options.base.strict = source.strict_parse;
-    options.base.index_width = source.index_width;
-    options.jobs = source.parse_jobs <= 0
-                       ? 0
-                       : static_cast<std::size_t>(source.parse_jobs);
-    return try_read_matrix_market_parallel_any_file(source.path, options);
+    MmReadOptions options;
+    options.strict = source.strict_parse;
+    options.index_width = source.index_width;
+    options.jobs =
+        static_cast<std::size_t>(std::max<std::int64_t>(source.parse_jobs, 0));
+    return try_read_matrix_market_any_file(source.path, options);
 }
 
 /// Generators always assemble narrow (their shapes are representable by

@@ -8,8 +8,8 @@
 // With cache_dir set, file sources flow through the `.spmvc` binary cache
 // (sparse/binary_cache.hpp): a fresh cache entry is mmapped zero-copy and
 // the stored fingerprint/stats are reused without touching the .mtx text;
-// a missing, stale or corrupt entry falls back to a parse (parallel when
-// parse_jobs != 1) and rewrites the cache. load_matrix_handle() is the
+// a missing, stale or corrupt entry falls back to a parse (on parse_jobs
+// workers) and rewrites the cache. load_matrix_handle() is the
 // one entry point.
 #pragma once
 
@@ -41,9 +41,9 @@ struct MatrixSource {
     /// Directory for `.spmvc` binary cache entries; empty disables the
     /// cache (every load parses). Created on first write if missing.
     std::string cache_dir;
-    /// Workers for the chunked .mtx parser on a cache miss or uncached
-    /// load: 1 = serial parser (historical behaviour), 0 = all cores,
-    /// N > 1 = that many.
+    /// .mtx parse workers on a cache miss or uncached load (see
+    /// MmReadOptions::jobs): 1 = inline on the caller, 0 = all cores,
+    /// N > 1 = that many; negative counts as 0.
     std::int64_t parse_jobs = 1;
     /// Physical index width of the loaded arrays: Auto narrows to 32-bit
     /// whenever rows/cols/nnz fit, a forced width is honoured or fails

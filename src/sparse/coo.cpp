@@ -18,12 +18,6 @@ CooMatrix::CooMatrix(std::int64_t rows, std::int64_t cols)
     SPMV_EXPECTS(cols >= 0);
 }
 
-void CooMatrix::add(std::int64_t row, std::int64_t col, double value) {
-    SPMV_EXPECTS(row >= 0 && row < rows_);
-    SPMV_EXPECTS(col >= 0 && col < cols_);
-    entries_.push_back(CooEntry{row, col, value});
-}
-
 template <class Idx>
 BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
     using index_type = typename Idx::index_type;

@@ -39,7 +39,11 @@ public:
     CooMatrix(std::int64_t rows, std::int64_t cols);
 
     /// Appends an entry. Pre: 0 <= row < rows(), 0 <= col < cols().
-    void add(std::int64_t row, std::int64_t col, double value);
+    void add(std::int64_t row, std::int64_t col, double value) {
+        SPMV_EXPECTS(row >= 0 && row < rows_);
+        SPMV_EXPECTS(col >= 0 && col < cols_);
+        entries_.push_back(CooEntry{row, col, value});
+    }
 
     /// Reserves storage for `n` entries.
     void reserve(std::size_t n) { entries_.reserve(n); }

@@ -23,7 +23,8 @@ namespace spmvcache::fault {
 
 /// Every injection point declared by library code, grouped by subsystem.
 inline constexpr std::string_view kRegisteredPoints[] = {
-    // Matrix Market parsing (sparse/matrix_market, sparse/mm_parallel)
+    // Matrix Market reader (sparse/matrix_market); mm.parallel fires once
+    // per piece a round parses, at every job count
     "mm.open",
     "mm.header",
     "mm.size_line",

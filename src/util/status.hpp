@@ -5,7 +5,7 @@
 // ErrorCode, attach context ("while reading size line"), and carry the
 // input line number to the failure report instead of aborting the run.
 //
-//   Result<CsrMatrix> r = try_read_matrix_market_file(path);
+//   Result<AnyCsrMatrix> r = try_read_matrix_market_any_file(path);
 //   if (!r.ok()) log(r.error().render());            // typed, line-numbered
 //
 //   Status parse_size_line(...) {

@@ -6,6 +6,7 @@
 
 #include "core/experiment.hpp"
 #include "model/classify.hpp"
+#include "sparse/gen/banded.hpp"
 #include "sparse/gen/random.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "util/stats.hpp"
@@ -129,6 +130,33 @@ TEST(ModelVsMeasured, ParallelCaseStaysCoherent) {
         const double predicted = comparison.method_a.configs[i].l2_misses;
         ASSERT_GT(measured, 0.0);
         EXPECT_NEAR(predicted / measured, 1.0, 0.30) << "config " << i;
+    }
+}
+
+TEST(ModelVsMeasured, MethodAExactOnOneSetLru) {
+    // With one fully associative LRU set per L2 segment and no prefetch,
+    // the simulator is the machine method (A) models, so its L2 misses
+    // must equal the measured fills exactly. Both sides have to account
+    // the index arrays at the same element sizes for that to hold.
+    ExperimentOptions o = sequential_options();
+    o.machine.l2 = CacheConfig{512 * 1024, 256, 2048, 0};
+    o.machine.l1_prefetch.enabled = false;
+    o.machine.l2_prefetch.enabled = false;
+    const std::vector<CsrMatrix> matrices = {
+        gen::stencil_2d_5pt(96, 96), gen::banded(12288, 9, 64, 5),
+        gen::random_uniform(4096, 4096, 16, 11)};
+    for (const CsrMatrix& m : matrices) {
+        for (const std::int64_t threads : {1, 2, 4}) {
+            o.threads = threads;
+            const auto comparison =
+                model_vs_measured(m, {512, 1024, 1536}, o);
+            ASSERT_EQ(comparison.method_a.configs.size(), 4u);
+            for (std::size_t i = 0; i < comparison.measured_l2.size(); ++i)
+                EXPECT_EQ(comparison.method_a.configs[i].l2_misses,
+                          comparison.measured_l2[i])
+                    << "rows " << m.rows() << ", threads " << threads
+                    << ", config " << i;
+        }
     }
 }
 

@@ -100,7 +100,7 @@ TEST_F(FaultTest, ParserEntryPointProducesTypedError) {
         "1 1 1.0\n"
         "2 2 2.0\n"
         "3 3 3.0\n");
-    const Result<CsrMatrix> r = try_read_matrix_market(ss);
+    const Result<AnyCsrMatrix> r = try_read_matrix_market_any(ss);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::FaultInjected);
     // The error context names the entry that was being read.
@@ -115,7 +115,7 @@ TEST_F(FaultTest, ParserHeaderAndSizeLinePointsFire) {
     for (const char* point : {"mm.header", "mm.size_line"}) {
         fault::ScopedFault f(point);
         std::stringstream ss(text);
-        const Result<CsrMatrix> r = try_read_matrix_market(ss);
+        const Result<AnyCsrMatrix> r = try_read_matrix_market_any(ss);
         ASSERT_FALSE(r.ok()) << point;
         EXPECT_EQ(r.code(), ErrorCode::FaultInjected) << point;
         EXPECT_NE(r.error().render().find(point), std::string::npos);
@@ -124,8 +124,8 @@ TEST_F(FaultTest, ParserHeaderAndSizeLinePointsFire) {
 
 TEST_F(FaultTest, ParserOpenPointFailsFileReads) {
     fault::ScopedFault f("mm.open");
-    const Result<CsrMatrix> r =
-        try_read_matrix_market_file("/definitely/missing.mtx");
+    const Result<AnyCsrMatrix> r =
+        try_read_matrix_market_any_file("/definitely/missing.mtx");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::FaultInjected);
 }

@@ -1,19 +1,23 @@
-// Chunked-parallel Matrix Market parser tests: the contract is
-// bit-identity with the serial parser — same CSR arrays on success, same
-// typed error with the same 1-based line number on failure — for every
-// jobs count and chunk size, including chunk boundaries that split the
-// file mid-entry-run. The suite is intentionally TSan-friendly (CI runs
-// it under ThreadSanitizer): every case exercises the pool fan-out.
+// Matrix Market reader tests. The reader parses rounds of blocks on a
+// thread pool and merges them in file order, and its contract is that
+// neither the job count nor the block size changes the outcome. Every
+// case below is checked against a golden: the W32 CSR arrays' shape and
+// FNV-1a digest, or the typed error's (code, line), as the earlier serial
+// block reader produced them. Each golden must hold at every (jobs, block
+// size) grid point, in strict and in lenient mode, so blocks cut lines,
+// entry runs and over-long lines everywhere a boundary can fall. The suite
+// is TSan-friendly (CI runs it under ThreadSanitizer): every grid point
+// with more than one job fans out over the pool.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -21,7 +25,6 @@
 #include "sparse/gen/random.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/matrix_market.hpp"
-#include "sparse/mm_parallel.hpp"
 #include "util/fault.hpp"
 #include "util/prng.hpp"
 
@@ -30,78 +33,126 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The jobs/chunking grid every differential case runs over. Tiny
-/// min_chunk_bytes forces many chunks even for small inputs, so merge
-/// order, line rebasing and boundary splitting all get exercised.
-struct Grid {
-    std::size_t jobs;
-    std::size_t min_chunk_bytes;
-};
-const std::vector<Grid> kGrid = {
-    {1, 1 << 20}, {2, 64}, {3, 64}, {4, 256}, {8, 31}, {0, 4096},
+/// What the serial reader returned for one input: the shape and digest
+/// of its W32 CSR arrays, or the code and line of its typed error.
+struct Golden {
+    ErrorCode code = ErrorCode::Ok;
+    std::int64_t line = 0;
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+    std::int64_t nnz = 0;
+    std::uint64_t digest = 0;
+
+    bool operator==(const Golden&) const = default;
 };
 
-MmParallelOptions grid_options(const Grid& g, const MmReadOptions& base) {
-    MmParallelOptions options;
-    options.base = base;
-    options.jobs = g.jobs;
-    options.min_chunk_bytes = g.min_chunk_bytes;
-    return options;
+void PrintTo(const Golden& g, std::ostream* os) {
+    *os << to_string(g.code) << " at line " << g.line << ", " << g.rows
+        << "x" << g.cols << " nnz " << g.nnz << " digest " << std::hex
+        << g.digest << std::dec;
 }
 
-void expect_bit_identical(const CsrMatrix& a, const CsrMatrix& b) {
-    ASSERT_EQ(a.rows(), b.rows());
-    ASSERT_EQ(a.cols(), b.cols());
-    ASSERT_EQ(a.nnz(), b.nnz());
-    EXPECT_EQ(std::memcmp(a.rowptr().data(), b.rowptr().data(),
-                          a.rowptr_bytes()),
-              0);
-    EXPECT_EQ(std::memcmp(a.colidx().data(), b.colidx().data(),
-                          a.colidx_bytes()),
-              0);
-    EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(),
-                          static_cast<std::size_t>(a.nnz()) * sizeof(double)),
-              0);
+constexpr Golden matrix(std::int64_t rows, std::int64_t cols,
+                        std::int64_t nnz, std::uint64_t digest) {
+    return {ErrorCode::Ok, 0, rows, cols, nnz, digest};
 }
 
-/// Asserts a serial parse of `text` and the chunked parser agree —
-/// bit-identical matrices or identical (code, line) errors — across the
-/// whole grid.
-void expect_matches_chunked(const Result<CsrMatrix>& serial,
-                            const std::string& text,
-                            const MmReadOptions& base) {
-    for (const Grid& g : kGrid) {
-        const Result<CsrMatrix> parallel =
-            try_read_matrix_market_parallel(text, grid_options(g, base));
-        ASSERT_EQ(serial.ok(), parallel.ok())
-            << "jobs=" << g.jobs << " chunk=" << g.min_chunk_bytes
-            << (serial.ok() ? " parallel failed: " + parallel.error().render()
-                            : " parallel succeeded where serial failed");
-        if (!serial.ok()) {
-            EXPECT_EQ(serial.error().code, parallel.error().code)
-                << "jobs=" << g.jobs << " chunk=" << g.min_chunk_bytes;
-            EXPECT_EQ(serial.error().line, parallel.error().line)
-                << "jobs=" << g.jobs << " chunk=" << g.min_chunk_bytes
-                << " serial: " << serial.error().render()
-                << " parallel: " << parallel.error().render();
-            continue;
+constexpr Golden error(ErrorCode code, std::int64_t line) {
+    return {code, line, 0, 0, 0, 0};
+}
+
+/// FNV-1a over the bytes of rowptr, colidx and values, in that order.
+std::uint64_t digest(const CsrMatrix& m) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const void* data, std::uint64_t bytes) {
+        const auto* p = static_cast<const unsigned char*>(data);
+        for (std::uint64_t i = 0; i < bytes; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ULL;
         }
-        SCOPED_TRACE("jobs=" + std::to_string(g.jobs) +
-                     " chunk=" + std::to_string(g.min_chunk_bytes));
-        expect_bit_identical(serial.value(), parallel.value());
+    };
+    mix(m.rowptr().data(), m.rowptr_bytes());
+    mix(m.colidx().data(), m.colidx_bytes());
+    mix(m.values().data(), m.values_bytes());
+    return h;
+}
+
+Golden observe(const Result<AnyCsrMatrix>& r) {
+    if (!r.ok()) return error(r.error().code, r.error().line);
+    const CsrMatrix* m = r.value().as32();
+    if (m == nullptr) return error(ErrorCode::InternalError, 0);
+    return matrix(m->rows(), m->cols(), m->nnz(), digest(*m));
+}
+
+Result<AnyCsrMatrix> parse(const std::string& text,
+                           MmReadOptions options = {}) {
+    options.index_width = IndexWidthChoice::W32;
+    std::istringstream in(text);
+    return try_read_matrix_market_any(in, options);
+}
+
+/// Block sizes for inputs up to ~100 KB: the default, and two that cut
+/// nearly every line and entry run.
+const std::vector<std::size_t> kSmallBlocks = {std::size_t{1} << 20, 61, 7};
+/// Block sizes for inputs of a few MiB, where a 7-byte block would mean
+/// hundreds of thousands of rounds.
+const std::vector<std::size_t> kLargeBlocks = {std::size_t{1} << 20, 65536,
+                                               4099};
+/// 0 = all host cores.
+const std::vector<std::size_t> kJobs = {1, 2, 3, 4, 8, 0};
+
+/// Checks `text` at every (jobs, block) grid point in both modes: lenient
+/// mode must give `lenient` and strict mode `strict`.
+void expect_golden(const std::string& text, const Golden& lenient,
+                   const Golden& strict, MmReadOptions base = {},
+                   const std::vector<std::size_t>& blocks = kSmallBlocks) {
+    for (const bool strict_mode : {false, true}) {
+        base.strict = strict_mode;
+        for (const std::size_t jobs : kJobs) {
+            for (const std::size_t block : blocks) {
+                MmReadOptions options = base;
+                options.jobs = jobs;
+                options.block_bytes = block;
+                SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                             " block=" + std::to_string(block) +
+                             " strict=" + std::to_string(strict_mode));
+                EXPECT_EQ(strict_mode ? strict : lenient,
+                          observe(parse(text, options)));
+            }
+        }
     }
 }
 
-/// Serial stream parse of `text` against the chunked parser.
-void expect_differential(const std::string& text, const MmReadOptions& base) {
-    std::istringstream in(text);
-    expect_matches_chunked(try_read_matrix_market(in, base), text, base);
+/// Same input with "\r\n" line ends; '\r' is whitespace to the grammar,
+/// so only the line-length rule can tell the two apart.
+std::string crlf(const std::string& text) {
+    std::string out;
+    for (const char c : text) {
+        if (c == '\n') out += '\r';
+        out += c;
+    }
+    return out;
 }
 
-void expect_differential(const std::string& text, bool strict = false) {
-    MmReadOptions base;
-    base.strict = strict;
-    expect_differential(text, base);
+/// Checks a small input and its CRLF twin.
+void expect_small(const std::string& text, const Golden& lenient,
+                  const Golden& strict) {
+    expect_golden(text, lenient, strict);
+    expect_golden(crlf(text), lenient, strict);
+}
+
+/// Same, for an input both modes read alike.
+void expect_small(const std::string& text, const Golden& golden) {
+    expect_small(text, golden, golden);
+}
+
+/// A coordinate file of `kind` ("real general", ...) whose lines after
+/// the banner are `lines`, each ended by '\n'.
+std::string mtx(const std::string& kind,
+                std::initializer_list<const char*> lines) {
+    std::string text = "%%MatrixMarket matrix coordinate " + kind + "\n";
+    for (const char* line : lines) text.append(line).push_back('\n');
+    return text;
 }
 
 std::string to_mtx(const CsrMatrix& m) {
@@ -110,278 +161,235 @@ std::string to_mtx(const CsrMatrix& m) {
     return out.str();
 }
 
+/// A file under the test temp directory, unique to this process.
+std::string temp_path(const std::string& name) {
+    return (fs::path(testing::TempDir()) /
+            (std::to_string(::getpid()) + "_" + name))
+        .string();
+}
+
 TEST(MmParallel, GeneratedMatricesAreBitIdentical) {
-    expect_differential(to_mtx(gen::stencil_2d_5pt(16, 16)));
-    expect_differential(to_mtx(gen::banded(120, 7, 2, 3)));
-    expect_differential(to_mtx(gen::random_uniform(90, 90, 8, 17)));
-    expect_differential(to_mtx(gen::random_variable_rows(80, 80, 5.0,
-                                                         2.0, 9)));
+    expect_small(to_mtx(gen::stencil_2d_5pt(16, 16)),
+                 matrix(256, 256, 1216, 0x9a404a9dc1ecb977ULL));
+    expect_small(to_mtx(gen::banded(120, 7, 2, 3)),
+                 matrix(120, 120, 594, 0x5253d58db13613d6ULL));
+    expect_small(to_mtx(gen::random_uniform(90, 90, 8, 17)),
+                 matrix(90, 90, 720, 0x7988bc557d1abca2ULL));
+    expect_small(to_mtx(gen::random_variable_rows(80, 80, 5.0, 2.0, 9)),
+                 matrix(80, 80, 520, 0xa3423051fa454403ULL));
 }
 
 TEST(MmParallel, HandlesCommentsBlankLinesAndPattern) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate pattern general\n"
-        "% comment between header and size\n"
-        "\n"
-        "3 3 4\n"
-        "% comment between entries\n"
-        "1 1\n"
-        "2 2\n"
-        "\n"
-        "3 1\n"
-        "3 3\n");
+    expect_small(mtx("pattern general",
+                     {"% comment between header and size", "", "3 3 4",
+                      "% comment between entries", "1 1", "2 2", "", "3 1",
+                      "3 3"}),
+                 matrix(3, 3, 4, 0x7d87cf9da5978681ULL));
 }
 
 TEST(MmParallel, HandlesSymmetricAndSkewMirroring) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real symmetric\n"
-        "3 3 4\n"
-        "1 1 1.5\n"
-        "2 1 -2.0\n"
-        "3 2 0.25\n"
-        "3 3 4.0\n");
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real skew-symmetric\n"
-        "3 3 2\n"
-        "2 1 -2.0\n"
-        "3 2 0.25\n");
+    expect_small(mtx("real symmetric",
+                     {"3 3 4", "1 1 1.5", "2 1 -2.0", "3 2 0.25", "3 3 4.0"}),
+                 matrix(3, 3, 6, 0x5557c329326d9d20ULL));
+    expect_small(mtx("real skew-symmetric", {"3 3 2", "2 1 -2.0", "3 2 0.25"}),
+                 matrix(3, 3, 4, 0xc93ad8cbb3934e81ULL));
+    // An upper-triangle entry: lenient mode mirrors it, strict rejects it.
+    expect_small(mtx("pattern symmetric", {"3 3 3", "1 1", "1 3", "3 2"}),
+                 matrix(3, 3, 5, 0x9d63f3c64a1e892dULL),
+                 error(ErrorCode::ValidationError, 4));
 }
 
 TEST(MmParallel, HandlesIntegerFieldAndExponents) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate integer general\n"
-        "2 3 3\n"
-        "1 1 7\n"
-        "1 3 -2\n"
-        "2 2 9\n");
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 3\n"
-        "1 1 1.25e-3\n"
-        "1 2 -7.5E+2\n"
-        "2 2 +0.5\n");
+    expect_small(mtx("integer general", {"2 3 3", "1 1 7", "1 3 -2", "2 2 9"}),
+                 matrix(2, 3, 3, 0xd05ef3a88631cca9ULL));
+    expect_small(mtx("real general",
+                     {"2 2 3", "1 1 1.25e-3", "1 2 -7.5E+2", "2 2 +0.5"}),
+                 matrix(2, 2, 3, 0xecba5b6d6b9858ccULL));
 }
 
 TEST(MmParallel, LenientDuplicatesSumIdentically) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 4\n"
-        "1 1 1.0\n"
-        "1 1 2.0\n"
-        "2 2 4.0\n"
-        "2 1 8.0\n");
+    expect_small(mtx("real general",
+                     {"2 2 4", "1 1 1.0", "1 1 2.0", "2 2 4.0", "2 1 8.0"}),
+                 matrix(2, 2, 3, 0xa861f79c5017f9feULL),
+                 error(ErrorCode::ValidationError, 4));
 }
 
-// ---- Error differentials: same code, same line, every grid point -------
+// ---- Errors: the serial reader's code and line at every grid point -----
 
 TEST(MmParallel, MalformedEntryReportsSerialLineNumber) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "3 3 4\n"
-        "1 1 1.0\n"
-        "2 2 2.0\n"
-        "2 x 3.0\n"
-        "3 3 4.0\n");
+    expect_small(mtx("real general",
+                     {"3 3 4", "1 1 1.0", "2 2 2.0", "2 x 3.0", "3 3 4.0"}),
+                 error(ErrorCode::ParseError, 5));
 }
 
 TEST(MmParallel, OutOfRangeIndexReportsSerialLineNumber) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "3 3 3\n"
-        "1 1 1.0\n"
-        "% a comment to shift line numbers\n"
-        "2 7 2.0\n"
-        "3 3 3.0\n");
+    expect_small(mtx("real general",
+                     {"3 3 3", "1 1 1.0", "% a comment to shift line numbers",
+                      "2 7 2.0", "3 3 3.0"}),
+                 error(ErrorCode::ValidationError, 5));
 }
 
 TEST(MmParallel, TruncatedFileReportsSameError) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "4 4 6\n"
-        "1 1 1.0\n"
-        "2 2 2.0\n");
+    expect_small(mtx("real general", {"4 4 6", "1 1 1.0", "2 2 2.0"}),
+                 error(ErrorCode::ParseError, 4));
 }
 
 TEST(MmParallel, MissingValueReportsSameError) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "3 3 3\n"
-        "1 1 1.0\n"
-        "2 2\n"
-        "3 3 3.0\n");
+    expect_small(mtx("real general", {"3 3 3", "1 1 1.0", "2 2", "3 3 3.0"}),
+                 error(ErrorCode::ParseError, 4));
 }
 
 TEST(MmParallel, StrictRejectsWhatSerialStrictRejects) {
+    const Golden two = matrix(2, 2, 2, 0x3151f49213968d96ULL);
     // Duplicate entry (strict sums are forbidden).
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 3\n"
-        "1 1 1.0\n"
-        "1 1 2.0\n"
-        "2 2 4.0\n",
-        /*strict=*/true);
-    // Data after the declared final entry.
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n"
-        "1 1 1.0\n"
-        "2 2 2.0\n"
-        "1 2 9.0\n",
-        /*strict=*/true);
+    expect_small(mtx("real general", {"2 2 3", "1 1 1.0", "1 1 2.0", "2 2 4.0"}),
+                 matrix(2, 2, 2, 0x3435f4112d53926fULL),
+                 error(ErrorCode::ValidationError, 4));
+    // Data after the declared final entry; a malformed line is data too.
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.0", "2 2 2.0", "1 2 9.0"}),
+                 two, error(ErrorCode::ParseError, 5));
+    expect_small(mtx("real general",
+                     {"2 2 2", "1 1 1.0", "2 2 2.0", "% fine", "", "junk"}),
+                 two, error(ErrorCode::ParseError, 7));
     // Trailing garbage on an entry line.
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n"
-        "1 1 1.0 junk\n"
-        "2 2 2.0\n",
-        /*strict=*/true);
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.0 junk", "2 2 2.0"}), two,
+                 error(ErrorCode::ParseError, 3));
     // Above-diagonal entry in a symmetric file.
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real symmetric\n"
-        "3 3 2\n"
-        "1 2 1.0\n"
-        "3 3 2.0\n",
-        /*strict=*/true);
+    expect_small(mtx("real symmetric", {"3 3 2", "1 2 1.0", "3 3 2.0"}),
+                 matrix(3, 3, 3, 0xaf74d8e9cb9107e6ULL),
+                 error(ErrorCode::ValidationError, 3));
     // Non-finite value.
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n"
-        "1 1 nan\n"
-        "2 2 2.0\n",
-        /*strict=*/true);
+    expect_small(mtx("real general", {"2 2 2", "1 1 nan", "2 2 2.0"}),
+                 matrix(2, 2, 2, 0xeaaec566fce1fd1eULL),
+                 error(ErrorCode::ValidationError, 3));
 }
 
 TEST(MmParallel, LenientIgnoresDataAfterFinalEntry) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n"
-        "1 1 1.0\n"
-        "2 2 2.0\n"
-        "1 2 9.0\n",
-        /*strict=*/false);
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.0", "2 2 2.0", "1 2 9.0"}),
+                 matrix(2, 2, 2, 0x3151f49213968d96ULL),
+                 error(ErrorCode::ParseError, 5));
+    // Nothing after the final entry is read, not even a bad line; a
+    // declared count of 0 reads no entry at all.
+    expect_small(mtx("real general", {"2 2 0", "1 x"}),
+                 matrix(2, 2, 0, 0x5467b0da1d106495ULL),
+                 error(ErrorCode::ParseError, 3));
 }
 
 TEST(MmParallel, HeaderErrorsMatchSerial) {
-    expect_differential("%%MatrixMarket matrix coordinate complex general\n"
-                        "1 1 1\n"
-                        "1 1 1.0 0.0\n");
-    expect_differential("not a matrix market file\n");
-    expect_differential("%%MatrixMarket matrix coordinate real general\n"
-                        "2 -2 1\n"
-                        "1 1 1.0\n");
-    expect_differential("");
+    expect_small(mtx("complex general", {"1 1 1", "1 1 1.0 0.0"}),
+                 error(ErrorCode::UnsupportedError, 1));
+    expect_small("not a matrix market file\n", error(ErrorCode::ParseError, 1));
+    expect_small(mtx("real general", {"2 -2 1", "1 1 1.0"}),
+                 error(ErrorCode::ValidationError, 2));
+    expect_small(mtx("real general", {"% only comments"}),
+                 error(ErrorCode::ParseError, 3));
+    expect_small("", error(ErrorCode::ParseError, 1));
 }
 
 TEST(MmParallel, FileWithoutTrailingNewlineParses) {
-    expect_differential(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n"
-        "1 1 1.0\n"
-        "2 2 2.0");
+    std::string text = mtx("real general", {"2 2 2", "1 1 1.0", "2 2 2.0"});
+    text.pop_back();
+    expect_small(text, matrix(2, 2, 2, 0x3151f49213968d96ULL));
 }
 
+/// Golden of the 12 x 12 five-point stencil written by write_matrix_market.
+constexpr Golden kStencil12 = matrix(144, 144, 672, 0xd2dd3457d1cc77d6ULL);
+
 TEST(MmParallel, FileWrapperMatchesSerialWrapper) {
-    const fs::path dir =
-        fs::path(testing::TempDir()) /
-        ("spmv_mm_par_" + std::to_string(::getpid()));
-    fs::create_directories(dir);
-    const CsrMatrix m = gen::stencil_2d_5pt(12, 12);
-    const std::string path = (dir / "m.mtx").string();
-    write_matrix_market_file(path, m);
-
-    const Result<CsrMatrix> serial = try_read_matrix_market_file(path);
-    MmParallelOptions options;
-    options.jobs = 3;
-    options.min_chunk_bytes = 128;
-    const Result<CsrMatrix> parallel =
-        try_read_matrix_market_parallel_file(path, options);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(parallel.ok()) << parallel.error().render();
-    EXPECT_EQ(serial.value().nnz(), parallel.value().nnz());
-
-    // Missing file: both wrappers produce the same typed error.
-    const Result<CsrMatrix> serial_missing =
-        try_read_matrix_market_file((dir / "no.mtx").string());
-    const Result<CsrMatrix> parallel_missing =
-        try_read_matrix_market_parallel_file((dir / "no.mtx").string(),
-                                             options);
-    EXPECT_EQ(serial_missing.error().code, parallel_missing.error().code);
-    fs::remove_all(dir);
+    const std::string path = temp_path("wrapper.mtx");
+    write_matrix_market_file(path, gen::stencil_2d_5pt(12, 12));
+    for (const std::size_t jobs : kJobs) {
+        for (const std::size_t block : kSmallBlocks) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                         " block=" + std::to_string(block));
+            MmReadOptions options;
+            options.index_width = IndexWidthChoice::W32;
+            options.jobs = jobs;
+            options.block_bytes = block;
+            EXPECT_EQ(kStencil12,
+                      observe(try_read_matrix_market_any_file(path, options)));
+            // Missing file: a ResourceError naming the path, no line.
+            const Result<AnyCsrMatrix> missing =
+                try_read_matrix_market_any_file(path + ".no", options);
+            EXPECT_EQ(error(ErrorCode::ResourceError, 0), observe(missing));
+            EXPECT_NE(missing.error().render().find(".no"), std::string::npos);
+        }
+    }
+    EXPECT_EQ(digest(read_matrix_market_file(path)), kStencil12.digest);
+    fs::remove(path);
 }
 
 TEST(MmParallel, ChunkFaultInjectionSurfacesTypedError) {
+    // Every reader fault point fires at every job count.
     const std::string text = to_mtx(gen::stencil_2d_5pt(12, 12));
-    MmParallelOptions options;
-    options.jobs = 4;
-    options.min_chunk_bytes = 64;
-    {
-        fault::ScopedFault f("mm.parallel");
-        const Result<CsrMatrix> r =
-            try_read_matrix_market_parallel(text, options);
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.error().code, ErrorCode::FaultInjected);
+    const std::string path = temp_path("fault.mtx");
+    std::ofstream(path, std::ios::binary) << text;
+    for (const std::size_t jobs : kJobs) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        MmReadOptions options;
+        options.jobs = jobs;
+        options.block_bytes = 256;
+        for (const char* point :
+             {"mm.header", "mm.size_line", "mm.parallel", "mm.read_entry"}) {
+            fault::ScopedFault f(point);
+            EXPECT_EQ(parse(text, options).code(), ErrorCode::FaultInjected)
+                << point;
+        }
+        {
+            fault::ScopedFault f("mm.open");
+            EXPECT_EQ(try_read_matrix_market_any_file(path, options).code(),
+                      ErrorCode::FaultInjected);
+        }
+        {
+            // The merge runs in file order, so the Nth entry is the Nth
+            // entry whatever the job count.
+            fault::ScopedFault f("mm.read_entry", {.fail_after = 99});
+            const Result<AnyCsrMatrix> r = parse(text, options);
+            ASSERT_FALSE(r.ok());
+            EXPECT_NE(r.error().render().find("entry 100"), std::string::npos)
+                << r.error().render();
+        }
+        fault::disarm_all();
+        EXPECT_EQ(kStencil12, observe(parse(text, options)));
     }
-    fault::disarm_all();
-    EXPECT_TRUE(try_read_matrix_market_parallel(text, options).ok());
+    fs::remove(path);
 }
 
 TEST(MmParallel, OverlongLineMatchesSerial) {
-    std::string text =
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n"
-        "1 1 1.0\n";
-    text += "2 2 2.0" + std::string(100, ' ') + "\n";
-    MmReadOptions serial_options;
-    serial_options.max_line_bytes = 32;
-    std::istringstream in(text);
-    const Result<CsrMatrix> serial =
-        try_read_matrix_market(in, serial_options);
-    MmParallelOptions options;
-    options.base.max_line_bytes = 32;
-    options.jobs = 3;
-    options.min_chunk_bytes = 16;
-    const Result<CsrMatrix> parallel =
-        try_read_matrix_market_parallel(text, options);
-    ASSERT_FALSE(serial.ok());
-    ASSERT_FALSE(parallel.ok());
-    EXPECT_EQ(serial.error().code, parallel.error().code);
-    EXPECT_EQ(serial.error().line, parallel.error().line);
-
-    // One line rule in both parsers: an entry line of exactly
-    // max_line_bytes parses, one byte more is a ParseError at that line.
     MmReadOptions base;
+    base.max_line_bytes = 32;
+    // The 46-byte banner is already over the limit.
+    expect_golden(mtx("real general", {"2 2 2", "1 1 1.0"}) + "2 2 2.0" +
+                      std::string(100, ' ') + "\n",
+                  error(ErrorCode::ParseError, 1),
+                  error(ErrorCode::ParseError, 1), base);
+
+    // One line rule: an entry line of exactly max_line_bytes parses, one
+    // byte more is a ParseError at that line, and a '\r' before the '\n'
+    // counts towards the length.
     base.max_line_bytes = 48;
     const auto with_entry_of = [](std::size_t bytes) {
         std::string entry = "2 2 2.";
         entry.resize(bytes, '0');
-        return "%%MatrixMarket matrix coordinate real general\n"
-               "2 2 2\n"
-               "1 1 1.0\n" +
-               entry + "\n";
+        return mtx("real general", {"2 2 2", "1 1 1.0", entry.c_str()});
     };
-    std::istringstream fits(with_entry_of(48));
-    const Result<CsrMatrix> accepted = try_read_matrix_market(fits, base);
+    const Result<AnyCsrMatrix> accepted = parse(with_entry_of(48), base);
     ASSERT_TRUE(accepted.ok()) << accepted.error().render();
-    EXPECT_EQ(accepted.value().values()[1], 2.0);
-    expect_differential(with_entry_of(48), base);
-
-    std::istringstream overlong(with_entry_of(49));
-    const Result<CsrMatrix> rejected = try_read_matrix_market(overlong, base);
-    ASSERT_FALSE(rejected.ok());
-    EXPECT_EQ(rejected.error().code, ErrorCode::ParseError);
-    EXPECT_EQ(rejected.error().line, 4);
-    expect_differential(with_entry_of(49), base);
+    EXPECT_EQ(accepted.value().as32()->values()[1], 2.0);
+    const Golden two = matrix(2, 2, 2, 0x3151f49213968d96ULL);
+    const Golden line4 = error(ErrorCode::ParseError, 4);
+    expect_golden(with_entry_of(48), two, two, base);
+    expect_golden(with_entry_of(49), line4, line4, base);
+    expect_golden(crlf(with_entry_of(48)), line4, line4, base);
 }
 
-// ---- Serial block reads: lines cut by a refill --------------------------
+// ---- Large inputs: lines cut by every block boundary --------------------
 
-/// The serial reader fills a buffer of max(1 MiB, max_line_bytes + 2)
-/// bytes; at this max_line_bytes that is exactly 1 MiB.
 constexpr std::size_t kShortLines = 4096;
 constexpr std::size_t kBlock = std::size_t{1} << 20;
 
-/// Offsets at which the serial reader refills: each read tops up the
-/// buffer after the line cut by the previous one moves to its front.
+/// Offsets at which a one-job reader with 1 MiB blocks reads again: each
+/// round tops the buffer up after the line cut by the previous one.
 std::vector<std::size_t> refill_offsets(const std::string& text) {
     std::vector<std::size_t> offsets;
     for (std::size_t end = kBlock; end < text.size();
@@ -429,22 +437,21 @@ TEST(MmParallel, BlockReadsMatchChunkedAcrossRefills) {
 
     MmReadOptions base;
     base.max_line_bytes = kShortLines;
-    std::istringstream in(text);
-    const Result<CsrMatrix> stream = try_read_matrix_market(in, base);
-    ASSERT_TRUE(stream.ok()) << stream.error().render();
-    expect_matches_chunked(stream, text, base);
+    const Golden lenient = matrix(3000, 3000, 106079, 0x31edacd9d99fbd67ULL);
+    const Golden strict = error(ErrorCode::ValidationError, 1651);
+    expect_golden(text, lenient, strict, base, kLargeBlocks);
 
-    const fs::path dir =
-        fs::path(testing::TempDir()) /
-        ("spmv_mm_refill_" + std::to_string(::getpid()));
-    fs::create_directories(dir);
-    const std::string path = (dir / "m.mtx").string();
+    const std::string path = temp_path("refill.mtx");
     std::ofstream(path, std::ios::binary) << text;
-    const Result<CsrMatrix> file = try_read_matrix_market_file(path, base);
-    ASSERT_TRUE(file.ok()) << file.error().render();
-    expect_matches_chunked(file, text, base);
-    expect_bit_identical(stream.value(), file.value());
-    fs::remove_all(dir);
+    for (const std::size_t jobs : kJobs) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        MmReadOptions options = base;
+        options.index_width = IndexWidthChoice::W32;
+        options.jobs = jobs;
+        EXPECT_EQ(lenient,
+                  observe(try_read_matrix_market_any_file(path, options)));
+    }
+    fs::remove(path);
 }
 
 TEST(MmParallel, OverlongLineAcrossARefillMatchesChunked) {
@@ -459,12 +466,10 @@ TEST(MmParallel, OverlongLineAcrossARefillMatchesChunked) {
 
     MmReadOptions base;
     base.max_line_bytes = kShortLines;
-    std::istringstream in(text);
-    const Result<CsrMatrix> serial = try_read_matrix_market(in, base);
-    ASSERT_FALSE(serial.ok());
-    EXPECT_EQ(serial.error().code, ErrorCode::ParseError);
-    EXPECT_EQ(serial.error().line, before + 1);
-    expect_matches_chunked(serial, text, base);
+    const Golden overlong = error(ErrorCode::ParseError, 44804);
+    EXPECT_EQ(overlong.line, before + 1);
+    expect_golden(text, overlong, error(ErrorCode::ValidationError, 1594),
+                  base, kLargeBlocks);
 }
 
 // ---- Assembly order: duplicates and unordered input ---------------------
@@ -484,16 +489,16 @@ TEST(MmParallel, DuplicatesSumInInsertionOrder) {
     entries += "2 6 1\n";
     const auto count = std::count(entries.begin(), entries.end(), '\n');
     const std::string text =
-        "%%MatrixMarket matrix coordinate real general\n3 64 " +
-        std::to_string(count) + "\n" + entries;
-    std::istringstream in(text);
-    const Result<CsrMatrix> serial = try_read_matrix_market(in);
-    ASSERT_TRUE(serial.ok()) << serial.error().render();
-    const CsrMatrix& m = serial.value();
+        mtx("real general", {("3 64 " + std::to_string(count)).c_str()}) +
+        entries;
+    const Result<AnyCsrMatrix> r = parse(text);
+    ASSERT_TRUE(r.ok()) << r.error().render();
+    const CsrMatrix& m = *r.value().as32();
     ASSERT_EQ(m.nnz(), 128);
     EXPECT_EQ(m.colidx()[64 + 5], 5);
     EXPECT_EQ(m.values()[64 + 5], 1.0);
-    expect_differential(text);
+    expect_small(text, matrix(3, 64, 128, 0xcf4f50d779923b25ULL),
+                 error(ErrorCode::ValidationError, 68));
 }
 
 struct TextEntry {
@@ -536,22 +541,70 @@ TEST(MmParallel, UnorderedInputAssemblesLikeRowMajor) {
     std::sort(full.begin(), full.end(), [](const auto& a, const auto& b) {
         return a.row != b.row ? a.row < b.row : a.col < b.col;
     });
-    const std::string row_major = coordinate_text("general", n, full);
-    std::istringstream in(row_major);
-    const Result<CsrMatrix> reference = try_read_matrix_market(in);
-    ASSERT_TRUE(reference.ok()) << reference.error().render();
+    const Golden reference = matrix(n, n, 4850, 0x7c8ab803ea5fdff9ULL);
+    EXPECT_EQ(reference,
+              observe(parse(coordinate_text("general", n, full))));
 
     shuffle(full, rng);
     shuffle(lower, rng);
     for (const std::string& text :
          {coordinate_text("general", n, full),
-          coordinate_text("symmetric", n, lower)}) {
-        std::istringstream shuffled(text);
-        const Result<CsrMatrix> serial = try_read_matrix_market(shuffled);
-        ASSERT_TRUE(serial.ok()) << serial.error().render();
-        expect_bit_identical(reference.value(), serial.value());
-        expect_differential(text);
+          coordinate_text("symmetric", n, lower)})
+        expect_golden(text, reference, reference);
+}
+
+// ---- Stream failures and the job bound -----------------------------------
+
+/// Serves the first `fail_at` bytes of `text`, then throws as a filebuf
+/// does on a failed read(2).
+class FailingBuf : public std::streambuf {
+public:
+    FailingBuf(std::string& text, std::size_t fail_at) {
+        setg(text.data(), text.data(), text.data() + fail_at);
     }
+
+protected:
+    int_type underflow() override {
+        throw std::ios_base::failure("read failed");
+    }
+};
+
+TEST(MmParallel, FailingStreamIsResourceErrorNotEndOfInput) {
+    // The final entry straddles the failure point: the part read before
+    // it must not parse as a complete, shorter value.
+    std::string text = to_mtx(gen::stencil_2d_5pt(200, 200));
+    text.insert(text.find('\n') + 1, "% padding\n");
+    for (const std::size_t jobs : kJobs) {
+        for (const std::size_t fail_at : {std::size_t{0}, kBlock}) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                         " fail_at=" + std::to_string(fail_at));
+            ASSERT_GT(text.size(), fail_at + kBlock);
+            FailingBuf buf(text, fail_at);
+            std::istream in(&buf);
+            MmReadOptions options;
+            options.jobs = jobs;
+            const Result<AnyCsrMatrix> r =
+                try_read_matrix_market_any(in, options);
+            ASSERT_FALSE(r.ok());
+            EXPECT_EQ(r.error().code, ErrorCode::ResourceError)
+                << r.error().render();
+            if (fail_at == 0 || jobs != 1) continue;
+            // One job reads one block per round: the error names the
+            // line after the last one the first block completed.
+            EXPECT_EQ(r.error().line,
+                      std::count(text.begin(), text.begin() + kBlock, '\n') +
+                          1);
+        }
+    }
+}
+
+TEST(MmParallel, JobCountBeyondHostCoresStaysBounded) {
+    // A million jobs of 1 MiB blocks would be a terabyte of buffers; the
+    // reader caps the round at one block per host core.
+    MmReadOptions options;
+    options.jobs = 1000000;
+    EXPECT_EQ(kStencil12,
+              observe(parse(to_mtx(gen::stencil_2d_5pt(12, 12)), options)));
 }
 
 }  // namespace

@@ -310,17 +310,16 @@ TEST(Partition, ImbalanceIsOneForUniformMatrix) {
 // ---------------------------------------------------------------------------
 // Typed-result parser: hardened paths and the malformed-input corpus.
 
-Result<CsrMatrix> parse(const std::string& text, bool strict = false) {
+Result<AnyCsrMatrix> parse(const std::string& text, bool strict = false) {
     std::stringstream ss(text);
-    MmReadOptions options;
-    options.strict = strict;
-    return try_read_matrix_market(ss, options);
+    return try_read_matrix_market_any(
+        ss, {.strict = strict, .index_width = IndexWidthChoice::W32});
 }
 
 TEST(MatrixMarketHardened, TypedReadSucceedsOnValidInput) {
     std::stringstream ss;
     write_matrix_market(ss, small_matrix());
-    const Result<CsrMatrix> r = try_read_matrix_market(ss);
+    const Result<AnyCsrMatrix> r = try_read_matrix_market_any(ss);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().nnz(), 7);
 }
@@ -332,7 +331,7 @@ TEST(MatrixMarketHardened, SizeLineTrailingGarbageRejectedInBothModes) {
         "1 1 1.0\n"
         "2 2 2.0\n";
     for (const bool strict : {false, true}) {
-        const Result<CsrMatrix> r = parse(text, strict);
+        const Result<AnyCsrMatrix> r = parse(text, strict);
         ASSERT_FALSE(r.ok()) << "strict=" << strict;
         EXPECT_EQ(r.code(), ErrorCode::ParseError);
         EXPECT_EQ(r.error().line, 2);
@@ -340,7 +339,7 @@ TEST(MatrixMarketHardened, SizeLineTrailingGarbageRejectedInBothModes) {
 }
 
 TEST(MatrixMarketHardened, NnzExceedingCellCountRejected) {
-    const Result<CsrMatrix> r = parse(
+    const Result<AnyCsrMatrix> r = parse(
         "%%MatrixMarket matrix coordinate real general\n"
         "2 2 7\n"
         "1 1 1.0\n");
@@ -352,7 +351,7 @@ TEST(MatrixMarketHardened, NnzExceedingCellCountRejected) {
 
 TEST(MatrixMarketHardened, DimensionOverflowIsTypedNotUb) {
     // rows*cols overflows int64 but each factor parses fine.
-    const Result<CsrMatrix> r = parse(
+    const Result<AnyCsrMatrix> r = parse(
         "%%MatrixMarket matrix coordinate real general\n"
         "9223372036854775 2000000000 10\n"
         "1 1 1.0\n");
@@ -368,12 +367,12 @@ TEST(MatrixMarketHardened, DuplicatesCombinedLenientlyRejectedStrictly) {
         "1 1 1.5\n"
         "2 2 2.0\n"
         "1 1 0.5\n";
-    const Result<CsrMatrix> lenient = parse(text, /*strict=*/false);
+    const Result<AnyCsrMatrix> lenient = parse(text, /*strict=*/false);
     ASSERT_TRUE(lenient.ok());
     EXPECT_EQ(lenient.value().nnz(), 2);  // duplicates summed
-    EXPECT_DOUBLE_EQ(to_dense(lenient.value())[0], 2.0);
+    EXPECT_DOUBLE_EQ(to_dense(*lenient.value().as32())[0], 2.0);
 
-    const Result<CsrMatrix> strict = parse(text, /*strict=*/true);
+    const Result<AnyCsrMatrix> strict = parse(text, /*strict=*/true);
     ASSERT_FALSE(strict.ok());
     EXPECT_EQ(strict.code(), ErrorCode::ValidationError);
     EXPECT_EQ(strict.error().line, 5);  // the duplicate, not the original
@@ -385,7 +384,7 @@ TEST(MatrixMarketHardened, StrictRejectsEntryTrailingGarbage) {
         "2 2 1\n"
         "1 1 1.0 extra\n";
     EXPECT_TRUE(parse(text, /*strict=*/false).ok());
-    const Result<CsrMatrix> strict = parse(text, /*strict=*/true);
+    const Result<AnyCsrMatrix> strict = parse(text, /*strict=*/true);
     ASSERT_FALSE(strict.ok());
     EXPECT_EQ(strict.code(), ErrorCode::ParseError);
     EXPECT_EQ(strict.error().line, 3);
@@ -398,7 +397,7 @@ TEST(MatrixMarketHardened, StrictRejectsDataAfterFinalEntry) {
         "1 1 1.0\n"
         "2 2 9.0\n";
     EXPECT_TRUE(parse(text, /*strict=*/false).ok());
-    const Result<CsrMatrix> strict = parse(text, /*strict=*/true);
+    const Result<AnyCsrMatrix> strict = parse(text, /*strict=*/true);
     ASSERT_FALSE(strict.ok());
     EXPECT_EQ(strict.code(), ErrorCode::ParseError);
     EXPECT_EQ(strict.error().line, 4);
@@ -409,7 +408,7 @@ TEST(MatrixMarketHardened, OverlongLineRejectedNotBuffered) {
     options.max_line_bytes = 64;
     std::stringstream ss("%%MatrixMarket matrix coordinate real general\n" +
                          std::string(1000, 'x') + "\n");
-    const Result<CsrMatrix> r = try_read_matrix_market(ss, options);
+    const Result<AnyCsrMatrix> r = try_read_matrix_market_any(ss, options);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::ParseError);
     EXPECT_NE(r.error().message.find("exceeds maximum length"),
@@ -417,7 +416,7 @@ TEST(MatrixMarketHardened, OverlongLineRejectedNotBuffered) {
 }
 
 TEST(MatrixMarketHardened, SymmetricNonSquareRejected) {
-    const Result<CsrMatrix> r = parse(
+    const Result<AnyCsrMatrix> r = parse(
         "%%MatrixMarket matrix coordinate real symmetric\n"
         "2 3 1\n"
         "1 1 1.0\n");
@@ -427,8 +426,8 @@ TEST(MatrixMarketHardened, SymmetricNonSquareRejected) {
 }
 
 TEST(MatrixMarketHardened, MissingFileIsResourceErrorWithPathContext) {
-    const Result<CsrMatrix> r =
-        try_read_matrix_market_file("/definitely/not/here.mtx");
+    const Result<AnyCsrMatrix> r =
+        try_read_matrix_market_any_file("/definitely/not/here.mtx");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::ResourceError);
     EXPECT_NE(r.error().render().find("/definitely/not/here.mtx"),
@@ -457,7 +456,7 @@ TEST(MatrixMarketHardened, CorruptCorpusAlwaysYieldsTypedLineNumberedError) {
     for (const auto& entry : fs::directory_iterator(dir)) {
         if (entry.path().extension() != ".mtx") continue;
         ++files;
-        const Result<CsrMatrix> r = try_read_matrix_market_file(
+        const Result<AnyCsrMatrix> r = try_read_matrix_market_any_file(
             entry.path().string(), MmReadOptions{.strict = true});
         ASSERT_FALSE(r.ok()) << entry.path();
         EXPECT_NE(r.code(), ErrorCode::Ok) << entry.path();

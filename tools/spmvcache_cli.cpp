@@ -18,7 +18,8 @@
 // With --cache-dir DIR, file loads go through the `.spmvc` binary cache
 // (sparse/binary_cache.hpp): the first load parses and writes a cache
 // entry, later loads mmap it zero-copy. --parse-jobs N parses .mtx text
-// with N workers on a miss (0 = all cores; results are bit-identical).
+// with N workers on a miss (default 0 = all cores, serve 1; results are
+// identical for every N).
 //
 // Exit codes are standardised: 0 = success, 1 = input/matrix errors (for
 // `batch`: some matrices failed — including matrices still pending when a
@@ -79,9 +80,9 @@ using namespace spmvcache;
            "         --cache-dir DIR  .spmvc binary cache for file loads\n"
            "                   (stats/predict/tune/batch/serve/cache; a\n"
            "                   valid entry is mmapped instead of parsed)\n"
-           "         --parse-jobs N  chunked-parallel .mtx parse on a cache\n"
-           "                   miss (default 1 = serial, 0 = all cores;\n"
-           "                   the resulting matrix is bit-identical)\n"
+           "         --parse-jobs N  .mtx parse workers on a cache miss\n"
+           "                   (default 0 = all cores, serve 1; 1 parses\n"
+           "                   inline; the resulting matrix is identical)\n"
            "         --jobs J  host workers for the sharded model (0 = all\n"
            "                   hardware threads, 1 = serial; predictions\n"
            "                   are identical for every value)\n"
@@ -153,6 +154,55 @@ void report_error(const Error& e) {
     return OkStatus();
 }
 
+/// The .mtx ingest flags, read once for every subcommand that loads
+/// matrices: --strict, --cache-dir, --parse-jobs and --index-width.
+struct IngestFlags {
+    bool strict = false;
+    std::string cache_dir;
+    std::int64_t parse_jobs = 0;
+    IndexWidthChoice index_width = default_index_width_choice();
+
+    /// Copies the flags into a MatrixSource or BatchOptions.
+    template <class Target>
+    void apply_to(Target& target) const {
+        target.strict_parse = strict;
+        target.cache_dir = cache_dir;
+        target.parse_jobs = parse_jobs;
+        target.index_width = index_width;
+    }
+};
+
+/// Reads the ingest flags; --parse-jobs defaults to `parse_jobs` (0 = all
+/// cores). A negative --parse-jobs or an unknown --index-width is a usage
+/// error (ValidationError).
+[[nodiscard]] Result<IngestFlags> ingest_flags(const CliParser& cli,
+                                               std::int64_t parse_jobs = 0) {
+    IngestFlags flags;
+    flags.strict = cli.has("strict");
+    flags.cache_dir = cli.get("cache-dir", "");
+    flags.parse_jobs = cli.get_int("parse-jobs", parse_jobs);
+    if (flags.parse_jobs < 0)
+        return Error(ErrorCode::ValidationError,
+                     "--parse-jobs must be >= 0");
+    if (cli.has("index-width")) {
+        SPMV_ASSIGN_OR_RETURN(
+            flags.index_width,
+            parse_index_width_choice(cli.get("index-width", "auto")));
+    }
+    return flags;
+}
+
+/// The ingest flags of a one-shot subcommand, or exit 2 after reporting
+/// why they are unusable.
+[[nodiscard]] IngestFlags ingest_flags_or_exit(const CliParser& cli) {
+    Result<IngestFlags> flags = ingest_flags(cli);
+    if (!flags.ok()) {
+        report_error(flags.error());
+        std::exit(kExitUsage);
+    }
+    return std::move(flags).value();
+}
+
 /// Builds the MatrixSource the flags describe; loading goes through the
 /// same core/matrix_source path the serve daemon uses.
 [[nodiscard]] MatrixSource matrix_source(const CliParser& cli,
@@ -165,18 +215,7 @@ void report_error(const Error& e) {
         if (cli.positionals().size() <= arg_index) usage();
         source.path = cli.positionals()[arg_index];
     }
-    source.strict_parse = cli.has("strict");
-    source.cache_dir = cli.get("cache-dir", "");
-    source.parse_jobs = cli.get_int("parse-jobs", 1);
-    if (cli.has("index-width")) {
-        const Result<IndexWidthChoice> width =
-            parse_index_width_choice(cli.get("index-width", "auto"));
-        if (!width.ok()) {
-            report_error(width.error());
-            std::exit(kExitUsage);
-        }
-        source.index_width = width.value();
-    }
+    ingest_flags_or_exit(cli).apply_to(source);
     return source;
 }
 
@@ -536,7 +575,7 @@ int cmd_batch(const CliParser& cli) {
     }
 
     BatchOptions options;
-    options.strict_parse = cli.has("strict");
+    ingest_flags_or_exit(cli).apply_to(options);
     options.run_model = !cli.has("no-model");
     if (const Status counts =
             thread_counts(cli, options.threads, options.jobs);
@@ -548,17 +587,6 @@ int cmd_batch(const CliParser& cli) {
         options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.timeout_seconds = cli.get_double("timeout", 0.0);
     options.retry_transient = !cli.has("no-retry");
-    options.cache_dir = cli.get("cache-dir", "");
-    options.parse_jobs = cli.get_int("parse-jobs", 1);
-    if (cli.has("index-width")) {
-        const Result<IndexWidthChoice> width =
-            parse_index_width_choice(cli.get("index-width", "auto"));
-        if (!width.ok()) {
-            report_error(width.error());
-            return kExitUsage;
-        }
-        options.index_width = width.value();
-    }
     const Result<double> rate = approx_rate(cli);
     if (!rate.ok()) {
         report_error(rate.error());
@@ -644,8 +672,14 @@ int cmd_serve(const CliParser& cli) {
     if (const std::int64_t mb = cli.get_int("max-request-bytes", -1); mb > 0)
         options.max_request_bytes = static_cast<std::size_t>(mb);
     options.execute_delay_seconds = cli.get_double("execute-delay", 0.0);
-    options.cache_dir = cli.get("cache-dir", "");
-    options.parse_jobs = cli.get_int("parse-jobs", 1);
+    // Serve workers already share the cores: one parse job each.
+    const Result<IngestFlags> ingest = ingest_flags(cli, /*parse_jobs=*/1);
+    if (!ingest.ok()) {
+        report_error(ingest.error());
+        return kExitUsage;
+    }
+    options.cache_dir = ingest.value().cache_dir;
+    options.parse_jobs = ingest.value().parse_jobs;
     options.source_cache_entries = static_cast<std::size_t>(
         std::max<std::int64_t>(1, cli.get_int("source-cache", 8)));
 
@@ -665,8 +699,8 @@ int cmd_serve(const CliParser& cli) {
 /// predict/batch/serve runs mmap instead of parsing.
 int cmd_cache_warm(const CliParser& cli) {
     if (cli.positionals().size() < 3) usage();
-    const std::string cache_dir = cli.get("cache-dir", "");
-    if (cache_dir.empty()) {
+    const IngestFlags ingest = ingest_flags_or_exit(cli);
+    if (ingest.cache_dir.empty()) {
         report_error(Error(ErrorCode::ValidationError,
                            "cache warm requires --cache-dir DIR"));
         return kExitUsage;
@@ -681,18 +715,7 @@ int cmd_cache_warm(const CliParser& cli) {
     for (const std::string& path : paths.value()) {
         MatrixSource source;
         source.path = path;
-        source.strict_parse = cli.has("strict");
-        source.cache_dir = cache_dir;
-        source.parse_jobs = cli.get_int("parse-jobs", 1);
-        if (cli.has("index-width")) {
-            const Result<IndexWidthChoice> width =
-                parse_index_width_choice(cli.get("index-width", "auto"));
-            if (!width.ok()) {
-                report_error(width.error());
-                return kExitUsage;
-            }
-            source.index_width = width.value();
-        }
+        ingest.apply_to(source);
         const Timer timer;
         const Result<LoadedMatrix> loaded = load_matrix_handle(source);
         if (!loaded.ok()) {
@@ -713,7 +736,7 @@ int cmd_cache_warm(const CliParser& cli) {
                   << (m.view.index_width() == IndexWidth::W64 ? "64" : "32")
                   << "-bit indices, " << fmt(timer.seconds(), 3)
                   << " s) -> "
-                  << spmvc_cache_path(cache_dir, path, source.strict_parse)
+                  << spmvc_cache_path(ingest.cache_dir, path, ingest.strict)
                   << "\n";
     }
     std::cout << paths.value().size() - failures << "/"
@@ -730,14 +753,14 @@ int cmd_cache_inspect(const CliParser& cli) {
     // A .mtx argument names its entry indirectly through --cache-dir.
     if (target.size() < 6 ||
         target.substr(target.size() - 6) != ".spmvc") {
-        const std::string cache_dir = cli.get("cache-dir", "");
-        if (cache_dir.empty()) {
+        const IngestFlags ingest = ingest_flags_or_exit(cli);
+        if (ingest.cache_dir.empty()) {
             report_error(Error(ErrorCode::ValidationError,
                                "cache inspect needs a .spmvc path, or a "
                                "matrix path plus --cache-dir DIR"));
             return kExitUsage;
         }
-        entry = spmvc_cache_path(cache_dir, target, cli.has("strict"));
+        entry = spmvc_cache_path(ingest.cache_dir, target, ingest.strict);
     }
     const Result<SpmvcInfo> info = inspect_binary_cache(entry);
     if (!info.ok()) {
