@@ -190,9 +190,10 @@ void replacement_ablation(const CommonOptions& common) {
         1 << 20, static_cast<std::int64_t>(5242880.0 * common.scale));
     const CsrMatrix m = gen::random_uniform(n, n, 8, common.seed);
 
-    ModelOptions model_options;
-    model_options.machine = a64fx_default();
-    model_options.threads = 1;
+    ExperimentOptions lru;
+    lru.machine = a64fx_default();
+    lru.threads = 1;
+    ModelOptions model_options = lru.model_options();
     model_options.l2_way_options = {5};
     model_options.predict_l1 = false;
     const auto predicted = run_method_a(m, model_options);
@@ -201,11 +202,9 @@ void replacement_ablation(const CommonOptions& common) {
                      "model error [%]"});
     for (const auto policy :
          {ReplacementPolicy::Lru, ReplacementPolicy::Nru}) {
-        ExperimentOptions options;
-        options.machine = a64fx_default();
+        ExperimentOptions options = lru;
         options.machine.l1.replacement = policy;
         options.machine.l2.replacement = policy;
-        options.threads = 1;
         const auto measured =
             run_sector_sweep(m, {SectorWays{5, 0}}, options).front();
         const double err =

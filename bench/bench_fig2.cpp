@@ -3,7 +3,7 @@
 // configuration (L2 ways 2-6 for sector 1, L1 ways none/1/2/3), compared
 // to the sector-cache-off baseline, with 48 threads.
 //
-// All configurations of one matrix are simulated in a single trace pass.
+// All configurations of one matrix replay the same derived trace chunks.
 // Matrices whose baseline miss count is below a measurement floor are
 // excluded from the distributions, mirroring the paper's restriction to
 // matrices with more than 1M nonzeros.

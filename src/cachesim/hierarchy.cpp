@@ -1,5 +1,7 @@
 #include "cachesim/hierarchy.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace spmvcache {
@@ -26,6 +28,7 @@ MemoryHierarchy::MemoryHierarchy(const A64fxConfig& config)
     l2_counters_.resize(segments);
     core_counters_.resize(cores);
     last_.resize(cores);
+    scratch_.resize(segments);
     l2_skip_credits_.resize(segments, 0);
     l1_skip_credits_.resize(cores, 0);
 }
@@ -63,10 +66,11 @@ void MemoryHierarchy::demand_access(std::uint32_t core, std::uint64_t line,
         // Both prefetchers train on this core's miss streams: the L1
         // prefetcher on L1 demand misses, the L2 prefetcher on the L2
         // access stream (which these misses constitute).
-        l1_prefetchers_[core].observe(line, scratch_targets_);
+        auto& targets = scratch_[static_cast<std::size_t>(segment)].targets;
+        l1_prefetchers_[core].observe(line, targets);
         issue_l1_prefetches(core, segment, sector);
-        l2_prefetchers_[core].observe(line, scratch_targets_);
-        issue_l2_prefetches(core, segment, sector);
+        l2_prefetchers_[core].observe(line, targets);
+        issue_l2_prefetches(segment, sector);
     }
 
     last.line = line;
@@ -148,14 +152,15 @@ void MemoryHierarchy::fill_l1(std::uint32_t core, std::int64_t segment,
 
 void MemoryHierarchy::issue_l1_prefetches(std::uint32_t core,
                                           std::int64_t segment, int sector) {
-    if (scratch_targets_.empty()) return;
+    PrefetchScratch& scratch = scratch_[static_cast<std::size_t>(segment)];
+    if (scratch.targets.empty()) return;
     L1Counters& l1c = l1_counters_[core];
     SectorCache& l1 = l1_[core];
     // L1 prefetch requests reach the L2 like demand requests do, so they
     // also train the L2 prefetcher (otherwise an L1 prefetcher that fully
     // covers a stream would starve the L2 one).
-    l2_scratch_.clear();
-    for (const std::uint64_t target : scratch_targets_) {
+    scratch.l2.clear();
+    for (const std::uint64_t target : scratch.targets) {
         if (l1.contains(target)) continue;
         if (l1_skip_credits_[core] > 0) {
             // Feedback throttling: a recent premature eviction cancels
@@ -163,7 +168,7 @@ void MemoryHierarchy::issue_l1_prefetches(std::uint32_t core,
             --l1_skip_credits_[core];
             continue;
         }
-        l2_prefetchers_[core].observe(target, l2_scratch_);
+        l2_prefetchers_[core].observe(target, scratch.l2);
         // An L1 prefetch that misses the L2 pulls the line into both
         // levels (counted as an L2 prefetch fill from memory).
         l2_prefetch_fill(segment, target, sector);
@@ -171,19 +176,17 @@ void MemoryHierarchy::issue_l1_prefetches(std::uint32_t core,
         fill_l1(core, segment, target, sector, /*write=*/false,
                 /*prefetched=*/true);
     }
-    scratch_targets_.clear();
-    for (const std::uint64_t target : l2_scratch_)
+    scratch.targets.clear();
+    for (const std::uint64_t target : scratch.l2)
         l2_prefetch_fill(segment, target, sector);
-    l2_scratch_.clear();
+    scratch.l2.clear();
 }
 
-void MemoryHierarchy::issue_l2_prefetches(std::uint32_t core,
-                                          std::int64_t segment, int sector) {
-    if (scratch_targets_.empty()) return;
-    (void)core;
-    for (const std::uint64_t target : scratch_targets_)
+void MemoryHierarchy::issue_l2_prefetches(std::int64_t segment, int sector) {
+    auto& targets = scratch_[static_cast<std::size_t>(segment)].targets;
+    for (const std::uint64_t target : targets)
         l2_prefetch_fill(segment, target, sector);
-    scratch_targets_.clear();
+    targets.clear();
 }
 
 void MemoryHierarchy::l2_prefetch_fill(std::int64_t segment,
@@ -219,29 +222,21 @@ void MemoryHierarchy::set_sector_ways(SectorWays ways) {
     config_.l2.sector1_ways = ways.l2;
 }
 
-void MemoryHierarchy::set_prefetch_distances(std::uint32_t l1_distance,
-                                             std::uint32_t l2_distance) {
-    for (auto& pf : l1_prefetchers_) pf.set_distance(l1_distance);
-    for (auto& pf : l2_prefetchers_) pf.set_distance(l2_distance);
-    config_.l1_prefetch.distance = l1_distance;
-    config_.l2_prefetch.distance = l2_distance;
-}
-
 void MemoryHierarchy::reset_counters() {
-    std::fill(l1_counters_.begin(), l1_counters_.end(), L1Counters{});
-    std::fill(l2_counters_.begin(), l2_counters_.end(), L2Counters{});
-    std::fill(core_counters_.begin(), core_counters_.end(), CoreCounters{});
+    for (std::int64_t s = 0; s < segments(); ++s) reset_segment_counters(s);
 }
 
-void MemoryHierarchy::reset_all() {
-    reset_counters();
-    for (auto& cache : l1_) cache.flush();
-    for (auto& cache : l2_) cache.flush();
-    for (auto& pf : l1_prefetchers_) pf.reset();
-    for (auto& pf : l2_prefetchers_) pf.reset();
-    std::fill(last_.begin(), last_.end(), LastAccess{});
-    std::fill(l2_skip_credits_.begin(), l2_skip_credits_.end(), 0);
-    std::fill(l1_skip_credits_.begin(), l1_skip_credits_.end(), 0);
+void MemoryHierarchy::reset_segment_counters(std::int64_t segment) {
+    SPMV_EXPECTS(segment >= 0 && segment < segments());
+    l2_counters_[static_cast<std::size_t>(segment)] = L2Counters{};
+    const std::int64_t first = segment * config_.cores_per_numa;
+    const std::int64_t last =
+        std::min(config_.cores, first + config_.cores_per_numa);
+    for (auto core = static_cast<std::size_t>(first);
+         core < static_cast<std::size_t>(last); ++core) {
+        l1_counters_[core] = L1Counters{};
+        core_counters_[core] = CoreCounters{};
+    }
 }
 
 L1Counters MemoryHierarchy::l1_total() const {

@@ -4,6 +4,12 @@
 // produces. This is the repository's stand-in for "running on hardware":
 // its counters are what the benches report as *measured*, and the reuse-
 // distance model never looks inside it.
+//
+// L2 segments share no state: every cache, prefetcher, throttle credit,
+// counter and scratch buffer belongs to one core or one segment, so
+// accesses by cores of different segments may be issued concurrently, and
+// feeding each segment its slice of a trace in order gives the counters of
+// feeding the whole interleaved trace.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +53,14 @@ public:
     /// Reconfigures sector way quotas at both levels without flushing.
     void set_sector_ways(SectorWays ways);
 
-    /// Changes the prefetch distances (hardware prefetch assistance).
-    void set_prefetch_distances(std::uint32_t l1_distance,
-                                std::uint32_t l2_distance);
-
     /// Zeroes every counter; cache contents are preserved (used between
     /// the warm-up and the measured iteration).
     void reset_counters();
 
-    /// Invalidates all caches and counters.
-    void reset_all();
+    /// Zeroes the counters of L2 segment `segment` and of its cores only,
+    /// so a shard replaying that segment can end its warm-up while others
+    /// still run theirs. Pre: 0 <= segment < segments().
+    void reset_segment_counters(std::int64_t segment);
 
     [[nodiscard]] const A64fxConfig& config() const noexcept {
         return config_;
@@ -83,8 +87,7 @@ private:
                  int sector, bool write, bool prefetched);
     void issue_l1_prefetches(std::uint32_t core, std::int64_t segment,
                              int sector);
-    void issue_l2_prefetches(std::uint32_t core, std::int64_t segment,
-                             int sector);
+    void issue_l2_prefetches(std::int64_t segment, int sector);
     /// One throttle-aware L2 prefetch fill (no-op if cached or skipped).
     void l2_prefetch_fill(std::int64_t segment, std::uint64_t target,
                           int sector);
@@ -117,8 +120,13 @@ private:
     };
     std::vector<LastAccess> last_;
 
-    std::vector<std::uint64_t> scratch_targets_;
-    std::vector<std::uint64_t> l2_scratch_;
+    // Prefetch targets of the access in progress, one buffer pair per
+    // segment (cache-line aligned) so segments can be fed concurrently.
+    struct alignas(64) PrefetchScratch {
+        std::vector<std::uint64_t> targets;
+        std::vector<std::uint64_t> l2;  ///< L2 targets of L1 prefetches
+    };
+    std::vector<PrefetchScratch> scratch_;  // per segment
 
     // Feedback-directed prefetch throttling: every premature eviction of
     // a prefetched-unused line grants one "skip" credit that cancels a

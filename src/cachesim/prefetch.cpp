@@ -1,7 +1,5 @@
 #include "cachesim/prefetch.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace spmvcache {
@@ -91,13 +89,6 @@ void StreamPrefetcher::issue(Stream& s,
             ++issued;
         }
     }
-}
-
-void StreamPrefetcher::reset() noexcept {
-    std::fill(streams_.begin(), streams_.end(), Stream{});
-    recent_.fill(~std::uint64_t{0});
-    recent_cursor_ = 0;
-    clock_ = 0;
 }
 
 }  // namespace spmvcache

@@ -47,8 +47,6 @@ public:
     /// isolated irregular accesses never displace live streams.
     void observe(std::uint64_t line, std::vector<std::uint64_t>& targets);
 
-    void reset() noexcept;
-
     [[nodiscard]] const PrefetchConfig& config() const noexcept {
         return config_;
     }

@@ -1,8 +1,10 @@
 #include "core/experiment.hpp"
 
-#include <memory>
+#include <span>
 
-#include "trace/spmv_trace.hpp"
+#include "model/replay.hpp"
+#include "trace/layout.hpp"
+#include "trace/packed_trace.hpp"
 #include "util/error.hpp"
 
 namespace spmvcache {
@@ -26,65 +28,58 @@ double MeasuredConfig::speedup_over(const MeasuredConfig& baseline) const {
     return baseline.timing.seconds / timing.seconds;
 }
 
-namespace {
-
-/// The layout run_sector_sweep simulates: the paper's (4, 8)-byte
-/// accounting at either width. model_vs_measured prices the model at its
-/// element sizes, so both sides account the same bytes.
-SpmvLayout sweep_layout(std::int64_t rows, std::int64_t cols,
-                        std::int64_t nnz, const A64fxConfig& machine) {
-    return SpmvLayout(rows, cols, nnz, machine.l2.line_bytes);
+ModelOptions ExperimentOptions::model_options() const {
+    ModelOptions o;
+    o.machine = machine;
+    o.threads = threads;
+    o.policy = policy;
+    o.partition = partition;
+    o.quantum = quantum;
+    o.accounting_colidx_bytes = kPaperColidxBytes;
+    o.accounting_rowptr_bytes = kPaperRowptrBytes;
+    return o;
 }
 
-/// Width-typed body of run_sector_sweep: the trace generator is templated
-/// on the physical index, but the simulated addresses come from SpmvLayout
-/// with the paper's (4, 8)-byte accounting at either width, so the sweep
-/// result is identical for a narrow and a wide load of the same matrix.
-template <class Idx>
-std::vector<MeasuredConfig> run_sector_sweep_impl(
-    const BasicCsrView<Idx>& m, const std::vector<SectorWays>& configs,
+std::vector<MeasuredConfig> run_sector_sweep(
+    const AnyCsrView& m, const std::vector<SectorWays>& configs,
     const ExperimentOptions& options) {
     SPMV_EXPECTS(!configs.empty());
-    SPMV_EXPECTS(options.threads >= 1 &&
-                 options.threads <= options.machine.cores);
+    ModelOptions replay = options.model_options();
+    // One-batch chunks: no shard holds its segment's whole trace, and
+    // re-deriving the counted pass costs little next to the simulators.
+    replay.trace_buffer_bytes = 0;
+    const detail::ReplayPlan plan(m, replay, options.x_prefetch_distance);
 
     // One simulator per configuration; sizing the machine to the thread
     // count (only segments with active threads exist, as in the paper's
     // sequential runs that see a single 8 MiB segment).
     A64fxConfig machine = options.machine;
     machine.cores = options.threads;
-    std::vector<std::unique_ptr<MemoryHierarchy>> sims;
+    std::vector<MemoryHierarchy> sims;
     sims.reserve(configs.size());
     for (const auto& ways : configs) {
-        auto sim = std::make_unique<MemoryHierarchy>(machine);
-        sim->set_sector_ways(ways);
-        sims.push_back(std::move(sim));
+        sims.emplace_back(machine);
+        sims.back().set_sector_ways(ways);
     }
 
-    const SpmvLayout layout =
-        sweep_layout(m.rows(), m.cols(), m.nnz(), machine);
-    const TraceConfig trace_cfg{options.threads, options.partition,
-                                options.quantum,
-                                options.x_prefetch_distance};
-
-    auto play_iteration = [&] {
-        generate_spmv_trace(m, layout, trace_cfg, [&](const MemRef& ref) {
-            const int sector = sector_of(ref.object, options.policy);
-            if (ref.is_prefetch) {
-                for (auto& sim : sims)
-                    sim->software_prefetch(ref.thread, ref.line, sector);
-            } else {
-                for (auto& sim : sims)
-                    sim->demand_access(ref.thread, ref.line, sector,
-                                       ref.is_write);
-            }
-        });
-    };
-
-    for (std::int64_t i = 0; i < options.warmup_iterations; ++i)
-        play_iteration();
-    for (auto& sim : sims) sim->reset_counters();
-    play_iteration();
+    plan.for_each_shard([&](std::int64_t segment) {
+        bool measuring = false;
+        (void)detail::replay_segment(
+            plan, segment,
+            [&](std::span<const std::uint64_t> words, bool counting) {
+                if (counting && !measuring) {
+                    for (auto& sim : sims) sim.reset_segment_counters(segment);
+                    measuring = true;
+                }
+                // Reference by reference: playing the chunk configuration
+                // by configuration made bench_table2 (1 thread) 14-25 %
+                // slower than the parent on a 4-vCPU x86 host.
+                for (const std::uint64_t word : words) {
+                    const MemRef ref = unpack_memref(word);
+                    for (auto& sim : sims) sim.access(ref, options.policy);
+                }
+            });
+    });
 
     const RowPartition partition(m, options.threads, options.partition);
     const auto nnz_per_thread = partition.nnz_per_thread(m);
@@ -94,22 +89,12 @@ std::vector<MeasuredConfig> run_sector_sweep_impl(
     for (std::size_t i = 0; i < configs.size(); ++i) {
         MeasuredConfig mc;
         mc.ways = configs[i];
-        mc.l1 = sims[i]->l1_total();
-        mc.l2 = sims[i]->l2_total();
-        mc.timing = estimate_timing(*sims[i], nnz_per_thread, options.timing);
+        mc.l1 = sims[i].l1_total();
+        mc.l2 = sims[i].l2_total();
+        mc.timing = estimate_timing(sims[i], nnz_per_thread, options.timing);
         results.push_back(mc);
     }
     return results;
-}
-
-}  // namespace
-
-std::vector<MeasuredConfig> run_sector_sweep(
-    const AnyCsrView& m, const std::vector<SectorWays>& configs,
-    const ExperimentOptions& options) {
-    return m.visit([&](const auto& v) {
-        return run_sector_sweep_impl(v, configs, options);
-    });
 }
 
 ModelComparison model_vs_measured(
@@ -135,19 +120,10 @@ ModelComparison model_vs_measured(
                             measured.front().l1.prefetch_fills);
 
     // Predicted.
-    ModelOptions model_options;
-    model_options.machine = options.machine;
-    model_options.threads = options.threads;
-    model_options.policy = options.policy;
-    model_options.l2_way_options = l2_way_options;
-    model_options.partition = options.partition;
-    model_options.quantum = options.quantum;
-    const SpmvLayout layout =
-        sweep_layout(m.rows(), m.cols(), m.nnz(), options.machine);
-    model_options.accounting_colidx_bytes = layout.colidx_bytes();
-    model_options.accounting_rowptr_bytes = layout.rowptr_bytes();
-    comparison.method_a = run_method_a(m, model_options);
-    comparison.method_b = run_method_b(m, model_options);
+    ModelOptions model = options.model_options();
+    model.l2_way_options = l2_way_options;
+    comparison.method_a = run_method_a(m, model);
+    comparison.method_b = run_method_b(m, model);
     return comparison;
 }
 

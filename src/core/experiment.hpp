@@ -1,10 +1,17 @@
 // Experiment driver: the "run on hardware" step of every bench.
 //
 // run_sector_sweep() plays one warm-up plus one measured SpMV iteration
-// through a bank of simulated A64FX machines — one per sector-cache
-// configuration — in a single trace pass, and attaches the analytic timing
-// estimate to each. The model (methods A/B) is run by model_vs_measured()
-// against the same matrix for Tables 2 and 3.
+// through a bank of simulated A64FX machines, one per sector-cache
+// configuration, and attaches the analytic timing estimate to each. It
+// derives the trace the way the model does: it builds the model's replay
+// plan (model/replay.hpp) from ExperimentOptions::model_options(), so the
+// simulator and methods (A) and (B) lay out the same addresses by
+// construction. Each L2 segment's slice of the trace is replayed on the
+// plan's host workers, and every reference of a chunk is played into each
+// configuration's machine in turn. Segments share no simulator state, so
+// the counters equal those of feeding the whole interleaved trace to one
+// machine. model_vs_measured() runs the model against the same matrix for
+// Tables 2 and 3.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +37,19 @@ struct ExperimentOptions {
     PartitionPolicy partition = PartitionPolicy::BalancedRows;
     std::int64_t quantum = 1;
     TimingParameters timing{};
-    /// Warm-up iterations before the measured one.
-    std::int64_t warmup_iterations = 1;
+    /// Warm-up iterations before the measured one: the replay plan makes
+    /// one warm-up pass per segment.
+    static constexpr std::int64_t warmup_iterations = 1;
     /// Software-prefetch distance for x in nonzeros (0 = off); see
     /// TraceConfig::x_prefetch_distance.
     std::int64_t x_prefetch_distance = 0;
+
+    /// The ModelOptions both sides of an experiment share: this machine,
+    /// thread count, sector policy, partition and quantum, with the index
+    /// arrays accounted at the paper's 4-byte colidx and 8-byte rowptr at
+    /// either storage width. run_sector_sweep replays its trace at these
+    /// options, and model_vs_measured prices methods (A) and (B) at them.
+    [[nodiscard]] ModelOptions model_options() const;
 };
 
 /// Measured (simulated-hardware) outcome of one sector configuration.
@@ -58,7 +73,8 @@ struct MeasuredConfig {
 };
 
 /// Runs the warm-up + measured iteration through one simulator per entry
-/// of `configs` (a single trace generation feeds all of them).
+/// of `configs` (each derived chunk of the trace feeds all of them), on
+/// one host worker per L2 segment, up to the host's hardware threads.
 [[nodiscard]] std::vector<MeasuredConfig> run_sector_sweep(
     const AnyCsrView& m, const std::vector<SectorWays>& configs,
     const ExperimentOptions& options);
@@ -76,10 +92,8 @@ struct ModelComparison {
 
 /// Runs methods (A) and (B) plus the matching simulator measurements for
 /// the unpartitioned case and every way count in `l2_way_options`
-/// (L1 sector cache disabled throughout, as in Tables 2 and 3). The model
-/// accounts the index arrays at the element sizes of the layout the
-/// sweep simulates (4-byte colidx, 8-byte rowptr), whatever the storage
-/// width.
+/// (L1 sector cache disabled throughout, as in Tables 2 and 3). Both
+/// sides run at options.model_options().
 [[nodiscard]] ModelComparison model_vs_measured(
     const AnyCsrView& m, const std::vector<std::uint32_t>& l2_way_options,
     const ExperimentOptions& options);

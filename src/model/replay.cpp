@@ -58,14 +58,16 @@ std::uint64_t resolve_trace_buffer_bytes(std::uint64_t requested) noexcept {
     return std::min(kAutoMax, std::max(kAutoMin, physical / 8));
 }
 
-ReplayPlan::ReplayPlan(const AnyCsrView& matrix, const ModelOptions& opts)
+ReplayPlan::ReplayPlan(const AnyCsrView& matrix, const ModelOptions& opts,
+                       std::int64_t x_prefetch_distance)
     : options(checked(opts)),
       m(matrix),
       layout(matrix.rows(), matrix.cols(), matrix.nnz(),
              opts.machine.l2.line_bytes,
              opts.colidx_bytes_for(matrix.index_width()),
              opts.rowptr_bytes_for(matrix.index_width())),
-      trace_cfg{opts.threads, opts.partition, opts.quantum},
+      trace_cfg{opts.threads, opts.partition, opts.quantum,
+                x_prefetch_distance},
       segments(trace_segment_count(opts.threads, opts.machine.cores_per_numa)),
       effective_jobs(std::max<std::int64_t>(
           1, std::min(opts.jobs >= 1 ? opts.jobs
@@ -120,7 +122,7 @@ ShardStats replay_segment(const ReplayPlan& plan, std::int64_t segment,
     const std::uint64_t demand =
         plan.segment_lengths[static_cast<std::size_t>(segment)];
     // The SHARDS filter only drops references, so a chunk of `demand`
-    // words always holds the whole segment.
+    // words holds the whole segment unless it carries prefetch hints.
     std::uint64_t capacity =
         fault::should_fail("trace.pack")
             ? kReplayBatch
@@ -149,8 +151,7 @@ ShardStats replay_segment(const ReplayPlan& plan, std::int64_t segment,
                 v, plan.layout, plan.trace_cfg,
                 plan.options.machine.cores_per_numa, segment,
                 [&](const MemRef& ref) {
-                    if (ref.is_prefetch || !plan.filter.keep(ref.line))
-                        return;
+                    if (!plan.filter.keep(ref.line)) return;
                     if (chunk.size() == capacity) {
                         flush(counting);
                         st.packed_replay = false;

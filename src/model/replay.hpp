@@ -1,20 +1,21 @@
-// The sharded, chunked trace replay shared by methods (A) and (B).
+// The sharded, chunked trace replay shared by methods (A) and (B) and the
+// simulator sweep (core/experiment.hpp).
 //
-// The model is sharded by L2 segment: every per-segment stack engine (and
-// every per-core L1 engine, since cores do not move between segments)
-// consumes a disjoint, order-preserved slice of the interleaved trace
-// (generate_spmv_trace_segment), so shards are fully independent and can
-// run concurrently without changing any prediction.
+// Runs are sharded by L2 segment: every per-segment stack engine or
+// simulated L2 segment (and every per-core L1, since cores do not move
+// between segments) consumes a disjoint, order-preserved slice of the
+// interleaved trace (generate_spmv_trace_segment), so shards are fully
+// independent and can run concurrently without changing any number.
 //
-// Each shard sends its slice through its engines twice: a warm-up pass,
+// Each shard sends its slice through its consumer twice: a warm-up pass,
 // then a counted pass. replay_segment() is the one loop that does it. It
-// derives the segment's demand references, drops those the run's SHARDS
-// filter rejects, packs the rest (trace/packed_trace.hpp) into a chunk no
-// larger than the shard's share of ModelOptions::trace_buffer_bytes, and
-// hands every full chunk to the method's consumer. A segment that fits one
-// chunk is derived once and both passes replay that buffer; a larger one
-// is derived again, chunk by chunk, for the counted pass. Chunking only
-// splits each engine's own access subsequence, so predictions are
+// derives the segment's references, drops those the run's SHARDS filter
+// rejects, packs the rest (trace/packed_trace.hpp) into a chunk no larger
+// than the shard's share of ModelOptions::trace_buffer_bytes, and hands
+// every full chunk to the consumer. A segment that fits one chunk is
+// derived once and both passes replay that buffer; a larger one is
+// derived again, chunk by chunk, for the counted pass. Chunking only
+// splits each consumer's own access subsequence, so results are
 // bit-identical for every budget.
 #pragma once
 
@@ -50,7 +51,11 @@ struct ReplayPlan {
     /// (ValidationError) when the sample rate fails valid_sample_rate, or
     /// when the run's references cannot be packed: more than 2048
     /// simulated threads, or a line number of 2^48 or more.
-    ReplayPlan(const AnyCsrView& matrix, const ModelOptions& options);
+    /// `x_prefetch_distance` adds the software-prefetch hints of
+    /// TraceConfig::x_prefetch_distance to the trace: the model's engines
+    /// see demand references only (0), the simulator sweep passes its own.
+    ReplayPlan(const AnyCsrView& matrix, const ModelOptions& options,
+               std::int64_t x_prefetch_distance = 0);
 
     const ModelOptions& options;  ///< must outlive the plan
     AnyCsrView m;
@@ -77,8 +82,8 @@ struct ReplayPlan {
     void for_each_shard(const std::function<void(std::int64_t)>& fn) const;
 };
 
-/// Receives one chunk of packed demand words (trace order) and whether it
-/// belongs to the counted pass.
+/// Receives one chunk of packed words (trace order) and whether it belongs
+/// to the counted pass.
 using ChunkConsumer =
     std::function<void(std::span<const std::uint64_t> words, bool counting)>;
 

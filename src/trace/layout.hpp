@@ -17,18 +17,23 @@
 
 namespace spmvcache {
 
+/// The paper's index accounting: 4-byte colidx, 8-byte rowptr.
+inline constexpr std::uint32_t kPaperColidxBytes = 4;
+inline constexpr std::uint32_t kPaperRowptrBytes = 8;
+
 /// Maps (data object, element index) -> global cache-line number.
 class SpmvLayout {
 public:
     /// Lays out the arrays for an M-by-N matrix with K nonzeros and a
     /// cache-line size of `line_bytes` (256 on the A64FX; Fig. 1 uses 16).
     /// `colidx_bytes`/`rowptr_bytes` are the index arrays' element sizes;
-    /// the defaults match the paper's accounting (4-byte colidx, 8-byte
-    /// rowptr). Pre: line_bytes is a power of two >= 8; element sizes are
-    /// powers of two in [4, 8] no larger than line_bytes.
+    /// the defaults are the paper's accounting. Pre: line_bytes is a power
+    /// of two >= 8; element sizes are powers of two in [4, 8] no larger
+    /// than line_bytes.
     SpmvLayout(std::int64_t rows, std::int64_t cols, std::int64_t nnz,
-               std::uint64_t line_bytes, std::uint32_t colidx_bytes = 4,
-               std::uint32_t rowptr_bytes = 8);
+               std::uint64_t line_bytes,
+               std::uint32_t colidx_bytes = kPaperColidxBytes,
+               std::uint32_t rowptr_bytes = kPaperRowptrBytes);
 
     /// Convenience: layout for a concrete matrix, with the paper's default
     /// element accounting (independent of the matrix's storage width — the

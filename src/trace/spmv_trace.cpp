@@ -29,14 +29,11 @@ template <class Idx>
 std::vector<MemRef> collect_spmv_trace(const BasicCsrView<Idx>& m,
                                        const SpmvLayout& layout,
                                        const TraceConfig& cfg) {
-    fault::maybe_throw("trace.generate");
+    // A typed OverflowError first: the segment's reservation below sums
+    // its length under a contract check instead.
     Result<std::uint64_t> length = try_spmv_trace_length(m.rows(), m.nnz());
     if (!length.ok()) throw_status(std::move(length).to_error());
-    std::vector<MemRef> trace;
-    trace.reserve(length.value());
-    generate_spmv_trace(m, layout, cfg,
-                        [&trace](const MemRef& ref) { trace.push_back(ref); });
-    return trace;
+    return collect_spmv_trace_segment(m, layout, cfg, cfg.threads, 0);
 }
 
 template <class Idx>

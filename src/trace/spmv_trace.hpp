@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -135,34 +136,6 @@ bool advance(const BasicCsrView<Idx>& m, const SpmvLayout& layout,
 
 }  // namespace detail
 
-/// Generates one SpMV iteration's trace, calling sink(const MemRef&) for
-/// every reference. With cfg.threads == 1 this is the sequential program
-/// order; otherwise the per-thread streams are interleaved round-robin,
-/// cfg.quantum nonzeros per thread per turn.
-template <class Idx, class Sink>
-void generate_spmv_trace(const BasicCsrView<Idx>& m, const SpmvLayout& layout,
-                         const TraceConfig& cfg, Sink&& sink) {
-    const RowPartition partition(m, cfg.threads, cfg.partition);
-    std::vector<detail::TraceCursor> cursors(
-        static_cast<std::size_t>(cfg.threads));
-    for (std::int64_t t = 0; t < cfg.threads; ++t) {
-        const auto& range = partition.range(t);
-        cursors[static_cast<std::size_t>(t)] =
-            detail::TraceCursor{range.begin, range.end, 0, 0, false};
-    }
-
-    bool any_active = true;
-    while (any_active) {
-        any_active = false;
-        for (std::int64_t t = 0; t < cfg.threads; ++t) {
-            if (detail::advance(m, layout, static_cast<std::uint32_t>(t),
-                                cursors[static_cast<std::size_t>(t)],
-                                cfg.quantum, sink, cfg.x_prefetch_distance))
-                any_active = true;
-        }
-    }
-}
-
 /// Number of L2 segments a trace configuration spans when simulated
 /// threads map to segments in blocks of `cores_per_numa` (segment of
 /// thread t = t / cores_per_numa, as on the A64FX's CMGs).
@@ -173,7 +146,7 @@ void generate_spmv_trace(const BasicCsrView<Idx>& m, const SpmvLayout& layout,
 
 /// Generates only the references whose simulated thread belongs to
 /// `segment`, in exactly the order those references appear in the full
-/// round-robin interleaving of generate_spmv_trace.
+/// round-robin interleaving (generate_spmv_trace below).
 ///
 /// This is what makes host-parallel sharded model execution possible:
 /// each thread's cursor advances independently of the others, so the
@@ -219,6 +192,18 @@ void generate_spmv_trace_segment(const BasicCsrView<Idx>& m,
                 any_active = true;
         }
     }
+}
+
+/// Generates one SpMV iteration's trace, calling sink(const MemRef&) for
+/// every reference. With cfg.threads == 1 this is the sequential program
+/// order; otherwise the per-thread streams are interleaved round-robin,
+/// cfg.quantum nonzeros per thread per turn. The full trace is the one
+/// segment that holds every thread.
+template <class Idx, class Sink>
+void generate_spmv_trace(const BasicCsrView<Idx>& m, const SpmvLayout& layout,
+                         const TraceConfig& cfg, Sink&& sink) {
+    generate_spmv_trace_segment(m, layout, cfg, cfg.threads, 0,
+                                std::forward<Sink>(sink));
 }
 
 /// Materialises a trace into a vector (small matrices / tests).

@@ -103,6 +103,21 @@ TEST(Hierarchy, CounterResetKeepsCacheContents) {
     EXPECT_EQ(sim.l2_total().demand_accesses, 0u);
 }
 
+TEST(Hierarchy, SegmentCounterResetLeavesOtherSegments) {
+    MemoryHierarchy sim(small_machine());
+    for (std::uint32_t core = 0; core < 4; ++core)
+        sim.demand_access(core, 100 + core, 0, false);
+    sim.reset_segment_counters(0);  // cores 0 and 1
+    EXPECT_EQ(sim.l2_segment(0).demand_accesses, 0u);
+    EXPECT_EQ(sim.l2_segment(1).demand_accesses, 2u);
+    EXPECT_EQ(sim.core_counters(1).demand_accesses, 0u);
+    EXPECT_EQ(sim.core_counters(2).demand_accesses, 1u);
+    EXPECT_EQ(sim.l1_total().accesses, 2u);
+    // Cache contents survive: core 0's line still hits.
+    sim.demand_access(0, 100, 0, false);
+    EXPECT_EQ(sim.l1_total().hits, 1u);
+}
+
 TEST(Hierarchy, PrefetchFillsCountedSeparately) {
     MemoryHierarchy sim(small_machine(/*prefetch=*/true));
     // A sequential stream: the L2 prefetcher should run ahead.

@@ -154,6 +154,27 @@ void report_error(const Error& e) {
     return OkStatus();
 }
 
+/// Reads --l2-ways and --l1-ways (default 0 = level unpartitioned). A
+/// sector 1 that would leave sector 0 no way of `machine`'s level is a
+/// usage error.
+[[nodiscard]] Result<SectorWays> sector_ways(const CliParser& cli,
+                                             const A64fxConfig& machine) {
+    const auto read = [&cli](const char* flag,
+                             std::uint32_t level_ways) -> Result<std::uint32_t> {
+        const std::int64_t n = cli.get_int(flag, 0);
+        if (n < 0 || n >= static_cast<std::int64_t>(level_ways))
+            return Error(ErrorCode::ValidationError,
+                         std::string("--") + flag + " must be in [0, " +
+                             std::to_string(level_ways - 1) + "]");
+        return static_cast<std::uint32_t>(n);
+    };
+    SPMV_ASSIGN_OR_RETURN(const std::uint32_t l2,
+                          read("l2-ways", machine.l2.ways));
+    SPMV_ASSIGN_OR_RETURN(const std::uint32_t l1,
+                          read("l1-ways", machine.l1.ways));
+    return SectorWays{l2, l1};
+}
+
 /// The .mtx ingest flags, read once for every subcommand that loads
 /// matrices: --strict, --cache-dir, --parse-jobs and --index-width.
 struct IngestFlags {
@@ -445,9 +466,12 @@ int cmd_simulate(const CliParser& cli) {
         report_error(counts.error());
         return kExitUsage;
     }
-    const SectorWays ways{
-        static_cast<std::uint32_t>(cli.get_int("l2-ways", 0)),
-        static_cast<std::uint32_t>(cli.get_int("l1-ways", 0))};
+    const Result<SectorWays> requested = sector_ways(cli, options.machine);
+    if (!requested.ok()) {
+        report_error(requested.error());
+        return kExitUsage;
+    }
+    const SectorWays ways = requested.value();
     const auto results =
         run_sector_sweep(m, {SectorWays{0, 0}, ways}, options);
     const auto& base = results[0];
