@@ -30,7 +30,6 @@ struct CommonOptions {
     std::uint64_t seed = 42;
     std::string mm_dir;          ///< directory of .mtx files (optional)
     std::string csv_path;        ///< raw data dump (optional)
-    bool verbose = false;
     std::int64_t host_threads = 1;
 };
 
@@ -44,7 +43,6 @@ inline CommonOptions parse_common(const CliParser& cli,
     o.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
     o.mm_dir = cli.get("mm", "");
     o.csv_path = cli.get("csv", "");
-    o.verbose = cli.get_bool("verbose", false);
     o.host_threads = cli.get_int("host-threads", 1);
     return o;
 }
@@ -52,7 +50,7 @@ inline CommonOptions parse_common(const CliParser& cli,
 inline void print_usage_hint(const char* name) {
     std::cout << "# " << name
               << " [--count N] [--scale F] [--threads T] [--seed S]"
-                 " [--mm DIR] [--csv FILE] [--verbose]\n";
+                 " [--mm DIR] [--csv FILE] [--host-threads N]\n";
 }
 
 /// Builds the matrix collection: real .mtx files if --mm was given,

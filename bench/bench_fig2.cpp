@@ -47,11 +47,8 @@ int main(int argc, char** argv) {
                     results[c].l2_miss_difference_percent(results[0]));
             return diffs;
         };
-    CollectionOptions copts;
-    copts.verbose = true;
-    copts.host_threads = common.host_threads;
-    const auto outcomes =
-        run_collection<std::vector<double>>(suite, exp_fn, copts);
+    const auto outcomes = run_collection<std::vector<double>>(
+        suite, exp_fn, {.host_threads = common.host_threads});
 
     std::size_t measured = 0, floored = 0;
     for (const auto& o : outcomes) {

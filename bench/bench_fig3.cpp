@@ -36,11 +36,8 @@ int main(int argc, char** argv) {
                 speedups.push_back(results[c].speedup_over(results[0]));
             return speedups;
         };
-    CollectionOptions copts;
-    copts.verbose = true;
-    copts.host_threads = common.host_threads;
-    const auto outcomes =
-        run_collection<std::vector<double>>(suite, exp_fn, copts);
+    const auto outcomes = run_collection<std::vector<double>>(
+        suite, exp_fn, {.host_threads = common.host_threads});
 
     TextTable table(boxplot_headers("config (L2 ways / L1 ways)"));
     std::unique_ptr<CsvWriter> csv;

@@ -49,10 +49,8 @@ int main(int argc, char** argv) {
                 results[1].l2_demand_difference_percent(results[0]);
             return row;
         };
-    CollectionOptions copts;
-    copts.verbose = true;
-    copts.host_threads = common.host_threads;
-    const auto outcomes = run_collection<Row>(suite, exp_fn, copts);
+    const auto outcomes = run_collection<Row>(
+        suite, exp_fn, {.host_threads = common.host_threads});
 
     // Scatter rows sorted by columns (the figure's x axis).
     std::vector<Row> rows;

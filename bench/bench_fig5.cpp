@@ -55,10 +55,8 @@ int main(int argc, char** argv) {
             row.above_l2 = m.working_set_bytes() > cache_bytes;
             return row;
         };
-    CollectionOptions copts;
-    copts.verbose = true;
-    copts.host_threads = common.host_threads;
-    const auto outcomes = run_collection<Row>(suite, exp_fn, copts);
+    const auto outcomes = run_collection<Row>(
+        suite, exp_fn, {.host_threads = common.host_threads});
 
     std::vector<Row> rows;
     for (const auto& o : outcomes)

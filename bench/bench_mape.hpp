@@ -54,10 +54,8 @@ inline int run_mape_bench(const char* title, const CommonOptions& common,
             rec.predicted_l1_b = cmp.method_b.l1_misses;
             return rec;
         };
-    CollectionOptions copts;
-    copts.verbose = true;
-    copts.host_threads = common.host_threads;
-    const auto outcomes = run_collection<MapeRecord>(suite, exp_fn, copts);
+    const auto outcomes = run_collection<MapeRecord>(
+        suite, exp_fn, {.host_threads = common.host_threads});
 
     std::size_t skipped_small = 0;
     for (const auto& o : outcomes) {

@@ -27,19 +27,14 @@ int main(int argc, char** argv) {
     std::cout << "matrix: " << to_string(compute_stats(matrix)) << "\n"
               << "threads: " << threads << "\n\n";
 
-    // Model every way split in one pass per partitioning mode.
-    ModelOptions options;
-    options.machine = a64fx_default();
+    // Model every way split `spmvcache tune` prices, in one pass.
+    ModelOptions options = tune_options();
     options.threads = threads;
-    options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
-    options.predict_l1 = false;
     const ModelResult result = run_method_a(matrix, options);
 
     const double baseline = result.at(0).l2_misses;
     TextTable table({"L2 ways (sector 1)", "predicted L2 misses",
                      "vs no partitioning"});
-    std::uint32_t best_ways = 0;
-    double best_misses = baseline;
     for (const auto& config : result.configs) {
         const double diff =
             baseline > 0 ? 100.0 * (config.l2_misses - baseline) / baseline
@@ -50,12 +45,10 @@ int main(int argc, char** argv) {
                        fmt_count(static_cast<unsigned long long>(
                            config.l2_misses)),
                        fmt(diff, 2) + " %"});
-        if (config.l2_misses < best_misses) {
-            best_misses = config.l2_misses;
-            best_ways = config.l2_sector_ways;
-        }
     }
     table.render(std::cout, "Model-based sector sweep (method A):");
+    const std::uint32_t best_ways = result.best().l2_sector_ways;
+    const double best_misses = result.best().l2_misses;
 
     if (best_ways == 0) {
         std::cout << "\nRecommendation: leave the sector cache off for this "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -22,11 +21,6 @@ namespace spmvcache {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool is_transient(ErrorCode code) {
-    return code == ErrorCode::ResourceError ||
-           code == ErrorCode::FaultInjected;
-}
 
 /// One attempt at one matrix; every stage failure is captured in the
 /// returned item, never thrown.
@@ -88,15 +82,12 @@ BatchItemResult attempt_one(const std::string& path,
             model.threads = options.threads;
             model.jobs = options.jobs;
             model.trace_buffer_bytes = options.trace_buffer_bytes;
-            model.l2_way_options = options.l2_way_options;
             model.predict_l1 = false;
             model.sample_rate = options.sample_rate;
             const ModelResult result = run_method_a(m, model);
-            const ConfigPrediction* best = &result.configs.front();
-            for (const auto& config : result.configs)
-                if (config.l2_misses < best->l2_misses) best = &config;
-            item.best_l2_ways = best->l2_sector_ways;
-            item.best_l2_misses = best->l2_misses;
+            const ConfigPrediction& best = result.best();
+            item.best_l2_ways = best.l2_sector_ways;
+            item.best_l2_misses = best.l2_misses;
             item.model_seconds = result.seconds;
             item.model_shards =
                 static_cast<std::int64_t>(result.shards.size());
@@ -174,29 +165,6 @@ std::string csv_quote(const std::string& s) {
     }
     quoted += "\"";
     return quoted;
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -328,16 +296,16 @@ void write_batch_report_json(std::ostream& out, const BatchReport& report) {
         << ",\n  \"items\": [\n";
     for (std::size_t n = 0; n < report.items.size(); ++n) {
         const auto& i = report.items[n];
-        out << "    {\"name\": \"" << json_escape(i.name)
-            << "\", \"path\": \"" << json_escape(i.path)
-            << "\", \"ok\": " << (i.ok ? "true" : "false")
+        out << "    {\"name\": " << json_quote(i.name)
+            << ", \"path\": " << json_quote(i.path)
+            << ", \"ok\": " << (i.ok ? "true" : "false")
             << ", \"stage\": \"" << to_string(i.stage)
             << "\", \"error_code\": \"" << to_string(i.code)
-            << "\", \"message\": \"" << json_escape(i.message)
-            << "\", \"retried\": " << (i.retried ? "true" : "false")
+            << "\", \"message\": " << json_quote(i.message)
+            << ", \"retried\": " << (i.retried ? "true" : "false")
             << ", \"seconds\": " << i.seconds
-            << ", \"load_origin\": \"" << json_escape(i.load_origin)
-            << "\", \"cache_written\": "
+            << ", \"load_origin\": " << json_quote(i.load_origin)
+            << ", \"cache_written\": "
             << (i.cache_written ? "true" : "false")
             << ", \"rows\": " << i.rows
             << ", \"cols\": " << i.cols << ", \"nnz\": " << i.nnz

@@ -46,7 +46,6 @@ struct BatchOptions {
     /// trace_buffer_bytes): kTraceBufferAuto = derive from host RAM,
     /// 0 = the smallest chunk.
     std::uint64_t trace_buffer_bytes = kTraceBufferAuto;
-    std::vector<std::uint32_t> l2_way_options = {2, 3, 4, 5, 6, 7};
     /// Per-matrix wall-clock budget in seconds; <= 0 disables the timeout.
     /// A timed-out matrix is recorded as TimeoutError and abandoned (its
     /// worker thread is detached — see DESIGN.md).
@@ -92,7 +91,8 @@ struct BatchItemResult {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
     std::int64_t nnz = 0;
-    /// Best predicted configuration (model stage only).
+    /// Best predicted configuration (model stage only), over the
+    /// default ModelOptions way list.
     std::uint32_t best_l2_ways = 0;
     double best_l2_misses = 0.0;
     /// Model-stage instrumentation (zero when the model stage was skipped

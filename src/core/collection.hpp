@@ -17,13 +17,12 @@ namespace spmvcache {
 struct CollectionOptions {
     /// Host worker threads (1 = sequential; experiments are independent).
     std::int64_t host_threads = 1;
-    /// Print a one-line progress message per matrix to stderr.
-    bool verbose = false;
 };
 
 /// Runs `experiment` for every spec; the result vector preserves suite
-/// order. Exceptions from an experiment are caught, reported to stderr,
-/// and the matrix is skipped (its `ok` flag is false).
+/// order and each finished matrix prints a one-line progress message to
+/// stderr. Exceptions from an experiment are caught, reported on that
+/// line, and the matrix is skipped (its `ok` flag is false).
 template <class Result>
 struct CollectionOutcome {
     std::string name;

@@ -19,7 +19,7 @@ std::vector<CollectionOutcome<Result>> run_collection(
     const CollectionOptions& options) {
     std::vector<CollectionOutcome<Result>> outcomes(suite.size());
     std::atomic<std::size_t> completed{0};
-    // Serializes the verbose progress lines so concurrent workers never
+    // Serializes the progress lines so concurrent workers never
     // interleave characters on stderr.
     Mutex progress_mutex;
 
@@ -37,12 +37,10 @@ std::vector<CollectionOutcome<Result>> run_collection(
             outcome.error = e.what();
         }
         const std::size_t done = completed.fetch_add(1) + 1;
-        if (options.verbose) {
-            const MutexLock lock(progress_mutex);
-            std::cerr << "[" << done << "/" << suite.size() << "] "
-                      << spec.name << (outcome.ok ? "" : " FAILED: ")
-                      << outcome.error << " (" << timer.seconds() << "s)\n";
-        }
+        const MutexLock lock(progress_mutex);
+        std::cerr << "[" << done << "/" << suite.size() << "] " << spec.name
+                  << (outcome.ok ? "" : " FAILED: ") << outcome.error << " ("
+                  << timer.seconds() << "s)\n";
     };
 
     if (options.host_threads <= 1) {

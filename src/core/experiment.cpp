@@ -3,7 +3,6 @@
 #include <span>
 
 #include "model/replay.hpp"
-#include "trace/layout.hpp"
 #include "trace/packed_trace.hpp"
 #include "util/error.hpp"
 
@@ -34,9 +33,7 @@ ModelOptions ExperimentOptions::model_options() const {
     o.threads = threads;
     o.policy = policy;
     o.partition = partition;
-    o.quantum = quantum;
-    o.accounting_colidx_bytes = kPaperColidxBytes;
-    o.accounting_rowptr_bytes = kPaperRowptrBytes;
+    o.paper_accounting = true;
     return o;
 }
 

@@ -35,7 +35,6 @@ struct ExperimentOptions {
     std::int64_t threads = 48;
     SectorPolicy policy = SectorPolicy::IsolateMatrix;
     PartitionPolicy partition = PartitionPolicy::BalancedRows;
-    std::int64_t quantum = 1;
     TimingParameters timing{};
     /// Warm-up iterations before the measured one: the replay plan makes
     /// one warm-up pass per segment.
@@ -45,9 +44,9 @@ struct ExperimentOptions {
     std::int64_t x_prefetch_distance = 0;
 
     /// The ModelOptions both sides of an experiment share: this machine,
-    /// thread count, sector policy, partition and quantum, with the index
-    /// arrays accounted at the paper's 4-byte colidx and 8-byte rowptr at
-    /// either storage width. run_sector_sweep replays its trace at these
+    /// thread count, sector policy and partition, with the index arrays
+    /// accounted at the paper's 4-byte colidx and 8-byte rowptr at either
+    /// storage width. run_sector_sweep replays its trace at these
     /// options, and model_vs_measured prices methods (A) and (B) at them.
     [[nodiscard]] ModelOptions model_options() const;
 };

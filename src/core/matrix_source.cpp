@@ -269,19 +269,4 @@ SourceCache::Stats SourceCache::stats() const {
     return out;
 }
 
-std::size_t SourceCache::size() const {
-    const MutexLock lock(mutex_);
-    return entries_.size();
-}
-
-std::uint64_t SourceCache::hits() const {
-    const MutexLock lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t SourceCache::loads() const {
-    const MutexLock lock(mutex_);
-    return loads_;
-}
-
 }  // namespace spmvcache

@@ -138,16 +138,8 @@ public:
     [[nodiscard]] Result<LoadedMatrix> get(const MatrixSource& source)
         SPMV_EXCLUDES(mutex_);
 
-    /// All counters under one lock; prefer this over the per-counter
-    /// accessors when the values are reported together.
+    /// All counters under one lock.
     [[nodiscard]] Stats stats() const SPMV_EXCLUDES(mutex_);
-
-    /// Entries currently resident.
-    [[nodiscard]] std::size_t size() const SPMV_EXCLUDES(mutex_);
-    /// get() calls answered without a load since construction.
-    [[nodiscard]] std::uint64_t hits() const SPMV_EXCLUDES(mutex_);
-    /// get() calls that had to load (misses + stale reloads).
-    [[nodiscard]] std::uint64_t loads() const SPMV_EXCLUDES(mutex_);
 
 private:
     struct Entry {

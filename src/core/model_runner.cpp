@@ -1,7 +1,5 @@
 #include "core/model_runner.hpp"
 
-#include <utility>
-
 #include "core/deadline.hpp"
 #include "model/method_a.hpp"
 #include "model/method_b.hpp"
@@ -20,18 +18,6 @@ const char* to_string(ModelMethod method) noexcept {
     if (lower == "b") return ModelMethod::B;
     return Error(ErrorCode::ValidationError,
                  "unknown model method '" + text + "' (expected a or b)");
-}
-
-[[nodiscard]] Result<ModelResult> run_model(std::shared_ptr<const CsrMatrix> m,
-                              const ModelOptions& options,
-                              ModelMethod method) {
-    SPMV_EXPECTS(m != nullptr);
-    return run_with_deadline<ModelResult>(
-        options.timeout_seconds,
-        [m = std::move(m), options, method]() -> Result<ModelResult> {
-            return method == ModelMethod::B ? run_method_b(*m, options)
-                                            : run_method_a(*m, options);
-        });
 }
 
 [[nodiscard]] Result<ModelResult> run_model(const LoadedMatrix& m,

@@ -6,11 +6,8 @@
 // errors, never aborts).
 #pragma once
 
-#include <memory>
-
 #include "core/matrix_source.hpp"
 #include "model/options.hpp"
-#include "sparse/csr.hpp"
 #include "util/status.hpp"
 
 namespace spmvcache {
@@ -23,17 +20,11 @@ enum class ModelMethod : std::uint8_t { A, B };
 /// ModelMethod from "a"/"b" (case-insensitive); ValidationError otherwise.
 [[nodiscard]] Result<ModelMethod> parse_model_method(const std::string& text);
 
-/// Runs method A or B over `m` honoring options.timeout_seconds. The
-/// matrix is passed via shared_ptr because an expired deadline abandons
-/// the computation on a detached thread, which must keep the matrix alive
-/// past the caller's scope (see core/deadline.hpp).
-[[nodiscard]] Result<ModelResult> run_model(
-    std::shared_ptr<const CsrMatrix> m, const ModelOptions& options,
-    ModelMethod method);
-
-/// Same, over a cache-aware handle (core/matrix_source.hpp): works for
-/// owned and mmapped matrices alike — the handle's keepalive() rides into
-/// the worker so an abandoned computation cannot outlive its mapping.
+/// Runs method A or B over a cache-aware handle (core/matrix_source.hpp)
+/// honoring options.timeout_seconds. An expired deadline abandons the
+/// computation on a detached thread (see core/deadline.hpp); the handle's
+/// keepalive() rides into that worker, so owned and mmapped matrices alike
+/// outlive it.
 [[nodiscard]] Result<ModelResult> run_model(const LoadedMatrix& m,
                                             const ModelOptions& options,
                                             ModelMethod method);

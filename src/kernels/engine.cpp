@@ -41,6 +41,11 @@ void csr_range_prefetch(const typename Idx::offset_type* rowptr,
     }
 }
 
+/// SELL geometry: chunk 8 (one 512-bit vector of doubles), sigma 32
+/// chunks.
+constexpr std::int64_t kSellChunk = 8;
+constexpr std::int64_t kSellSigma = 32 * kSellChunk;
+
 std::int64_t resolve_threads(std::int64_t requested) {
     if (requested == 0)
         return static_cast<std::int64_t>(default_host_jobs());
@@ -104,7 +109,7 @@ BasicKernelEngine<Idx>::BasicKernelEngine(const BasicCsrView<Idx>& a,
                                           const EngineOptions& options)
     : BasicKernelEngine(a,
                         RowPartition(a, resolve_threads(options.threads),
-                                     options.policy),
+                                     PartitionPolicy::BalancedNonzeros),
                         options) {}
 
 template <class Idx>
@@ -216,12 +221,7 @@ void BasicKernelEngine<Idx>::setup_csr(const BasicCsrView<Idx>& a,
 template <class Idx>
 void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a,
                                         const EngineOptions& options) {
-    const std::int64_t chunk =
-        options.sell_chunk > 0 ? options.sell_chunk : 8;
-    const std::int64_t sigma =
-        options.sell_sigma > 0 ? options.sell_sigma : chunk * 32;
-    SPMV_EXPECTS(sigma == 1 || sigma % chunk == 0);
-    sell_.emplace(a, chunk, sigma);
+    sell_.emplace(a, kSellChunk, kSellSigma);
     info_.sell_padding = sell_->padding_factor();
 
     // Chunk ownership: contiguous chunk ranges balanced by padded

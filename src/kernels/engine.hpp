@@ -27,8 +27,7 @@
 // and any vector obtained from make_vector() — are first touched by their
 // owning worker, so pages land on the NUMA node that computes on them.
 // With threads == 1 the engine runs inline on the calling thread with no
-// team at all (the documented sequential fallback used when OpenMP-style
-// parallelism is unavailable or unwanted).
+// team at all (the documented sequential fallback).
 #pragma once
 
 #include <cstdint>
@@ -76,13 +75,6 @@ struct EngineOptions {
     KernelVariant variant = KernelVariant::Auto;
     /// Lookahead (in nonzeros) for CsrPrefetch; 0 = auto-calibrate.
     std::int64_t prefetch_distance = 0;
-    /// Row split for the CSR variants (SELL splits by padded nonzeros,
-    /// merge by path diagonals regardless).
-    PartitionPolicy policy = PartitionPolicy::BalancedNonzeros;
-    /// SELL geometry; 0 = auto (chunk 8 — one 512-bit vector of doubles —
-    /// and sigma = 32 chunks).
-    std::int64_t sell_chunk = 0;
-    std::int64_t sell_sigma = 0;
     /// Copy the matrix arrays into engine-owned storage, each slice first
     /// touched by its owning worker. Off = borrow the caller's arrays
     /// (zero setup cost; the matrix must outlive the engine).
@@ -162,7 +154,9 @@ public:
     using offset_type = typename Idx::offset_type;
     using index_type = typename Idx::index_type;
 
-    /// Builds the row partition from options.policy/threads.
+    /// Splits the rows by nonzeros over options.threads workers (SELL
+    /// splits by padded nonzeros and merge by path diagonals regardless).
+    /// A caller that needs another split passes its own partition.
     BasicKernelEngine(const BasicCsrView<Idx>& a,
                       const EngineOptions& options);
     /// Honors an externally supplied partition (its thread count wins

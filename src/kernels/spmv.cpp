@@ -33,13 +33,11 @@ void spmv_csr_parallel(const BasicCsrView<Idx>& a, std::span<const double> x,
                        std::span<double> y, const RowPartition& partition) {
     SPMV_EXPECTS(x.size() == static_cast<std::size_t>(a.cols()));
     SPMV_EXPECTS(y.size() == static_cast<std::size_t>(a.rows()));
-    // Execute on the kernel engine's WorkerTeam: unlike the previous
-    // `#pragma omp parallel for` body, the team exists whether or not the
-    // build has OpenMP, so a partition with N ranges really runs on N
-    // threads. The scalar variant keeps the per-row accumulation order of
-    // spmv_csr, so results stay bitwise identical to the sequential
-    // kernel. With partition.threads() == 1 the engine runs inline on the
-    // calling thread — the documented sequential fallback.
+    // Execute on the kernel engine's WorkerTeam, so a partition with N
+    // ranges runs on N threads. The scalar variant keeps the per-row
+    // accumulation order of spmv_csr, so results stay bitwise identical to
+    // the sequential kernel. With partition.threads() == 1 the engine runs
+    // inline on the calling thread — the documented sequential fallback.
     EngineOptions options;
     options.variant = KernelVariant::CsrScalar;
     options.first_touch = false;  // transient: borrow the caller's arrays

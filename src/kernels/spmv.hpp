@@ -20,9 +20,9 @@ void spmv_csr(const BasicCsrView<Idx>& a, std::span<const double> x,
               std::span<double> y);
 
 /// y <- y + A x with row-parallelism over `partition`'s ranges, executed
-/// on a transient KernelEngine WorkerTeam (one std::thread per range, so
-/// parallel even in builds without OpenMP; a 1-range partition runs
-/// sequentially inline). Bitwise identical to spmv_csr. For repeated
+/// on a transient KernelEngine WorkerTeam (one std::thread per range; a
+/// 1-range partition runs sequentially inline). Bitwise identical to
+/// spmv_csr. For repeated
 /// products construct a KernelEngine directly — it keeps the team, the
 /// first-touch data placement and the tuned kernel variant alive across
 /// iterations instead of paying setup per call.

@@ -38,6 +38,14 @@ const ConfigPrediction& ModelResult::at(std::uint32_t l2_sector_ways) const {
                            " L2 sector ways in this run"));
 }
 
+const ConfigPrediction& ModelResult::best() const {
+    SPMV_EXPECTS(!configs.empty());
+    const ConfigPrediction* best = &configs.front();
+    for (const ConfigPrediction& c : configs)
+        if (c.l2_misses < best->l2_misses) best = &c;
+    return *best;
+}
+
 namespace {
 
 /// Everything one shard accumulates; queried after the parallel phase.

@@ -26,7 +26,7 @@ namespace spmvcache {
 /// option plus the unpartitioned case. Accepts either physical index
 /// width (AnyCsrView converts implicitly from both concrete views); the
 /// traffic accounting follows the storage width unless ModelOptions pins
-/// it (accounting_*_bytes).
+/// it (paper_accounting).
 [[nodiscard]] ModelResult run_method_a(const AnyCsrView& m,
                                        const ModelOptions& options);
 

@@ -19,7 +19,7 @@ namespace spmvcache {
 /// Runs method (B); same result shape as method (A). Accepts either
 /// physical index width; the analytic byte accounting (streaming terms,
 /// s1/s2, working-set sizes) follows the storage width unless ModelOptions
-/// pins it (accounting_*_bytes).
+/// pins it (paper_accounting).
 [[nodiscard]] ModelResult run_method_b(const AnyCsrView& m,
                                        const ModelOptions& options);
 

@@ -7,6 +7,7 @@
 #include "cachesim/a64fx.hpp"
 #include "sparse/index_width.hpp"
 #include "sparse/partition.hpp"
+#include "trace/layout.hpp"
 #include "trace/memref.hpp"
 #include "util/status.hpp"
 
@@ -31,10 +32,10 @@ struct ModelOptions {
     bool predict_l1 = true;
     PartitionPolicy partition = PartitionPolicy::BalancedRows;
     /// Interleave granularity in nonzeros (see TraceConfig::quantum).
-    std::int64_t quantum = 1;
-    /// Group capacity of a KimEngine. The model no longer reads it;
+    static constexpr std::int64_t quantum = 1;
+    /// Group capacity of a KimEngine. The model never reads it;
     /// perfbench's reuse-layer probe builds its KimEngine from it.
-    std::uint64_t kim_group_capacity = 512;
+    static constexpr std::uint64_t kim_group_capacity = 512;
     /// Host worker threads for the model's stack passes. The model is
     /// sharded by L2 segment (each shard re-derives only its segment's
     /// slice of the interleaved trace), so up to one worker per active
@@ -69,27 +70,32 @@ struct ModelOptions {
     /// entry points ignore it. On expiry the run is abandoned on a
     /// detached thread and TimeoutError returned — see core/deadline.hpp.
     double timeout_seconds = 0.0;
-    /// Index-array element sizes the model *accounts* traffic at, in
-    /// bytes. 0 (default) follows the physical storage width of the matrix
-    /// being modelled (4/4 for W32, 8/8 for W64); a non-zero value pins
-    /// the accounting regardless of storage — the paper's numbers use
-    /// colidx=4, rowptr=8, and the width-differential tests pin one
-    /// accounting for both widths so predictions must agree bit for bit.
-    /// Valid non-zero values: 4 or 8.
-    std::uint32_t accounting_colidx_bytes = 0;
-    std::uint32_t accounting_rowptr_bytes = 0;
+    /// Account the index arrays at the paper's sizes (colidx 4 B, rowptr
+    /// 8 B, the constants inside s1/s2 in §3.2.2) at either storage
+    /// width. Off (default) follows the physical width of the matrix being
+    /// modelled: 4/4 at W32, 8/8 at W64. Experiments and the
+    /// width-differential tests pin it, so predictions agree bit for bit
+    /// across widths.
+    bool paper_accounting = false;
 
     /// The colidx element size to account for a matrix stored at `width`.
     [[nodiscard]] std::uint32_t colidx_bytes_for(IndexWidth width) const noexcept {
-        return accounting_colidx_bytes != 0 ? accounting_colidx_bytes
-                                            : colidx_width_bytes(width);
+        return paper_accounting ? kPaperColidxBytes : colidx_width_bytes(width);
     }
     /// The rowptr element size to account for a matrix stored at `width`.
     [[nodiscard]] std::uint32_t rowptr_bytes_for(IndexWidth width) const noexcept {
-        return accounting_rowptr_bytes != 0 ? accounting_rowptr_bytes
-                                            : rowptr_width_bytes(width);
+        return paper_accounting ? kPaperRowptrBytes : rowptr_width_bytes(width);
     }
 };
+
+/// The options `tune` prices a matrix at, in the CLI and in `serve`: the
+/// defaults, sector-1 way counts 1..8, 10, 12 and 14, and no L1 model.
+[[nodiscard]] inline ModelOptions tune_options() {
+    ModelOptions options;
+    options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
+    options.predict_l1 = false;
+    return options;
+}
 
 /// Predicted misses for one sector-cache configuration.
 struct ConfigPrediction {
@@ -157,6 +163,11 @@ struct ModelResult {
     /// stage-boundary catch blocks classify it as an input error rather
     /// than a crash.
     [[nodiscard]] const ConfigPrediction& at(std::uint32_t l2_sector_ways) const;
+
+    /// The configuration with the fewest predicted L2 misses; the earliest
+    /// on a tie, so entry 0 (sector cache off) wins when nothing helps.
+    /// Pre: configs is not empty.
+    [[nodiscard]] const ConfigPrediction& best() const;
 
 private:
     /// Shared lookup loop behind find/at (nullptr when not priced).

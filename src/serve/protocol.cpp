@@ -1,8 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <istream>
 #include <utility>
 
@@ -262,41 +260,6 @@ const Json* Json::find(const std::string& key) const noexcept {
     return JsonParser(input).parse();
 }
 
-std::string json_quote(const std::string& s) {
-    std::string out = "\"";
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-        }
-    }
-    out += '"';
-    return out;
-}
-
-std::string json_double(double value) {
-    if (!std::isfinite(value)) return "null";  // JSON has no inf/nan
-    char buf[64];
-    const auto [ptr, ec] =
-        std::to_chars(buf, buf + sizeof(buf), value);
-    if (ec != std::errc{}) return "null";
-    std::string out(buf, ptr);
-    // Bare integers ("42") stay valid JSON numbers; nothing more needed.
-    return out;
-}
-
 const char* to_string(RequestOp op) noexcept {
     switch (op) {
         case RequestOp::Predict: return "predict";
@@ -520,20 +483,17 @@ std::string render_predict_payload(const ModelResult& result,
 std::string render_tune_payload(const ModelResult& result,
                                 const MatrixFingerprint& fp,
                                 std::int64_t threads) {
-    const ConfigPrediction* best = &result.configs.front();
-    for (const ConfigPrediction& config : result.configs)
-        if (config.l2_misses < best->l2_misses) best = &config;
+    const ConfigPrediction& best = result.best();
     const double baseline = result.configs.front().l2_misses;
     const double reduction =
-        baseline > 0.0
-            ? 100.0 * (baseline - best->l2_misses) / baseline
-            : 0.0;
+        baseline > 0.0 ? 100.0 * (baseline - best.l2_misses) / baseline
+                       : 0.0;
     std::string out = "{";
     append_fingerprint(out, fp);
     out += ",\"threads\":" + std::to_string(threads);
     append_sampling(out, result);
-    out += ",\"best_l2_ways\":" + std::to_string(best->l2_sector_ways);
-    out += ",\"best_l2_misses\":" + json_double(best->l2_misses);
+    out += ",\"best_l2_ways\":" + std::to_string(best.l2_sector_ways);
+    out += ",\"best_l2_misses\":" + json_double(best.l2_misses);
     out += ",\"predicted_reduction_percent\":" + json_double(reduction);
     out += ',';
     append_config_array(out, result);

@@ -24,6 +24,7 @@
 
 #include "core/matrix_source.hpp"
 #include "sparse/matrix_stats.hpp"
+#include "util/format.hpp"  // json_quote, json_double
 #include "util/status.hpp"
 
 namespace spmvcache {
@@ -60,12 +61,6 @@ struct Json {
 
 /// Parses one complete JSON document; trailing garbage is a ParseError.
 [[nodiscard]] Result<Json> parse_json(std::string_view input);
-
-/// Escaped and quoted JSON string literal ("ab\"c" -> "\"ab\\\"c\"").
-[[nodiscard]] std::string json_quote(const std::string& s);
-
-/// Shortest-round-trip serialization of a double (to_chars).
-[[nodiscard]] std::string json_double(double value);
 
 /// What a request asks for.
 enum class RequestOp : std::uint8_t {

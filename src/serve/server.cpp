@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "cachesim/a64fx.hpp"
 #include "core/batch.hpp"
 #include "core/deadline.hpp"
 #include "core/model_runner.hpp"
@@ -25,11 +24,6 @@ namespace {
 std::size_t resolve_workers(std::int64_t workers) {
     if (workers <= 0) return default_host_jobs();
     return static_cast<std::size_t>(workers);
-}
-
-bool is_transient(ErrorCode code) noexcept {
-    return code == ErrorCode::ResourceError ||
-           code == ErrorCode::FaultInjected;
 }
 
 /// FNV-1a over the canonical source string, then finalized — the
@@ -51,20 +45,13 @@ std::uint64_t fingerprint_quarantine_key(const MatrixFingerprint& fp) {
 
 /// The exact ModelOptions the one-shot CLI would use for this request —
 /// served predictions must be bit-identical to `spmvcache predict`/`tune`,
-/// so the defaults here mirror tools/spmvcache_cli.cpp precisely.
+/// so both start from the same per-op defaults (model/options.hpp).
 ModelOptions model_options_for(const ServeRequest& request) {
-    ModelOptions options;
-    options.machine = a64fx_default();
+    ModelOptions options =
+        request.op == RequestOp::Tune ? tune_options() : ModelOptions{};
     options.threads = request.threads;
     options.jobs = request.jobs;
-    if (!request.l2_ways.empty()) {
-        options.l2_way_options = request.l2_ways;
-    } else if (request.op == RequestOp::Tune) {
-        options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
-    } else {
-        options.l2_way_options = {2, 3, 4, 5, 6, 7};
-    }
-    if (request.op == RequestOp::Tune) options.predict_l1 = false;
+    if (!request.l2_ways.empty()) options.l2_way_options = request.l2_ways;
     options.sample_rate = request.sample_rate;
     return options;
 }

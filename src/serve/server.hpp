@@ -44,7 +44,9 @@
 
 namespace spmvcache {
 
-/// Daemon knobs (all have serving-scale defaults; the CLI maps flags 1:1).
+/// Daemon knobs (all have serving-scale defaults; the CLI maps a flag to
+/// each one except backoff_initial_seconds and the test hook
+/// execute_delay_seconds).
 struct ServeOptions {
     /// Pool workers executing matrix requests (>= 1).
     std::int64_t workers = 2;
@@ -63,7 +65,7 @@ struct ServeOptions {
     double backoff_initial_seconds = 0.01;
     /// Reject request lines longer than this many bytes.
     std::size_t max_request_bytes = std::size_t{1} << 20;
-    /// Test/bench hook: artificial seconds of work per execution, so
+    /// Test hook: artificial seconds of work per execution, so
     /// backpressure and drain are observable deterministically.
     double execute_delay_seconds = 0.0;
     /// Directory for `.spmvc` binary cache entries (core/matrix_source);

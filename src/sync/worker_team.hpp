@@ -7,9 +7,8 @@
 // meaningful: the worker that initialises a row range's slice of x, y and
 // the matrix arrays is the worker that executes every subsequent SpMV
 // iteration over that range, so pages stay local to the core that faults
-// them in. It also makes the team a drop-in replacement for an OpenMP
-// static worksharing region without the per-call team management of
-// `#pragma omp parallel for`.
+// them in. Each run() is one static worksharing region, the schedule of
+// the paper's Listing 1, over threads that persist between regions.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 
 namespace spmvcache {
 
@@ -39,6 +42,40 @@ std::string to_lower(std::string s) {
         return static_cast<char>(std::tolower(ch));
     });
     return s;
+}
+
+std::string json_quote(const std::string& s) {
+    std::string out = "\"";
+    out.reserve(s.size() + 2);
+    for (const char ch : s) {
+        switch (ch) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(ch) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+                    out += buf;
+                } else {
+                    out += ch;
+                }
+        }
+    }
+    out += '"';
+    return out;
+}
+
+std::string json_double(double value) {
+    if (!std::isfinite(value)) return "null";
+    char buf[64];
+    const auto [ptr, ec] =
+        std::to_chars(buf, buf + sizeof(buf), value);
+    if (ec != std::errc{}) return "null";
+    // Bare integers ("42") stay valid JSON numbers; nothing more needed.
+    return std::string(buf, ptr);
 }
 
 }  // namespace spmvcache

@@ -1,4 +1,4 @@
-// String helpers shared by harness output code.
+// String helpers shared by harness and report output code.
 #pragma once
 
 #include <string>
@@ -18,5 +18,12 @@ namespace spmvcache {
 
 /// Lower-cases ASCII letters.
 [[nodiscard]] std::string to_lower(std::string s);
+
+/// Escaped and quoted JSON string literal ("ab\"c" -> "\"ab\\\"c\"").
+[[nodiscard]] std::string json_quote(const std::string& s);
+
+/// Shortest-round-trip serialization of a double (to_chars); "null" for
+/// a non-finite value, which JSON cannot represent.
+[[nodiscard]] std::string json_double(double value);
 
 }  // namespace spmvcache

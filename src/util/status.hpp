@@ -45,6 +45,13 @@ enum class ErrorCode : std::uint8_t {
 /// Stable identifier ("ParseError") used in failure reports and tests.
 [[nodiscard]] const char* to_string(ErrorCode code) noexcept;
 
+/// True for failures worth one more attempt (a missing resource or an
+/// injected fault); batch retries them once, serve with backoff.
+[[nodiscard]] constexpr bool is_transient(ErrorCode code) noexcept {
+    return code == ErrorCode::ResourceError ||
+           code == ErrorCode::FaultInjected;
+}
+
 /// A single typed error: code, human message, optional 1-based input line,
 /// and a chain of context frames added by wrap() as it propagates out.
 struct Error {

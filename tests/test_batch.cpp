@@ -55,7 +55,6 @@ protected:
     BatchOptions fast_options() const {
         BatchOptions options;
         options.threads = 2;
-        options.l2_way_options = {2, 5};
         return options;
     }
 

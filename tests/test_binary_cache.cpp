@@ -441,9 +441,9 @@ TEST_F(BinaryCacheTest, SourceCacheDedupesRepeatLoads) {
     ASSERT_TRUE(memo.get(source).ok());
     ASSERT_TRUE(memo.get(source).ok());
     ASSERT_TRUE(memo.get(source).ok());
-    EXPECT_EQ(memo.loads(), 1u);
-    EXPECT_EQ(memo.hits(), 2u);
-    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_EQ(memo.stats().loads, 1u);
+    EXPECT_EQ(memo.stats().hits, 2u);
+    EXPECT_EQ(memo.stats().entries, 1u);
 
     // A deleted source makes the hit path report the real error on the
     // reload instead of serving stale bytes.
@@ -464,7 +464,7 @@ TEST_F(BinaryCacheTest, SourceCacheRevalidatesOnSourceChange) {
     }
     const Result<LoadedMatrix> second = memo.get(source);
     ASSERT_TRUE(second.ok());
-    EXPECT_EQ(memo.loads(), 2u);  // change forced a reload
+    EXPECT_EQ(memo.stats().loads, 2u);  // change forced a reload
     EXPECT_EQ(second.value().fingerprint, first.value().fingerprint);
 }
 
@@ -474,8 +474,8 @@ TEST_F(BinaryCacheTest, SourceCacheCachesGeneratedSources) {
     SourceCache memo(4);
     ASSERT_TRUE(memo.get(source).ok());
     ASSERT_TRUE(memo.get(source).ok());
-    EXPECT_EQ(memo.loads(), 1u);
-    EXPECT_EQ(memo.hits(), 1u);
+    EXPECT_EQ(memo.stats().loads, 1u);
+    EXPECT_EQ(memo.stats().hits, 1u);
     EXPECT_EQ(memo.get(source).value().origin, LoadOrigin::Generated);
 }
 

@@ -223,15 +223,14 @@ TEST_F(IndexWidthCacheTest, NarrowEntryIsSubstantiallySmaller) {
 // ---- Width-aware accounting ------------------------------------------
 
 TEST(IndexWidthAccounting, DefaultFollowsPhysicalWidthPinOverrides) {
-    const ModelOptions follow;  // accounting_* = 0
+    const ModelOptions follow;  // paper_accounting = false
     EXPECT_EQ(follow.colidx_bytes_for(IndexWidth::W32), 4u);
     EXPECT_EQ(follow.rowptr_bytes_for(IndexWidth::W32), 4u);
     EXPECT_EQ(follow.colidx_bytes_for(IndexWidth::W64), 8u);
     EXPECT_EQ(follow.rowptr_bytes_for(IndexWidth::W64), 8u);
 
     ModelOptions paper;  // the paper's fixed accounting
-    paper.accounting_colidx_bytes = 4;
-    paper.accounting_rowptr_bytes = 8;
+    paper.paper_accounting = true;
     for (const IndexWidth w : {IndexWidth::W32, IndexWidth::W64}) {
         EXPECT_EQ(paper.colidx_bytes_for(w), 4u);
         EXPECT_EQ(paper.rowptr_bytes_for(w), 8u);
@@ -296,8 +295,7 @@ ModelOptions pinned_options() {
     options.threads = 2;
     options.l2_way_options = {4};
     options.jobs = 1;
-    options.accounting_colidx_bytes = 4;
-    options.accounting_rowptr_bytes = 8;
+    options.paper_accounting = true;
     return options;
 }
 
@@ -352,8 +350,7 @@ TEST(IndexWidthDifferential, UnpinnedAccountingChargesNarrowerRowptr) {
     // width, the W32 run charges 4-byte rowptr lines and must predict
     // strictly fewer unpartitioned L2 misses on a rowptr-heavy matrix.
     ModelOptions options = pinned_options();
-    options.accounting_colidx_bytes = 0;
-    options.accounting_rowptr_bytes = 0;
+    options.paper_accounting = false;
     // Shrink L2 so the working set genuinely misses: with the full 8 MiB
     // a test-sized matrix is cache-resident and both widths predict 0.
     options.machine.l2 = CacheConfig{64 * 1024, 256, 16, 0};

@@ -313,8 +313,7 @@ TEST(ModelParallel, GoldenPredictionsHoldForEveryChunkBudget) {
                 for (const double rate : {1.0, kGoldenRate}) {
                     const std::uint64_t expected = golden_digest(key, rate);
                     ModelOptions o = base_options(policy, /*jobs=*/1);
-                    o.accounting_colidx_bytes = 4;
-                    o.accounting_rowptr_bytes = 8;
+                    o.paper_accounting = true;
                     o.sample_rate = rate;
                     for (const std::uint64_t budget : budgets) {
                         o.trace_buffer_bytes = budget;

@@ -1,6 +1,6 @@
 // Tests for the alternative sector policies of §3.1/§3.2.2 and for model
-// option handling (interleave quantum, partitioning policy, thread
-// scaling) — the knobs a user of the model actually turns.
+// option handling (partitioning policy, thread scaling) — the knobs a
+// user of the model actually turns.
 #include <gtest/gtest.h>
 
 #include "model/analytic.hpp"
@@ -61,21 +61,6 @@ TEST(SectorPolicies, UnpartitionedEntryIgnoresPolicy) {
     o.policy = SectorPolicy::IsolateMatrixRowptrY;
     const auto b = run_method_a(class3_matrix(), o);
     EXPECT_DOUBLE_EQ(a.at(0).l2_misses, b.at(0).l2_misses);
-}
-
-TEST(ModelOptions, QuantumChangesInterleavingNotTotals) {
-    // Coarser interleaving quanta shuffle the concurrent reuse distances,
-    // but the per-thread reference streams (and thus streaming totals)
-    // are identical; predictions should move only slightly.
-    ModelOptions o;
-    o.machine = scaled_machine();
-    o.threads = 4;
-    o.l2_way_options = {4};
-    o.predict_l1 = false;
-    const auto fine = run_method_a(class3_matrix(), o);
-    o.quantum = 64;
-    const auto coarse = run_method_a(class3_matrix(), o);
-    EXPECT_NEAR(coarse.at(4).l2_misses / fine.at(4).l2_misses, 1.0, 0.15);
 }
 
 TEST(ModelOptions, PartitionPolicyAffectsSegmentShares) {

@@ -231,6 +231,62 @@ TEST(ServeServer, ServedPredictionBitIdenticalToOneShot) {
     EXPECT_EQ(x_fraction->number, expected.x_traffic_fraction);
 }
 
+TEST(ServeServer, ServedTuneBitIdenticalToOneShot) {
+    Server server;
+    const std::string line = server.handle_line(
+        "{\"id\":\"t1\",\"op\":\"tune\",\"gen\":\"stencil2d5:400\","
+        "\"threads\":4}");
+    ASSERT_TRUE(response_ok(line)) << line;
+    const auto served = parse_json(line);
+    ASSERT_TRUE(served.ok());
+    const Json* payload = served.value().find("payload");
+    ASSERT_NE(payload, nullptr);
+
+    // The one-shot tune options, stated here rather than taken from the
+    // shared definition: the 11-entry way list and no L1 model.
+    const auto matrix = generated_matrix("stencil2d5:400", 42);
+    ASSERT_TRUE(matrix.ok());
+    ModelOptions options;
+    options.threads = 4;
+    options.jobs = 1;
+    options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
+    options.predict_l1 = false;
+    const ModelResult result = run_method_a(matrix.value(), options);
+    const std::string rendered = render_tune_payload(
+        result, fingerprint_matrix(matrix.value()), 4);
+    const auto expected = parse_json(rendered);
+    ASSERT_TRUE(expected.ok()) << rendered;
+
+    for (const char* key :
+         {"best_l2_ways", "best_l2_misses", "predicted_reduction_percent"}) {
+        const Json* got = payload->find(key);
+        const Json* want = expected.value().find(key);
+        ASSERT_NE(got, nullptr) << key;
+        ASSERT_NE(want, nullptr) << key;
+        // Bit-identical: the raw to_chars text, not a nearby double.
+        EXPECT_EQ(got->text, want->text) << key;
+    }
+    const Json* configs = payload->find("configs");
+    const Json* want_configs = expected.value().find("configs");
+    ASSERT_NE(configs, nullptr);
+    ASSERT_NE(want_configs, nullptr);
+    ASSERT_EQ(configs->items.size(), 12u);  // unpartitioned + 11 way counts
+    ASSERT_EQ(configs->items.size(), want_configs->items.size());
+    for (std::size_t i = 0; i < configs->items.size(); ++i) {
+        for (const char* key :
+             {"l2_sector_ways", "l2_misses", "l2_x_misses"}) {
+            const Json* got = configs->items[i].find(key);
+            const Json* want = want_configs->items[i].find(key);
+            ASSERT_NE(got, nullptr) << key;
+            ASSERT_NE(want, nullptr) << key;
+            EXPECT_EQ(got->text, want->text) << i << ": " << key;
+        }
+    }
+    // The comparison must not be vacuous: the matrix streams past the
+    // 8 MiB L2 while x fits, so partitioning helps.
+    EXPECT_NE(payload->find("best_l2_ways")->text, "0");
+}
+
 TEST(ServeServer, CacheHitReplaysByteIdenticalPayload) {
     Server server;
     const std::string miss =

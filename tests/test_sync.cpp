@@ -1,5 +1,5 @@
-// Unit tests for src/sync: MCS lock mutual exclusion and fairness, spin
-// barrier, thread pool.
+// Unit tests for src/sync: MCS lock mutual exclusion and fairness, thread
+// pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "sync/barrier.hpp"
 #include "sync/mcs_lock.hpp"
 #include "sync/thread_pool.hpp"
 
@@ -95,31 +94,6 @@ TEST(McsLock, HandsOffInFifoOrderWhenQueued) {
     EXPECT_EQ(order[0], 0);
     EXPECT_EQ(order[1], 1);
     EXPECT_EQ(order[2], 2);
-}
-
-TEST(SpinBarrier, SynchronisesPhases) {
-    constexpr int kThreads = 4;
-    constexpr int kPhases = 50;
-    SpinBarrier barrier(kThreads);
-    std::atomic<int> phase_counter{0};
-    std::atomic<bool> mismatch{false};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (int p = 0; p < kPhases; ++p) {
-                phase_counter.fetch_add(1);
-                barrier.arrive_and_wait();
-                // After the barrier, all kThreads arrivals of this phase
-                // must be visible.
-                if (phase_counter.load() < (p + 1) * kThreads)
-                    mismatch = true;
-                barrier.arrive_and_wait();
-            }
-        });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_FALSE(mismatch.load());
-    EXPECT_EQ(phase_counter.load(), kThreads * kPhases);
 }
 
 TEST(ThreadPool, RunsAllTasks) {

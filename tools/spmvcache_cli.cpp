@@ -37,6 +37,7 @@
 #include "core/spmvcache.hpp"
 #include "kernels/engine.hpp"
 #include "serve/server.hpp"
+#include "sync/thread_pool.hpp"
 #include "trace/sample.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
@@ -97,6 +98,8 @@ using namespace spmvcache;
            "                   and scale the totals by 1/R -- order-of-\n"
            "                   magnitude faster, typically within a few\n"
            "                   percent; outputs are marked as sampled\n"
+           "classify: --ways N  L2 ways isolated for sector 1, in [0, 15]\n"
+           "                   (default 5)\n"
            "predict: --json FILE  machine-readable predictions + per-shard\n"
            "                      timing/reference instrumentation\n"
            "predict/tune: --timeout SECONDS  wall-clock budget for the run\n"
@@ -108,12 +111,13 @@ using namespace spmvcache;
            "serve:   --workers N --queue N --cache-bytes B --strikes N\n"
            "         --timeout SECONDS --retries N --max-request-bytes B\n"
            "         --source-cache N  loaded matrices kept resident (8)\n"
-           "         --execute-delay SECONDS (test hook)\n"
            "         requests on stdin, one JSON object per line; responses\n"
            "         on stdout; lifecycle + final stats on stderr\n"
            "kernelbench: --variant csr|csr-prefetch|csr-simd|sell|\n"
            "             sell-simd|merge|auto (default: all + auto pick)\n"
-           "             --iters N --prefetch-distance D (0 = calibrate)\n"
+           "             --threads T (0 = all hardware threads, at most\n"
+           "             the host's) --iters N (>= 1)\n"
+           "             --prefetch-distance D (>= 0; 0 = calibrate)\n"
            "             --report FILE --format csv|json\n"
            "families: stencil2d5 stencil3d27 banded circuit random "
            "randomcv blockfem\n"
@@ -154,24 +158,41 @@ void report_error(const Error& e) {
     return OkStatus();
 }
 
-/// Reads --l2-ways and --l1-ways (default 0 = level unpartitioned). A
-/// sector 1 that would leave sector 0 no way of `machine`'s level is a
+/// Reads the model flags predict and tune share (--threads, --jobs,
+/// --trace-buffer, --timeout, --approx) over the op's defaults in
+/// `options`. Out-of-range values are usage errors.
+[[nodiscard]] Status model_flags(const CliParser& cli, ModelOptions& options) {
+    SPMV_RETURN_IF_ERROR(thread_counts(cli, options.threads, options.jobs));
+    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
+        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
+    options.timeout_seconds = cli.get_double("timeout", 0.0);
+    SPMV_ASSIGN_OR_RETURN(options.sample_rate, approx_rate(cli));
+    return OkStatus();
+}
+
+/// Reads a sector-1 way count of a cache level with `level_ways` ways
+/// (default `fallback`). A count that would leave sector 0 no way is a
 /// usage error.
+[[nodiscard]] Result<std::uint32_t> sector1_ways(const CliParser& cli,
+                                                 const char* flag,
+                                                 std::uint32_t level_ways,
+                                                 std::int64_t fallback = 0) {
+    const std::int64_t n = cli.get_int(flag, fallback);
+    if (n < 0 || n >= static_cast<std::int64_t>(level_ways))
+        return Error(ErrorCode::ValidationError,
+                     std::string("--") + flag + " must be in [0, " +
+                         std::to_string(level_ways - 1) + "]");
+    return static_cast<std::uint32_t>(n);
+}
+
+/// Reads --l2-ways and --l1-ways (default 0 = level unpartitioned) of
+/// `machine`.
 [[nodiscard]] Result<SectorWays> sector_ways(const CliParser& cli,
                                              const A64fxConfig& machine) {
-    const auto read = [&cli](const char* flag,
-                             std::uint32_t level_ways) -> Result<std::uint32_t> {
-        const std::int64_t n = cli.get_int(flag, 0);
-        if (n < 0 || n >= static_cast<std::int64_t>(level_ways))
-            return Error(ErrorCode::ValidationError,
-                         std::string("--") + flag + " must be in [0, " +
-                             std::to_string(level_ways - 1) + "]");
-        return static_cast<std::uint32_t>(n);
-    };
     SPMV_ASSIGN_OR_RETURN(const std::uint32_t l2,
-                          read("l2-ways", machine.l2.ways));
+                          sector1_ways(cli, "l2-ways", machine.l2.ways));
     SPMV_ASSIGN_OR_RETURN(const std::uint32_t l1,
-                          read("l1-ways", machine.l1.ways));
+                          sector1_ways(cli, "l1-ways", machine.l1.ways));
     return SectorWays{l2, l1};
 }
 
@@ -291,6 +312,14 @@ int cmd_stats(const CliParser& cli) {
 }
 
 int cmd_classify(const CliParser& cli) {
+    const A64fxConfig machine = a64fx_default();
+    const Result<std::uint32_t> isolated =
+        sector1_ways(cli, "ways", machine.l2.ways, 5);
+    if (!isolated.ok()) {
+        report_error(isolated.error());
+        return kExitUsage;
+    }
+    const std::uint32_t ways = isolated.value();
     const Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
@@ -298,8 +327,6 @@ int cmd_classify(const CliParser& cli) {
     }
     report_load_origin(loaded.value());
     const AnyCsrView m = loaded.value().view;
-    const auto ways = static_cast<std::uint32_t>(cli.get_int("ways", 5));
-    const A64fxConfig machine = a64fx_default();
     const std::uint64_t sector0 =
         ways_to_lines(machine.l2, machine.l2.ways - ways) *
         machine.l2.line_bytes;
@@ -365,6 +392,11 @@ void write_predict_json(std::ostream& out, const ModelResult& result,
 }
 
 int cmd_predict(const CliParser& cli) {
+    ModelOptions options;
+    if (const Status flags = model_flags(cli, options); !flags.ok()) {
+        report_error(flags.error());
+        return kExitUsage;
+    }
     Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
@@ -372,24 +404,6 @@ int cmd_predict(const CliParser& cli) {
     }
     const LoadedMatrix m = std::move(loaded).value();
     report_load_origin(m);
-    ModelOptions options;
-    options.machine = a64fx_default();
-    if (const Status counts =
-            thread_counts(cli, options.threads, options.jobs);
-        !counts.ok()) {
-        report_error(counts.error());
-        return kExitUsage;
-    }
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
-    options.l2_way_options = {2, 3, 4, 5, 6, 7};
-    options.timeout_seconds = cli.get_double("timeout", 0.0);
-    const Result<double> rate = approx_rate(cli);
-    if (!rate.ok()) {
-        report_error(rate.error());
-        return kExitUsage;
-    }
-    options.sample_rate = rate.value();
     const bool use_b = to_lower(cli.get("method", "a")) == "b";
     const Result<ModelResult> modelled =
         run_model(m, options, use_b ? ModelMethod::B : ModelMethod::A);
@@ -451,13 +465,6 @@ int cmd_predict(const CliParser& cli) {
 }
 
 int cmd_simulate(const CliParser& cli) {
-    const Result<LoadedMatrix> loaded = load_handle(cli, 1);
-    if (!loaded.ok()) {
-        report_error(loaded.error());
-        return 1;
-    }
-    report_load_origin(loaded.value());
-    const AnyCsrView m = loaded.value().view;
     ExperimentOptions options;
     options.machine = a64fx_default();
     std::int64_t jobs = 0;  // simulate runs no host model workers
@@ -472,6 +479,13 @@ int cmd_simulate(const CliParser& cli) {
         return kExitUsage;
     }
     const SectorWays ways = requested.value();
+    const Result<LoadedMatrix> loaded = load_handle(cli, 1);
+    if (!loaded.ok()) {
+        report_error(loaded.error());
+        return 1;
+    }
+    report_load_origin(loaded.value());
+    const AnyCsrView m = loaded.value().view;
     const auto results =
         run_sector_sweep(m, {SectorWays{0, 0}, ways}, options);
     const auto& base = results[0];
@@ -495,6 +509,11 @@ int cmd_simulate(const CliParser& cli) {
 }
 
 int cmd_tune(const CliParser& cli) {
+    ModelOptions options = tune_options();
+    if (const Status flags = model_flags(cli, options); !flags.ok()) {
+        report_error(flags.error());
+        return kExitUsage;
+    }
     Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
@@ -502,25 +521,6 @@ int cmd_tune(const CliParser& cli) {
     }
     const LoadedMatrix m = std::move(loaded).value();
     report_load_origin(m);
-    ModelOptions options;
-    options.machine = a64fx_default();
-    if (const Status counts =
-            thread_counts(cli, options.threads, options.jobs);
-        !counts.ok()) {
-        report_error(counts.error());
-        return kExitUsage;
-    }
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
-    options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
-    options.predict_l1 = false;
-    options.timeout_seconds = cli.get_double("timeout", 0.0);
-    const Result<double> rate = approx_rate(cli);
-    if (!rate.ok()) {
-        report_error(rate.error());
-        return kExitUsage;
-    }
-    options.sample_rate = rate.value();
     const Result<ModelResult> modelled =
         run_model(m, options, ModelMethod::A);
     if (!modelled.ok()) {
@@ -532,22 +532,17 @@ int cmd_tune(const CliParser& cli) {
         std::cout << "note: recommendation derived from a SHARDS estimate "
                      "(R=" << fmt(result.sample_rate, 4)
                   << "); re-run without --approx to confirm\n";
-    const ConfigPrediction* best = &result.configs.front();
-    for (const auto& config : result.configs)
-        if (config.l2_misses < best->l2_misses) best = &config;
-    if (best->l2_sector_ways == 0) {
+    const ConfigPrediction& best = result.best();
+    if (best.l2_sector_ways == 0) {
         std::cout << "recommendation: leave the sector cache off\n";
     } else {
+        const double baseline = result.configs.front().l2_misses;
         std::cout << "recommendation:\n"
                   << "  #pragma procedure scache_isolate_way L2="
-                  << best->l2_sector_ways << "\n"
+                  << best.l2_sector_ways << "\n"
                   << "  #pragma procedure scache_isolate_assign a colidx\n"
                   << "predicted L2 miss reduction: "
-                  << fmt(100.0 *
-                             (result.configs.front().l2_misses -
-                              best->l2_misses) /
-                             result.configs.front().l2_misses,
-                         1)
+                  << fmt(100.0 * (baseline - best.l2_misses) / baseline, 1)
                   << " %\n";
     }
     return 0;
@@ -695,7 +690,6 @@ int cmd_serve(const CliParser& cli) {
         std::max<std::int64_t>(0, cli.get_int("retries", 2)));
     if (const std::int64_t mb = cli.get_int("max-request-bytes", -1); mb > 0)
         options.max_request_bytes = static_cast<std::size_t>(mb);
-    options.execute_delay_seconds = cli.get_double("execute-delay", 0.0);
     // Serve workers already share the cores: one parse job each.
     const Result<IngestFlags> ingest = ingest_flags(cli, /*parse_jobs=*/1);
     if (!ingest.ok()) {
@@ -850,14 +844,41 @@ struct KernelRow {
     EngineInfo info;
 };
 
+/// Reads kernelbench's --threads (0 = all hardware threads, default 1),
+/// --iters (>= 1) and --prefetch-distance (>= 0, 0 = calibrate). A count
+/// above the host's hardware threads is refused before any thread starts.
+[[nodiscard]] Status kernel_flags(const CliParser& cli, std::int64_t& threads,
+                                  std::int64_t& prefetch_distance) {
+    const auto host = static_cast<std::int64_t>(default_host_jobs());
+    threads = cli.get_int("threads", 1);
+    if (threads < 0 || threads > host)
+        return Error(ErrorCode::ValidationError,
+                     "--threads must be in [0, " + std::to_string(host) +
+                         "] (0 = all hardware threads)");
+    if (threads == 0) threads = host;
+    if (cli.has("iters") && cli.get_int("iters", 0) < 1)
+        return Error(ErrorCode::ValidationError, "--iters must be >= 1");
+    prefetch_distance = cli.get_int("prefetch-distance", 0);
+    if (prefetch_distance < 0)
+        return Error(ErrorCode::ValidationError,
+                     "--prefetch-distance must be >= 0");
+    return OkStatus();
+}
+
 int cmd_kernelbench(const CliParser& cli) {
+    std::int64_t threads = 1;
+    std::int64_t prefetch_distance = 0;
+    if (const Status flags = kernel_flags(cli, threads, prefetch_distance);
+        !flags.ok()) {
+        report_error(flags.error());
+        return kExitUsage;
+    }
     const Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
         return 1;
     }
     const AnyCsrView& view = loaded.value().view;
-    const std::int64_t threads = cli.get_int("threads", 1);
     const std::int64_t iters = cli.get_int(
         "iters", std::max<std::int64_t>(
                      3, (std::int64_t{1} << 26) /
@@ -906,7 +927,7 @@ int cmd_kernelbench(const CliParser& cli) {
         EngineOptions options;
         options.threads = threads;
         options.variant = v;
-        options.prefetch_distance = cli.get_int("prefetch-distance", 0);
+        options.prefetch_distance = prefetch_distance;
         AnyKernelEngine engine(view, options);
         engine.run_iterations(x, y, 1);  // warm-up
         Timer timer;
