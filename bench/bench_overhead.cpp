@@ -2,10 +2,13 @@
 // method (B) (paper: 4.21x sequential, 3.02x with 48 threads; average
 // method (B) runtime 6.54 s / 9.22 s at paper scale), with method (A) on
 // its grouped stack with one group per priced capacity (t_A), plus the
-// serial-vs-parallel wall-clock of the host-sharded model (--jobs); the
-// latter is emitted as a perf-trajectory point to
-// BENCH_model_parallel.json (--out overrides the path).
+// serial-vs-parallel wall-clock of the host-sharded model (--jobs). Both
+// are emitted, with the host's core count and the build type, as a
+// perf-trajectory point to BENCH_model_parallel.json (--out overrides the
+// path).
 #include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "bench_common.hpp"
 
@@ -24,6 +27,7 @@ int main(int argc, char** argv) {
     TextTable table({"matrix", "threads", "t_A(grouped stack) [s]",
                      "t_B [s]", "t_A/t_B"});
 
+    std::ostringstream overhead;  // the JSON rows of the t_A/t_B totals
     for (const std::int64_t threads : {std::int64_t{1}, common.threads}) {
         double total_a = 0.0, total_b = 0.0;
         for (const auto& spec : suite) {
@@ -42,9 +46,15 @@ int main(int argc, char** argv) {
                                2)});
             std::cerr << spec.name << " @" << threads << " threads done\n";
         }
+        const double ratio = total_b > 0 ? total_a / total_b : 0.0;
         std::cout << "threads=" << threads << ": total t_A " << fmt(total_a, 2)
                   << " s, total t_B " << fmt(total_b, 2) << " s, ratio "
-                  << fmt(total_b > 0 ? total_a / total_b : 0.0, 2) << "x\n";
+                  << fmt(ratio, 2) << "x\n";
+        overhead << (overhead.str().empty() ? "" : ", ")
+                 << "{\"threads\": " << threads
+                 << ", \"t_a_seconds\": " << total_a
+                 << ", \"t_b_seconds\": " << total_b
+                 << ", \"t_a_over_t_b\": " << ratio << "}";
     }
     std::cout << '\n';
     table.render(std::cout);
@@ -91,12 +101,16 @@ int main(int argc, char** argv) {
         cli.get("out", "BENCH_model_parallel.json");
     std::ofstream out(out_path);
     if (out) {
-        out << "{\"bench\": \"model_parallel\", \"jobs\": " << par_jobs
+        out << "{\"bench\": \"model_parallel\""
+            << ", \"host_cores\": " << std::thread::hardware_concurrency()
+            << ", \"build_type\": \"" << SPMV_BENCH_BUILD_TYPE << "\""
+            << ", \"jobs\": " << par_jobs
             << ", \"threads\": " << common.threads
             << ", \"matrices\": " << matrices
             << ", \"serial_seconds\": " << serial_total
             << ", \"parallel_seconds\": " << parallel_total
-            << ", \"speedup\": " << speedup << "}\n";
+            << ", \"speedup\": " << speedup
+            << ",\n \"overhead\": [" << overhead.str() << "]}\n";
         std::cout << "perf point written to " << out_path << "\n";
     } else {
         std::cerr << "cannot write " << out_path << "\n";

@@ -81,7 +81,6 @@ BatchItemResult attempt_one(const std::string& path,
             ModelOptions model;
             model.threads = options.threads;
             model.jobs = options.jobs;
-            model.trace_buffer_bytes = options.trace_buffer_bytes;
             model.predict_l1 = false;
             model.sample_rate = options.sample_rate;
             const ModelResult result = run_method_a(m, model);

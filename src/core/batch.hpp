@@ -42,10 +42,6 @@ struct BatchOptions {
     /// Host workers for the model's sharded stack passes (ModelOptions::
     /// jobs): 0 = hardware concurrency, 1 = serial.
     std::int64_t jobs = 0;
-    /// Packed-trace replay chunk budget (ModelOptions::
-    /// trace_buffer_bytes): kTraceBufferAuto = derive from host RAM,
-    /// 0 = the smallest chunk.
-    std::uint64_t trace_buffer_bytes = kTraceBufferAuto;
     /// Per-matrix wall-clock budget in seconds; <= 0 disables the timeout.
     /// A timed-out matrix is recorded as TimeoutError and abandoned (its
     /// worker thread is detached — see DESIGN.md).

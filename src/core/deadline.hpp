@@ -12,6 +12,7 @@
 // via shared_ptr or by value, never by reference to caller stack).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <future>
@@ -22,9 +23,14 @@
 
 namespace spmvcache {
 
-/// Runs `fn` under a wall-clock budget of `seconds` (<= 0 = no budget, run
-/// inline). Returns fn's Result, or TimeoutError on expiry. Exceptions
-/// escaping `fn` are mapped to typed errors (never rethrown).
+/// The longest wait run_with_deadline makes (about 31 years). A longer
+/// budget, up to inf, waits this long: converted to the clock's ticks it
+/// would overflow and expire at once.
+inline constexpr double kLongestDeadlineSeconds = 1e9;
+
+/// Runs `fn` under a wall-clock budget of `seconds` (<= 0 or NaN = no
+/// budget, run inline). Returns fn's Result, or TimeoutError on expiry.
+/// Exceptions escaping `fn` are mapped to typed errors (never rethrown).
 template <typename T>
 [[nodiscard]] Result<T> run_with_deadline(double seconds,
                                           std::function<Result<T>()> fn) {
@@ -37,12 +43,13 @@ template <typename T>
             return Error(ErrorCode::InternalError, "unknown exception");
         }
     };
-    if (seconds <= 0.0) return guarded();
+    if (!(seconds > 0.0)) return guarded();
 
     std::packaged_task<Result<T>()> task(guarded);
     std::future<Result<T>> future = task.get_future();
     std::thread worker(std::move(task));
-    const auto budget = std::chrono::duration<double>(seconds);
+    const auto budget = std::chrono::duration<double>(
+        std::min(seconds, kLongestDeadlineSeconds));
     if (future.wait_for(budget) == std::future_status::ready) {
         worker.join();
         return future.get();

@@ -41,10 +41,7 @@ std::vector<MeasuredConfig> run_sector_sweep(
     const AnyCsrView& m, const std::vector<SectorWays>& configs,
     const ExperimentOptions& options) {
     SPMV_EXPECTS(!configs.empty());
-    ModelOptions replay = options.model_options();
-    // One-batch chunks: no shard holds its segment's whole trace, and
-    // re-deriving the counted pass costs little next to the simulators.
-    replay.trace_buffer_bytes = 0;
+    const ModelOptions replay = options.model_options();
     const detail::ReplayPlan plan(m, replay, options.x_prefetch_distance);
 
     // One simulator per configuration; sizing the machine to the thread
@@ -60,22 +57,22 @@ std::vector<MeasuredConfig> run_sector_sweep(
     }
 
     plan.for_each_shard([&](std::int64_t segment) {
-        bool measuring = false;
-        (void)detail::replay_segment(
-            plan, segment,
-            [&](std::span<const std::uint64_t> words, bool counting) {
-                if (counting && !measuring) {
-                    for (auto& sim : sims) sim.reset_segment_counters(segment);
-                    measuring = true;
-                }
-                // Reference by reference: playing the chunk configuration
-                // by configuration made bench_table2 (1 thread) 14-25 %
-                // slower than the parent on a 4-vCPU x86 host.
-                for (const std::uint64_t word : words) {
-                    const MemRef ref = unpack_memref(word);
-                    for (auto& sim : sims) sim.access(ref, options.policy);
-                }
-            });
+        // Reference by reference: playing the chunk configuration by
+        // configuration made bench_table2 (1 thread) 14-25 % slower on a
+        // 4-vCPU x86 host.
+        const auto play = [&](std::span<const std::uint64_t> words) {
+            for (const std::uint64_t word : words) {
+                const MemRef ref = unpack_memref(word);
+                for (auto& sim : sims) sim.access(ref, options.policy);
+            }
+        };
+        // A simulator keeps no stack to close a period from, so it plays
+        // every warm-up iteration and then the measured one.
+        for (std::int64_t i = 0; i < ExperimentOptions::warmup_iterations;
+             ++i)
+            (void)detail::replay_segment(plan, segment, play);
+        for (auto& sim : sims) sim.reset_segment_counters(segment);
+        (void)detail::replay_segment(plan, segment, play);
     });
 
     const RowPartition partition(m, options.threads, options.partition);

@@ -36,8 +36,8 @@ struct ExperimentOptions {
     SectorPolicy policy = SectorPolicy::IsolateMatrix;
     PartitionPolicy partition = PartitionPolicy::BalancedRows;
     TimingParameters timing{};
-    /// Warm-up iterations before the measured one: the replay plan makes
-    /// one warm-up pass per segment.
+    /// Warm-up iterations before the measured one; run_sector_sweep plays
+    /// each segment this many times before it counts.
     static constexpr std::int64_t warmup_iterations = 1;
     /// Software-prefetch distance for x in nonzeros (0 = off); see
     /// TraceConfig::x_prefetch_distance.

@@ -94,19 +94,51 @@ public:
         distL1_.resize(engL1_.size());
     }
 
-    /// Replays one chunk in batches of kReplayBatch words. Per batch:
-    /// gather each engine's lines (each engine sees exactly its
-    /// trace-order subsequence, so chunk and batch boundaries never change
-    /// a distance), run the batched prefetch-pipelined engine paths, then
-    /// scatter the distances, scaled by the SHARDS filter, into the
-    /// counters (counted pass only).
-    void operator()(std::span<const std::uint64_t> words, bool counting) {
-        for (std::size_t begin = 0; begin < words.size();
-             begin += detail::kReplayBatch)
-            replay_batch(words.subspan(
-                             begin, std::min(detail::kReplayBatch,
-                                             words.size() - begin)),
-                         counting);
+    /// Replays one chunk of at most kReplayBatch words: gathers each
+    /// engine's lines (each engine sees exactly its trace-order
+    /// subsequence, so chunk boundaries never change a distance), runs
+    /// the batched prefetch-pipelined engine paths, then scatters the
+    /// distances, scaled by the SHARDS filter, into the counters.
+    void operator()(std::span<const std::uint64_t> words) {
+        linesU_.clear();
+        lines0_.clear();
+        lines1_.clear();
+        for (auto& lines : linesL1_) lines.clear();
+        for (const std::uint64_t word : words) {
+            const std::uint64_t line = packed_line(word);
+            linesU_.push_back(line);
+            (sector_of(packed_object(word), policy_) == 1 ? lines1_ : lines0_)
+                .push_back(line);
+            if (!engL1_.empty())
+                linesL1_[static_cast<std::size_t>(
+                             static_cast<std::int64_t>(packed_thread(word)) -
+                             t_begin_)]
+                    .push_back(line);
+        }
+
+        run(engU_, linesU_, distU_);
+        run(eng0_, lines0_, dist0_);
+        run(eng1_, lines1_, dist1_);
+        for (std::size_t t = 0; t < engL1_.size(); ++t)
+            run(engL1_[t], linesL1_[t], distL1_[t]);
+
+        record(lines0_, dist0_, counters_.cnt0, &counters_.cnt_x);
+        record(lines1_, dist1_, counters_.cnt1, nullptr);  // x is sector 0
+        record(linesU_, distU_, counters_.cntU, &counters_.cnt_xU);
+        for (std::size_t t = 0; t < engL1_.size(); ++t)
+            record(linesL1_[t], distL1_[t], counters_.cntL1,
+                   &counters_.cnt_xL1);
+    }
+
+    /// Ends the shard's one pass: every engine closes its period, moving
+    /// the first accesses it reported cold into the classes a counted
+    /// iteration after a warm-up one would give them.
+    void close_period() {
+        close(eng0_, counters_.cnt0, &counters_.cnt_x);
+        close(eng1_, counters_.cnt1, nullptr);
+        close(engU_, counters_.cntU, &counters_.cnt_xU);
+        for (const CapacityStackEngine& engine : engL1_)
+            close(engine, counters_.cntL1, &counters_.cnt_xL1);
     }
 
 private:
@@ -135,36 +167,14 @@ private:
         }
     }
 
-    void replay_batch(std::span<const std::uint64_t> batch, bool counting) {
-        linesU_.clear();
-        lines0_.clear();
-        lines1_.clear();
-        for (auto& lines : linesL1_) lines.clear();
-        for (const std::uint64_t word : batch) {
-            const std::uint64_t line = packed_line(word);
-            linesU_.push_back(line);
-            (sector_of(packed_object(word), policy_) == 1 ? lines1_ : lines0_)
-                .push_back(line);
-            if (!engL1_.empty())
-                linesL1_[static_cast<std::size_t>(
-                             static_cast<std::int64_t>(packed_thread(word)) -
-                             t_begin_)]
-                    .push_back(line);
-        }
-
-        run(engU_, linesU_, distU_);
-        run(eng0_, lines0_, dist0_);
-        run(eng1_, lines1_, dist1_);
-        for (std::size_t t = 0; t < engL1_.size(); ++t)
-            run(engL1_[t], linesL1_[t], distL1_[t]);
-
-        if (!counting) return;
-        record(lines0_, dist0_, counters_.cnt0, &counters_.cnt_x);
-        record(lines1_, dist1_, counters_.cnt1, nullptr);  // x is sector 0
-        record(linesU_, distU_, counters_.cntU, &counters_.cnt_xU);
-        for (std::size_t t = 0; t < engL1_.size(); ++t)
-            record(linesL1_[t], distL1_[t], counters_.cntL1,
-                   &counters_.cnt_xL1);
+    /// record() for the distances `engine`'s period close reports.
+    void close(const CapacityStackEngine& engine, CapacityMissCounter& all,
+               CapacityMissCounter* x) const {
+        engine.close_period([&](std::uint64_t line, std::uint64_t distance) {
+            const std::uint64_t d = filter_.scale_distance(distance);
+            all.resolve_cold(d);
+            if (x != nullptr && line < x_lines_) x->resolve_cold(d);
+        });
     }
 
     SectorPolicy policy_;
@@ -180,11 +190,15 @@ private:
     std::vector<std::vector<std::uint64_t>> linesL1_, distL1_;
 };
 
-/// One shard = one L2 segment, replayed through the chunked loop.
+/// One shard = one L2 segment: one streamed pass, then the period close.
 ShardStats run_shard(const detail::ReplayPlan& plan, std::int64_t s,
                      ShardCounters& counters) {
+    const Timer timer;
     ShardReplay replay(plan, s, counters);
-    return detail::replay_segment(plan, s, std::ref(replay));
+    ShardStats st = detail::replay_segment(plan, s, std::ref(replay));
+    replay.close_period();
+    st.seconds = timer.seconds();
+    return st;
 }
 
 }  // namespace
@@ -235,8 +249,9 @@ ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options) {
     {
         ConfigPrediction off;
         off.l2_sector_ways = 0;
-        // Cold misses count as misses: a line never seen in the warm-up
-        // iteration cannot be resident, whatever the capacity.
+        // Cold misses count as misses at every capacity: after the period
+        // close they are the accesses whose distance reaches past the
+        // largest priced capacity.
         std::uint64_t misses = 0, x_misses = 0;
         for (const auto& st : shard_state) {
             misses += st.cntU.total_misses(cap_full);

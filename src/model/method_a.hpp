@@ -5,11 +5,18 @@
 // each shared L2 segment, and Kim et al.'s grouped LRU stack, with one
 // group per priced capacity (reuse/capacity_stack.hpp), finds which of
 // those capacities each reference's reuse distance reaches, exactly. Two
-// passes are made, exactly as the paper
-// describes: one with all references counted in a single partition (sector
-// cache off) and one with references split between partitions by the
-// sector policy (Eq. 2). A warm-up iteration populates the stack so the
-// counted iteration has no cold misses.
+// stacks are kept, as the paper describes: one with all references in a
+// single partition (sector cache off) and one with references split
+// between partitions by the sector policy (Eq. 2).
+//
+// The paper counts one iteration after a warm-up iteration, so that only
+// lines the cache cannot hold miss. The model streams each segment's
+// trace once (model/replay.hpp): an access whose previous access to its
+// line is in the same iteration has the same distance in every iteration,
+// and each engine's period close (CapacityStackEngine::close_period)
+// supplies the distances of the iteration's first accesses from the stack
+// the pass leaves behind. The counts equal a warm-up pass plus a counted
+// pass bit for bit, at half the stack work and with no trace buffer.
 //
 // One pass prices *every* requested way split at once: the reuse-distance
 // histogram is evaluated at each partition capacity (the paper's stated

@@ -139,6 +139,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
 
     std::vector<ShardStats> shard_stats(static_cast<std::size_t>(segments));
     plan.for_each_shard([&](std::int64_t g) {
+        const Timer shard_timer;
         const auto gi = static_cast<std::size_t>(g);
         const std::int64_t t_begin = plan.first_thread(g);
         // The x engine feeds both counters, so it prices both capacity
@@ -163,8 +164,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
             distL1(engL1.size());
         shard_stats[gi] = detail::replay_segment(
-            plan, g,
-            [&](std::span<const std::uint64_t> words, bool counting) {
+            plan, g, [&](std::span<const std::uint64_t> words) {
                 lines_x.clear();
                 for (auto& v : linesL1) v.clear();
                 for (const std::uint64_t word : words) {
@@ -187,7 +187,6 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                                           distL1[t].data(),
                                           linesL1[t].size());
                 }
-                if (!counting) return;
                 for (const std::uint64_t d : dist_x) {
                     const std::uint64_t ds = filter.scale_distance(d);
                     cnt_p.record(ds);
@@ -197,6 +196,18 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                     for (const std::uint64_t d : dists)
                         cntL1[gi]->record(filter.scale_distance(d));
             });
+        // One pass, then each engine's period close: the counts of a
+        // counted iteration after a warm-up one (method_a.cpp).
+        eng.close_period([&](std::uint64_t, std::uint64_t d) {
+            const std::uint64_t ds = filter.scale_distance(d);
+            cnt_p.resolve_cold(ds);
+            cnt_u.resolve_cold(ds);
+        });
+        for (const CapacityStackEngine& engine : engL1)
+            engine.close_period([&](std::uint64_t, std::uint64_t d) {
+                cntL1[gi]->resolve_cold(filter.scale_distance(d));
+            });
+        shard_stats[gi].seconds = shard_timer.seconds();
     });
 
     // ---- Analytic terms for a, colidx, rowptr and y (§3.1 / §3.2.2) ------

@@ -13,10 +13,6 @@
 
 namespace spmvcache {
 
-/// Sentinel for ModelOptions::trace_buffer_bytes: resolve the packed-trace
-/// budget from physical RAM at run time.
-inline constexpr std::uint64_t kTraceBufferAuto = ~std::uint64_t{0};
-
 /// Options for a model run.
 struct ModelOptions {
     /// Machine geometry consulted for line size, cache capacities and the
@@ -37,24 +33,12 @@ struct ModelOptions {
     /// perfbench's reuse-layer probe builds its KimEngine from it.
     static constexpr std::uint64_t kim_group_capacity = 512;
     /// Host worker threads for the model's stack passes. The model is
-    /// sharded by L2 segment (each shard re-derives only its segment's
+    /// sharded by L2 segment (each shard derives only its segment's
     /// slice of the interleaved trace), so up to one worker per active
     /// segment is useful. 0 = one worker per hardware thread; 1 = serial.
     /// Predictions are bit-identical for every value — see DESIGN.md
     /// "Sharded host-parallel model execution".
     std::int64_t jobs = 0;
-    /// Packed-trace replay budget in bytes, shared by the shards that can
-    /// run concurrently: each shard replays its segment trace (8 bytes per
-    /// kept reference) in chunks of at most budget / min(jobs, segments).
-    /// A segment that fits one chunk is derived once and replayed for both
-    /// passes; a larger one is derived again, chunk by chunk, for the
-    /// counted pass — so arbitrarily large matrices still run. The
-    /// smallest chunk is one 1024-reference replay batch, which is what 0
-    /// (or any smaller budget) means. kTraceBufferAuto (default) resolves
-    /// to 1/8 of physical RAM clamped to [64 MiB, 8 GiB]. Predictions are
-    /// bit-identical for every budget (golden-tested); the knob trades
-    /// memory for trace-derivation time only. CLI: --trace-buffer.
-    std::uint64_t trace_buffer_bytes = kTraceBufferAuto;
     /// SHARDS spatial-sampling rate R in (0, 1]. 1 (default) is the exact
     /// model — bit-identical to every pre-sampling prediction. R < 1
     /// processes only references whose line hashes below R·2⁶⁴
@@ -115,11 +99,11 @@ struct ShardStats {
     /// Demand references replayed per counted SpMV iteration (the shard's
     /// slice of the derived trace; shards sum to spmv_trace_length).
     std::uint64_t references = 0;
-    double seconds = 0.0;          ///< wall-clock of this shard's stack pass
-    /// True when the segment was derived once (it fit one replay chunk);
-    /// false when the counted pass derived it again, chunk by chunk
-    /// (budget exceeded, --trace-buffer 0, armed `trace.pack` fault, or a
-    /// failed chunk allocation).
+    /// Wall-clock of this shard's stack pass and period close.
+    double seconds = 0.0;
+    /// True for every model shard: each derives its segment once and
+    /// streams it in packed replay batches. No model output depends on
+    /// it; the repository benchmark still reads it.
     bool packed_replay = false;
     /// References that survived the sampling filter and reached the
     /// engines (== references when the run was exact).

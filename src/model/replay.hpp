@@ -1,4 +1,4 @@
-// The sharded, chunked trace replay shared by methods (A) and (B) and the
+// The sharded, streamed trace replay shared by methods (A) and (B) and the
 // simulator sweep (core/experiment.hpp).
 //
 // Runs are sharded by L2 segment: every per-segment stack engine or
@@ -7,16 +7,16 @@
 // interleaved trace (generate_spmv_trace_segment), so shards are fully
 // independent and can run concurrently without changing any number.
 //
-// Each shard sends its slice through its consumer twice: a warm-up pass,
-// then a counted pass. replay_segment() is the one loop that does it. It
-// derives the segment's references, drops those the run's SHARDS filter
-// rejects, packs the rest (trace/packed_trace.hpp) into a chunk no larger
-// than the shard's share of ModelOptions::trace_buffer_bytes, and hands
-// every full chunk to the consumer. A segment that fits one chunk is
-// derived once and both passes replay that buffer; a larger one is
-// derived again, chunk by chunk, for the counted pass. Chunking only
-// splits each consumer's own access subsequence, so results are
-// bit-identical for every budget.
+// replay_segment() is the one loop that plays a segment: it derives the
+// segment's references, drops those the run's SHARDS filter rejects,
+// packs the rest (trace/packed_trace.hpp) and hands them to the consumer
+// in chunks of kReplayBatch words, so no shard holds more than one chunk
+// of its trace. One call plays one SpMV iteration. The model calls it
+// once per shard and then closes each engine's period
+// (CapacityStackEngine::close_period), which yields the counts of a
+// counted iteration after a warm-up one; the simulator, which keeps no
+// stack, calls it once per warm-up iteration and once more to count.
+#pragma once
 #pragma once
 
 #include <cstddef>
@@ -33,17 +33,10 @@
 
 namespace spmvcache::detail {
 
-/// References the engines consume per access_batch call, and the smallest
-/// chunk: large enough to amortize the gather/scatter bookkeeping and keep
-/// the engines' prefetch pipelines full, small enough that the scratch
-/// arrays stay L2-resident.
+/// References per chunk, and per access_batch call: large enough to
+/// amortize the gather/scatter bookkeeping and keep the engines' prefetch
+/// pipelines full, small enough that the scratch arrays stay L2-resident.
 inline constexpr std::size_t kReplayBatch = 1024;
-
-/// Resolves ModelOptions::trace_buffer_bytes: kTraceBufferAuto becomes
-/// 1/8 of physical RAM clamped to [64 MiB, 8 GiB] (256 MiB when the host
-/// cannot report its memory); any other value passes through.
-[[nodiscard]] std::uint64_t resolve_trace_buffer_bytes(
-    std::uint64_t requested) noexcept;
 
 /// Everything the shards of one run share, resolved once at entry.
 struct ReplayPlan {
@@ -67,9 +60,6 @@ struct ReplayPlan {
     /// thread), at most one per segment.
     std::int64_t effective_jobs;
     std::vector<std::uint64_t> segment_lengths;  ///< demand refs per segment
-    /// Per-shard chunk capacity in words: the budget's share, at least
-    /// one replay batch.
-    std::uint64_t chunk_words;
     /// The run's SHARDS filter (exact unless sampling is on).
     SampleFilter filter;
 
@@ -82,15 +72,14 @@ struct ReplayPlan {
     void for_each_shard(const std::function<void(std::int64_t)>& fn) const;
 };
 
-/// Receives one chunk of packed words (trace order) and whether it belongs
-/// to the counted pass.
+/// Receives one chunk of at most kReplayBatch packed words, in trace
+/// order.
 using ChunkConsumer =
-    std::function<void(std::span<const std::uint64_t> words, bool counting)>;
+    std::function<void(std::span<const std::uint64_t> words)>;
 
-/// Runs segment `segment`'s warm-up and counted passes through `consume`
-/// and returns the shard's record. The smallest chunk — one replay batch —
-/// serves a budget below one batch (including 0), an armed `trace.pack`
-/// fault and a failed chunk allocation: slower, never a different number.
+/// Plays one iteration of segment `segment` through `consume`, deriving
+/// it as it goes, and returns the shard's record; `seconds` is left for
+/// the caller, whose shard may do more than this pass.
 [[nodiscard]] ShardStats replay_segment(const ReplayPlan& plan,
                                         std::int64_t segment,
                                         const ChunkConsumer& consume);

@@ -7,6 +7,15 @@
 
 namespace spmvcache {
 
+namespace {
+
+/// A map value for an evicted ranked line.
+constexpr std::uint64_t ghost(std::uint32_t rank) noexcept {
+    return (std::uint64_t{rank} << 32) | ~std::uint32_t{0};
+}
+
+}  // namespace
+
 CapacityStackEngine::CapacityStackEngine(
     std::span<const std::uint64_t> capacities, const SampleFilter& filter) {
     SPMV_EXPECTS(!capacities.empty());
@@ -29,6 +38,7 @@ CapacityStackEngine::CapacityStackEngine(
         groups_.push_back(group);
         lower = boundary;
     }
+    limit_ = lower;
 }
 
 void CapacityStackEngine::unlink(std::uint32_t node) noexcept {
@@ -57,7 +67,8 @@ void CapacityStackEngine::push_front(std::uint32_t node) noexcept {
     ++top.size;
 }
 
-std::uint32_t CapacityStackEngine::allocate(std::uint64_t line) {
+std::uint32_t CapacityStackEngine::allocate(std::uint64_t line,
+                                            std::uint32_t rank) {
     std::uint32_t node = spare_;
     if (node != kNil) {
         spare_ = kNil;
@@ -66,6 +77,7 @@ std::uint32_t CapacityStackEngine::allocate(std::uint64_t line) {
         nodes_.emplace_back();
     }
     nodes_[node].line = line;
+    nodes_[node].rank = rank;
     return node;
 }
 
@@ -79,8 +91,14 @@ std::uint64_t CapacityStackEngine::access_one(std::uint64_t line) {
     std::uint32_t node = kNil;
     std::uint32_t from = groups;  // the group the line leaves; none if new
     std::uint64_t distance = kInfiniteDistance;
-    if (inserted) {
-        node = allocate(line);
+    if (inserted || static_cast<std::uint32_t>(*slot) == kNil) {
+        // A new line takes the next rank while ranks last; a ghost keeps
+        // the rank of its first sighting.
+        const std::uint32_t rank =
+            !inserted ? static_cast<std::uint32_t>(*slot >> 32)
+            : ranked_ < limit_ ? ranked_++
+                               : kNil;
+        node = allocate(line, rank);
         *slot = node;
     } else {
         node = static_cast<std::uint32_t>(*slot);
@@ -111,11 +129,49 @@ std::uint64_t CapacityStackEngine::access_one(std::uint64_t line) {
         } else {
             nodes_[group.tail].next = kNil;
             // `slot` is dead from here on: erase may shift map entries.
-            node_of_line_.erase(nodes_[demoted].line);
+            const Node& gone = nodes_[demoted];
+            if (gone.rank == kNil)
+                node_of_line_.erase(gone.line);
+            else
+                *node_of_line_.find(gone.line) = ghost(gone.rank);
             spare_ = demoted;
         }
     }
     return distance;
+}
+
+void CapacityStackEngine::close_period(const PeriodFn& fn) const {
+    // Walking down from the most recent line, the line at position p was
+    // last touched before p distinct lines, and its rank r counts the
+    // lines the next period touches before its first access to it. The
+    // distance of that access is the size of the union: r + p minus the
+    // lines above it with a smaller rank, which a Fenwick tree over the
+    // ranks seen so far counts. An unranked line's distance is at least
+    // L, so it stays cold, and it never ranks below a ranked one.
+    std::vector<std::uint32_t> above(std::size_t{ranked_} + 1, 0);
+    std::uint64_t position = 0;
+    for (std::uint32_t node = head_; node != kNil;
+         node = nodes_[node].next, ++position) {
+        const Node& n = nodes_[node];
+        if (n.rank == kNil) continue;
+        std::uint64_t smaller = 0;
+        for (std::uint32_t i = n.rank; i > 0; i &= i - 1) smaller += above[i];
+        for (std::uint32_t i = n.rank + 1; i <= ranked_; i += i & (0u - i))
+            ++above[i];
+        const std::uint64_t distance = n.rank + position - smaller;
+        if (distance >= limit_) continue;
+        // The distance is at least the position, so its group is at or
+        // below the line's own.
+        std::size_t g = n.group;
+        while (distance >= groups_[g].lower + groups_[g].capacity) ++g;
+        fn(n.line, groups_[g].lower);
+    }
+}
+
+std::uint64_t CapacityStackEngine::resident_lines() const noexcept {
+    std::uint64_t lines = 0;
+    for (const Group& group : groups_) lines += group.size;
+    return lines;
 }
 
 void CapacityStackEngine::access_batch(const std::uint64_t* lines,

@@ -28,10 +28,25 @@
 // and at most one such relabel per group above the line's old group
 // (plus one eviction when the stack is full). Memory is bounded by the
 // largest capacity: at most that many resident lines, each one node and
-// one map entry, grown lazily as lines arrive.
+// one map entry, grown lazily as lines arrive, plus at most that many
+// ghost entries (below).
+//
+// A trace that repeats — one SpMV iteration after another — needs only
+// one pass. A reference whose previous access to its line falls in the
+// same period has the same distance in every period, so only a period's
+// first access to each line differs between a warm-up pass and a counted
+// one: the pass reports it cold, the counted pass would have found the
+// line where the period's end left it. close_period() computes those
+// distances from the final stack (DESIGN.md §12). To do so the engine
+// ranks the first L distinct lines by first sighting (L = the largest
+// boundary; a line first seen later has a first-access distance of at
+// least L, a miss at every capacity). An evicted ranked line stays in the
+// map as a ghost that keeps its rank, so a line that returns is not
+// ranked again.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -62,10 +77,23 @@ public:
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
+    /// Receives a line and the class-exact distance of its first access
+    /// in the next period.
+    using PeriodFn =
+        std::function<void(std::uint64_t line, std::uint64_t distance)>;
+
+    /// Treats the accesses so far as one period of a trace that repeats
+    /// and calls fn(line, distance) for every line whose first access in
+    /// the next period would be found on the stack, with that access's
+    /// class-exact distance. That access was reported cold in this pass;
+    /// every other access of the next period would report what it did in
+    /// this one. So one pass plus this close counts exactly what a
+    /// warm-up pass plus a counted pass would. The stack is unchanged.
+    /// Cost: O(L log L) for the largest boundary L.
+    void close_period(const PeriodFn& fn) const;
+
     /// Lines currently on the stack; never more than the largest boundary.
-    [[nodiscard]] std::uint64_t resident_lines() const noexcept {
-        return node_of_line_.size();
-    }
+    [[nodiscard]] std::uint64_t resident_lines() const noexcept;
 
 private:
     static constexpr std::uint32_t kNil = ~std::uint32_t{0};
@@ -77,6 +105,8 @@ private:
         std::uint32_t prev = kNil;  ///< more recent neighbour
         std::uint32_t next = kNil;  ///< less recent neighbour
         std::uint32_t group = 0;
+        /// Order of first sighting, kNil past the largest boundary.
+        std::uint32_t rank = kNil;
     };
     // A segment of the list; its most recent line follows the previous
     // group's tail (or is the list head, for group 0).
@@ -92,13 +122,17 @@ private:
     void push_front(std::uint32_t node) noexcept;
     /// A pool node for a new line: the one the last eviction freed, or a
     /// fresh one.
-    std::uint32_t allocate(std::uint64_t line);
+    std::uint32_t allocate(std::uint64_t line, std::uint32_t rank);
 
     std::vector<Group> groups_;
     std::vector<Node> nodes_;
     std::uint32_t head_ = kNil;   ///< most recent line of the stack
     std::uint32_t spare_ = kNil;  ///< node freed by the last eviction
-    FlatMap64 node_of_line_;      ///< resident line -> index into nodes_
+    std::uint64_t limit_ = 0;     ///< the largest boundary
+    std::uint32_t ranked_ = 0;    ///< lines ranked so far, at most limit_
+    /// Resident line -> index into nodes_. An evicted ranked line maps to
+    /// a ghost: kNil in the low half, its rank in the high half.
+    FlatMap64 node_of_line_;
 };
 
 }  // namespace spmvcache

@@ -24,6 +24,17 @@ void CapacityMissCounter::record(std::uint64_t distance) noexcept {
         ++cold_;
         return;
     }
+    ++buckets_[bucket_of(distance)];
+}
+
+void CapacityMissCounter::resolve_cold(std::uint64_t distance) {
+    SPMV_EXPECTS(cold_ > 0 && distance != kInfiniteDistance);
+    --cold_;
+    ++buckets_[bucket_of(distance)];
+}
+
+std::size_t CapacityMissCounter::bucket_of(
+    std::uint64_t distance) const noexcept {
     // First capacity strictly greater than distance -> bucket index. The
     // iterator difference is non-negative and at most capacities_.size(),
     // so the narrowing to size_t cannot lose a bucket; the contract
@@ -33,7 +44,7 @@ void CapacityMissCounter::record(std::uint64_t distance) noexcept {
                                      distance);
     std::size_t bucket = 0;
     SPMV_EXPECT(checked_narrow(it - capacities_.begin(), bucket));
-    ++buckets_[bucket];
+    return bucket;
 }
 
 std::uint64_t CapacityMissCounter::capacity_misses(

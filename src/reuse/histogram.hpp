@@ -26,6 +26,13 @@ public:
     /// Records one access with reuse distance `distance`.
     void record(std::uint64_t distance) noexcept;
 
+    /// Moves one access already recorded as cold into the class of
+    /// `distance`: the distance of a period's first access to a line is
+    /// known only once the period closes
+    /// (CapacityStackEngine::close_period). Pre: a cold access is
+    /// recorded, distance != kInfiniteDistance.
+    void resolve_cold(std::uint64_t distance);
+
     /// Accesses with distance >= capacity, *excluding* cold (first-ever)
     /// accesses. Pre: capacity is one of the constructor capacities.
     [[nodiscard]] std::uint64_t capacity_misses(std::uint64_t capacity) const;
@@ -46,6 +53,9 @@ public:
     }
 
 private:
+    /// The bucket a finite `distance` falls in.
+    [[nodiscard]] std::size_t bucket_of(std::uint64_t distance) const noexcept;
+
     std::vector<std::uint64_t> capacities_;  // ascending
     // buckets_[i] counts distances in [capacities_[i-1], capacities_[i]),
     // buckets_[0]: < capacities_[0], buckets_[k]: >= capacities_[k-1].

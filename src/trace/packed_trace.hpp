@@ -1,11 +1,9 @@
 // Packed trace: one uint64 per memory reference.
 //
-// The model replays every segment trace twice (warm-up + counted pass)
-// through its chunked replay loop (model/replay.hpp), which packs the
-// derived references into flat buffers of bit-packed words the reuse
-// engines consume in batches; a segment that fits one buffer is derived
-// once and its second pass is a linear scan. The encoding is lossless for
-// every trace this repo derives:
+// The replay loop (model/replay.hpp) packs each segment's derived
+// references into batches of bit-packed words that the reuse engines and
+// the simulator consume. The encoding is lossless for every trace this
+// repo derives:
 //
 //   bits [0, 48)   cache-line number   (48 bits — 2^48 lines of 256 B
 //                                       is 64 PiB of addressed data)
@@ -16,9 +14,10 @@
 //
 // The model rejects a run whose references fall outside those ranges
 // (more than 2048 simulated threads, or 2^48 lines) at entry with a
-// ValidationError. try_pack_spmv_trace_segment returns typed errors
-// instead of values for such a reference, an armed `trace.pack` fault or
-// an allocation failure.
+// ValidationError. try_pack_spmv_trace_segment, which packs a whole
+// segment at once for tests and benchmarks, returns typed errors instead
+// of values for such a reference, an armed `trace.pack` fault or an
+// allocation failure.
 #pragma once
 
 #include <cstdint>

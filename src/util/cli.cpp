@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <system_error>
 
@@ -107,6 +108,17 @@ bool CliParser::get_bool(const std::string& name, bool fallback) const {
     if (!v) return fallback;
     if (v->empty() || *v == "1" || *v == "true" || *v == "yes") return true;
     return false;
+}
+
+[[nodiscard]] Status CliParser::expect_only(
+    std::span<const std::string_view> known, std::string_view command) const {
+    for (const auto& option : options_) {
+        if (std::find(known.begin(), known.end(), option.first) == known.end())
+            return Error(ErrorCode::ValidationError,
+                         std::string(command) + " does not take --" +
+                             option.first);
+    }
+    return OkStatus();
 }
 
 }  // namespace spmvcache

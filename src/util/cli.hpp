@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +38,12 @@ public:
     [[nodiscard]] double get_double(const std::string& name,
                                     double fallback) const;
     [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+    /// OkStatus when every --flag given is in `known`; otherwise a
+    /// ValidationError naming the first one that is not, as a flag
+    /// `command` does not take.
+    [[nodiscard]] Status expect_only(std::span<const std::string_view> known,
+                                     std::string_view command) const;
 
     [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {
         return positionals_;

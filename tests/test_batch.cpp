@@ -7,11 +7,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/batch.hpp"
+#include "core/deadline.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/matrix_market.hpp"
 #include "util/fault.hpp"
@@ -175,6 +178,18 @@ TEST_F(BatchTest, TimeoutRecordsTimeoutError) {
     EXPECT_EQ(report.items[0].code, ErrorCode::TimeoutError);
     EXPECT_FALSE(report.items[0].retried);  // timeouts are not transient
     EXPECT_EQ(report.exit_code(), kExitSomeFailed);
+}
+
+TEST(Deadline, BudgetBeyondTheClockIsNoBudget) {
+    // inf and 1e300 s overflowed the clock's ticks and expired at once;
+    // NaN, like <= 0, means no budget.
+    for (const double seconds : {std::numeric_limits<double>::infinity(),
+                                 1e300, std::nan("")}) {
+        const Result<int> r =
+            run_with_deadline<int>(seconds, [] { return Result<int>(7); });
+        ASSERT_TRUE(r.ok()) << seconds << ": " << r.error().render();
+        EXPECT_EQ(r.value(), 7);
+    }
 }
 
 TEST_F(BatchTest, ModelStageFaultIsIsolatedPerMatrix) {

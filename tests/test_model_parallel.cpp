@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "sparse/gen/stencil.hpp"
 #include "trace/sample.hpp"
 #include "trace/spmv_trace.hpp"
-#include "util/fault.hpp"
 
 namespace spmvcache {
 namespace {
@@ -116,44 +114,6 @@ TEST_P(ModelParallelTest, MethodBMatchesSerialForAllJobCounts) {
     }
 }
 
-void expect_derived_once(const ModelResult& result, bool once,
-                         const std::string& label) {
-    ASSERT_FALSE(result.shards.empty()) << label;
-    for (const ShardStats& shard : result.shards)
-        EXPECT_EQ(shard.packed_replay, once)
-            << label << " shard " << shard.segment;
-}
-
-TEST_P(ModelParallelTest, DerivedOnceMatchesReDerived) {
-    // A segment derived once and replayed from one chunk (default budget)
-    // and one re-derived chunk by chunk for the counted pass (the smallest
-    // chunk, --trace-buffer 0) must agree bit-for-bit across generators x
-    // jobs x both methods; the shard stats must prove each run took the
-    // intended path.
-    for (const auto& [name, m] : generator_suite()) {
-        for (const std::int64_t jobs : {std::int64_t{1}, std::int64_t{4}}) {
-            ModelOptions once = base_options(GetParam(), jobs);
-            ModelOptions rederived = once;
-            rederived.trace_buffer_bytes = 0;
-            const std::string label =
-                name + " jobs=" + std::to_string(jobs);
-
-            const auto a_once = run_method_a(m, once);
-            const auto a_rederived = run_method_a(m, rederived);
-            expect_derived_once(a_once, true, label + " A/exact derived once");
-            expect_derived_once(a_rederived, false,
-                                label + " A/exact re-derived");
-            expect_identical(a_once, a_rederived, label + " A/exact");
-
-            const auto b_once = run_method_b(m, once);
-            const auto b_rederived = run_method_b(m, rederived);
-            expect_derived_once(b_once, true, label + " B derived once");
-            expect_derived_once(b_rederived, false, label + " B re-derived");
-            expect_identical(b_once, b_rederived, label + " B");
-        }
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Policies, ModelParallelTest,
     testing::Values(PartitionPolicy::BalancedRows,
@@ -164,61 +124,17 @@ INSTANTIATE_TEST_SUITE_P(
                    : "BalancedNonzeros";
     });
 
-TEST(ModelParallel, PackingFaultReDerivesInSmallestChunks) {
-    // An armed trace.pack fault must not fail the model or change its
-    // predictions — every shard silently re-derives its trace in the
-    // smallest chunk instead.
-    const auto& m = generator_suite().front().matrix;
-    const auto options = base_options(PartitionPolicy::BalancedRows, 4);
-    const auto once = run_method_a(m, options);
-    expect_derived_once(once, true, "before fault");
-
-    // once=false: every shard's chunk sizing must see the fault, not just
-    // the first one to hit the point.
-    fault::ScopedFault f("trace.pack", {.once = false});
-    const auto faulted = run_method_a(m, options);
-    expect_derived_once(faulted, false, "under fault");
-    expect_identical(once, faulted, "trace.pack smallest chunk");
-
-    const auto faulted_b = run_method_b(m, options);
-    expect_derived_once(faulted_b, false, "under fault methodB");
-}
-
-TEST(ModelParallel, TinyBudgetReDerivesOnlyOversizedShards) {
-    // A budget below one replay batch still predicts identically, and the
-    // decision is per shard: with jobs=1 the whole budget goes to each
-    // shard in turn, so a budget sized to one shard's trace derives it
-    // once.
-    const auto& m = generator_suite().front().matrix;
-    ModelOptions o = base_options(PartitionPolicy::BalancedRows, 1);
-    const auto reference = run_method_a(m, o);
-
-    o.trace_buffer_bytes = 8;  // one reference: every shard over budget
-    const auto starved = run_method_a(m, o);
-    expect_derived_once(starved, false, "starved");
-    expect_identical(reference, starved, "starved budget");
-
-    o.trace_buffer_bytes = spmv_trace_length(m.rows(), m.nnz()) * 8;
-    const auto roomy = run_method_a(m, o);
-    expect_derived_once(roomy, true, "roomy");
-    expect_identical(reference, roomy, "roomy budget");
-}
-
 // ---- Golden predictions ---------------------------------------------------
 // One digest per cell of matrix x {A/exact, B} x partition policy x
 // {exact, R = 0.1}, recorded from the implementation that kept a
-// packed replay and a per-reference streaming replay side by side and
-// priced every capacity from Olken's full reuse distances. Every
-// chunking of the replay loop must reproduce them bit for bit, and so must
-// 64-bit index storage, because the golden runs pin the paper's (4, 8)
-// index accounting.
+// packed replay and a per-reference streaming replay side by side,
+// priced every capacity from Olken's full reuse distances and replayed a
+// warm-up iteration before the counted one. The one streamed pass and
+// its period close must reproduce them bit for bit, and so must 64-bit
+// index storage, because the golden runs pin the paper's (4, 8) index
+// accounting.
 
 constexpr double kGoldenRate = 0.1;
-/// Chunk capacity of the splitting budget (jobs = 1, so one shard owns the
-/// whole budget): prime and above one replay batch, so chunk boundaries
-/// fall mid-batch and the last chunk is short, and below every exact
-/// segment of the suite, so every exact segment is re-derived.
-constexpr std::uint64_t kSplitChunkWords = 1031;
 
 struct GoldenCell {
     const char* key;
@@ -297,9 +213,7 @@ std::vector<NamedMatrix> golden_matrices() {
     return matrices;
 }
 
-TEST(ModelParallel, GoldenPredictionsHoldForEveryChunkBudget) {
-    const std::uint64_t budgets[] = {0, kSplitChunkWords * 8,
-                                     kTraceBufferAuto};
+TEST(ModelParallel, GoldenPredictionsHoldAtBothWidths) {
     for (const auto& [name, m] : golden_matrices()) {
         const CsrMatrix64 wide = convert_csr_width<Idx64>(CsrView(m));
         for (const PartitionPolicy policy :
@@ -315,31 +229,20 @@ TEST(ModelParallel, GoldenPredictionsHoldForEveryChunkBudget) {
                     ModelOptions o = base_options(policy, /*jobs=*/1);
                     o.paper_accounting = true;
                     o.sample_rate = rate;
-                    for (const std::uint64_t budget : budgets) {
-                        o.trace_buffer_bytes = budget;
-                        // Derived once exactly when the kept words fit
-                        // one chunk (the smallest is one replay batch).
-                        const std::uint64_t chunk =
-                            budget == kTraceBufferAuto
-                                ? ~std::uint64_t{0}
-                                : std::max<std::uint64_t>(budget / 8, 1024);
-                        for (const AnyCsrView& storage :
-                             {AnyCsrView(m), AnyCsrView(wide)}) {
-                            const ModelResult r =
-                                run_golden_cell(storage, method, o);
-                            const std::string label =
-                                key + " R=" + std::to_string(rate) +
-                                " budget=" + std::to_string(budget) +
-                                (storage.index_width() == IndexWidth::W64
-                                     ? " W64"
-                                     : " W32");
-                            EXPECT_EQ(prediction_digest(r), expected)
-                                << label << describe(r);
-                            for (const ShardStats& shard : r.shards)
-                                EXPECT_EQ(shard.packed_replay,
-                                          shard.sampled_refs <= chunk)
-                                    << label << " shard " << shard.segment;
-                        }
+                    for (const AnyCsrView& storage :
+                         {AnyCsrView(m), AnyCsrView(wide)}) {
+                        const ModelResult r =
+                            run_golden_cell(storage, method, o);
+                        const std::string label =
+                            key + " R=" + std::to_string(rate) +
+                            (storage.index_width() == IndexWidth::W64
+                                 ? " W64"
+                                 : " W32");
+                        EXPECT_EQ(prediction_digest(r), expected)
+                            << label << describe(r);
+                        for (const ShardStats& shard : r.shards)
+                            EXPECT_TRUE(shard.packed_replay)
+                                << label << " shard " << shard.segment;
                     }
                 }
             }

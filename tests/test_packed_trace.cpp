@@ -1,11 +1,10 @@
 // Packed trace encoding: lossless pack/unpack, elementwise equivalence
 // with the streaming segment derivation and its typed-error paths; and the
-// model's chunked replay loop built on it.
+// streamed replay loop built on it.
 #include "trace/packed_trace.hpp"
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,85 +98,38 @@ TEST(PackedTrace, ArmedFaultYieldsTypedErrorNotAValue) {
     EXPECT_EQ(packed.error().code, ErrorCode::FaultInjected);
 }
 
-TEST(ReplayBudget, ExplicitValuesPassThroughAndAutoIsClamped) {
-    EXPECT_EQ(detail::resolve_trace_buffer_bytes(0), 0u);
-    EXPECT_EQ(detail::resolve_trace_buffer_bytes(12345), 12345u);
-    const std::uint64_t resolved =
-        detail::resolve_trace_buffer_bytes(kTraceBufferAuto);
-    EXPECT_GE(resolved, std::uint64_t{64} << 20);
-    EXPECT_LE(resolved, std::uint64_t{8} << 30);
-}
-
-/// What one replay_segment call hands its consumer, per pass: the words
-/// in order and the chunk sizes. Every chunking must concatenate to
-/// try_pack_spmv_trace_segment's words in both passes.
-struct Replayed {
-    ShardStats stats;
-    std::vector<std::uint64_t> packed, warm, counted;
-    std::vector<std::size_t> warm_chunks, counted_chunks;
-};
-
-Replayed replay_banded(std::uint64_t budget_bytes, bool pack_fault = false) {
+TEST(ReplayLoop, ChunksConcatenateToThePackedSegment) {
+    // One replay_segment call hands the consumer the segment's packed
+    // words once, in trace order, in chunks of kReplayBatch words (the
+    // last one shorter): one iteration, no segment-sized buffer.
     const CsrMatrix m = gen::banded(600, 9, 40, 7);
     ModelOptions o;
     o.threads = 4;  // one L2 segment
-    o.jobs = 1;     // the shard owns the whole budget
-    o.trace_buffer_bytes = budget_bytes;
     const detail::ReplayPlan plan(m, o);
-    Replayed r;
-    r.packed = try_pack_spmv_trace_segment(m, plan.layout, plan.trace_cfg,
-                                           o.machine.cores_per_numa, 0)
-                   .value();
-    std::optional<fault::ScopedFault> armed;
-    if (pack_fault)
-        armed.emplace("trace.pack", fault::FaultSpec{.once = false});
-    r.stats = detail::replay_segment(
-        plan, 0, [&r](std::span<const std::uint64_t> words, bool counting) {
-            auto& pass = counting ? r.counted : r.warm;
-            pass.insert(pass.end(), words.begin(), words.end());
-            (counting ? r.counted_chunks : r.warm_chunks)
-                .push_back(words.size());
+    const std::vector<std::uint64_t> packed =
+        try_pack_spmv_trace_segment(m, plan.layout, plan.trace_cfg,
+                                    o.machine.cores_per_numa, 0)
+            .value();
+    ASSERT_GT(packed.size(), 2 * detail::kReplayBatch);
+    ASSERT_NE(packed.size() % detail::kReplayBatch, 0u);
+
+    std::vector<std::uint64_t> replayed;
+    std::vector<std::size_t> chunks;
+    const ShardStats st = detail::replay_segment(
+        plan, 0, [&](std::span<const std::uint64_t> words) {
+            replayed.insert(replayed.end(), words.begin(), words.end());
+            chunks.push_back(words.size());
         });
-    EXPECT_EQ(r.warm, r.packed);
-    EXPECT_EQ(r.counted, r.packed);
-    EXPECT_EQ(r.stats.references, r.packed.size());
-    EXPECT_EQ(r.stats.sampled_refs, r.packed.size());
-    return r;
-}
-
-TEST(ReplayLoop, ChunksConcatenateToThePackedSegment) {
-    const std::size_t chunk = 1500;  // splits the segment unevenly
-    const Replayed r = replay_banded(chunk * 8);
-    EXPECT_FALSE(r.stats.packed_replay);
-    EXPECT_EQ(r.warm_chunks, r.counted_chunks);
-    ASSERT_GT(r.counted_chunks.size(), 2u);
-    for (std::size_t i = 0; i + 1 < r.counted_chunks.size(); ++i)
-        EXPECT_EQ(r.counted_chunks[i], chunk) << "chunk " << i;
-    EXPECT_LT(r.counted_chunks.back(), chunk);
-}
-
-TEST(ReplayLoop, BudgetOfExactlyTheSegmentDerivesOnce) {
-    const std::size_t refs = replay_banded(kTraceBufferAuto).packed.size();
-    const Replayed r = replay_banded(refs * 8);
-    EXPECT_TRUE(r.stats.packed_replay);
-    EXPECT_EQ(r.counted_chunks, std::vector<std::size_t>{refs});
-}
-
-TEST(ReplayLoop, OneWordLessDerivesOncePerPass) {
-    const std::size_t refs = replay_banded(kTraceBufferAuto).packed.size();
-    const Replayed r = replay_banded(refs * 8 - 8);
-    EXPECT_FALSE(r.stats.packed_replay);
-    EXPECT_EQ(r.warm_chunks, (std::vector<std::size_t>{refs - 1, 1}));
-    EXPECT_EQ(r.counted_chunks, (std::vector<std::size_t>{refs - 1, 1}));
-}
-
-TEST(ReplayLoop, ZeroTinyBudgetAndPackFaultUseTheSmallestChunk) {
-    for (const Replayed& r :
-         {replay_banded(0), replay_banded(8),
-          replay_banded(kTraceBufferAuto, /*pack_fault=*/true)}) {
-        EXPECT_FALSE(r.stats.packed_replay);
-        EXPECT_EQ(r.counted_chunks.front(), detail::kReplayBatch);
-    }
+    EXPECT_EQ(replayed, packed);
+    ASSERT_EQ(chunks.size(),
+              (packed.size() + detail::kReplayBatch - 1) /
+                  detail::kReplayBatch);
+    for (std::size_t i = 0; i + 1 < chunks.size(); ++i)
+        EXPECT_EQ(chunks[i], detail::kReplayBatch) << "chunk " << i;
+    EXPECT_EQ(chunks.back(), packed.size() % detail::kReplayBatch);
+    EXPECT_EQ(st.references, packed.size());
+    EXPECT_EQ(st.sampled_refs, packed.size());
+    EXPECT_TRUE(st.packed_replay);
 }
 
 TEST(ReplayLoop, UnpackableRunFailsAtEntry) {

@@ -319,6 +319,91 @@ TEST(CapacityStack, BatchMatchesSerialForEveryChunking) {
     }
 }
 
+/// One pass over `lines` plus the period close must count, at every
+/// capacity, what a warm-up pass plus a counted pass counts: the same cold
+/// count, per-capacity misses and accesses. Lines the filter rejects are
+/// dropped first, as the replay loop drops them.
+void expect_close_matches_warm_up(const std::vector<std::uint64_t>& trace,
+                                  const std::vector<std::uint64_t>& capacities,
+                                  const SampleFilter& filter = {}) {
+    std::vector<std::uint64_t> lines;
+    for (const std::uint64_t line : trace)
+        if (filter.keep(line)) lines.push_back(line);
+
+    CapacityStackEngine warmed(capacities, filter);
+    CapacityMissCounter counted(capacities);
+    for (const std::uint64_t line : lines) (void)warmed.access_one(line);
+    for (const std::uint64_t line : lines)
+        counted.record(filter.scale_distance(warmed.access_one(line)));
+
+    CapacityStackEngine once(capacities, filter);
+    CapacityMissCounter closed(capacities);
+    for (const std::uint64_t line : lines)
+        closed.record(filter.scale_distance(once.access_one(line)));
+    const std::uint64_t resident = once.resident_lines();
+    once.close_period([&](std::uint64_t, std::uint64_t distance) {
+        closed.resolve_cold(filter.scale_distance(distance));
+    });
+
+    EXPECT_EQ(closed.cold_misses(), counted.cold_misses());
+    EXPECT_EQ(closed.accesses(), counted.accesses());
+    for (const std::uint64_t c : closed.capacities())
+        EXPECT_EQ(closed.capacity_misses(c), counted.capacity_misses(c))
+            << "capacity " << c;
+    EXPECT_EQ(once.resident_lines(), resident);  // the close reads only
+}
+
+TEST(CapacityStack, PeriodicCloseMatchesWarmUpPass) {
+    Xoshiro256 rng(20231);
+    const auto capacities = [&rng] {
+        std::vector<std::uint64_t> caps(1 + rng.bounded(4));
+        for (auto& c : caps) c = 1 + rng.bounded(3000);
+        return caps;
+    };
+    for (int round = 0; round < 12; ++round) {
+        const std::uint64_t footprint = 1 + rng.bounded(4000);
+        std::vector<std::uint64_t> uniform, cyclic, streaming;
+        for (std::uint64_t i = 0; i < 12000; ++i) {
+            uniform.push_back(rng.bounded(footprint));
+            cyclic.push_back(i % footprint);
+            // A stream of fresh lines with reuse of a hot set, like x
+            // against a matrix's values.
+            streaming.push_back(i % 3 == 0 ? rng.bounded(64)
+                                           : 1000 + i / 2);
+        }
+        for (const auto* trace : {&uniform, &cyclic, &streaming}) {
+            const std::vector<std::uint64_t> caps = capacities();
+            SCOPED_TRACE("round " + std::to_string(round) + ", footprint " +
+                         std::to_string(footprint) + ", " +
+                         std::to_string(caps.size()) +
+                         " capacities from " + std::to_string(caps.front()));
+            expect_close_matches_warm_up(*trace, caps);
+            expect_close_matches_warm_up(*trace, caps, SampleFilter(0.25));
+        }
+    }
+
+    // Edges: an empty trace, one line, a footprint of exactly the largest
+    // capacity and one either side of it, and a stream that never reuses.
+    const std::vector<std::uint64_t> caps = {3, 8};
+    expect_close_matches_warm_up({}, caps);
+    expect_close_matches_warm_up({42}, caps);
+    expect_close_matches_warm_up({42, 42, 42}, caps);
+    for (const std::uint64_t footprint : {7, 8, 9}) {
+        std::vector<std::uint64_t> cyclic, shuffled;
+        for (std::uint64_t i = 0; i < 5 * footprint; ++i) {
+            cyclic.push_back(i % footprint);
+            shuffled.push_back(rng.bounded(footprint));
+        }
+        SCOPED_TRACE("footprint " + std::to_string(footprint));
+        expect_close_matches_warm_up(cyclic, caps);
+        expect_close_matches_warm_up(shuffled, caps);
+    }
+    std::vector<std::uint64_t> distinct(5000);
+    for (std::uint64_t i = 0; i < distinct.size(); ++i) distinct[i] = i;
+    expect_close_matches_warm_up(distinct, caps);
+    expect_close_matches_warm_up(distinct, {1, 4096, 5000, 6000});
+}
+
 TEST(CapacityStack, RejectsEmptyOrZeroCapacities) {
     const std::vector<std::uint64_t> none;
     const std::vector<std::uint64_t> zero = {0, 16};

@@ -28,10 +28,14 @@
 // (util/status.hpp); the top-level catch only sees programmer errors.
 // SIGINT/SIGTERM never kill `batch` or `serve` mid-run: both drain
 // gracefully and still emit their reports.
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/spmvcache.hpp"
@@ -87,11 +91,6 @@ using namespace spmvcache;
            "         --jobs J  host workers for the sharded model (0 = all\n"
            "                   hardware threads, 1 = serial; predictions\n"
            "                   are identical for every value)\n"
-           "         --trace-buffer BYTES  packed-trace replay chunk budget\n"
-           "                   (default: 1/8 of host RAM; a segment that\n"
-           "                   fits is derived once, a larger one is\n"
-           "                   re-derived chunk by chunk; 0 = smallest\n"
-           "                   chunk; predictions are identical)\n"
            "         --approx[=R]  SHARDS-sampled approximate model\n"
            "                   (predict/tune/batch): process only refs\n"
            "                   whose line hashes below R (default 0.01)\n"
@@ -108,8 +107,10 @@ using namespace spmvcache;
            "         --no-model --no-retry\n"
            "         SIGINT/SIGTERM drain the sweep: finished matrices are\n"
            "         reported, pending ones are marked Cancelled (exit 1)\n"
-           "serve:   --workers N --queue N --cache-bytes B --strikes N\n"
-           "         --timeout SECONDS --retries N --max-request-bytes B\n"
+           "serve:   --workers N (0 = host cores) --queue N (>= 1)\n"
+           "         --cache-bytes B (0 disables) --strikes N (>= 1)\n"
+           "         --timeout SECONDS --retries N (>= 0)\n"
+           "         --max-request-bytes B (>= 1)\n"
            "         --source-cache N  loaded matrices kept resident (8)\n"
            "         requests on stdin, one JSON object per line; responses\n"
            "         on stdout; lifecycle + final stats on stderr\n"
@@ -121,6 +122,7 @@ using namespace spmvcache;
            "             --report FILE --format csv|json\n"
            "families: stencil2d5 stencil3d27 banded circuit random "
            "randomcv blockfem\n"
+           "a flag the command does not take is a usage error\n"
            "exit codes: 0 ok, 1 input/matrix failures, 2 usage or fatal\n";
     std::exit(kExitUsage);
 }
@@ -158,14 +160,36 @@ void report_error(const Error& e) {
     return OkStatus();
 }
 
+/// Reads --timeout, the wall-clock budget in seconds predict, tune, batch
+/// and serve share (default and <= 0: none). NaN is a usage error.
+[[nodiscard]] Result<double> timeout_seconds(const CliParser& cli) {
+    const double seconds = cli.get_double("timeout", 0.0);
+    if (std::isnan(seconds))
+        return Error(ErrorCode::ValidationError,
+                     "--timeout must be a number of seconds");
+    return seconds;
+}
+
+/// Reads the integer flag `flag` (default `fallback`); a value below
+/// `least` is a usage error.
+[[nodiscard]] Result<std::int64_t> int_at_least(const CliParser& cli,
+                                                const char* flag,
+                                                std::int64_t fallback,
+                                                std::int64_t least) {
+    const std::int64_t n = cli.get_int(flag, fallback);
+    if (n < least)
+        return Error(ErrorCode::ValidationError,
+                     std::string("--") + flag + " must be >= " +
+                         std::to_string(least));
+    return n;
+}
+
 /// Reads the model flags predict and tune share (--threads, --jobs,
-/// --trace-buffer, --timeout, --approx) over the op's defaults in
-/// `options`. Out-of-range values are usage errors.
+/// --timeout, --approx) over the op's defaults in `options`. Out-of-range
+/// values are usage errors.
 [[nodiscard]] Status model_flags(const CliParser& cli, ModelOptions& options) {
     SPMV_RETURN_IF_ERROR(thread_counts(cli, options.threads, options.jobs));
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
-    options.timeout_seconds = cli.get_double("timeout", 0.0);
+    SPMV_ASSIGN_OR_RETURN(options.timeout_seconds, timeout_seconds(cli));
     SPMV_ASSIGN_OR_RETURN(options.sample_rate, approx_rate(cli));
     return OkStatus();
 }
@@ -383,8 +407,6 @@ void write_predict_json(std::ostream& out, const ModelResult& result,
             << ", \"threads\": " << shard.threads
             << ", \"references\": " << shard.references
             << ", \"seconds\": " << shard.seconds
-            << ", \"packed_replay\": "
-            << (shard.packed_replay ? "true" : "false")
             << ", \"sampled_refs\": " << shard.sampled_refs << "}"
             << (s + 1 < result.shards.size() ? "," : "") << "\n";
     }
@@ -446,9 +468,7 @@ int cmd_predict(const CliParser& cli) {
                   << " threads, "
                   << fmt_count(static_cast<unsigned long long>(
                          shard.references))
-                  << " refs, " << fmt(shard.seconds, 3) << " s"
-                  << (shard.packed_replay ? " (derived once)" : " (re-derived)")
-                  << "\n";
+                  << " refs, " << fmt(shard.seconds, 3) << " s\n";
 
     const std::string json_path = cli.get("json", "");
     if (!json_path.empty()) {
@@ -602,9 +622,12 @@ int cmd_batch(const CliParser& cli) {
         report_error(counts.error());
         return kExitUsage;
     }
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
-    options.timeout_seconds = cli.get_double("timeout", 0.0);
+    const Result<double> timeout = timeout_seconds(cli);
+    if (!timeout.ok()) {
+        report_error(timeout.error());
+        return kExitUsage;
+    }
+    options.timeout_seconds = timeout.value();
     options.retry_transient = !cli.has("no-retry");
     const Result<double> rate = approx_rate(cli);
     if (!rate.ok()) {
@@ -676,30 +699,50 @@ int cmd_batch(const CliParser& cli) {
     return report.exit_code();
 }
 
+/// Reads serve's flags into `options`. Out-of-range counts are usage
+/// errors.
+[[nodiscard]] Status serve_flags(const CliParser& cli, ServeOptions& options) {
+    SPMV_ASSIGN_OR_RETURN(options.workers, int_at_least(cli, "workers", 2, 0));
+    SPMV_ASSIGN_OR_RETURN(const std::int64_t queue,
+                          int_at_least(cli, "queue", 64, 1));
+    options.queue_capacity = static_cast<std::size_t>(queue);
+    if (cli.has("cache-bytes")) {
+        SPMV_ASSIGN_OR_RETURN(const std::int64_t bytes,
+                              int_at_least(cli, "cache-bytes", 0, 0));
+        options.cache_capacity_bytes = static_cast<std::uint64_t>(bytes);
+    }
+    SPMV_ASSIGN_OR_RETURN(const std::int64_t strikes,
+                          int_at_least(cli, "strikes", 3, 1));
+    options.quarantine_strikes = static_cast<int>(
+        std::min<std::int64_t>(strikes, std::numeric_limits<int>::max()));
+    SPMV_ASSIGN_OR_RETURN(options.default_timeout_seconds,
+                          timeout_seconds(cli));
+    SPMV_ASSIGN_OR_RETURN(const std::int64_t retries,
+                          int_at_least(cli, "retries", 2, 0));
+    options.max_retries = static_cast<int>(
+        std::min<std::int64_t>(retries, std::numeric_limits<int>::max()));
+    if (cli.has("max-request-bytes")) {
+        SPMV_ASSIGN_OR_RETURN(const std::int64_t bytes,
+                              int_at_least(cli, "max-request-bytes", 1, 1));
+        options.max_request_bytes = static_cast<std::size_t>(bytes);
+    }
+    // Serve workers already share the cores: one parse job each.
+    SPMV_ASSIGN_OR_RETURN(const IngestFlags ingest,
+                          ingest_flags(cli, /*parse_jobs=*/1));
+    options.cache_dir = ingest.cache_dir;
+    options.parse_jobs = ingest.parse_jobs;
+    SPMV_ASSIGN_OR_RETURN(const std::int64_t sources,
+                          int_at_least(cli, "source-cache", 8, 1));
+    options.source_cache_entries = static_cast<std::size_t>(sources);
+    return OkStatus();
+}
+
 int cmd_serve(const CliParser& cli) {
     ServeOptions options;
-    options.workers = cli.get_int("workers", 2);
-    options.queue_capacity = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, cli.get_int("queue", 64)));
-    if (const std::int64_t cb = cli.get_int("cache-bytes", -1); cb >= 0)
-        options.cache_capacity_bytes = static_cast<std::uint64_t>(cb);
-    options.quarantine_strikes = static_cast<int>(
-        std::max<std::int64_t>(1, cli.get_int("strikes", 3)));
-    options.default_timeout_seconds = cli.get_double("timeout", 0.0);
-    options.max_retries = static_cast<int>(
-        std::max<std::int64_t>(0, cli.get_int("retries", 2)));
-    if (const std::int64_t mb = cli.get_int("max-request-bytes", -1); mb > 0)
-        options.max_request_bytes = static_cast<std::size_t>(mb);
-    // Serve workers already share the cores: one parse job each.
-    const Result<IngestFlags> ingest = ingest_flags(cli, /*parse_jobs=*/1);
-    if (!ingest.ok()) {
-        report_error(ingest.error());
+    if (const Status flags = serve_flags(cli, options); !flags.ok()) {
+        report_error(flags.error());
         return kExitUsage;
     }
-    options.cache_dir = ingest.value().cache_dir;
-    options.parse_jobs = ingest.value().parse_jobs;
-    options.source_cache_entries = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, cli.get_int("source-cache", 8)));
 
     // No SA_RESTART: a blocked stdin read returns with EINTR so the loop
     // notices the drain request instead of dying mid-response.
@@ -1000,28 +1043,78 @@ int cmd_kernelbench(const CliParser& cli) {
     return 0;
 }
 
+/// One subcommand: its handler and every flag it reads.
+struct Command {
+    std::string_view name;
+    int (*run)(const CliParser&);
+    std::vector<std::string_view> flags;
+};
+
+/// `base` followed by `more`.
+std::vector<std::string_view> with(std::vector<std::string_view> base,
+                                   const std::vector<std::string_view>& more) {
+    base.insert(base.end(), more.begin(), more.end());
+    return base;
+}
+
+const std::vector<Command>& commands() {
+    static const std::vector<Command> table = [] {
+        // Read by ingest_flags, and by matrix_source for one matrix.
+        const std::vector<std::string_view> ingest = {
+            "strict", "cache-dir", "parse-jobs", "index-width"};
+        const std::vector<std::string_view> load =
+            with(ingest, {"gen", "seed"});
+        // Read by model_flags.
+        const std::vector<std::string_view> model = {"threads", "jobs",
+                                                     "timeout", "approx"};
+        return std::vector<Command>{
+            {"stats", cmd_stats, load},
+            {"classify", cmd_classify, with(load, {"ways"})},
+            {"predict", cmd_predict,
+             with(with(load, {"method", "json"}), model)},
+            {"simulate", cmd_simulate,
+             with(load, {"threads", "jobs", "l2-ways", "l1-ways"})},
+            {"tune", cmd_tune, with(load, model)},
+            {"convert", cmd_convert, with(load, {"rcm"})},
+            {"batch", cmd_batch,
+             with(with(ingest, {"no-model", "no-retry", "report", "format"}),
+                  model)},
+            {"serve", cmd_serve,
+             {"workers", "queue", "cache-bytes", "strikes", "timeout",
+              "retries", "max-request-bytes", "source-cache", "cache-dir",
+              "parse-jobs"}},
+            {"cache", cmd_cache, ingest},
+            {"kernelbench", cmd_kernelbench,
+             with(load, {"threads", "iters", "prefetch-distance", "variant",
+                         "report", "format"})},
+        };
+    }();
+    return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     const CliParser cli(argc, argv);
     if (cli.positionals().empty()) usage();
     const std::string command = cli.positionals().front();
+    const auto& table = commands();
+    const auto it =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Command& c) { return c.name == command; });
+    if (it == table.end()) usage();
+    // A misspelt or retired flag would otherwise be silently ignored.
+    if (const Status flags = cli.expect_only(it->flags, command);
+        !flags.ok()) {
+        report_error(flags.error());
+        return kExitUsage;
+    }
     try {
-        if (command == "stats") return cmd_stats(cli);
-        if (command == "classify") return cmd_classify(cli);
-        if (command == "predict") return cmd_predict(cli);
-        if (command == "simulate") return cmd_simulate(cli);
-        if (command == "tune") return cmd_tune(cli);
-        if (command == "convert") return cmd_convert(cli);
-        if (command == "batch") return cmd_batch(cli);
-        if (command == "serve") return cmd_serve(cli);
-        if (command == "cache") return cmd_cache(cli);
-        if (command == "kernelbench") return cmd_kernelbench(cli);
+        return it->run(cli);
     } catch (const std::exception& e) {
         // Input errors are handled through the Status layer above; anything
         // landing here is a programmer error or resource exhaustion.
         std::cerr << "fatal: " << e.what() << "\n";
         return kExitUsage;
     }
-    usage();
 }
