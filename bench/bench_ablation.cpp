@@ -250,8 +250,8 @@ void software_prefetch_ablation(const CommonOptions& common) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_ablation");
+    const CliParser cli = parse_cli(argc, argv, "bench_ablation",
+                                    {"scale", "threads", "seed"});
     const auto common = parse_common(cli, /*count=*/6, /*scale=*/0.25);
 
     prefetch_distance_sweep(common);

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/spmvcache.hpp"
@@ -47,10 +49,52 @@ inline CommonOptions parse_common(const CliParser& cli,
     return o;
 }
 
-inline void print_usage_hint(const char* name) {
-    std::cout << "# " << name
-              << " [--count N] [--scale F] [--threads T] [--seed S]"
-                 " [--mm DIR] [--csv FILE] [--host-threads N]\n";
+/// The flags parse_common reads, for the harnesses that use all of them.
+inline constexpr std::string_view kCommonFlags[] = {
+    "count", "scale", "threads", "seed", "mm", "csv", "host-threads"};
+
+/// Reads the command line of the harness `name`, which takes the flags
+/// `own`, and kCommonFlags too when `common` is set. Prints the flags it
+/// takes; any other --flag is a usage error (exit 2) naming it, so a
+/// misspelt or unused flag never silently runs with a default.
+inline CliParser parse_cli(int argc, char** argv, std::string_view name,
+                           std::vector<std::string_view> own,
+                           bool common = false) {
+    if (common)
+        own.insert(own.begin(), std::begin(kCommonFlags),
+                   std::end(kCommonFlags));
+    CliParser cli(argc, argv);
+    std::cout << "# " << name;
+    for (const std::string_view flag : own) std::cout << " [--" << flag << "]";
+    std::cout << "\n";
+    if (const Status s = cli.expect_only(own, name); !s.ok()) {
+        std::cerr << "error: " << s.error().render() << "\n";
+        std::exit(kExitUsage);
+    }
+    return cli;
+}
+
+/// The commit of the source checkout the harness was built from, with
+/// "-dirty" when tracked files differ from it; "unknown" outside git.
+inline std::string source_commit() {
+    const auto run = [](const std::string& command) {
+        std::string out;
+        FILE* pipe = ::popen(command.c_str(), "r");
+        if (pipe == nullptr) return std::string();
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+        if (::pclose(pipe) != 0) return std::string();
+        while (!out.empty() && out.back() == '\n') out.pop_back();
+        return out;
+    };
+    const std::string git =
+        std::string("git -C '") + SPMV_BENCH_SOURCE_DIR + "' ";
+    const std::string head = run(git + "rev-parse HEAD 2>/dev/null");
+    if (head.empty()) return "unknown";
+    const bool dirty =
+        !run(git + "status --porcelain --untracked-files=no 2>/dev/null")
+             .empty();
+    return dirty ? head + "-dirty" : head;
 }
 
 /// Builds the matrix collection: real .mtx files if --mm was given,

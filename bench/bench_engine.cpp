@@ -143,8 +143,10 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_engine");
+    const CliParser cli = parse_cli(
+        argc, argv, "bench_engine",
+        {"smoke", "lines", "refs", "seed", "sample-rate", "group-capacity",
+         "out"});
     const bool smoke = cli.has("smoke");
     // Footprint: distinct lines drive the FlatMap64 size. 1 << 23 lines
     // put the map at ~128 MiB after growth — far beyond L2, so probes

@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_fig2");
+    const CliParser cli =
+        parse_cli(argc, argv, "bench_fig2", {"min-fills"}, /*common=*/true);
     const auto common = parse_common(cli, /*count=*/8, /*scale=*/0.28);
     const auto min_fills = static_cast<std::uint64_t>(
         cli.get_int("min-fills", 10000));

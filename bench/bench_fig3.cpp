@@ -11,8 +11,8 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_fig3");
+    const CliParser cli =
+        parse_cli(argc, argv, "bench_fig3", {}, /*common=*/true);
     const auto common = parse_common(cli, /*count=*/8, /*scale=*/0.28);
 
     std::cout << "Fig. 3: speedup over no-sector-cache baseline, "

@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_fig4");
+    const CliParser cli =
+        parse_cli(argc, argv, "bench_fig4", {"ways"}, /*common=*/true);
     const auto common = parse_common(cli, /*count=*/10, /*scale=*/0.4);
     const auto l2_ways = static_cast<std::uint32_t>(cli.get_int("ways", 5));
 

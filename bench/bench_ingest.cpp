@@ -2,12 +2,16 @@
 // vs --jobs parse vs cached mmap load, over the synthetic suite (or --mm
 // DIR). Every leg goes through load_matrix_handle so the three numbers
 // measure the same contract — a ready-to-model LoadedMatrix with
-// fingerprint and stats attached. Each parse leg also reports the
-// process's peak RSS (VmHWM, reset before every load through
-// /proc/self/clear_refs; omitted where the kernel refuses the reset).
+// fingerprint and stats attached. A fourth leg parses the same matrices
+// written column by column, the order the reader cannot assemble in
+// place. Each parse leg also reports the process's peak RSS (VmHWM, reset
+// through /proc/self/clear_refs before every load, once freed heap pages
+// are handed back, so a leg's peak does not count what glibc kept of
+// earlier legs; omitted where the kernel refuses the reset).
 // Emits a perf-trajectory point to BENCH_ingest.json (--out overrides the
 // path); the headline number is the parse/cached-load speedup, expected
 // well above 10x. --smoke shrinks the suite for CI.
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,13 +25,46 @@
 
 namespace {
 
-/// Resets the process's peak RSS (VmHWM) to its current RSS; false when
-/// the kernel refuses.
+/// Hands freed heap pages back to the kernel and resets the process's peak
+/// RSS (VmHWM) to its current RSS; false when the kernel refuses.
 bool reset_peak_rss() {
+    malloc_trim(0);
     std::ofstream out("/proc/self/clear_refs");
     out << "5";
     out.flush();
     return static_cast<bool>(out);
+}
+
+/// Writes `m` as write_matrix_market does, but with its entries sorted by
+/// column, then row: the order of column-major exports such as MATLAB's.
+void write_column_major(const std::string& path,
+                        const spmvcache::CsrMatrix& m) {
+    const auto rowptr = m.rowptr();
+    const auto colidx = m.colidx();
+    const auto values = m.values();
+    // Count each column's entries, then place them column by column; once
+    // placed, end[c] is where column c's entries end.
+    std::vector<std::size_t> end(static_cast<std::size_t>(m.cols()) + 1, 0);
+    for (const auto c : colidx) ++end[static_cast<std::size_t>(c) + 1];
+    for (std::size_t c = 1; c < end.size(); ++c) end[c] += end[c - 1];
+    std::vector<std::int64_t> rows(colidx.size());
+    std::vector<double> vals(colidx.size());
+    for (std::int64_t r = 0; r < m.rows(); ++r) {
+        for (auto i = rowptr[static_cast<std::size_t>(r)];
+             i < rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
+            const std::size_t at =
+                end[static_cast<std::size_t>(colidx[i])]++;
+            rows[at] = r;
+            vals[at] = values[i];
+        }
+    }
+    std::ofstream out(path);
+    out << "%%MatrixMarket matrix coordinate real general\n"
+        << m.rows() << ' ' << m.cols() << ' ' << m.nnz() << '\n';
+    std::size_t i = 0;
+    for (std::size_t c = 0; c + 1 < end.size(); ++c)
+        for (; i < end[c]; ++i)
+            out << rows[i] + 1 << ' ' << c + 1 << ' ' << vals[i] << '\n';
 }
 
 /// VmHWM from /proc/self/status in MiB; 0 when unreadable.
@@ -46,8 +83,9 @@ int main(int argc, char** argv) {
     using namespace spmvcache::bench;
     namespace fs = std::filesystem;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_ingest");
+    const CliParser cli = parse_cli(argc, argv, "bench_ingest",
+                                    {"count", "scale", "seed", "mm", "smoke",
+                                     "jobs", "warm-iters", "out"});
     const bool smoke = cli.has("smoke");
     const auto common = parse_common(cli, /*count=*/smoke ? 4 : 8,
                                      /*scale=*/smoke ? 0.25 : 0.75);
@@ -147,6 +185,40 @@ int main(int argc, char** argv) {
     }
     table.render(std::cout);
 
+    // ---- Column-major leg: the rows restart at every column, so the
+    // reader scatters its entries by row instead of moving them into the
+    // CSR. One file at a time, and checked against the row-major read.
+    double col_parse_total = 0.0, col_peak_mib = 0.0;
+    std::uint64_t col_mtx_bytes = 0;
+    bool col_same = true;
+    for (std::size_t n = 0; n < paths.size(); ++n) {
+        const std::string path =
+            (work / (suite[n].name + ".by_column.mtx")).string();
+        write_column_major(path, suite[n].factory());
+        col_mtx_bytes += static_cast<std::uint64_t>(fs::file_size(path));
+        MatrixSource source;
+        source.path = path;
+        rss_ok = reset_peak_rss() && rss_ok;
+        const Timer timer;
+        const Result<LoadedMatrix> by_column = load_matrix_handle(source);
+        col_parse_total += timer.seconds();
+        col_peak_mib = std::max(col_peak_mib, peak_rss_mib());
+        source.path = paths[n];
+        const Result<LoadedMatrix> by_row = load_matrix_handle(source);
+        col_same = col_same && by_column.ok() && by_row.ok() &&
+                   by_column.value().fingerprint == by_row.value().fingerprint;
+        fs::remove(path);
+    }
+    const double col_parse_mb_per_s =
+        col_parse_total > 0
+            ? static_cast<double>(col_mtx_bytes) / 1e6 / col_parse_total
+            : 0.0;
+    std::cout << "column-major: parse " << fmt(col_parse_total, 3) << " s ("
+              << fmt(col_parse_mb_per_s, 1) << " MB/s)";
+    if (rss_ok) std::cout << ", peak RSS " << fmt(col_peak_mib, 1) << " MiB";
+    std::cout << (col_same ? "" : "; MISMATCH against the row-major read")
+              << "\n";
+
     // ---- 64-vs-32 index-width leg: cache footprint + warm-load time ----
     // The suite's matrices all fit 32-bit indices, so the default cache
     // above is narrow. Re-warm a second cache at forced 64-bit and
@@ -211,8 +283,8 @@ int main(int argc, char** argv) {
     const std::string out_path = cli.get("out", "BENCH_ingest.json");
     std::ofstream out(out_path);
     if (out) {
-        out << "{\"bench\": \"ingest\", \"smoke\": "
-            << (smoke ? "true" : "false")
+        out << "{\"bench\": \"ingest\", \"commit\": \"" << source_commit()
+            << "\", \"smoke\": " << (smoke ? "true" : "false")
             << ", \"host_cores\": " << std::thread::hardware_concurrency()
             << ", \"build_type\": \"" << SPMV_BENCH_BUILD_TYPE << "\""
             << ", \"matrices\": " << paths.size()
@@ -232,6 +304,12 @@ int main(int argc, char** argv) {
             << ", \"cached_load_seconds\": " << cached_total
             << ", \"cached_speedup\": " << speedup
             << ", \"all_cache_hits\": " << (all_cached ? "true" : "false")
+            << ",\n \"column_major\": {\"mtx_bytes\": " << col_mtx_bytes
+            << ", \"parse_seconds\": " << col_parse_total
+            << ", \"parse_mb_per_s\": " << col_parse_mb_per_s;
+        if (rss_ok) out << ", \"parse_peak_rss_mib\": " << col_peak_mib;
+        out << ", \"same_matrices\": " << (col_same ? "true" : "false")
+            << "}"
             << ",\n \"index_width\": {\"spmvc_bytes_w32\": " << bytes_w32
             << ", \"spmvc_bytes_w64\": " << bytes_w64
             << ", \"size_ratio\": " << size_ratio
@@ -245,5 +323,5 @@ int main(int argc, char** argv) {
 
     std::error_code ec;
     fs::remove_all(work, ec);
-    return all_cached && speedup >= 1.0 ? 0 : 1;
+    return all_cached && col_same && speedup >= 1.0 ? 0 : 1;
 }

@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_overhead");
+    const CliParser cli = parse_cli(argc, argv, "bench_overhead",
+                                    {"count", "scale", "seed", "mm",
+                                     "threads", "jobs", "out"});
     const auto common = parse_common(cli, /*count=*/4, /*scale=*/0.3);
 
     std::cout << "Model runtime overhead t_A / t_B (paper §4.5.1: 4.21x at "

@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_serve");
+    const CliParser cli = parse_cli(
+        argc, argv, "bench_serve",
+        {"smoke", "threads", "cold", "hits", "stream", "size", "out"});
     const bool smoke = cli.has("smoke");
     const std::int64_t threads = cli.get_int("threads", 4);
     // Distinct matrices for the cold legs: generator sizes step so every

@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    std::cout << "# bench_spmv [--smoke] [--iters N] [--threads T]"
-                 " [--out FILE]\n";
+    const CliParser cli = parse_cli(argc, argv, "bench_spmv",
+                                    {"smoke", "seed", "threads", "out",
+                                     "width-out"});
     const bool smoke = cli.has("smoke");
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cli.get_int("seed", 42));

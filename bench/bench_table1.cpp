@@ -12,8 +12,8 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_table1");
+    const CliParser cli =
+        parse_cli(argc, argv, "bench_table1", {"scale", "threads", "seed"});
     const double scale = cli.get_double("scale", 0.25);
     const std::int64_t threads = cli.get_int("threads", 48);
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));

@@ -12,8 +12,8 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_table2");
+    const CliParser cli =
+        parse_cli(argc, argv, "bench_table2", {}, /*common=*/true);
     auto common = parse_common(cli, /*count=*/8, /*scale=*/0.3);
     common.threads = cli.get_int("threads", 1);
 

@@ -13,8 +13,8 @@ int main(int argc, char** argv) {
     using namespace spmvcache;
     using namespace spmvcache::bench;
 
-    const CliParser cli(argc, argv);
-    print_usage_hint("bench_table3");
+    const CliParser cli =
+        parse_cli(argc, argv, "bench_table3", {}, /*common=*/true);
     auto common = parse_common(cli, /*count=*/6, /*scale=*/0.45);
     common.threads = cli.get_int("threads", 48);
 

@@ -5,6 +5,9 @@
 # and takes hours on a laptop).
 #
 #   ./scripts/run_all_experiments.sh [results_dir] [extra bench args...]
+#
+# The extra args go to every harness, and a harness refuses a flag it does
+# not read, so pass only flags they all take: --scale, --threads, --seed.
 set -euo pipefail
 
 BUILD=${BUILD:-build}
@@ -20,7 +23,9 @@ run() {
         | tee "$OUT/$name.txt"
 }
 
-run bench_table1 "$@"
+# Table 1 has no per-matrix CSV.
+"$BUILD/bench/bench_table1" "$@" 2>"$OUT/bench_table1.log" \
+    | tee "$OUT/bench_table1.txt"
 run bench_fig2 "$@"
 run bench_fig3 "$@"
 run bench_fig4 "$@"

@@ -17,7 +17,6 @@
 // counted iteration after a warm-up one; the simulator, which keeps no
 // stack, calls it once per warm-up iteration and once more to count.
 #pragma once
-#pragma once
 
 #include <cstddef>
 #include <cstdint>

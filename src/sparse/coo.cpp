@@ -4,25 +4,40 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "sparse/any_csr.hpp"
 #include "sparse/csr.hpp"
-#include "util/error.hpp"
 
 namespace spmvcache {
 
-CooMatrix::CooMatrix(std::int64_t rows, std::int64_t cols)
-    : rows_(rows), cols_(cols) {
+CooMatrix::CooMatrix(std::int64_t rows, std::int64_t cols,
+                     IndexWidthChoice width)
+    : rows_(rows), cols_(cols), width_(width) {
     SPMV_EXPECTS(rows >= 0);
     SPMV_EXPECTS(cols >= 0);
+    if (width == IndexWidthChoice::W64 ||
+        !width32_representable(rows, cols, 0))
+        arrays_.emplace<CooArrays<Idx64>>();
 }
 
-template <class Idx>
-BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
+void CooMatrix::reserve(std::size_t n) {
+    std::visit(
+        [n](auto& a) {
+            a.rows.reserve(n);
+            a.cols.reserve(n);
+            a.values.reserve(n);
+        },
+        arrays_);
+}
+
+template <class Idx, class Stored>
+BasicCsrMatrix<Idx> CooMatrix::assemble(CooArrays<Stored>& coo,
+                                        std::size_t* duplicates) {
     using index_type = typename Idx::index_type;
     using offset_type = typename Idx::offset_type;
-    const std::size_t n = entries_.size();
+    const std::size_t n = coo.values.size();
     SPMV_EXPECTS(cols_ <= static_cast<std::int64_t>(
                               std::numeric_limits<index_type>::max()));
     SPMV_EXPECTS(rows_ < static_cast<std::int64_t>(
@@ -34,30 +49,40 @@ BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
     BasicCsrMatrix<Idx> m;
     m.rows_ = rows_;
     m.cols_ = cols_;
-    // Count row r's entries into slot r + 2; after the prefix sum slot
-    // r + 1 holds row r's start and serves as its insertion cursor, so
-    // once every entry is placed it holds row r's end: the final rowptr
-    // with one spare slot.
     auto& rowptr = m.rowptr_;
-    rowptr.assign(rows + 2, 0);
-    for (const CooEntry& e : entries_) {
-        SPMV_EXPECTS(e.row >= 0 && e.row < rows_);
-        ++rowptr[static_cast<std::size_t>(e.row) + 2];
-    }
-    for (std::size_t r = 2; r < rows + 2; ++r) rowptr[r] += rowptr[r - 1];
     auto& colidx = m.colidx_;
     auto& values = m.values_;
-    colidx.resize(n);
-    values.resize(n);
-    for (const CooEntry& e : entries_) {
-        SPMV_EXPECTS(e.col >= 0 && e.col < cols_);
-        const auto at = static_cast<std::size_t>(
-            rowptr[static_cast<std::size_t>(e.row) + 1]++);
-        colidx[at] = static_cast<index_type>(e.col);
-        values[at] = e.value;
+    // Count row r's entries into slot r + 2 and prefix-sum: slot r + 1
+    // then holds row r's start and slot r + 2 its end.
+    rowptr.assign(rows + 2, 0);
+    for (const auto r : coo.rows) ++rowptr[static_cast<std::size_t>(r) + 2];
+    for (std::size_t r = 2; r < rows + 2; ++r) rowptr[r] += rowptr[r - 1];
+    bool moved = false;
+    if constexpr (std::is_same_v<typename Stored::index_type, index_type>) {
+        if (rows_sorted_) {
+            // The entries already sit in CSR order: the column and value
+            // arrays become the CSR's.
+            colidx = std::move(coo.cols);
+            values = std::move(coo.values);
+            rowptr.erase(rowptr.begin());
+            moved = true;
+        }
     }
-    std::vector<CooEntry>().swap(entries_);
-    rowptr.pop_back();
+    if (!moved) {
+        // Slot r + 1 serves as row r's insertion cursor, so once every
+        // entry is placed it holds row r's end: the final rowptr with one
+        // spare slot.
+        colidx.resize(n);
+        values.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto at = static_cast<std::size_t>(
+                rowptr[static_cast<std::size_t>(coo.rows[i]) + 1]++);
+            colidx[at] = static_cast<index_type>(coo.cols[i]);
+            values[at] = coo.values[i];
+        }
+        rowptr.pop_back();
+    }
+    coo = CooArrays<Stored>{};
 
     // Rows arrive sorted unless the input listed a row's columns out of
     // order or repeated one; only those rows are sorted and merged. Rows
@@ -110,9 +135,14 @@ BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
     return m;
 }
 
-[[nodiscard]] Result<AnyCsrMatrix> CooMatrix::to_csr_any(
+[[nodiscard]] Result<AnyCsrMatrix> CooMatrix::convert(
     IndexWidthChoice choice, std::size_t* duplicates) && {
-    const auto raw = static_cast<std::int64_t>(entries_.size());
+    const auto raw = static_cast<std::int64_t>(nnz());
+    const auto assemble_at = [&]<class Idx>(Idx) {
+        return std::visit(
+            [&](auto& coo) { return assemble<Idx>(coo, duplicates); },
+            arrays_);
+    };
     try {
         // Merging duplicates only lowers nnz, so the unmerged shape
         // resolves to the width the merged one would, unless the unmerged
@@ -125,10 +155,10 @@ BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
                 const IndexWidth width,
                 resolve_index_width(choice, rows_, cols_, raw));
             if (width == IndexWidth::W32)
-                return AnyCsrMatrix(assemble<Idx32>(duplicates));
-            return AnyCsrMatrix(assemble<Idx64>(duplicates));
+                return AnyCsrMatrix(assemble_at(Idx32{}));
+            return AnyCsrMatrix(assemble_at(Idx64{}));
         }
-        CsrMatrix64 wide = assemble<Idx64>(duplicates);
+        CsrMatrix64 wide = assemble_at(Idx64{});
         SPMV_ASSIGN_OR_RETURN(
             const IndexWidth width,
             resolve_index_width(choice, wide.rows(), wide.cols(),
@@ -142,33 +172,22 @@ BasicCsrMatrix<Idx> CooMatrix::assemble(std::size_t* duplicates) {
     }
 }
 
-template <class Idx>
-[[nodiscard]] Result<BasicCsrMatrix<Idx>> CooMatrix::to_csr_width(
+[[nodiscard]] Result<AnyCsrMatrix> CooMatrix::to_csr_any(
     std::size_t* duplicates) && {
-    constexpr IndexWidthChoice choice = Idx::width == IndexWidth::W32
-                                            ? IndexWidthChoice::W32
-                                            : IndexWidthChoice::W64;
-    SPMV_ASSIGN_OR_RETURN(AnyCsrMatrix m,
-                          std::move(*this).to_csr_any(choice, duplicates));
-    if constexpr (Idx::width == IndexWidth::W32)
-        return std::move(m).take32();
-    else
-        return std::move(m).take64();
-}
-
-CsrMatrix CooMatrix::to_csr() && {
-    Result<CsrMatrix> m = std::move(*this).to_csr_width<Idx32>();
-    if (!m.ok()) throw_status(std::move(m).to_error());
-    return std::move(m).value();
+    return std::move(*this).convert(width_, duplicates);
 }
 
 [[nodiscard]] Result<CsrMatrix> CooMatrix::try_to_csr(std::size_t* duplicates) && {
-    return std::move(*this).to_csr_width<Idx32>(duplicates);
+    SPMV_ASSIGN_OR_RETURN(
+        AnyCsrMatrix m,
+        std::move(*this).convert(IndexWidthChoice::W32, duplicates));
+    return std::move(m).take32();
 }
 
-template Result<BasicCsrMatrix<Idx32>> CooMatrix::to_csr_width<Idx32>(
-    std::size_t*) &&;
-template Result<BasicCsrMatrix<Idx64>> CooMatrix::to_csr_width<Idx64>(
-    std::size_t*) &&;
+CsrMatrix CooMatrix::to_csr() && {
+    Result<CsrMatrix> m = std::move(*this).try_to_csr();
+    if (!m.ok()) throw_status(std::move(m).to_error());
+    return std::move(m).value();
+}
 
 }  // namespace spmvcache

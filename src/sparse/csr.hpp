@@ -107,7 +107,7 @@ public:
 
 private:
     friend class BasicCsrBuilder<Idx>;
-    friend class CooMatrix;  // fills the arrays by row bucketing
+    friend class CooMatrix;  // moves or scatters its arrays in
 
     std::int64_t rows_ = 0;
     std::int64_t cols_ = 0;

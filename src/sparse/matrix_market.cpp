@@ -61,10 +61,11 @@ public:
           max_line_bytes_(max_line_bytes),
           ends_input_(ends_input) {}
 
-    /// true = a line is available via view(); false = the range is used
-    /// up. At the end of a range that does not end the input, pos() marks
-    /// the start of an unfinished line the next range must begin with.
-    [[nodiscard]] Result<bool> next() {
+    /// true = a line is available via view(); false = no line: the range
+    /// is used up, or the next line is too long (status() says which). At
+    /// the end of a range that does not end the input, pos() marks the
+    /// start of an unfinished line the next range must begin with.
+    [[nodiscard]] bool next() noexcept {
         if (pos_ >= text_.size()) return false;
         const char* begin = text_.data() + pos_;
         const std::size_t rest = text_.size() - pos_;
@@ -72,16 +73,25 @@ public:
             static_cast<const char*>(std::memchr(begin, '\n', rest));
         const std::size_t len =
             nl != nullptr ? static_cast<std::size_t>(nl - begin) : rest;
-        if (len > max_line_bytes_)
-            return Error(ErrorCode::ParseError,
-                         "line exceeds maximum length of " +
-                             std::to_string(max_line_bytes_) + " bytes",
-                         line_no_ + 1);
+        if (len > max_line_bytes_) {
+            overlong_ = true;
+            return false;
+        }
         if (nl == nullptr && !ends_input_) return false;
         ++line_no_;
         view_ = std::string_view(begin, len);
         pos_ += len + (nl != nullptr ? 1 : 0);
         return true;
+    }
+
+    /// Why next() returned false: a ParseError at the next line when that
+    /// line is too long, OK when the range is used up.
+    [[nodiscard]] Status status() const {
+        if (!overlong_) return OkStatus();
+        return Error(ErrorCode::ParseError,
+                     "line exceeds maximum length of " +
+                         std::to_string(max_line_bytes_) + " bytes",
+                     line_no_ + 1);
     }
 
     /// Continues on `text`, the next range of the input; the caller has
@@ -104,6 +114,7 @@ private:
     std::size_t pos_ = 0;
     std::string_view view_;
     std::int64_t line_no_ = 0;
+    bool overlong_ = false;
 };
 
 const char* skip_ws(const char* p, const char* end) {
@@ -121,6 +132,24 @@ bool parse_i64(const char*& p, const char* end, std::int64_t& out) {
     const auto [ptr, ec] = std::from_chars(p, end, out);
     if (ec != std::errc{} || ptr == p) return false;
     p = ptr;
+    return true;
+}
+
+/// parse_i64 for an entry's indices: a run of at most 18 plain digits,
+/// which cannot overflow, is read by a digit loop; a sign, a leading '+' or
+/// a longer run goes to parse_i64, which also rejects overflow.
+bool parse_index(const char*& p, const char* end, std::int64_t& out) {
+    const char* const first = skip_ws(p, end);
+    const char* q = first;
+    std::int64_t value = 0;
+    while (q < end && q - first < 18 && static_cast<unsigned>(*q - '0') < 10) {
+        value = value * 10 + (*q - '0');
+        ++q;
+    }
+    if (q == first || (q < end && static_cast<unsigned>(*q - '0') < 10))
+        return parse_i64(p, end, out);
+    out = value;
+    p = q;
     return true;
 }
 
@@ -241,42 +270,75 @@ struct Grammar {
     std::size_t max_line_bytes = 0;
 };
 
-/// Parses and validates one non-comment entry line: every per-entry check
-/// except the cross-entry duplicate test, which the merge owns.
-[[nodiscard]] Result<MmEntry> parse_entry_line(std::string_view line,
-                                               std::int64_t line_no,
-                                               const Grammar& g) {
-    MmEntry entry;
+/// What is wrong with an entry line.
+enum class EntryFault : std::uint8_t {
+    None,
+    Malformed,
+    NoValue,
+    Trailing,
+    OutOfRange,
+    NonFinite,
+    AboveDiagonal,
+};
+
+/// Parses and validates one non-comment entry line into `entry`: every
+/// per-entry check except the cross-entry duplicate test, which the merge
+/// owns. Builds no error; entry_error() does, for a line that fails.
+[[nodiscard]] EntryFault read_entry(std::string_view line, const Grammar& g,
+                                    MmEntry& entry) {
     const char* p = line.data();
     const char* end = line.data() + line.size();
-    if (!parse_i64(p, end, entry.row) || !parse_i64(p, end, entry.col))
-        return Error(ErrorCode::ParseError,
-                     "malformed entry line (expected 'row col[ value]')",
-                     line_no);
+    if (!parse_index(p, end, entry.row) || !parse_index(p, end, entry.col))
+        return EntryFault::Malformed;
     if (!g.header.pattern && !parse_f64(p, end, entry.value))
-        return Error(ErrorCode::ParseError,
-                     "missing or non-numeric value on entry line", line_no);
-    if (g.strict && !rest_is_blank(p, end))
-        return Error(ErrorCode::ParseError,
-                     "trailing garbage after entry", line_no);
+        return EntryFault::NoValue;
+    if (g.strict && !rest_is_blank(p, end)) return EntryFault::Trailing;
     if (entry.row < 1 || entry.row > g.size.rows || entry.col < 1 ||
         entry.col > g.size.cols)
-        return Error(ErrorCode::ValidationError,
-                     "index (" + std::to_string(entry.row) + ", " +
-                         std::to_string(entry.col) + ") out of range for " +
-                         std::to_string(g.size.rows) + "x" +
-                         std::to_string(g.size.cols) + " matrix",
-                     line_no);
+        return EntryFault::OutOfRange;
     if (g.strict) {
-        if (!std::isfinite(entry.value))
+        if (!std::isfinite(entry.value)) return EntryFault::NonFinite;
+        if (g.header.symmetric && entry.col > entry.row)
+            return EntryFault::AboveDiagonal;
+    }
+    return EntryFault::None;
+}
+
+/// The error for an entry line read_entry() refused with `fault`, after
+/// reading `entry` as far as it got.
+[[nodiscard]] Error entry_error(EntryFault fault, const MmEntry& entry,
+                                const Grammar& g, std::int64_t line_no) {
+    switch (fault) {
+        case EntryFault::Malformed:
+            return Error(ErrorCode::ParseError,
+                         "malformed entry line (expected 'row col[ value]')",
+                         line_no);
+        case EntryFault::NoValue:
+            return Error(ErrorCode::ParseError,
+                         "missing or non-numeric value on entry line",
+                         line_no);
+        case EntryFault::Trailing:
+            return Error(ErrorCode::ParseError,
+                         "trailing garbage after entry", line_no);
+        case EntryFault::OutOfRange:
+            return Error(ErrorCode::ValidationError,
+                         "index (" + std::to_string(entry.row) + ", " +
+                             std::to_string(entry.col) +
+                             ") out of range for " +
+                             std::to_string(g.size.rows) + "x" +
+                             std::to_string(g.size.cols) + " matrix",
+                         line_no);
+        case EntryFault::NonFinite:
             return Error(ErrorCode::ValidationError,
                          "non-finite value on entry line", line_no);
-        if (g.header.symmetric && entry.col > entry.row)
+        case EntryFault::AboveDiagonal:
             return Error(ErrorCode::ValidationError,
                          "entry above the diagonal in a symmetric file",
                          line_no);
+        case EntryFault::None:
+            break;
     }
-    return entry;
+    return Error(ErrorCode::InternalError, "entry line has no fault", line_no);
 }
 
 // ---- Pieces: one worker's share of a round -------------------------------
@@ -307,21 +369,20 @@ PieceEnd scan_piece(std::string_view text, bool ends_input, const Grammar& g,
     }
     BufLineCursor cursor(text, g.max_line_bytes, ends_input);
     for (;;) {
-        Result<bool> have_line = cursor.next();
-        if (!have_line.ok()) {
-            end.error = std::move(have_line).to_error();
+        if (!cursor.next()) {
+            if (Status s = cursor.status(); !s.ok())
+                end.error = std::move(s).to_error();
             break;
         }
-        if (!have_line.value()) break;
         if (is_comment_or_blank(cursor.view())) continue;
-        Result<MmEntry> entry =
-            parse_entry_line(cursor.view(), cursor.line_no(), g);
-        if (!entry.ok()) {
-            end.error = std::move(entry).to_error();
+        MmEntry entry;
+        if (const EntryFault fault = read_entry(cursor.view(), g, entry);
+            fault != EntryFault::None) {
+            end.error = entry_error(fault, entry, g, cursor.line_no());
             end.entry_line = true;
             break;
         }
-        if (!on_entry(entry.value(), cursor.line_no())) break;
+        if (!on_entry(entry, cursor.line_no())) break;
     }
     end.lines = cursor.line_no();
     end.used = cursor.pos();
@@ -365,8 +426,9 @@ struct PieceResult {
 /// The first rejection is held until finish().
 class EntryMerge {
 public:
-    explicit EntryMerge(const Grammar& g)
-        : g_(g), coo_(g.size.rows, g.size.cols) {
+    /// `width`: the CSR width the read resolves (MmReadOptions).
+    EntryMerge(const Grammar& g, IndexWidthChoice width)
+        : g_(g), coo_(g.size.rows, g.size.cols, width) {
         // parse_size_line proved 2*nnz fits; the contract keeps that
         // proof attached to the arithmetic it guards.
         std::int64_t logical_nnz = g.size.nnz;
@@ -669,8 +731,9 @@ private:
     BufLineCursor cursor({}, options.max_line_bytes, /*ends_input=*/false);
     const auto next_line = [&]() -> Result<bool> {
         for (;;) {
-            SPMV_ASSIGN_OR_RETURN(const bool have_line, cursor.next());
-            if (have_line || reader.at_end()) return have_line;
+            if (cursor.next()) return true;
+            SPMV_RETURN_IF_ERROR(cursor.status());
+            if (reader.at_end()) return false;
             if (!reader.refill(cursor.pos()))
                 return read_failed(cursor.line_no() + 1);
             cursor.rebase(reader.text(), reader.at_end());
@@ -697,7 +760,7 @@ private:
     g.strict = options.strict;
     g.max_line_bytes = options.max_line_bytes;
 
-    EntryMerge merge(g);
+    EntryMerge merge(g, options.index_width);
     std::int64_t line_base = cursor.line_no();
     if (!merge.stopped()) {
         SPMV_RETURN_IF_ERROR(
@@ -714,7 +777,7 @@ private:
                                              const MmReadOptions& options) {
     // The round buffers are gone before the CSR arrays are built.
     SPMV_ASSIGN_OR_RETURN(CooMatrix coo, read_entries(in, options));
-    return std::move(coo).to_csr_any(options.index_width);
+    return std::move(coo).to_csr_any();
 }
 
 /// The narrow matrix of a forced-W32 read, or the error, thrown.

@@ -44,7 +44,8 @@ std::string_view trim_ws(std::string_view s) {
     return out;
 }
 
-CliParser::CliParser(int argc, const char* const* argv) {
+CliParser::CliParser(int argc, const char* const* argv,
+                     std::span<const std::string_view> switches) {
     program_ = argc > 0 ? argv[0] : "";
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -57,7 +58,10 @@ CliParser::CliParser(int argc, const char* const* argv) {
         if (const auto eq = name.find('='); eq != std::string::npos) {
             value = name.substr(eq + 1);
             name = name.substr(0, eq);
-        } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        } else if (std::find(switches.begin(), switches.end(), name) ==
+                       switches.end() &&
+                   i + 1 < argc &&
+                   std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
         }
         options_[name] = value;

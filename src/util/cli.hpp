@@ -1,5 +1,6 @@
-// Tiny command-line parser shared by the bench harnesses and examples.
-// Supports --name value, --name=value, and boolean --flag forms.
+// Tiny command-line parser shared by the CLI, the bench harnesses and the
+// examples. Supports --name value, --name=value, and boolean --flag forms;
+// a flag named as a switch never takes the next argument as its value.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,10 @@ namespace spmvcache {
 /// order and retrievable via positionals().
 class CliParser {
 public:
-    CliParser(int argc, const char* const* argv);
+    /// `switches` take a value only as --name=value: a bare --name leaves
+    /// the next argument a positional.
+    CliParser(int argc, const char* const* argv,
+              std::span<const std::string_view> switches = {});
 
     /// True if --name was present (with or without a value).
     [[nodiscard]] bool has(const std::string& name) const;

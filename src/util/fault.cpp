@@ -30,11 +30,11 @@ Registry& registry() {
     return r;
 }
 
-// Number of armed points; the disarmed fast path is one relaxed load of
-// this counter, so hot loops (reuse engine) pay a single predictable branch.
-std::atomic<std::int64_t> g_armed{0};
-
 }  // namespace
+
+// The disarmed fast path (fault.hpp) is one relaxed load of this counter,
+// so hot loops (reuse engine, entry merge) pay a single predictable branch.
+std::atomic<std::int64_t> detail::armed_points{0};
 
 void arm(std::string point, FaultSpec spec) {
     // A typo'd point would arm a trigger no library code ever checks —
@@ -46,26 +46,22 @@ void arm(std::string point, FaultSpec spec) {
     auto [it, inserted] = r.points.insert_or_assign(
         std::move(point), PointState{spec, 0, Xoshiro256(spec.seed), false});
     (void)it;
-    if (inserted) g_armed.fetch_add(1, std::memory_order_relaxed);
+    if (inserted) detail::armed_points.fetch_add(1, std::memory_order_relaxed);
 }
 
 void disarm(const std::string& point) {
     auto& r = registry();
     const MutexLock lock(r.mutex);
     if (r.points.erase(point) > 0)
-        g_armed.fetch_sub(1, std::memory_order_relaxed);
+        detail::armed_points.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void disarm_all() {
     auto& r = registry();
     const MutexLock lock(r.mutex);
-    g_armed.fetch_sub(static_cast<std::int64_t>(r.points.size()),
-                      std::memory_order_relaxed);
+    detail::armed_points.fetch_sub(
+        static_cast<std::int64_t>(r.points.size()), std::memory_order_relaxed);
     r.points.clear();
-}
-
-bool any_armed() noexcept {
-    return g_armed.load(std::memory_order_relaxed) > 0;
 }
 
 std::int64_t hits(const std::string& point) {
@@ -75,8 +71,7 @@ std::int64_t hits(const std::string& point) {
     return it == r.points.end() ? 0 : it->second.hits;
 }
 
-bool should_fail(const char* point) {
-    if (g_armed.load(std::memory_order_relaxed) == 0) return false;
+bool detail::should_fail_armed(const char* point) {
     auto& r = registry();
     const MutexLock lock(r.mutex);
     const auto it = r.points.find(point);
@@ -111,13 +106,13 @@ Error make_error(const char* point) {
 
 }  // namespace
 
-[[nodiscard]] Status maybe_fail(const char* point) {
-    if (!should_fail(point)) return OkStatus();
+[[nodiscard]] Status detail::fail_armed(const char* point) {
+    if (!should_fail_armed(point)) return OkStatus();
     return make_error(point);
 }
 
-void maybe_throw(const char* point) {
-    if (!should_fail(point)) return;
+void detail::throw_armed(const char* point) {
+    if (!should_fail_armed(point)) return;
     throw FaultInjectedError(make_error(point));
 }
 

@@ -20,6 +20,7 @@
 // injection sites, so a typo'd point cannot silently never fire.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -50,18 +51,37 @@ void disarm(const std::string& point);
 /// Disarms everything and resets all hit counters.
 void disarm_all();
 
+namespace detail {
+
+/// Number of armed points: the one load the disarmed fast path makes.
+extern std::atomic<std::int64_t> armed_points;
+
+/// The armed paths of should_fail, maybe_fail and maybe_throw.
+[[nodiscard]] bool should_fail_armed(const char* point);
+[[nodiscard]] Status fail_armed(const char* point);
+void throw_armed(const char* point);
+
+}  // namespace detail
+
 /// True if any point is armed (the slow path is reachable).
-[[nodiscard]] bool any_armed() noexcept;
+[[nodiscard]] inline bool any_armed() noexcept {
+    return detail::armed_points.load(std::memory_order_relaxed) > 0;
+}
 
 /// Hits recorded for `point` since it was last armed (0 if never armed).
 [[nodiscard]] std::int64_t hits(const std::string& point);
 
 /// Counts a hit; true when the armed spec decides this hit fails.
 /// Disarmed points return false after one atomic load.
-[[nodiscard]] bool should_fail(const char* point);
+[[nodiscard]] inline bool should_fail(const char* point) {
+    return any_armed() && detail::should_fail_armed(point);
+}
 
 /// Status-returning form for Status/Result pipelines.
-[[nodiscard]] Status maybe_fail(const char* point);
+[[nodiscard]] inline Status maybe_fail(const char* point) {
+    if (!any_armed()) return OkStatus();
+    return detail::fail_armed(point);
+}
 
 /// Thrown by maybe_throw; carries the typed Error (code FaultInjected).
 class FaultInjectedError : public StatusError {
@@ -70,7 +90,9 @@ public:
 };
 
 /// Throwing form for hot paths that return plain values.
-void maybe_throw(const char* point);
+inline void maybe_throw(const char* point) {
+    if (any_armed()) detail::throw_armed(point);
+}
 
 /// RAII arming for tests: arms in the constructor, disarms in the
 /// destructor even if the test body throws.

@@ -1,9 +1,11 @@
 // Matrix Market reader tests. The reader parses rounds of blocks on a
 // thread pool and merges them in file order, and its contract is that
 // neither the job count nor the block size changes the outcome. Every
-// case below is checked against a golden: the W32 CSR arrays' shape and
-// FNV-1a digest, or the typed error's (code, line), as the earlier serial
-// block reader produced them. Each golden must hold at every (jobs, block
+// case below is checked against a golden: the CSR arrays' shape and
+// FNV-1a digest (W32 unless a case forces another width), or the typed
+// error's (code, line), as an earlier reader produced them (the serial
+// block reader, or for the storage cases the reader that kept 24-byte
+// entry triples). Each golden must hold at every (jobs, block
 // size) grid point, in strict and in lenient mode, so blocks cut lines,
 // entry runs and over-long lines everywhere a boundary can fall. The suite
 // is TSan-friendly (CI runs it under ThreadSanitizer): every grid point
@@ -62,7 +64,8 @@ constexpr Golden error(ErrorCode code, std::int64_t line) {
 }
 
 /// FNV-1a over the bytes of rowptr, colidx and values, in that order.
-std::uint64_t digest(const CsrMatrix& m) {
+template <class Idx>
+std::uint64_t digest(const BasicCsrMatrix<Idx>& m) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto mix = [&h](const void* data, std::uint64_t bytes) {
         const auto* p = static_cast<const unsigned char*>(data);
@@ -77,16 +80,18 @@ std::uint64_t digest(const CsrMatrix& m) {
     return h;
 }
 
+/// The golden of a read at either width: the digest covers the arrays'
+/// bytes, so a W64 matrix never matches a W32 golden.
 Golden observe(const Result<AnyCsrMatrix>& r) {
     if (!r.ok()) return error(r.error().code, r.error().line);
-    const CsrMatrix* m = r.value().as32();
-    if (m == nullptr) return error(ErrorCode::InternalError, 0);
-    return matrix(m->rows(), m->cols(), m->nnz(), digest(*m));
+    return r.value().visit([](const auto& m) {
+        return matrix(m.rows(), m.cols(), m.nnz(), digest(m));
+    });
 }
 
-Result<AnyCsrMatrix> parse(const std::string& text,
-                           MmReadOptions options = {}) {
-    options.index_width = IndexWidthChoice::W32;
+Result<AnyCsrMatrix> parse(const std::string& text, MmReadOptions options = {},
+                           IndexWidthChoice width = IndexWidthChoice::W32) {
+    options.index_width = width;
     std::istringstream in(text);
     return try_read_matrix_market_any(in, options);
 }
@@ -102,10 +107,11 @@ const std::vector<std::size_t> kLargeBlocks = {std::size_t{1} << 20, 65536,
 const std::vector<std::size_t> kJobs = {1, 2, 3, 4, 8, 0};
 
 /// Checks `text` at every (jobs, block) grid point in both modes: lenient
-/// mode must give `lenient` and strict mode `strict`.
+/// mode must give `lenient` and strict mode `strict`, reading at `width`.
 void expect_golden(const std::string& text, const Golden& lenient,
                    const Golden& strict, MmReadOptions base = {},
-                   const std::vector<std::size_t>& blocks = kSmallBlocks) {
+                   const std::vector<std::size_t>& blocks = kSmallBlocks,
+                   IndexWidthChoice width = IndexWidthChoice::W32) {
     for (const bool strict_mode : {false, true}) {
         base.strict = strict_mode;
         for (const std::size_t jobs : kJobs) {
@@ -117,7 +123,7 @@ void expect_golden(const std::string& text, const Golden& lenient,
                              " block=" + std::to_string(block) +
                              " strict=" + std::to_string(strict_mode));
                 EXPECT_EQ(strict_mode ? strict : lenient,
-                          observe(parse(text, options)));
+                          observe(parse(text, options, width)));
             }
         }
     }
@@ -212,6 +218,23 @@ TEST(MmParallel, LenientDuplicatesSumIdentically) {
                      {"2 2 4", "1 1 1.0", "1 1 2.0", "2 2 4.0", "2 1 8.0"}),
                  matrix(2, 2, 3, 0xa861f79c5017f9feULL),
                  error(ErrorCode::ValidationError, 4));
+}
+
+TEST(MmParallel, IndexFieldsReadLikeFromChars) {
+    // Leading '+' and zeros, and runs of 18 and 19 digits.
+    expect_small(mtx("real general",
+                     {"3 3 3", "+1 +2 1.5", "0002 002 2.5",
+                      "000000000000000003 0000000000000000003 3.5"}),
+                 matrix(3, 3, 3, 0xf105644ca3935116ULL));
+    // Signs, int64's bounds and one past them.
+    expect_small(mtx("real general", {"2 2 1", "1 -1 1.0"}),
+                 error(ErrorCode::ValidationError, 3));
+    expect_small(mtx("real general", {"2 2 1", "9223372036854775807 1 1.0"}),
+                 error(ErrorCode::ValidationError, 3));
+    expect_small(mtx("real general", {"2 2 1", "9223372036854775808 1 1.0"}),
+                 error(ErrorCode::ParseError, 3));
+    expect_small(mtx("real general", {"2 2 1", "1 99999999999999999999 1.0"}),
+                 error(ErrorCode::ParseError, 3));
 }
 
 // ---- Errors: the serial reader's code and line at every grid point -----
@@ -518,9 +541,10 @@ std::string coordinate_text(const char* symmetry, std::int64_t n,
     return out.str();
 }
 
-void shuffle(std::vector<TextEntry>& entries, Xoshiro256& rng) {
-    for (std::size_t i = entries.size(); i > 1; --i)
-        std::swap(entries[i - 1], entries[rng.bounded(i)]);
+template <class T>
+void shuffle(std::vector<T>& items, Xoshiro256& rng) {
+    for (std::size_t i = items.size(); i > 1; --i)
+        std::swap(items[i - 1], items[rng.bounded(i)]);
 }
 
 TEST(MmParallel, UnorderedInputAssemblesLikeRowMajor) {
@@ -551,6 +575,169 @@ TEST(MmParallel, UnorderedInputAssemblesLikeRowMajor) {
          {coordinate_text("general", n, full),
           coordinate_text("symmetric", n, lower)})
         expect_golden(text, reference, reference);
+}
+
+// ---- Storage: the in-order move and the bucketed scatter ----------------
+//
+// Entries whose rows arrive in nondecreasing order hand their column and
+// value arrays to the CSR; any other order scatters them by row. Every
+// golden below was recorded from the reader that kept each entry as a
+// 24-byte triple and always scattered, so both paths must give its CSR.
+
+/// The entry lines write_matrix_market prints for `m`, in row-major order.
+std::vector<std::string> entry_lines(const CsrMatrix& m) {
+    std::istringstream in(to_mtx(m));
+    std::vector<std::string> lines;
+    std::string line;
+    std::getline(in, line);  // banner
+    std::getline(in, line);  // size line
+    while (std::getline(in, line)) lines.push_back(line);
+    return lines;
+}
+
+/// A coordinate file of `kind` and shape rows x cols holding `lines`.
+std::string entries_text(const std::string& kind, std::int64_t rows,
+                         std::int64_t cols,
+                         const std::vector<std::string>& lines) {
+    std::string text = "%%MatrixMarket matrix coordinate " + kind + "\n" +
+                       std::to_string(rows) + " " + std::to_string(cols) +
+                       " " + std::to_string(lines.size()) + "\n";
+    for (const std::string& line : lines) text += line + "\n";
+    return text;
+}
+
+/// Checks an input both modes read alike, and its CRLF twin, at `width`.
+void expect_at(IndexWidthChoice width, const std::string& text,
+               const Golden& golden) {
+    for (const std::string& t : {text, crlf(text)})
+        expect_golden(t, golden, golden, {}, kSmallBlocks, width);
+}
+
+TEST(MmStorage, RowGoingBackwardsSwitchesToBucketing) {
+    const std::vector<std::string> lines =
+        entry_lines(gen::stencil_2d_5pt(16, 16));
+    // An in-order file plus one entry of an earlier row at the end.
+    std::vector<std::string> at_end = lines;
+    at_end.push_back("2 5 0.5");
+    expect_small(entries_text("real general", 256, 256, at_end),
+                 matrix(256, 256, 1217, 0xfdc07662cf0c760cULL));
+    // The same row order broken once mid-file, then in order again.
+    std::vector<std::string> mid = lines;
+    mid.insert(mid.begin() + 600, "1 256 0.25");
+    expect_small(entries_text("real general", 256, 256, mid),
+                 matrix(256, 256, 1217, 0xf1664e74186ceba0ULL));
+    // In order throughout: the move path gives the serial CSR.
+    expect_small(entries_text("real general", 256, 256, lines),
+                 matrix(256, 256, 1216, 0x9a404a9dc1ecb977ULL));
+}
+
+TEST(MmStorage, InOrderRowsMergeUnorderedAndRepeatedColumns) {
+    // Rows in order; row 1 lists columns out of order with one repeat,
+    // row 2 is empty, row 3 repeats one column three times.
+    expect_small(mtx("real general",
+                     {"4 6 10", "1 5 1.0", "1 2 2.0", "1 5 3.0", "1 1 4.0",
+                      "3 6 5.0", "3 6 6.0", "3 6 7.0", "4 6 8.0", "4 3 9.0",
+                      "4 4 10.0"}),
+                 matrix(4, 6, 7, 0x87b863fe81327f96ULL),
+                 error(ErrorCode::ValidationError, 5));
+    // Duplicates sum in file order on the move path too: in file order
+    // (1e16 + -1e16) + 1 is exactly 1, any other order gives 0.
+    std::string entries;
+    for (std::int64_t c = 64; c >= 1; --c)
+        entries += "1 " + std::to_string(c) + " 2.0\n";
+    entries += "2 6 1e16\n";
+    for (std::int64_t c = 64; c >= 1; --c) {
+        if (c == 32) entries += "2 6 -1e16\n";
+        if (c != 6) entries += "2 " + std::to_string(c) + " 1.0\n";
+    }
+    entries += "2 6 1\n";
+    const auto count = std::count(entries.begin(), entries.end(), '\n');
+    const std::string text =
+        mtx("real general", {("3 64 " + std::to_string(count)).c_str()}) +
+        entries;
+    const Result<AnyCsrMatrix> r = parse(text);
+    ASSERT_TRUE(r.ok()) << r.error().render();
+    EXPECT_EQ(r.value().as32()->values()[64 + 5], 1.0);
+    expect_small(text, matrix(3, 64, 128, 0xcf4f50d779923b25ULL),
+                 error(ErrorCode::ValidationError, 100));
+}
+
+/// The lower triangle of a band of half-width 3 in row-major order: the
+/// diagonal when `diagonal` is set, a value on each line when `values` is.
+std::vector<std::string> lower_band(std::int64_t n, bool diagonal,
+                                    bool values = true) {
+    std::vector<std::string> lines;
+    for (std::int64_t r = 1; r <= n; ++r) {
+        for (std::int64_t c = std::max<std::int64_t>(1, r - 3);
+             c <= (diagonal ? r : r - 1); ++c) {
+            std::string line = std::to_string(r) + " " + std::to_string(c);
+            if (values) {
+                line += ' ';
+                line += std::to_string((r * 31 + c) % 17);
+                line += ".25";
+            }
+            lines.push_back(line);
+        }
+    }
+    return lines;
+}
+
+TEST(MmStorage, SymmetricAndSkewFilesAssembleAsBefore) {
+    // Every mirrored entry goes back to an earlier row: bucketed.
+    expect_small(entries_text("real symmetric", 90, 90, lower_band(90, true)),
+                 matrix(90, 90, 618, 0x71aca4c882799cc8ULL));
+    expect_small(
+        entries_text("real skew-symmetric", 90, 90, lower_band(90, false)),
+        matrix(90, 90, 528, 0xb1ec9c067734eb5aULL));
+    expect_small(
+        entries_text("pattern symmetric", 90, 90,
+                     lower_band(90, true, /*values=*/false)),
+        matrix(90, 90, 618, 0x11519c261129e48dULL));
+    // A diagonal mirrors nothing, so its rows stay in order: moved.
+    std::vector<std::string> diagonal;
+    for (std::int64_t r = 1; r <= 50; ++r)
+        diagonal.push_back(std::to_string(r) + " " + std::to_string(r) +
+                           " " + std::to_string(r) + ".5");
+    expect_small(entries_text("real symmetric", 50, 50, diagonal),
+                 matrix(50, 50, 50, 0x835da1ab2154a537ULL));
+}
+
+TEST(MmStorage, WideStorageMovesAndScattersAlike) {
+    // Forced 64-bit indices store 8-byte rows and columns.
+    std::vector<std::string> lines = entry_lines(gen::stencil_2d_5pt(16, 16));
+    const Golden wide = matrix(256, 256, 1216, 0x0e9a99c63c51d7f7ULL);
+    expect_at(IndexWidthChoice::W64,
+              entries_text("real general", 256, 256, lines), wide);
+    Xoshiro256 rng(11);
+    shuffle(lines, rng);
+    expect_at(IndexWidthChoice::W64,
+              entries_text("real general", 256, 256, lines), wide);
+
+    // More columns than int32 holds: auto stores and assembles wide.
+    std::vector<std::string> huge = {
+        "1 2999999999 1.5", "1 1 2.5",        "1 2147483648 3.5",
+        "2 3000000000 -1",  "3 7 4",          "3 2147483648 8",
+        "3 2147483647 16"};
+    const Golden huge_golden =
+        matrix(3, 3000000000, 7, 0xd6d290a9e4a209c3ULL);
+    expect_at(IndexWidthChoice::Auto,
+              entries_text("real general", 3, 3000000000, huge), huge_golden);
+    std::reverse(huge.begin(), huge.end());
+    expect_at(IndexWidthChoice::Auto,
+              entries_text("real general", 3, 3000000000, huge), huge_golden);
+}
+
+TEST(MmStorage, LeadingAndTrailingEmptyRows) {
+    // Rows 1, 2, 5, 7 and 8 of 8 hold nothing.
+    std::vector<std::string> lines = {"3 1 1.0", "3 4 2.0", "4 2 3.0",
+                                      "4 5 4.0", "4 3 5.0", "6 5 6.0"};
+    const Golden golden = matrix(8, 5, 6, 0xa12426032537f678ULL);
+    expect_small(entries_text("real general", 8, 5, lines), golden);
+    std::reverse(lines.begin(), lines.end());
+    expect_small(entries_text("real general", 8, 5, lines), golden);
+    // A file whose only entries sit in its last row.
+    expect_small(mtx("pattern general", {"6 3 2", "6 3", "6 1"}),
+                 matrix(6, 3, 2, 0x6a4c2a04c7cc3155ULL));
 }
 
 // ---- Stream failures and the job bound -----------------------------------

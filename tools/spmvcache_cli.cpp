@@ -122,7 +122,10 @@ using namespace spmvcache;
            "             --report FILE --format csv|json\n"
            "families: stencil2d5 stencil3d27 banded circuit random "
            "randomcv blockfem\n"
-           "a flag the command does not take is a usage error\n"
+           "a flag or argument the command does not take is a usage "
+           "error;\n"
+           "switches never take the next argument: give --approx a rate as "
+           "--approx=R\n"
            "exit codes: 0 ok, 1 input/matrix failures, 2 usage or fatal\n";
     std::exit(kExitUsage);
 }
@@ -1043,11 +1046,16 @@ int cmd_kernelbench(const CliParser& cli) {
     return 0;
 }
 
-/// One subcommand: its handler and every flag it reads.
+/// One subcommand: its handler, the flags it reads, and how many
+/// positionals it reads after its name (--gen stands in for the first).
 struct Command {
     std::string_view name;
     int (*run)(const CliParser&);
+    /// Flags that take a value (--name V or --name=V).
     std::vector<std::string_view> flags;
+    /// Flags that take none: a switch never takes the next argument.
+    std::vector<std::string_view> switches;
+    std::size_t operands = 0;
 };
 
 /// `base` followed by `more`.
@@ -1059,43 +1067,76 @@ std::vector<std::string_view> with(std::vector<std::string_view> base,
 
 const std::vector<Command>& commands() {
     static const std::vector<Command> table = [] {
-        // Read by ingest_flags, and by matrix_source for one matrix.
+        // Read by ingest_flags (its switch is --strict), and by
+        // matrix_source for one matrix.
         const std::vector<std::string_view> ingest = {
-            "strict", "cache-dir", "parse-jobs", "index-width"};
+            "cache-dir", "parse-jobs", "index-width"};
         const std::vector<std::string_view> load =
             with(ingest, {"gen", "seed"});
-        // Read by model_flags.
+        // Read by model_flags (its switch is --approx, a rate --approx=R).
         const std::vector<std::string_view> model = {"threads", "jobs",
-                                                     "timeout", "approx"};
+                                                     "timeout"};
         return std::vector<Command>{
-            {"stats", cmd_stats, load},
-            {"classify", cmd_classify, with(load, {"ways"})},
+            {"stats", cmd_stats, load, {"strict"}, 1},
+            {"classify", cmd_classify, with(load, {"ways"}), {"strict"}, 1},
             {"predict", cmd_predict,
-             with(with(load, {"method", "json"}), model)},
+             with(with(load, {"method", "json"}), model),
+             {"strict", "approx"}, 1},
             {"simulate", cmd_simulate,
-             with(load, {"threads", "jobs", "l2-ways", "l1-ways"})},
-            {"tune", cmd_tune, with(load, model)},
-            {"convert", cmd_convert, with(load, {"rcm"})},
+             with(load, {"threads", "jobs", "l2-ways", "l1-ways"}),
+             {"strict"}, 1},
+            {"tune", cmd_tune, with(load, model), {"strict", "approx"}, 1},
+            {"convert", cmd_convert, load, {"strict", "rcm"}, 2},
             {"batch", cmd_batch,
-             with(with(ingest, {"no-model", "no-retry", "report", "format"}),
-                  model)},
+             with(with(ingest, {"report", "format"}), model),
+             {"strict", "no-model", "no-retry", "approx"}, 1},
             {"serve", cmd_serve,
              {"workers", "queue", "cache-bytes", "strikes", "timeout",
               "retries", "max-request-bytes", "source-cache", "cache-dir",
-              "parse-jobs"}},
-            {"cache", cmd_cache, ingest},
+              "parse-jobs"},
+             {}, 0},
+            {"cache", cmd_cache, ingest, {"strict"}, 2},
             {"kernelbench", cmd_kernelbench,
              with(load, {"threads", "iters", "prefetch-distance", "variant",
-                         "report", "format"})},
+                         "report", "format"}),
+             {"strict"}, 1},
         };
     }();
     return table;
 }
 
+/// Every command's switches, for the parser.
+std::vector<std::string_view> all_switches() {
+    std::vector<std::string_view> out;
+    for (const Command& c : commands())
+        out.insert(out.end(), c.switches.begin(), c.switches.end());
+    return out;
+}
+
+/// OkStatus when `cli` gives `command` only flags it reads and at most the
+/// positionals it reads; otherwise a ValidationError naming the flag, or
+/// the positionals given, which would otherwise be silently ignored.
+[[nodiscard]] Status expect_command_args(const CliParser& cli,
+                                         const Command& command) {
+    SPMV_RETURN_IF_ERROR(
+        cli.expect_only(with(command.flags, command.switches), command.name));
+    const std::size_t operands =
+        command.operands - (cli.has("gen") && command.operands > 0 ? 1 : 0);
+    const auto& args = cli.positionals();
+    if (args.size() <= operands + 1) return OkStatus();
+    std::string given;
+    for (std::size_t i = 1; i < args.size(); ++i)
+        given += (i > 1 ? ", '" : "'") + args[i] + "'";
+    return Error(ErrorCode::ValidationError,
+                 std::string(command.name) + " reads " +
+                     std::to_string(operands) + " argument(s), got " +
+                     given);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-    const CliParser cli(argc, argv);
+    const CliParser cli(argc, argv, all_switches());
     if (cli.positionals().empty()) usage();
     const std::string command = cli.positionals().front();
     const auto& table = commands();
@@ -1103,10 +1144,8 @@ int main(int argc, char** argv) {
         std::find_if(table.begin(), table.end(),
                      [&](const Command& c) { return c.name == command; });
     if (it == table.end()) usage();
-    // A misspelt or retired flag would otherwise be silently ignored.
-    if (const Status flags = cli.expect_only(it->flags, command);
-        !flags.ok()) {
-        report_error(flags.error());
+    if (const Status args = expect_command_args(cli, *it); !args.ok()) {
+        report_error(args.error());
         return kExitUsage;
     }
     try {
