@@ -2,9 +2,9 @@
 // vs --jobs parse vs cached mmap load, over the synthetic suite (or --mm
 // DIR). Every leg goes through load_matrix_handle so the three numbers
 // measure the same contract — a ready-to-model LoadedMatrix with
-// fingerprint and stats attached. A fourth leg parses the same matrices
-// written column by column, the order the reader cannot assemble in
-// place. Each parse leg also reports the process's peak RSS (VmHWM, reset
+// fingerprint and stats attached. A fourth leg parses the same files with
+// their entry lines sorted by column, the order the reader cannot assemble
+// in place. Each parse leg also reports the process's peak RSS (VmHWM, reset
 // through /proc/self/clear_refs before every load, once freed heap pages
 // are handed back, so a leg's peak does not count what glibc kept of
 // earlier legs; omitted where the kernel refuses the reset).
@@ -15,10 +15,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "bench_common.hpp"
 #include "sparse/matrix_market.hpp"
@@ -35,36 +38,39 @@ bool reset_peak_rss() {
     return static_cast<bool>(out);
 }
 
-/// Writes `m` as write_matrix_market does, but with its entries sorted by
-/// column, then row: the order of column-major exports such as MATLAB's.
-void write_column_major(const std::string& path,
-                        const spmvcache::CsrMatrix& m) {
-    const auto rowptr = m.rowptr();
-    const auto colidx = m.colidx();
-    const auto values = m.values();
-    // Count each column's entries, then place them column by column; once
-    // placed, end[c] is where column c's entries end.
-    std::vector<std::size_t> end(static_cast<std::size_t>(m.cols()) + 1, 0);
-    for (const auto c : colidx) ++end[static_cast<std::size_t>(c) + 1];
-    for (std::size_t c = 1; c < end.size(); ++c) end[c] += end[c - 1];
-    std::vector<std::int64_t> rows(colidx.size());
-    std::vector<double> vals(colidx.size());
-    for (std::int64_t r = 0; r < m.rows(); ++r) {
-        for (auto i = rowptr[static_cast<std::size_t>(r)];
-             i < rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
-            const std::size_t at =
-                end[static_cast<std::size_t>(colidx[i])]++;
-            rows[at] = r;
-            vals[at] = values[i];
-        }
+/// Copies the Matrix Market file `from`, as write_matrix_market writes it
+/// (banner, size line, entry lines), to `to` with its entry lines sorted
+/// by (column, row), ties in file order: the order of column-major exports
+/// such as MATLAB's. Lines are copied verbatim, so both files hold the
+/// same value text.
+void write_column_major(const std::string& from, const std::string& to) {
+    std::ifstream in(from, std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    const auto line_end = [&text](std::size_t at) {
+        return std::min(text.find('\n', at), text.size());
+    };
+    const std::size_t first = line_end(line_end(0) + 1) + 1;
+    struct Line {
+        std::int64_t col = 0, row = 0;
+        std::size_t at = 0;
+    };
+    std::vector<Line> lines;
+    for (std::size_t at = first; at < text.size(); at = line_end(at) + 1) {
+        Line line{.at = at};
+        const char* end = text.data() + line_end(at);
+        const char* p = std::from_chars(text.data() + at, end, line.row).ptr;
+        std::from_chars(p + 1, end, line.col);
+        lines.push_back(line);
     }
-    std::ofstream out(path);
-    out << "%%MatrixMarket matrix coordinate real general\n"
-        << m.rows() << ' ' << m.cols() << ' ' << m.nnz() << '\n';
-    std::size_t i = 0;
-    for (std::size_t c = 0; c + 1 < end.size(); ++c)
-        for (; i < end[c]; ++i)
-            out << rows[i] + 1 << ' ' << c + 1 << ' ' << vals[i] << '\n';
+    std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
+        return std::tie(a.col, a.row, a.at) < std::tie(b.col, b.row, b.at);
+    });
+    std::ofstream out(to, std::ios::binary);
+    out.write(text.data(), static_cast<std::streamsize>(first));
+    for (const Line& line : lines)
+        out.write(text.data() + line.at,
+                  static_cast<std::streamsize>(line_end(line.at) - line.at))
+            << '\n';
 }
 
 /// VmHWM from /proc/self/status in MiB; 0 when unreadable.
@@ -194,7 +200,7 @@ int main(int argc, char** argv) {
     for (std::size_t n = 0; n < paths.size(); ++n) {
         const std::string path =
             (work / (suite[n].name + ".by_column.mtx")).string();
-        write_column_major(path, suite[n].factory());
+        write_column_major(paths[n], path);
         col_mtx_bytes += static_cast<std::uint64_t>(fs::file_size(path));
         MatrixSource source;
         source.path = path;

@@ -135,24 +135,6 @@ bool parse_i64(const char*& p, const char* end, std::int64_t& out) {
     return true;
 }
 
-/// parse_i64 for an entry's indices: a run of at most 18 plain digits,
-/// which cannot overflow, is read by a digit loop; a sign, a leading '+' or
-/// a longer run goes to parse_i64, which also rejects overflow.
-bool parse_index(const char*& p, const char* end, std::int64_t& out) {
-    const char* const first = skip_ws(p, end);
-    const char* q = first;
-    std::int64_t value = 0;
-    while (q < end && q - first < 18 && static_cast<unsigned>(*q - '0') < 10) {
-        value = value * 10 + (*q - '0');
-        ++q;
-    }
-    if (q == first || (q < end && static_cast<unsigned>(*q - '0') < 10))
-        return parse_i64(p, end, out);
-    out = value;
-    p = q;
-    return true;
-}
-
 bool parse_f64(const char*& p, const char* end, double& out) {
     p = skip_ws(p, end);
     if (p < end && *p == '+') ++p;
@@ -288,7 +270,7 @@ enum class EntryFault : std::uint8_t {
                                     MmEntry& entry) {
     const char* p = line.data();
     const char* end = line.data() + line.size();
-    if (!parse_index(p, end, entry.row) || !parse_index(p, end, entry.col))
+    if (!parse_i64(p, end, entry.row) || !parse_i64(p, end, entry.col))
         return EntryFault::Malformed;
     if (!g.header.pattern && !parse_f64(p, end, entry.value))
         return EntryFault::NoValue;
@@ -431,14 +413,15 @@ public:
         : g_(g), coo_(g.size.rows, g.size.cols, width) {
         // parse_size_line proved 2*nnz fits; the contract keeps that
         // proof attached to the arithmetic it guards.
-        std::int64_t logical_nnz = g.size.nnz;
         if (g.header.symmetric)
-            SPMV_EXPECT(checked_mul<std::int64_t>(2, g.size.nnz, logical_nnz));
+            SPMV_EXPECT(
+                checked_mul<std::int64_t>(2, g.size.nnz, logical_nnz_));
         // Cap the up-front reservation: a lying size line must not be
         // able to trigger a huge allocation before the truncation check
         // catches it.
-        coo_.reserve(static_cast<std::size_t>(
-            std::min<std::int64_t>(logical_nnz, std::int64_t{1} << 24)));
+        reserved_ =
+            std::min<std::int64_t>(logical_nnz_, std::int64_t{1} << 24);
+        coo_.reserve(static_cast<std::size_t>(reserved_));
         if (g.strict)
             seen_keys_.reserve(static_cast<std::size_t>(
                 std::min<std::int64_t>(g.size.nnz, std::int64_t{1} << 24)));
@@ -467,6 +450,14 @@ public:
                                     std::to_string(entry.row) + ", " +
                                     std::to_string(entry.col) + ")",
                                 line));
+        // Past the capped reservation the arrays double, but never past
+        // the declared count: a truthful size line then fills them
+        // exactly, and an in-order read hands them to the CSR with no
+        // spare capacity.
+        if ((g_.header.symmetric ? 2 : 1) * (seen_ + 1) > reserved_) {
+            reserved_ += std::min(reserved_, logical_nnz_ - reserved_);
+            coo_.reserve(static_cast<std::size_t>(reserved_));
+        }
         coo_.add(entry.row - 1, entry.col - 1, entry.value);
         if (g_.header.symmetric && entry.row != entry.col)
             coo_.add(entry.col - 1, entry.row - 1,
@@ -522,6 +513,10 @@ private:
 
     Grammar g_;
     CooMatrix coo_;
+    /// Entries the file can hold (a symmetric file's mirrors counted), and
+    /// the entries coo_ has room for.
+    std::int64_t logical_nnz_ = g_.size.nnz;
+    std::int64_t reserved_ = 0;
     std::unordered_set<std::int64_t> seen_keys_;
     std::int64_t seen_ = 0;
     std::optional<Error> error_;
