@@ -8,22 +8,25 @@
 //            reference is what sampling cuts
 //
 // plus one capacity-stack leg: CapacityStackEngine's batched path pricing
-// the paper's six sector-0 capacities, the engine the model runs. Its
-// distances are class-exact rather than full, so the leg is checked by
-// miss counts: every capacity's total must equal the one Olken's
-// distances give on the same stream.
+// the paper's six sector-0 capacities, each group tallied in a
+// CapacityMissCounter, as the model runs them. The engine reports groups
+// rather than distances, so the leg is checked by miss counts: every
+// capacity's total must equal the one Olken's distances give on the same
+// stream.
 //
 // The workload is a uniform-random line stream over a footprint large
 // enough that the line->node hash map falls out of every cache level, so
 // each probe is a dependent DRAM miss in the serial leg — the stall the
 // batched loop's prefetches overlap.
 //
-// Emits a perf-trajectory point to BENCH_engine_throughput.json (--out
+// Emits a perf-trajectory point, with the source commit, the host's core
+// count and the build type, to BENCH_engine_throughput.json (--out
 // overrides the path). --smoke shrinks the stream for CI. The "kim" and
 // "olken" keys carry the serial, batched and approx legs, and
 // "capacity_stack" the grouped-stack leg.
 #include <cstdint>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -122,19 +125,39 @@ std::vector<std::uint64_t> sector0_capacities() {
     return caps;
 }
 
-/// Miss counts at `caps` from `engine`'s batched distances (untimed).
-template <class Engine>
-CapacityMissCounter count_misses(Engine& engine,
-                                 const std::vector<std::uint64_t>& lines,
-                                 const std::vector<std::uint64_t>& caps) {
+/// The capacity-stack leg: one timed batched pass over the stream at
+/// `caps`, each access's group tallied as the model tallies it.
+CapacityMissCounter run_capacity_stack(
+    const std::vector<std::uint64_t>& lines,
+    const std::vector<std::uint64_t>& caps, double& seconds) {
     CapacityMissCounter counter(caps);
+    CapacityStackEngine engine(counter.boundaries());
+    std::vector<std::uint32_t> groups(kBatch);
+    Timer timer;
+    for (std::size_t i = 0; i < lines.size(); i += kBatch) {
+        const std::size_t n = std::min(kBatch, lines.size() - i);
+        engine.access_batch(lines.data() + i, groups.data(), n);
+        for (std::size_t k = 0; k < n; ++k) counter.record(groups[k]);
+    }
+    seconds = timer.seconds();
+    return counter;
+}
+
+/// Misses at each of `caps` from Olken's full distances (untimed).
+std::vector<std::uint64_t> olken_misses(
+    const std::vector<std::uint64_t>& lines,
+    const std::vector<std::uint64_t>& caps, std::uint64_t distinct) {
+    OlkenEngine engine(distinct);
+    std::vector<std::uint64_t> misses(caps.size(), 0);
     std::vector<std::uint64_t> dists(kBatch);
     for (std::size_t i = 0; i < lines.size(); i += kBatch) {
         const std::size_t n = std::min(kBatch, lines.size() - i);
         engine.access_batch(lines.data() + i, dists.data(), n);
-        for (std::size_t k = 0; k < n; ++k) counter.record(dists[k]);
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t c = 0; c < caps.size(); ++c)
+                if (dists[k] >= caps[c]) ++misses[c];
     }
-    return counter;
+    return misses;
 }
 
 }  // namespace
@@ -184,21 +207,15 @@ int main(int argc, char** argv) {
 
     const std::vector<std::uint64_t> caps = sector0_capacities();
     double stack_seconds = 0.0;
-    {
-        CapacityStackEngine engine(caps);
-        (void)run_batched(engine, lines, stack_seconds);
-    }
-    {
-        CapacityStackEngine stack(caps);
-        OlkenEngine reference(distinct);
-        const CapacityMissCounter got = count_misses(stack, lines, caps);
-        const CapacityMissCounter want = count_misses(reference, lines, caps);
-        for (const std::uint64_t c : caps) {
-            if (got.total_misses(c) != want.total_misses(c)) {
-                std::cerr << "FATAL: capacity-stack misses at " << c
-                          << " lines differ from Olken's\n";
-                return 1;
-            }
+    const CapacityMissCounter stack = run_capacity_stack(lines, caps,
+                                                         stack_seconds);
+    const std::vector<std::uint64_t> want = olken_misses(lines, caps,
+                                                         distinct);
+    for (std::size_t c = 0; c < caps.size(); ++c) {
+        if (stack.total_misses(caps[c]) != want[c]) {
+            std::cerr << "FATAL: capacity-stack misses at " << caps[c]
+                      << " lines differ from Olken's\n";
+            return 1;
         }
     }
 
@@ -261,7 +278,10 @@ int main(int argc, char** argv) {
                  "}}";
             return s;
         };
-        out << "{\"bench\": \"engine_throughput\", \"refs\": " << refs
+        out << "{\"bench\": \"engine_throughput\", \"commit\": \""
+            << source_commit() << "\", \"host_cores\": "
+            << std::thread::hardware_concurrency() << ", \"build_type\": \""
+            << SPMV_BENCH_BUILD_TYPE << "\", \"refs\": " << refs
             << ", \"distinct_lines\": " << distinct
             << ", \"smoke\": " << (smoke ? "true" : "false")
             << ", \"sample_rate\": " << sample_rate << ",\n \"kim\": "

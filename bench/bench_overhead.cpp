@@ -3,9 +3,9 @@
 // method (B) runtime 6.54 s / 9.22 s at paper scale), with method (A) on
 // its grouped stack with one group per priced capacity (t_A), plus the
 // serial-vs-parallel wall-clock of the host-sharded model (--jobs). Both
-// are emitted, with the host's core count and the build type, as a
-// perf-trajectory point to BENCH_model_parallel.json (--out overrides the
-// path).
+// are emitted, with the source commit, the host's core count and the
+// build type, as a perf-trajectory point to BENCH_model_parallel.json
+// (--out overrides the path).
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -103,6 +103,7 @@ int main(int argc, char** argv) {
     std::ofstream out(out_path);
     if (out) {
         out << "{\"bench\": \"model_parallel\""
+            << ", \"commit\": \"" << source_commit() << "\""
             << ", \"host_cores\": " << std::thread::hardware_concurrency()
             << ", \"build_type\": \"" << SPMV_BENCH_BUILD_TYPE << "\""
             << ", \"jobs\": " << par_jobs

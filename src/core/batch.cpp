@@ -276,14 +276,16 @@ void write_batch_report_csv(std::ostream& out, const BatchReport& report) {
         out << csv_quote(i.name) << ',' << csv_quote(i.path) << ','
             << (i.ok ? "ok" : "failed") << ',' << to_string(i.stage) << ','
             << to_string(i.code) << ',' << csv_quote(i.message) << ','
-            << (i.retried ? 1 : 0) << ',' << i.seconds << ','
+            << (i.retried ? 1 : 0) << ',' << json_double(i.seconds) << ','
             << csv_quote(i.load_origin) << ',' << (i.cache_written ? 1 : 0)
             << ',' << i.rows
             << ',' << i.cols << ',' << i.nnz << ',' << i.best_l2_ways << ','
-            << i.best_l2_misses << ',' << i.model_seconds << ','
+            << json_double(i.best_l2_misses) << ','
+            << json_double(i.model_seconds) << ','
             << i.model_shards << ',' << i.model_jobs << ','
             << i.model_references << ',' << (i.model_sampled ? 1 : 0) << ','
-            << i.model_sample_rate << ',' << i.model_sampled_refs << '\n';
+            << json_double(i.model_sample_rate) << ','
+            << i.model_sampled_refs << '\n';
     }
 }
 
@@ -302,20 +304,21 @@ void write_batch_report_json(std::ostream& out, const BatchReport& report) {
             << "\", \"error_code\": \"" << to_string(i.code)
             << "\", \"message\": " << json_quote(i.message)
             << ", \"retried\": " << (i.retried ? "true" : "false")
-            << ", \"seconds\": " << i.seconds
+            << ", \"seconds\": " << json_double(i.seconds)
             << ", \"load_origin\": " << json_quote(i.load_origin)
             << ", \"cache_written\": "
             << (i.cache_written ? "true" : "false")
             << ", \"rows\": " << i.rows
             << ", \"cols\": " << i.cols << ", \"nnz\": " << i.nnz
             << ", \"best_l2_ways\": " << i.best_l2_ways
-            << ", \"best_l2_misses\": " << i.best_l2_misses
-            << ", \"model_seconds\": " << i.model_seconds
+            << ", \"best_l2_misses\": " << json_double(i.best_l2_misses)
+            << ", \"model_seconds\": " << json_double(i.model_seconds)
             << ", \"model_shards\": " << i.model_shards
             << ", \"model_jobs\": " << i.model_jobs
             << ", \"model_references\": " << i.model_references
             << ", \"model_sampled\": " << (i.model_sampled ? "true" : "false")
-            << ", \"model_sample_rate\": " << i.model_sample_rate
+            << ", \"model_sample_rate\": "
+            << json_double(i.model_sample_rate)
             << ", \"model_sampled_refs\": " << i.model_sampled_refs << "}"
             << (n + 1 < report.items.size() ? "," : "") << "\n";
     }

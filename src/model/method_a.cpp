@@ -55,14 +55,15 @@ namespace {
 struct ShardCounters {
     ShardCounters(const std::vector<std::uint64_t>& caps0,
                   const std::vector<std::uint64_t>& caps1,
-                  std::uint64_t cap_full, std::uint64_t l1_cap)
-        : cnt0(caps0),
-          cnt1(caps1),
-          cnt_x(caps0),
-          cntU({cap_full}),
-          cnt_xU({cap_full}),
-          cntL1({l1_cap}),
-          cnt_xL1({l1_cap}) {}
+                  std::uint64_t cap_full, std::uint64_t l1_cap,
+                  const SampleFilter& filter)
+        : cnt0(caps0, filter),
+          cnt1(caps1, filter),
+          cnt_x(caps0, filter),
+          cntU({cap_full}, filter),
+          cnt_xU({cap_full}, filter),
+          cntL1({l1_cap}, filter),
+          cnt_xL1({l1_cap}, filter) {}
 
     CapacityMissCounter cnt0, cnt1, cnt_x;  // partitioned pass (Eq. 2)
     CapacityMissCounter cntU, cnt_xU;       // unpartitioned pass
@@ -71,34 +72,33 @@ struct ShardCounters {
 
 /// Method (A)'s chunk consumer for one shard. It feeds both sectors'
 /// engines (Eq. 2), the unpartitioned engine and, optionally, one per-core
-/// L1 engine per simulated thread. Each engine prices the capacities of
-/// the counters its distances feed.
+/// L1 engine per simulated thread. Each engine runs on the group
+/// boundaries of the counters its groups feed.
 class ShardReplay {
 public:
     ShardReplay(const detail::ReplayPlan& plan, std::int64_t s,
                 ShardCounters& counters)
         : policy_(plan.options.policy),
-          filter_(plan.filter),
           t_begin_(plan.first_thread(s)),
           x_lines_(plan.layout.lines_of(DataObject::X)),
           counters_(counters),
-          eng0_(make(plan, counters.cnt0)),
-          eng1_(make(plan, counters.cnt1)),
-          engU_(make(plan, counters.cntU)) {
+          eng0_(counters.cnt0.boundaries()),
+          eng1_(counters.cnt1.boundaries()),
+          engU_(counters.cntU.boundaries()) {
         SPMV_EXPECTS(plan.layout.base(DataObject::X) == 0);  // see record()
         const std::int64_t l1_engines =
             plan.options.predict_l1 ? plan.threads_in(s) : 0;
         for (std::int64_t t = 0; t < l1_engines; ++t)
-            engL1_.push_back(make(plan, counters.cntL1));
+            engL1_.emplace_back(counters.cntL1.boundaries());
         linesL1_.resize(engL1_.size());
-        distL1_.resize(engL1_.size());
+        groupsL1_.resize(engL1_.size());
     }
 
     /// Replays one chunk of at most kReplayBatch words: gathers each
     /// engine's lines (each engine sees exactly its trace-order
-    /// subsequence, so chunk boundaries never change a distance), runs
-    /// the batched prefetch-pipelined engine paths, then scatters the
-    /// distances, scaled by the SHARDS filter, into the counters.
+    /// subsequence, so chunk boundaries never change a group), runs the
+    /// batched prefetch-pipelined engine paths, then tallies the groups in
+    /// the counters.
     void operator()(std::span<const std::uint64_t> words) {
         linesU_.clear();
         lines0_.clear();
@@ -116,23 +116,23 @@ public:
                     .push_back(line);
         }
 
-        run(engU_, linesU_, distU_);
-        run(eng0_, lines0_, dist0_);
-        run(eng1_, lines1_, dist1_);
+        run(engU_, linesU_, groupsU_);
+        run(eng0_, lines0_, groups0_);
+        run(eng1_, lines1_, groups1_);
         for (std::size_t t = 0; t < engL1_.size(); ++t)
-            run(engL1_[t], linesL1_[t], distL1_[t]);
+            run(engL1_[t], linesL1_[t], groupsL1_[t]);
 
-        record(lines0_, dist0_, counters_.cnt0, &counters_.cnt_x);
-        record(lines1_, dist1_, counters_.cnt1, nullptr);  // x is sector 0
-        record(linesU_, distU_, counters_.cntU, &counters_.cnt_xU);
+        record(lines0_, groups0_, counters_.cnt0, &counters_.cnt_x);
+        record(lines1_, groups1_, counters_.cnt1, nullptr);  // x is sector 0
+        record(linesU_, groupsU_, counters_.cntU, &counters_.cnt_xU);
         for (std::size_t t = 0; t < engL1_.size(); ++t)
-            record(linesL1_[t], distL1_[t], counters_.cntL1,
+            record(linesL1_[t], groupsL1_[t], counters_.cntL1,
                    &counters_.cnt_xL1);
     }
 
     /// Ends the shard's one pass: every engine closes its period, moving
-    /// the first accesses it reported cold into the classes a counted
-    /// iteration after a warm-up one would give them.
+    /// the first accesses it reported off the stack into the groups a
+    /// counted iteration after a warm-up one would give them.
     void close_period() {
         close(eng0_, counters_.cnt0, &counters_.cnt_x);
         close(eng1_, counters_.cnt1, nullptr);
@@ -142,43 +142,34 @@ public:
     }
 
 private:
-    /// An engine for the distances `priced` records.
-    static CapacityStackEngine make(const detail::ReplayPlan& plan,
-                                    const CapacityMissCounter& priced) {
-        return CapacityStackEngine(priced.capacities(), plan.filter);
-    }
-
     static void run(CapacityStackEngine& engine,
                     const std::vector<std::uint64_t>& lines,
-                    std::vector<std::uint64_t>& dists) {
-        dists.resize(lines.size());
-        engine.access_batch(lines.data(), dists.data(), lines.size());
+                    std::vector<std::uint32_t>& groups) {
+        groups.resize(lines.size());
+        engine.access_batch(lines.data(), groups.data(), lines.size());
     }
 
-    /// Records every scaled distance in `all`, and those of x-vector lines
-    /// (x is the layout's first array) in `x` as well.
+    /// Tallies every group in `all`, and those of x-vector lines (x is
+    /// the layout's first array) in `x` as well.
     void record(const std::vector<std::uint64_t>& lines,
-                const std::vector<std::uint64_t>& dists,
+                const std::vector<std::uint32_t>& groups,
                 CapacityMissCounter& all, CapacityMissCounter* x) const {
-        for (std::size_t i = 0; i < dists.size(); ++i) {
-            const std::uint64_t d = filter_.scale_distance(dists[i]);
-            all.record(d);
-            if (x != nullptr && lines[i] < x_lines_) x->record(d);
+        for (std::size_t i = 0; i < groups.size(); ++i) {
+            all.record(groups[i]);
+            if (x != nullptr && lines[i] < x_lines_) x->record(groups[i]);
         }
     }
 
-    /// record() for the distances `engine`'s period close reports.
+    /// record() for the groups `engine`'s period close reports.
     void close(const CapacityStackEngine& engine, CapacityMissCounter& all,
                CapacityMissCounter* x) const {
-        engine.close_period([&](std::uint64_t line, std::uint64_t distance) {
-            const std::uint64_t d = filter_.scale_distance(distance);
-            all.resolve_cold(d);
-            if (x != nullptr && line < x_lines_) x->resolve_cold(d);
+        engine.close_period([&](std::uint64_t line, std::uint32_t group) {
+            all.resolve_cold(group);
+            if (x != nullptr && line < x_lines_) x->resolve_cold(group);
         });
     }
 
     SectorPolicy policy_;
-    SampleFilter filter_;
     std::int64_t t_begin_;
     std::uint64_t x_lines_;
     ShardCounters& counters_;
@@ -186,8 +177,9 @@ private:
     std::vector<CapacityStackEngine> engL1_;
     // Per-batch gather/scatter scratch, reused across batches.
     std::vector<std::uint64_t> linesU_, lines0_, lines1_;
-    std::vector<std::uint64_t> distU_, dist0_, dist1_;
-    std::vector<std::vector<std::uint64_t>> linesL1_, distL1_;
+    std::vector<std::uint32_t> groupsU_, groups0_, groups1_;
+    std::vector<std::vector<std::uint64_t>> linesL1_;
+    std::vector<std::vector<std::uint32_t>> groupsL1_;
 };
 
 /// One shard = one L2 segment: one streamed pass, then the period close.
@@ -230,7 +222,7 @@ ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options) {
     std::vector<ShardCounters> shard_state;
     shard_state.reserve(static_cast<std::size_t>(plan.segments));
     for (std::int64_t s = 0; s < plan.segments; ++s)
-        shard_state.emplace_back(caps0, caps1, cap_full, l1_cap);
+        shard_state.emplace_back(caps0, caps1, cap_full, l1_cap, filter);
     std::vector<ShardStats> shards(static_cast<std::size_t>(plan.segments));
 
     plan.for_each_shard([&](std::int64_t s) {

@@ -18,9 +18,10 @@
 // the pass leaves behind. The counts equal a warm-up pass plus a counted
 // pass bit for bit, at half the stack work and with no trace buffer.
 //
-// One pass prices *every* requested way split at once: the reuse-distance
-// histogram is evaluated at each partition capacity (the paper's stated
-// advantage of reuse distance over per-size cache simulation).
+// One pass prices *every* requested way split at once: the per-group
+// tallies (reuse/histogram.hpp) are summed at each partition capacity
+// (the paper's stated advantage of reuse distance over per-size cache
+// simulation).
 #pragma once
 
 #include "model/options.hpp"

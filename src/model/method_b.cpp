@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -108,32 +107,29 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         capU[g] = scaled_capacity(cap_full, s2[g]);
     }
 
-    // One counter set per segment for the L2 (a single stack pass serves
-    // both the partitioned and unpartitioned cases — the distances are the
-    // same, only the evaluation thresholds differ) plus one for the
+    // One L2 counter per segment prices both the partitioned and the
+    // unpartitioned capacities: the x stream is the same, only the
+    // capacities read differ. A second counter per segment serves the
     // per-core L1 model. Counters are created up front because the
     // analytic assembly reads them; the stack engines live inside the
     // shard bodies, which run concurrently on up to `jobs` host workers
     // (each shard touches only its own segment's slice of the trace).
-    std::vector<std::unique_ptr<CapacityMissCounter>> cntP(
-        static_cast<std::size_t>(segments));
-    std::vector<std::unique_ptr<CapacityMissCounter>> cntU(
-        static_cast<std::size_t>(segments));
-    for (std::size_t g = 0; g < cntP.size(); ++g) {
-        cntP[g] = std::make_unique<CapacityMissCounter>(capsP[g]);
-        cntU[g] = std::make_unique<CapacityMissCounter>(
-            std::vector<std::uint64_t>{capU[g]});
+    std::vector<CapacityMissCounter> cntL2;
+    cntL2.reserve(static_cast<std::size_t>(segments));
+    for (std::size_t g = 0; g < capsP.size(); ++g) {
+        std::vector<std::uint64_t> caps = capsP[g];
+        caps.push_back(capU[g]);
+        cntL2.emplace_back(std::move(caps), filter);
     }
 
     const std::uint64_t l1_lines = machine.l1.lines();
     std::vector<std::uint64_t> capL1(static_cast<std::size_t>(segments));
-    std::vector<std::unique_ptr<CapacityMissCounter>> cntL1(
-        static_cast<std::size_t>(segments));
+    std::vector<CapacityMissCounter> cntL1;
     if (options.predict_l1) {
+        cntL1.reserve(static_cast<std::size_t>(segments));
         for (std::size_t g = 0; g < capL1.size(); ++g) {
             capL1[g] = scaled_capacity(l1_lines, s2[g]);
-            cntL1[g] = std::make_unique<CapacityMissCounter>(
-                std::vector<std::uint64_t>{capL1[g]});
+            cntL1.emplace_back(std::vector<std::uint64_t>{capL1[g]}, filter);
         }
     }
 
@@ -142,27 +138,23 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         const Timer shard_timer;
         const auto gi = static_cast<std::size_t>(g);
         const std::int64_t t_begin = plan.first_thread(g);
-        // The x engine feeds both counters, so it prices both capacity
-        // lists.
-        std::vector<std::uint64_t> caps_x = capsP[gi];
-        caps_x.push_back(capU[gi]);
-        CapacityStackEngine eng(caps_x, filter);
+        CapacityMissCounter& cnt_l2 = cntL2[gi];
+        CapacityStackEngine eng(cnt_l2.boundaries());
         std::vector<CapacityStackEngine> engL1;
         if (options.predict_l1) {
             engL1.reserve(static_cast<std::size_t>(plan.threads_in(g)));
             for (std::int64_t c = 0; c < plan.threads_in(g); ++c)
-                engL1.emplace_back(cntL1[gi]->capacities(), filter);
+                engL1.emplace_back(cntL1[gi].boundaries());
         }
-        auto& cnt_p = *cntP[gi];
-        auto& cnt_u = *cntU[gi];
 
         // Method (B)'s engines only consume x-vector references, so each
         // chunk gathers those per owner (L2 engine + per-core L1 engines)
         // and runs the batched, prefetch-pipelined access path. Counters
-        // accumulate, so scatter order is free.
-        std::vector<std::uint64_t> lines_x, dist_x;
-        std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
-            distL1(engL1.size());
+        // accumulate, so tally order is free.
+        std::vector<std::uint64_t> lines_x;
+        std::vector<std::uint32_t> groups_x;
+        std::vector<std::vector<std::uint64_t>> linesL1(engL1.size());
+        std::vector<std::vector<std::uint32_t>> groupsL1(engL1.size());
         shard_stats[gi] = detail::replay_segment(
             plan, g, [&](std::span<const std::uint64_t> words) {
                 lines_x.clear();
@@ -178,34 +170,29 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                                     t_begin)]
                             .push_back(line);
                 }
-                dist_x.resize(lines_x.size());
-                eng.access_batch(lines_x.data(), dist_x.data(),
+                groups_x.resize(lines_x.size());
+                eng.access_batch(lines_x.data(), groups_x.data(),
                                  lines_x.size());
                 for (std::size_t t = 0; t < engL1.size(); ++t) {
-                    distL1[t].resize(linesL1[t].size());
+                    groupsL1[t].resize(linesL1[t].size());
                     engL1[t].access_batch(linesL1[t].data(),
-                                          distL1[t].data(),
+                                          groupsL1[t].data(),
                                           linesL1[t].size());
                 }
-                for (const std::uint64_t d : dist_x) {
-                    const std::uint64_t ds = filter.scale_distance(d);
-                    cnt_p.record(ds);
-                    cnt_u.record(ds);
-                }
-                for (const auto& dists : distL1)
-                    for (const std::uint64_t d : dists)
-                        cntL1[gi]->record(filter.scale_distance(d));
+                for (const std::uint32_t group : groups_x)
+                    cnt_l2.record(group);
+                for (const auto& groups : groupsL1)
+                    for (const std::uint32_t group : groups)
+                        cntL1[gi].record(group);
             });
         // One pass, then each engine's period close: the counts of a
         // counted iteration after a warm-up one (method_a.cpp).
-        eng.close_period([&](std::uint64_t, std::uint64_t d) {
-            const std::uint64_t ds = filter.scale_distance(d);
-            cnt_p.resolve_cold(ds);
-            cnt_u.resolve_cold(ds);
+        eng.close_period([&](std::uint64_t, std::uint32_t group) {
+            cnt_l2.resolve_cold(group);
         });
         for (const CapacityStackEngine& engine : engL1)
-            engine.close_period([&](std::uint64_t, std::uint64_t d) {
-                cntL1[gi]->resolve_cold(filter.scale_distance(d));
+            engine.close_period([&](std::uint64_t, std::uint32_t group) {
+                cntL1[gi].resolve_cold(group);
             });
         shard_stats[gi].seconds = shard_timer.seconds();
     });
@@ -233,7 +220,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                 (8 + rp) * static_cast<std::uint64_t>(shares[g].rows) +
                 x_bytes;
             const double x_misses =
-                static_cast<double>(cntU[g]->total_misses(capU[g])) * scale;
+                static_cast<double>(cntL2[g].total_misses(capU[g])) * scale;
             off.l2_x_misses += x_misses;
             off.l2_misses += x_misses;
             if (ws_seg > cache_bytes)
@@ -263,7 +250,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                 x_bytes + (8 + rp) * static_cast<std::uint64_t>(shares[g].rows) +
                 rp;
             const double x_misses =
-                static_cast<double>(cntP[g]->total_misses(capsP[g][i])) *
+                static_cast<double>(cntL2[g].total_misses(capsP[g][i])) *
                 scale;
             p.l2_x_misses += x_misses;
             p.l2_misses += x_misses;
@@ -289,7 +276,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                 (8 + rp) * static_cast<std::uint64_t>(shares[g].rows) +
                 x_bytes;
             const double x_misses =
-                static_cast<double>(cntL1[g]->total_misses(capL1[g])) * scale;
+                static_cast<double>(cntL1[g].total_misses(capL1[g])) * scale;
             result.l1_x_misses += x_misses;
             result.l1_misses += x_misses;
             if (ws_seg > machine.l1.size_bytes *

@@ -17,16 +17,11 @@ constexpr std::uint64_t ghost(std::uint32_t rank) noexcept {
 }  // namespace
 
 CapacityStackEngine::CapacityStackEngine(
-    std::span<const std::uint64_t> capacities, const SampleFilter& filter) {
-    SPMV_EXPECTS(!capacities.empty());
-    std::vector<std::uint64_t> boundaries;
-    for (const std::uint64_t capacity : capacities) {
-        SPMV_EXPECTS(capacity >= 1);
-        boundaries.push_back(filter.sampled_threshold(capacity));
-    }
-    std::sort(boundaries.begin(), boundaries.end());
-    boundaries.erase(std::unique(boundaries.begin(), boundaries.end()),
-                     boundaries.end());
+    std::span<const std::uint64_t> boundaries) {
+    SPMV_EXPECTS(!boundaries.empty() && boundaries.front() >= 1);
+    SPMV_EXPECTS(std::adjacent_find(boundaries.begin(), boundaries.end(),
+                                    std::greater_equal<>()) ==
+                 boundaries.end());
     // Node indices are 32-bit and the pool never outgrows the largest
     // boundary by more than the one line an eviction is about to free.
     SPMV_EXPECTS(boundaries.back() < kNil);
@@ -34,7 +29,7 @@ CapacityStackEngine::CapacityStackEngine(
     for (const std::uint64_t boundary : boundaries) {
         Group group;
         group.capacity = boundary - lower;
-        group.lower = lower;
+        group.upper = boundary;
         groups_.push_back(group);
         lower = boundary;
     }
@@ -81,16 +76,15 @@ std::uint32_t CapacityStackEngine::allocate(std::uint64_t line,
     return node;
 }
 
-std::uint64_t CapacityStackEngine::access_one(std::uint64_t line) {
+std::uint32_t CapacityStackEngine::access_one(std::uint64_t line) {
     // Disarmed this is one relaxed load; armed it lets chaos tests abort a
     // model run mid-pass to exercise the batch runner's stage isolation.
     fault::maybe_throw("reuse.access");
-    const auto groups = static_cast<std::uint32_t>(groups_.size());
+    const std::uint32_t off_stack = groups();
     bool inserted = false;
     std::uint64_t* slot = node_of_line_.find_or_insert(line, inserted);
     std::uint32_t node = kNil;
-    std::uint32_t from = groups;  // the group the line leaves; none if new
-    std::uint64_t distance = kInfiniteDistance;
+    std::uint32_t from = off_stack;  // the group the line leaves: the answer
     if (inserted || static_cast<std::uint32_t>(*slot) == kNil) {
         // A new line takes the next rank while ranks last; a ghost keeps
         // the rank of its first sighting.
@@ -104,7 +98,6 @@ std::uint64_t CapacityStackEngine::access_one(std::uint64_t line) {
         node = static_cast<std::uint32_t>(*slot);
         if (node == head_) return 0;  // already the most recent line
         from = nodes_[node].group;
-        distance = groups_[from].lower;
         unlink(node);
     }
     push_front(node);
@@ -121,7 +114,7 @@ std::uint64_t CapacityStackEngine::access_one(std::uint64_t line) {
         const std::uint32_t demoted = group.tail;
         group.tail = nodes_[demoted].prev;
         --group.size;
-        if (g + 1 < groups) {
+        if (g + 1 < off_stack) {
             nodes_[demoted].group = g + 1;
             Group& below = groups_[g + 1];
             if (below.tail == kNil) below.tail = demoted;
@@ -137,7 +130,7 @@ std::uint64_t CapacityStackEngine::access_one(std::uint64_t line) {
             spare_ = demoted;
         }
     }
-    return distance;
+    return from;
 }
 
 void CapacityStackEngine::close_period(const PeriodFn& fn) const {
@@ -162,9 +155,9 @@ void CapacityStackEngine::close_period(const PeriodFn& fn) const {
         if (distance >= limit_) continue;
         // The distance is at least the position, so its group is at or
         // below the line's own.
-        std::size_t g = n.group;
-        while (distance >= groups_[g].lower + groups_[g].capacity) ++g;
-        fn(n.line, groups_[g].lower);
+        std::uint32_t g = n.group;
+        while (distance >= groups_[g].upper) ++g;
+        fn(n.line, g);
     }
 }
 
@@ -175,14 +168,14 @@ std::uint64_t CapacityStackEngine::resident_lines() const noexcept {
 }
 
 void CapacityStackEngine::access_batch(const std::uint64_t* lines,
-                                       std::uint64_t* dists, std::size_t n) {
+                                       std::uint32_t* groups, std::size_t n) {
     constexpr std::size_t kPrefetchAhead = 8;
     const std::size_t primed = std::min(kPrefetchAhead, n);
     for (std::size_t i = 0; i < primed; ++i) node_of_line_.prefetch(lines[i]);
     for (std::size_t i = 0; i < n; ++i) {
         if (i + kPrefetchAhead < n)
             node_of_line_.prefetch(lines[i + kPrefetchAhead]);
-        dists[i] = access_one(lines[i]);
+        groups[i] = access_one(lines[i]);
     }
 }
 

@@ -14,13 +14,14 @@
 // capacities c(0) .. c(i-1). A line pushed past the largest capacity can
 // only miss again, so the stack stops there and forgets it.
 //
-// The engine therefore reports a *class-exact* distance: 0 for group 0,
-// the group's lower boundary c(i-1) for group i, and kInfiniteDistance
-// for a line that is not resident (never seen, or evicted past the
-// largest capacity). For every configured capacity c, (reported >= c)
-// holds exactly when (true distance >= c) does — which is all
-// CapacityMissCounter::total_misses reads. It does not implement
-// ReuseEngine's full-distance contract, and is not a ReuseEngine.
+// The engine therefore reports each access's *group*: i for a line found
+// in group i, which misses at exactly the capacities c(0) .. c(i-1), and
+// groups() for a line that is not on the stack (never seen, or evicted
+// past the largest capacity), which misses at all of them. A tally per
+// group is all CapacityMissCounter (reuse/histogram.hpp) needs to price
+// every capacity. The counter also builds the boundaries, moving each to
+// its SHARDS threshold when the run samples (DESIGN.md §10.1), and the
+// engine runs on them. It reports no distance and is not a ReuseEngine.
 //
 // The stack is one LRU list whose groups are consecutive segments, as in
 // Kim et al.: moving a group's LRU line into the next group relabels it
@@ -36,9 +37,9 @@
 // same period has the same distance in every period, so only a period's
 // first access to each line differs between a warm-up pass and a counted
 // one: the pass reports it cold, the counted pass would have found the
-// line where the period's end left it. close_period() computes those
-// distances from the final stack (DESIGN.md §12). To do so the engine
-// ranks the first L distinct lines by first sighting (L = the largest
+// line where the period's end left it. close_period() finds those
+// accesses' groups from the final stack (DESIGN.md §12). To do so the
+// engine ranks the first L distinct lines by first sighting (L = the largest
 // boundary; a line first seen later has a first-access distance of at
 // least L, a miss at every capacity). An evicted ranked line stays in the
 // map as a ghost that keeps its rank, so a line that returns is not
@@ -50,47 +51,48 @@
 #include <span>
 #include <vector>
 
-#include "reuse/engine.hpp"
 #include "reuse/flat_map.hpp"
-#include "trace/sample.hpp"
 
 namespace spmvcache {
 
 /// Grouped LRU stack whose group boundaries are the priced capacities.
 class CapacityStackEngine {
 public:
-    /// Prices `capacities` (in lines; any order, duplicates allowed) for a
-    /// run filtered by `filter`: each group boundary is
-    /// filter.sampled_threshold(capacity), so that
-    /// filter.scale_distance(reported) >= capacity exactly when the scaled
-    /// true distance is (the boundary is the capacity itself when the
-    /// filter is exact). Pre: capacities non-empty, every capacity in
-    /// [1, 2^32 - 1).
-    explicit CapacityStackEngine(std::span<const std::uint64_t> capacities,
-                                 const SampleFilter& filter = {});
+    /// Group i holds stack positions [boundaries[i-1], boundaries[i])
+    /// (CapacityMissCounter::boundaries() gives the ones a counter
+    /// tallies). Pre: boundaries non-empty and strictly ascending, the
+    /// first at least 1, the last below 2^32 - 1.
+    explicit CapacityStackEngine(std::span<const std::uint64_t> boundaries);
 
-    /// Processes one access and returns its class-exact distance.
-    std::uint64_t access_one(std::uint64_t line);
+    /// Processes one access and returns its group: groups() when the
+    /// line is not on the stack.
+    std::uint32_t access_one(std::uint64_t line);
 
-    /// Processes `n` accesses, writing each class-exact distance to
-    /// `dists`; identical results to n access_one() calls in order.
-    void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
+    /// Processes `n` accesses, writing each one's group to `groups`;
+    /// identical results to n access_one() calls in order.
+    void access_batch(const std::uint64_t* lines, std::uint32_t* groups,
                       std::size_t n);
 
-    /// Receives a line and the class-exact distance of its first access
-    /// in the next period.
+    /// Receives a line and the group of its first access in the next
+    /// period.
     using PeriodFn =
-        std::function<void(std::uint64_t line, std::uint64_t distance)>;
+        std::function<void(std::uint64_t line, std::uint32_t group)>;
 
     /// Treats the accesses so far as one period of a trace that repeats
-    /// and calls fn(line, distance) for every line whose first access in
-    /// the next period would be found on the stack, with that access's
-    /// class-exact distance. That access was reported cold in this pass;
-    /// every other access of the next period would report what it did in
-    /// this one. So one pass plus this close counts exactly what a
-    /// warm-up pass plus a counted pass would. The stack is unchanged.
-    /// Cost: O(L log L) for the largest boundary L.
+    /// and calls fn(line, group) for every line whose first access in the
+    /// next period would be found on the stack, with that access's group.
+    /// That access was reported off the stack in this pass; every other
+    /// access of the next period would report what it did in this one.
+    /// So one pass plus this close counts exactly what a warm-up pass
+    /// plus a counted pass would. The stack is unchanged. Cost:
+    /// O(L log L) for the largest boundary L.
     void close_period(const PeriodFn& fn) const;
+
+    /// The number of groups, which is also the group reported for a line
+    /// that is not on the stack.
+    [[nodiscard]] std::uint32_t groups() const noexcept {
+        return static_cast<std::uint32_t>(groups_.size());
+    }
 
     /// Lines currently on the stack; never more than the largest boundary.
     [[nodiscard]] std::uint64_t resident_lines() const noexcept;
@@ -114,7 +116,7 @@ private:
         std::uint32_t tail = kNil;   ///< least recent line of the group
         std::uint64_t size = 0;
         std::uint64_t capacity = 0;  ///< boundary(i) - boundary(i-1)
-        std::uint64_t lower = 0;     ///< distance reported for its hits
+        std::uint64_t upper = 0;     ///< boundary(i)
     };
 
     void unlink(std::uint32_t node) noexcept;

@@ -22,9 +22,10 @@
 //
 // The model runs none of them: methods (A) and (B) price through
 // CapacityStackEngine (reuse/capacity_stack.hpp), which puts Kim et al.'s
-// group boundaries at the capacities being priced. It reports only which
-// of those capacities a distance reaches, so it does not implement this
-// full-distance contract and is not a ReuseEngine.
+// group boundaries at the capacities being priced. It reports each
+// access's group, which says only which of those capacities the distance
+// reaches, so it does not implement this full-distance contract and is
+// not a ReuseEngine.
 #pragma once
 
 #include <cstdint>

@@ -9,64 +9,55 @@
 namespace spmvcache {
 
 CapacityMissCounter::CapacityMissCounter(
-    std::vector<std::uint64_t> capacities)
+    std::vector<std::uint64_t> capacities, const SampleFilter& filter)
     : capacities_(std::move(capacities)) {
     SPMV_EXPECTS(!capacities_.empty());
     std::sort(capacities_.begin(), capacities_.end());
     capacities_.erase(std::unique(capacities_.begin(), capacities_.end()),
                       capacities_.end());
-    buckets_.assign(capacities_.size() + 1, 0);
-}
-
-void CapacityMissCounter::record(std::uint64_t distance) noexcept {
-    ++accesses_;
-    if (distance == kInfiniteDistance) {
-        ++cold_;
-        return;
+    SPMV_EXPECTS(capacities_.front() >= 1);
+    // sampled_threshold is monotone, so ascending capacities give
+    // ascending boundaries; equal neighbours share one.
+    for (const std::uint64_t capacity : capacities_) {
+        const std::uint64_t boundary = filter.sampled_threshold(capacity);
+        if (boundaries_.empty() || boundaries_.back() != boundary)
+            boundaries_.push_back(boundary);
+        first_miss_.push_back(
+            static_cast<std::uint32_t>(boundaries_.size()));
     }
-    ++buckets_[bucket_of(distance)];
+    tallies_.assign(boundaries_.size() + 1, 0);
 }
 
-void CapacityMissCounter::resolve_cold(std::uint64_t distance) {
-    SPMV_EXPECTS(cold_ > 0 && distance != kInfiniteDistance);
-    --cold_;
-    ++buckets_[bucket_of(distance)];
-}
-
-std::size_t CapacityMissCounter::bucket_of(
-    std::uint64_t distance) const noexcept {
-    // First capacity strictly greater than distance -> bucket index. The
-    // iterator difference is non-negative and at most capacities_.size(),
-    // so the narrowing to size_t cannot lose a bucket; the contract
-    // pins that reasoning (record() is the per-reference hot path — the
-    // bool-flavoured check compiles to a compare, no allocation).
-    const auto it = std::upper_bound(capacities_.begin(), capacities_.end(),
-                                     distance);
-    std::size_t bucket = 0;
-    SPMV_EXPECT(checked_narrow(it - capacities_.begin(), bucket));
-    return bucket;
-}
-
-std::uint64_t CapacityMissCounter::capacity_misses(
+std::uint32_t CapacityMissCounter::first_miss_group(
     std::uint64_t capacity) const {
     const auto it = std::lower_bound(capacities_.begin(), capacities_.end(),
                                      capacity);
     SPMV_EXPECTS(it != capacities_.end() && *it == capacity);
-    // Misses at capacity c_i: every access with distance >= c_i, i.e. all
-    // buckets above index i. The sum of bucket counts is bounded by
-    // accesses_, but merged multi-shard counters get close to the matrix's
-    // total reference count — keep the accumulation checked.
+    return first_miss_[static_cast<std::size_t>(it - capacities_.begin())];
+}
+
+void CapacityMissCounter::resolve_cold(std::uint32_t group) {
+    SPMV_EXPECTS(tallies_.back() > 0 && group < boundaries_.size());
+    --tallies_.back();
+    ++tallies_[group];
+}
+
+std::uint64_t CapacityMissCounter::total_misses(
+    std::uint64_t capacity) const {
+    // Summed tallies are bounded by the accesses, but merged multi-shard
+    // counters get close to the matrix's total reference count — keep
+    // the accumulation checked.
     std::uint64_t misses = 0;
-    for (std::size_t b = static_cast<std::size_t>(it - capacities_.begin()) + 1;
-         b < buckets_.size(); ++b)
-        SPMV_EXPECT(checked_add(misses, buckets_[b], misses));
+    for (std::size_t g = first_miss_group(capacity); g < tallies_.size(); ++g)
+        SPMV_EXPECT(checked_add(misses, tallies_[g], misses));
     return misses;
 }
 
-void CapacityMissCounter::clear() noexcept {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    cold_ = 0;
-    accesses_ = 0;
+std::uint64_t CapacityMissCounter::accesses() const {
+    std::uint64_t n = 0;
+    for (const std::uint64_t tally : tallies_)
+        SPMV_EXPECT(checked_add(n, tally, n));
+    return n;
 }
 
 void ReuseHistogram::record(std::uint64_t distance) noexcept {

@@ -1,10 +1,14 @@
-// Miss counting from reuse distances (Eq. 1 of the paper).
+// Miss counting at a fixed set of capacities (Eq. 1 of the paper), and
+// reuse-distance histograms for profiling output.
 //
 // CapacityMissCounter prices a *fixed set* of cache capacities exactly in
 // one pass — the mechanism behind the paper's observation that reuse
 // distance, once computed, "allows one to assess cache behavior for
 // arbitrary cache sizes": a single stack-processing pass yields the miss
-// count of every sector-cache configuration.
+// count of every sector-cache configuration. It tallies accesses per
+// group of a CapacityStackEngine (reuse/capacity_stack.hpp) and builds
+// that engine's group boundaries, so the two agree on the groups by
+// construction.
 //
 // ReuseHistogram keeps a log2-spaced distribution for profiling output.
 #pragma once
@@ -14,54 +18,61 @@
 #include <vector>
 
 #include "reuse/engine.hpp"
+#include "trace/sample.hpp"
 
 namespace spmvcache {
 
-/// Exact miss counts at a sorted list of capacities (in cache lines).
+/// Exact miss counts at a list of capacities (in cache lines), tallied
+/// per capacity-stack group.
 class CapacityMissCounter {
 public:
-    /// Pre: capacities non-empty; duplicates are removed.
-    explicit CapacityMissCounter(std::vector<std::uint64_t> capacities);
+    /// Prices `capacities` (any order, duplicates allowed) for a run
+    /// filtered by `filter`. Each capacity's group boundary is
+    /// filter.sampled_threshold(capacity), the capacity itself when the
+    /// filter is exact: a kept distance d reaches the boundary exactly
+    /// when filter.scale_distance(d) reaches the capacity. Capacities that
+    /// share a boundary share a group. Pre: capacities non-empty, each at
+    /// least 1.
+    explicit CapacityMissCounter(std::vector<std::uint64_t> capacities,
+                                 const SampleFilter& filter = {});
 
-    /// Records one access with reuse distance `distance`.
-    void record(std::uint64_t distance) noexcept;
-
-    /// Moves one access already recorded as cold into the class of
-    /// `distance`: the distance of a period's first access to a line is
-    /// known only once the period closes
-    /// (CapacityStackEngine::close_period). Pre: a cold access is
-    /// recorded, distance != kInfiniteDistance.
-    void resolve_cold(std::uint64_t distance);
-
-    /// Accesses with distance >= capacity, *excluding* cold (first-ever)
-    /// accesses. Pre: capacity is one of the constructor capacities.
-    [[nodiscard]] std::uint64_t capacity_misses(std::uint64_t capacity) const;
-
-    /// Total misses for a cache of `capacity` lines including cold misses.
-    [[nodiscard]] std::uint64_t total_misses(std::uint64_t capacity) const {
-        return capacity_misses(capacity) + cold_;
-    }
-
-    [[nodiscard]] std::uint64_t cold_misses() const noexcept { return cold_; }
-    [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }
-
-    void clear() noexcept;
-
-    [[nodiscard]] const std::vector<std::uint64_t>& capacities()
+    /// The distinct boundaries, ascending: the ones to build the
+    /// CapacityStackEngine whose groups this counter tallies.
+    [[nodiscard]] const std::vector<std::uint64_t>& boundaries()
         const noexcept {
-        return capacities_;
+        return boundaries_;
     }
+
+    /// The first group whose accesses miss in a cache of `capacity`
+    /// lines: the one `capacity`'s boundary opens. Pre: capacity is one of
+    /// the constructor capacities.
+    [[nodiscard]] std::uint32_t first_miss_group(
+        std::uint64_t capacity) const;
+
+    /// Records one access in `group`: the engine's answer, where
+    /// boundaries().size() means not on the stack.
+    void record(std::uint32_t group) noexcept { ++tallies_[group]; }
+
+    /// Moves one access recorded off the stack into `group`: the group of
+    /// a period's first access to a line is known only once the period
+    /// closes (CapacityStackEngine::close_period). Pre: an access is
+    /// recorded off the stack, group < boundaries().size().
+    void resolve_cold(std::uint32_t group);
+
+    /// Accesses that miss in a cache of `capacity` lines, cold misses
+    /// included. Pre: capacity is one of the constructor capacities.
+    [[nodiscard]] std::uint64_t total_misses(std::uint64_t capacity) const;
+
+    /// Accesses recorded.
+    [[nodiscard]] std::uint64_t accesses() const;
 
 private:
-    /// The bucket a finite `distance` falls in.
-    [[nodiscard]] std::size_t bucket_of(std::uint64_t distance) const noexcept;
-
-    std::vector<std::uint64_t> capacities_;  // ascending
-    // buckets_[i] counts distances in [capacities_[i-1], capacities_[i]),
-    // buckets_[0]: < capacities_[0], buckets_[k]: >= capacities_[k-1].
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t cold_ = 0;
-    std::uint64_t accesses_ = 0;
+    std::vector<std::uint64_t> capacities_;  // ascending, distinct
+    std::vector<std::uint32_t> first_miss_;  // per capacity
+    std::vector<std::uint64_t> boundaries_;  // ascending, distinct
+    // tallies_[i] counts the accesses of group i; the last entry those
+    // not on the stack.
+    std::vector<std::uint64_t> tallies_;
 };
 
 /// Log2-bucketed reuse-distance distribution (bucket b holds distances in

@@ -20,6 +20,10 @@ namespace spmvcache {
 
 namespace {
 
+/// The sleep before a request's first retry; it doubles per retry, up to
+/// 1 s.
+constexpr double kFirstBackoffSeconds = 0.01;
+
 /// Worker count with the same 0-means-host convention as ModelOptions.
 std::size_t resolve_workers(std::int64_t workers) {
     if (workers <= 0) return default_host_jobs();
@@ -209,7 +213,7 @@ ServeResponse Server::execute_matrix_op(const ServeRequest& request) {
     // value) because an expired deadline abandons it on a detached thread.
     Result<ExecOutcome> outcome = Error(ErrorCode::InternalError, "unrun");
     int attempts = 0;
-    double backoff = options_.backoff_initial_seconds;
+    double backoff = kFirstBackoffSeconds;
     while (true) {
         ++attempts;
         const ServeRequest attempt_request = request;

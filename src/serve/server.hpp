@@ -45,8 +45,7 @@
 namespace spmvcache {
 
 /// Daemon knobs (all have serving-scale defaults; the CLI maps a flag to
-/// each one except backoff_initial_seconds and the test hook
-/// execute_delay_seconds).
+/// each one except the test hook execute_delay_seconds).
 struct ServeOptions {
     /// Pool workers executing matrix requests (>= 1).
     std::int64_t workers = 2;
@@ -59,10 +58,10 @@ struct ServeOptions {
     /// Default per-request wall-clock budget (seconds; <= 0 = none);
     /// individual requests override via their "timeout" field.
     double default_timeout_seconds = 0.0;
-    /// Transient-failure retries per request (0 disables retry).
+    /// Transient-failure retries per request (0 disables retry); the
+    /// backoff before the first is 10 ms and doubles per retry (capped at
+    /// 1 s).
     int max_retries = 2;
-    /// First backoff sleep; doubles per retry (capped at 1 s).
-    double backoff_initial_seconds = 0.01;
     /// Reject request lines longer than this many bytes.
     std::size_t max_request_bytes = std::size_t{1} << 20;
     /// Test hook: artificial seconds of work per execution, so

@@ -20,7 +20,9 @@
 // packed-trace derivation applies it at packing time — skipped references
 // never leave the buffer — while reuse/sampled.hpp applies the *same*
 // filter inside the SampledEngine adapter, so both paths agree exactly on
-// which lines are kept.
+// which lines are kept. The model never scales a distance: its miss
+// counters (reuse/histogram.hpp) move each priced capacity to
+// sampled_threshold(capacity) instead.
 #pragma once
 
 #include <cmath>

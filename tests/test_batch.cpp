@@ -18,6 +18,7 @@
 #include "sparse/gen/stencil.hpp"
 #include "sparse/matrix_market.hpp"
 #include "util/fault.hpp"
+#include "util/format.hpp"
 
 namespace spmvcache {
 namespace {
@@ -293,6 +294,56 @@ TEST_F(BatchTest, JsonReportIsWellFormedEnoughToGrep) {
               std::string::npos);
     // Quotes inside messages must be escaped.
     EXPECT_EQ(text.find("\"message\": \"\""), std::string::npos);
+}
+
+TEST_F(BatchTest, ReportsWriteNumbersThatReadBackExactly) {
+    // At the stream's default six significant digits these would read
+    // back as 0.123457, 27261600 (written 2.72616e+07), 0.333333 and
+    // 0.142857.
+    BatchReport report;
+    BatchItemResult item;
+    item.name = "big";
+    item.ok = true;
+    item.seconds = 0.1234567891;
+    item.best_l2_misses = 27261630.0;
+    item.model_seconds = 1.0 / 3.0;
+    item.model_sample_rate = 1.0 / 7.0;
+    report.items.push_back(item);
+    const auto expect_exact = [&item](const auto& number) {
+        EXPECT_EQ(number("seconds"), item.seconds);
+        EXPECT_EQ(number("best_l2_misses"), item.best_l2_misses);
+        EXPECT_EQ(number("model_seconds"), item.model_seconds);
+        EXPECT_EQ(number("model_sample_rate"), item.model_sample_rate);
+    };
+
+    std::ostringstream json;
+    write_batch_report_json(json, report);
+    const std::string text = json.str();
+    expect_exact([&text](const std::string& key) {
+        const std::string field = "\"" + key + "\": ";
+        const std::size_t at = text.find(field);
+        EXPECT_NE(at, std::string::npos) << key;
+        return at == std::string::npos
+                   ? 0.0
+                   : std::stod(text.substr(at + field.size()));
+    });
+
+    std::ostringstream csv;
+    write_batch_report_csv(csv, report);
+    std::istringstream lines(csv.str());
+    std::string header, row;
+    ASSERT_TRUE(std::getline(lines, header) && std::getline(lines, row));
+    const std::vector<std::string> names = split(header, ',');
+    const std::vector<std::string> cells = split(row, ',');
+    ASSERT_EQ(names.size(), cells.size()) << row;
+    expect_exact([&](const std::string& key) {
+        const auto it = std::find(names.begin(), names.end(), key);
+        EXPECT_NE(it, names.end()) << key;
+        return it == names.end()
+                   ? 0.0
+                   : std::stod(cells[static_cast<std::size_t>(
+                         it - names.begin())]);
+    });
 }
 
 TEST_F(BatchTest, CollectPathsHandlesDirListAndSingle) {

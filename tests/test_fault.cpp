@@ -149,10 +149,11 @@ TEST_F(FaultTest, TraceWorkerFaultPropagatesAcrossThreads) {
 }
 
 /// `access` (one engine's per-access path) is a normal access while
-/// `reuse.access` is disarmed and throws once it is armed.
+/// `reuse.access` is disarmed, answering `first` for a line never seen,
+/// and throws once it is armed.
 template <class Access>
-void expect_access_point_fires(Access access) {
-    EXPECT_EQ(access(1), kInfiniteDistance);  // disarmed: normal
+void expect_access_point_fires(Access access, std::uint64_t first) {
+    EXPECT_EQ(access(1), first);  // disarmed: normal
     fault::ScopedFault f("reuse.access");
     EXPECT_THROW((void)access(2), fault::FaultInjectedError);
 }
@@ -160,11 +161,13 @@ void expect_access_point_fires(Access access) {
 TEST_F(FaultTest, ReuseEngineAccessPointFires) {
     OlkenEngine olken;
     expect_access_point_fires(
-        [&olken](std::uint64_t line) { return olken.access(line); });
-    const std::uint64_t capacities[] = {4};
-    CapacityStackEngine stack(capacities);
+        [&olken](std::uint64_t line) { return olken.access(line); },
+        kInfiniteDistance);
+    const std::uint64_t boundaries[] = {4};
+    CapacityStackEngine stack(boundaries);
     expect_access_point_fires(
-        [&stack](std::uint64_t line) { return stack.access_one(line); });
+        [&stack](std::uint64_t line) { return stack.access_one(line); },
+        stack.groups());  // off the stack
 }
 
 TEST_F(FaultTest, RearmingResetsCounters) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reuse/capacity_stack.hpp"
@@ -221,28 +222,39 @@ std::vector<std::uint64_t> capacity_trace(const std::string& shape) {
     return lines;
 }
 
-/// Drives a capacity stack over `capacities` and Olken side by side: for
-/// every access and every capacity c, the two distances must agree on
-/// scale(d) >= c, and the stack must never hold more lines than its
-/// largest boundary.
+/// Drives a capacity stack on the boundaries a counter builds for
+/// `capacities` and Olken side by side: for every access and every
+/// capacity c, the stack's group must reach the counter's first missing
+/// group for c exactly when Olken's scaled distance reaches c, the counter
+/// must end with Olken's miss count at every c, and the stack must never
+/// hold more lines than its largest boundary.
 void expect_class_exact(const std::vector<std::uint64_t>& lines,
                         const std::vector<std::uint64_t>& capacities,
                         const SampleFilter& filter = {}) {
-    CapacityStackEngine stack(capacities, filter);
+    CapacityMissCounter counter(capacities, filter);
+    CapacityStackEngine stack(counter.boundaries());
     OlkenEngine olken;
     const std::uint64_t largest = filter.sampled_threshold(
         *std::max_element(capacities.begin(), capacities.end()));
+    std::vector<std::uint64_t> want_misses(capacities.size(), 0);
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::uint64_t d =
-            filter.scale_distance(stack.access_one(lines[i]));
+        const std::uint32_t group = stack.access_one(lines[i]);
+        counter.record(group);
         const std::uint64_t want =
             filter.scale_distance(olken.access(lines[i]));
-        for (const std::uint64_t c : capacities)
-            ASSERT_EQ(d >= c, want >= c)
-                << "access " << i << ", capacity " << c << ": stack " << d
-                << ", olken " << want;
+        for (std::size_t k = 0; k < capacities.size(); ++k) {
+            const std::uint64_t c = capacities[k];
+            ASSERT_EQ(group >= counter.first_miss_group(c), want >= c)
+                << "access " << i << ", capacity " << c << ": group "
+                << group << ", olken " << want;
+            if (want >= c) ++want_misses[k];
+        }
         ASSERT_LE(stack.resident_lines(), largest) << "access " << i;
     }
+    for (std::size_t k = 0; k < capacities.size(); ++k)
+        EXPECT_EQ(counter.total_misses(capacities[k]), want_misses[k])
+            << "capacity " << capacities[k];
+    EXPECT_EQ(counter.accesses(), lines.size());
 }
 
 /// The paper's six sector-0 capacities: (16 - w) * 2048 lines for
@@ -273,7 +285,8 @@ TEST(CapacityStack, ClassExactAgainstOlken) {
 
 TEST(CapacityStack, SampledBoundariesKeepScaledComparisons) {
     // With a SHARDS filter the boundaries move to sampled_threshold(c),
-    // so the *scaled* distances must agree with Olken's on every capacity.
+    // so the groups must agree with Olken's *scaled* distances on every
+    // capacity.
     for (const double rate : {0.5, 0.1}) {
         SCOPED_TRACE("R = " + std::to_string(rate));
         expect_class_exact(capacity_trace("mixed"),
@@ -281,48 +294,77 @@ TEST(CapacityStack, SampledBoundariesKeepScaledComparisons) {
     }
 }
 
-TEST(CapacityStack, ReportsGroupLowerBoundaries) {
-    // Boundaries 2 and 4 (given unsorted): groups [0, 2) and [2, 4).
-    const std::vector<std::uint64_t> caps = {4, 2};
-    CapacityStackEngine e(caps);
+TEST(CapacityStack, CapacitiesSharingAThresholdShareAGroup) {
+    // At R = 0.001 a kept distance d scales to 1000 d, so every capacity
+    // in (1000, 2000] has the threshold 2: the five capacities make three
+    // boundaries, and 1001, 1500 and 2000 read one group.
+    const SampleFilter filter(0.001);
+    const std::vector<std::uint64_t> caps = {2000, 1500, 999, 2001, 1001};
+    const CapacityMissCounter counter(caps, filter);
+    EXPECT_EQ(counter.boundaries(), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(counter.first_miss_group(999), 1u);
+    for (const std::uint64_t c : {1001, 1500, 2000})
+        EXPECT_EQ(counter.first_miss_group(c), 2u) << "capacity " << c;
+    EXPECT_EQ(counter.first_miss_group(2001), 3u);
+
+    // Short reuse over a few lines fills every group, and each capacity
+    // must count what Olken's scaled distances give it.
+    Xoshiro256 rng(1001);
+    std::vector<std::uint64_t> lines;
+    for (int i = 0; i < 20000; ++i) lines.push_back(rng.bounded(5));
+    expect_class_exact(lines, caps, filter);
+    // Two adjacent capacities that make one boundary, and on the mixed
+    // trace 4001 and 4500 sharing the threshold 5 above 4000's 4.
+    expect_class_exact(lines, {1500, 1501}, filter);
+    expect_class_exact(capacity_trace("mixed"), {4000, 4001, 4500},
+                       filter);
+}
+
+TEST(CapacityStack, ReportsGroupIndices) {
+    // Boundaries 2 and 4: groups 0 = [0, 2) and 1 = [2, 4); 2 is off the
+    // stack.
+    const std::vector<std::uint64_t> boundaries = {2, 4};
+    CapacityStackEngine e(boundaries);
+    EXPECT_EQ(e.groups(), 2u);
     for (const std::uint64_t line : {1, 2, 3})
-        EXPECT_EQ(e.access_one(line), kInfiniteDistance);
-    EXPECT_EQ(e.access_one(1), 2u);  // true distance 2: group [2, 4)
+        EXPECT_EQ(e.access_one(line), 2u);
+    EXPECT_EQ(e.access_one(1), 1u);  // true distance 2: group [2, 4)
     EXPECT_EQ(e.access_one(1), 0u);  // distance 0: group [0, 2)
     EXPECT_EQ(e.access_one(3), 0u);  // stack 1 3 2: distance 1
-    EXPECT_EQ(e.access_one(2), 2u);  // stack 3 1 2: distance 2
-    EXPECT_EQ(e.access_one(4), kInfiniteDistance);  // stack 4 2 3 1: full
+    EXPECT_EQ(e.access_one(2), 1u);  // stack 3 1 2: distance 2
+    EXPECT_EQ(e.access_one(4), 2u);  // stack 4 2 3 1: full
     EXPECT_EQ(e.resident_lines(), 4u);
-    EXPECT_EQ(e.access_one(5), kInfiniteDistance);  // 1 falls off
+    EXPECT_EQ(e.access_one(5), 2u);  // 1 falls off
     EXPECT_EQ(e.resident_lines(), 4u);
-    EXPECT_EQ(e.access_one(1), kInfiniteDistance);  // true distance 4
-    EXPECT_EQ(e.access_one(4), 2u);  // stack 1 5 4 2: distance 2
+    EXPECT_EQ(e.access_one(1), 2u);  // true distance 4
+    EXPECT_EQ(e.access_one(4), 1u);  // stack 1 5 4 2: distance 2
 }
 
 TEST(CapacityStack, BatchMatchesSerialForEveryChunking) {
     const std::vector<std::uint64_t> lines = capacity_trace("mixed");
-    const std::vector<std::uint64_t> caps = paper_sector0_capacities();
-    CapacityStackEngine serial(caps);
-    std::vector<std::uint64_t> expected;
+    const CapacityMissCounter priced(paper_sector0_capacities());
+    CapacityStackEngine serial(priced.boundaries());
+    std::vector<std::uint32_t> expected;
     for (const std::uint64_t line : lines)
         expected.push_back(serial.access_one(line));
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                     std::size_t{1024}, lines.size()}) {
-        CapacityStackEngine batched(caps);
-        std::vector<std::uint64_t> dists(lines.size());
+        CapacityStackEngine batched(priced.boundaries());
+        std::vector<std::uint32_t> groups(lines.size());
         for (std::size_t i = 0; i < lines.size(); i += chunk) {
             const std::size_t n = std::min(chunk, lines.size() - i);
-            batched.access_batch(lines.data() + i, dists.data() + i, n);
+            batched.access_batch(lines.data() + i, groups.data() + i, n);
         }
-        ASSERT_EQ(dists, expected) << "chunk " << chunk;
+        ASSERT_EQ(groups, expected) << "chunk " << chunk;
         EXPECT_EQ(batched.resident_lines(), serial.resident_lines());
     }
 }
 
 /// One pass over `lines` plus the period close must count, at every
-/// capacity, what a warm-up pass plus a counted pass counts: the same cold
-/// count, per-capacity misses and accesses. Lines the filter rejects are
-/// dropped first, as the replay loop drops them.
+/// capacity, what a warm-up pass plus a counted pass counts: the same
+/// accesses and the same misses at every capacity, so the same tally in
+/// every group. Lines the filter rejects are dropped first, as the replay
+/// loop drops them.
 void expect_close_matches_warm_up(const std::vector<std::uint64_t>& trace,
                                   const std::vector<std::uint64_t>& capacities,
                                   const SampleFilter& filter = {}) {
@@ -330,25 +372,24 @@ void expect_close_matches_warm_up(const std::vector<std::uint64_t>& trace,
     for (const std::uint64_t line : trace)
         if (filter.keep(line)) lines.push_back(line);
 
-    CapacityStackEngine warmed(capacities, filter);
-    CapacityMissCounter counted(capacities);
+    CapacityMissCounter counted(capacities, filter);
+    CapacityStackEngine warmed(counted.boundaries());
     for (const std::uint64_t line : lines) (void)warmed.access_one(line);
     for (const std::uint64_t line : lines)
-        counted.record(filter.scale_distance(warmed.access_one(line)));
+        counted.record(warmed.access_one(line));
 
-    CapacityStackEngine once(capacities, filter);
-    CapacityMissCounter closed(capacities);
+    CapacityMissCounter closed(capacities, filter);
+    CapacityStackEngine once(closed.boundaries());
     for (const std::uint64_t line : lines)
-        closed.record(filter.scale_distance(once.access_one(line)));
+        closed.record(once.access_one(line));
     const std::uint64_t resident = once.resident_lines();
-    once.close_period([&](std::uint64_t, std::uint64_t distance) {
-        closed.resolve_cold(filter.scale_distance(distance));
+    once.close_period([&](std::uint64_t, std::uint32_t group) {
+        closed.resolve_cold(group);
     });
 
-    EXPECT_EQ(closed.cold_misses(), counted.cold_misses());
     EXPECT_EQ(closed.accesses(), counted.accesses());
-    for (const std::uint64_t c : closed.capacities())
-        EXPECT_EQ(closed.capacity_misses(c), counted.capacity_misses(c))
+    for (const std::uint64_t c : capacities)
+        EXPECT_EQ(closed.total_misses(c), counted.total_misses(c))
             << "capacity " << c;
     EXPECT_EQ(once.resident_lines(), resident);  // the close reads only
 }
@@ -404,11 +445,41 @@ TEST(CapacityStack, PeriodicCloseMatchesWarmUpPass) {
     expect_close_matches_warm_up(distinct, {1, 4096, 5000, 6000});
 }
 
+TEST(CapacityStack, PeriodCloseMovesColdCountsIntoGroupZero) {
+    // The period 1 2 1 at boundaries 2 and 4: the pass finds 1 and 2 off
+    // the stack, and the next period would find 1 on top (distance 0) and
+    // 2 below it (distance 1), both in group 0.
+    CapacityMissCounter counter({2, 4});
+    CapacityStackEngine engine(counter.boundaries());
+    for (const std::uint64_t line : {1, 2, 1})
+        counter.record(engine.access_one(line));
+    EXPECT_EQ(counter.total_misses(2), 2u);
+    EXPECT_EQ(counter.total_misses(4), 2u);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> reported;
+    engine.close_period([&](std::uint64_t line, std::uint32_t group) {
+        reported.emplace_back(line, group);
+        counter.resolve_cold(group);
+    });
+    const std::vector<std::pair<std::uint64_t, std::uint32_t>> want = {
+        {1, 0}, {2, 0}};
+    EXPECT_EQ(reported, want);
+    EXPECT_EQ(counter.total_misses(2), 0u);
+    EXPECT_EQ(counter.total_misses(4), 0u);
+    EXPECT_EQ(counter.accesses(), 3u);
+    expect_close_matches_warm_up({1, 2, 1}, {2, 4});
+}
+
 TEST(CapacityStack, RejectsEmptyOrZeroCapacities) {
     const std::vector<std::uint64_t> none;
     const std::vector<std::uint64_t> zero = {0, 16};
+    const std::vector<std::uint64_t> unsorted = {16, 4};
+    const std::vector<std::uint64_t> repeated = {4, 4};
     EXPECT_THROW(CapacityStackEngine{none}, ContractViolation);
     EXPECT_THROW(CapacityStackEngine{zero}, ContractViolation);
+    EXPECT_THROW(CapacityStackEngine{unsorted}, ContractViolation);
+    EXPECT_THROW(CapacityStackEngine{repeated}, ContractViolation);
+    EXPECT_THROW(CapacityMissCounter{none}, ContractViolation);
+    EXPECT_THROW(CapacityMissCounter{zero}, ContractViolation);
 }
 
 TEST(SampledThreshold, IsTheSmallestDistanceThatScalesToTheCapacity) {
@@ -426,17 +497,18 @@ TEST(SampledThreshold, IsTheSmallestDistanceThatScalesToTheCapacity) {
 }
 
 TEST(CapacityMissCounter, ExactThresholds) {
-    CapacityMissCounter counter({4, 16});
-    // Distances: 3 (hit@4), 4 (miss@4 hit... miss at 4, hit at 16), 100
-    // (miss at both), infinite (cold).
-    counter.record(3);
-    counter.record(4);
-    counter.record(100);
-    counter.record(kInfiniteDistance);
-    EXPECT_EQ(counter.capacity_misses(4), 2u);
-    EXPECT_EQ(counter.capacity_misses(16), 1u);
-    EXPECT_EQ(counter.cold_misses(), 1u);
+    CapacityMissCounter counter({16, 4});
+    EXPECT_EQ(counter.boundaries(), (std::vector<std::uint64_t>{4, 16}));
+    EXPECT_EQ(counter.first_miss_group(4), 1u);
+    EXPECT_EQ(counter.first_miss_group(16), 2u);
+    // Group 0 (distance < 4) hits at both capacities, group 1 misses at 4
+    // and hits at 16, group 2 (off the stack) misses at both.
+    counter.record(0);
+    counter.record(1);
+    counter.record(2);
+    counter.record(2);
     EXPECT_EQ(counter.total_misses(4), 3u);
+    EXPECT_EQ(counter.total_misses(16), 2u);
     EXPECT_EQ(counter.accesses(), 4u);
 }
 
@@ -446,21 +518,26 @@ TEST(CapacityMissCounter, MatchesDirectCountOnRandomDistances) {
     Xoshiro256 rng(21);
     std::vector<std::uint64_t> distances;
     for (int i = 0; i < 10000; ++i) {
-        const std::uint64_t d = rng.bounded(8192);
+        const std::uint64_t d =
+            rng.bounded(10) == 0 ? kInfiniteDistance : rng.bounded(8192);
         distances.push_back(d);
-        counter.record(d);
+        // A distance's group counts the boundaries at or below it.
+        counter.record(static_cast<std::uint32_t>(
+            std::upper_bound(caps.begin(), caps.end(), d) - caps.begin()));
     }
     for (const auto cap : caps) {
         std::uint64_t expected = 0;
         for (const auto d : distances)
             if (d >= cap) ++expected;
-        EXPECT_EQ(counter.capacity_misses(cap), expected) << "cap " << cap;
+        EXPECT_EQ(counter.total_misses(cap), expected) << "cap " << cap;
     }
 }
 
 TEST(CapacityMissCounter, RejectsUnknownCapacity) {
     CapacityMissCounter counter({8});
-    EXPECT_THROW((void)counter.capacity_misses(9), ContractViolation);
+    EXPECT_THROW((void)counter.total_misses(9), ContractViolation);
+    EXPECT_THROW((void)counter.first_miss_group(7), ContractViolation);
+    EXPECT_THROW(counter.resolve_cold(0), ContractViolation);  // none cold
 }
 
 TEST(ReuseHistogram, BucketsAndMergar) {

@@ -597,7 +597,6 @@ TEST(ServeSoak, ThousandMixedRequestsUnderInjectedFaults) {
     // admission (the backpressure test covers rejection).
     options.queue_capacity = 4096;
     options.quarantine_strikes = 1000000;
-    options.backoff_initial_seconds = 0.0005;
     Server server(options);
     std::istringstream in(in_text.str());
     std::ostringstream out, log;

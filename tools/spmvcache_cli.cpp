@@ -390,17 +390,17 @@ void write_predict_json(std::ostream& out, const ModelResult& result,
     out << "{\n  \"method\": \"" << (use_b ? "b" : "a")
         << "\",\n  \"threads\": " << options.threads
         << ",\n  \"jobs\": " << result.jobs
-        << ",\n  \"seconds\": " << result.seconds
+        << ",\n  \"seconds\": " << json_double(result.seconds)
         << ",\n  \"sampled\": " << (result.sampled ? "true" : "false")
-        << ",\n  \"sample_rate\": " << result.sample_rate
+        << ",\n  \"sample_rate\": " << json_double(result.sample_rate)
         << ",\n  \"sampled_refs\": " << result.sampled_refs
-        << ",\n  \"x_traffic_fraction\": " << result.x_traffic_fraction
-        << ",\n  \"configs\": [\n";
+        << ",\n  \"x_traffic_fraction\": "
+        << json_double(result.x_traffic_fraction) << ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < result.configs.size(); ++i) {
         const auto& c = result.configs[i];
         out << "    {\"l2_sector_ways\": " << c.l2_sector_ways
-            << ", \"l2_misses\": " << c.l2_misses
-            << ", \"l2_x_misses\": " << c.l2_x_misses << "}"
+            << ", \"l2_misses\": " << json_double(c.l2_misses)
+            << ", \"l2_x_misses\": " << json_double(c.l2_x_misses) << "}"
             << (i + 1 < result.configs.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"shards\": [\n";
@@ -409,7 +409,7 @@ void write_predict_json(std::ostream& out, const ModelResult& result,
         out << "    {\"segment\": " << shard.segment
             << ", \"threads\": " << shard.threads
             << ", \"references\": " << shard.references
-            << ", \"seconds\": " << shard.seconds
+            << ", \"seconds\": " << json_double(shard.seconds)
             << ", \"sampled_refs\": " << shard.sampled_refs << "}"
             << (s + 1 < result.shards.size() ? "," : "") << "\n";
     }
