@@ -1,23 +1,29 @@
 // Shared plumbing for the bench harnesses: common CLI options, suite
 // construction (synthetic by default, --mm <dir> for real SuiteSparse
 // files), and output helpers. Every harness prints the rows of its paper
-// artifact; --csv dumps the raw per-matrix data for external plotting.
+// artifact; --csv dumps the raw per-matrix data for external plotting,
+// and a harness that records a perf point writes it through BenchRecord.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <iostream>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/spmvcache.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/format.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -96,6 +102,81 @@ inline std::string source_commit() {
              .empty();
     return dirty ? head + "-dirty" : head;
 }
+
+/// One run of a harness, in the one schema every BENCH_*.json has:
+///
+///   {"bench", "commit", "host_cores", "build_type", "smoke",
+///    "params": {name: number or string, ...},
+///    "metrics": [{"name", "unit", "value", "reps"}, ...]}
+///
+/// `params` are the sizes, counts, rates and ISA the run used; `metrics`
+/// what it measured. Numbers are written at shortest round trip. A
+/// harness writes its record only after every check of the run passed.
+class BenchRecord {
+public:
+    BenchRecord(std::string bench, bool smoke)
+        : bench_(std::move(bench)), smoke_(smoke) {}
+
+    template <class Number>
+        requires std::is_arithmetic_v<Number>
+    void param(const std::string& name, Number value) {
+        params_.emplace_back(name, json_double(static_cast<double>(value)));
+    }
+    void param(const std::string& name, const std::string& value) {
+        params_.emplace_back(name, json_quote(value));
+    }
+
+    /// `reps` counts the repetitions of the timed operation that `value`
+    /// comes from: the iterations, requests or references a rate or mean
+    /// is taken over, or the N of a best of N.
+    void metric(std::string name, std::string unit, double value,
+                std::int64_t reps = 1) {
+        metrics_.push_back({std::move(name), std::move(unit), value, reps});
+    }
+
+    /// Writes the record to `path`; false, with a message, when it cannot.
+    [[nodiscard]] bool write(const std::string& path) const {
+        std::ofstream out(path);
+        out << "{\"bench\": " << json_quote(bench_)
+            << ", \"commit\": " << json_quote(source_commit())
+            << ", \"host_cores\": " << std::thread::hardware_concurrency()
+            << ", \"build_type\": " << json_quote(SPMV_BENCH_BUILD_TYPE)
+            << ", \"smoke\": " << (smoke_ ? "true" : "false")
+            << ",\n \"params\": {";
+        for (std::size_t i = 0; i < params_.size(); ++i)
+            out << (i > 0 ? ", " : "") << json_quote(params_[i].first)
+                << ": " << params_[i].second;
+        out << "},\n \"metrics\": [";
+        for (std::size_t i = 0; i < metrics_.size(); ++i) {
+            const Metric& m = metrics_[i];
+            out << (i > 0 ? "," : "") << "\n  {\"name\": "
+                << json_quote(m.name) << ", \"unit\": " << json_quote(m.unit)
+                << ", \"value\": " << json_double(m.value)
+                << ", \"reps\": " << m.reps << "}";
+        }
+        out << "\n ]}\n";
+        out.flush();
+        if (!out) {
+            std::cerr << "cannot write " << path << "\n";
+            return false;
+        }
+        std::cout << "perf point written to " << path << "\n";
+        return true;
+    }
+
+private:
+    struct Metric {
+        std::string name;
+        std::string unit;
+        double value = 0.0;
+        std::int64_t reps = 1;
+    };
+
+    std::string bench_;
+    bool smoke_ = false;
+    std::vector<std::pair<std::string, std::string>> params_;  ///< JSON text
+    std::vector<Metric> metrics_;
+};
 
 /// Builds the matrix collection: real .mtx files if --mm was given,
 /// otherwise the synthetic suite. `t_min` drops the small end of each

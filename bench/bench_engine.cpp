@@ -1,6 +1,6 @@
 // Raw reuse-distance engine throughput in three modes:
 //
-//   serial   virtual access(), one call per reference
+//   serial   access(), one call per reference
 //   batched  access_batch(), the engine's lookahead loop; distances stay
 //            bit-identical to serial (checked by checksum)
 //   approx   SampledEngine at R = 0.01 over the batched loop — throughput
@@ -19,14 +19,10 @@
 // each probe is a dependent DRAM miss in the serial leg — the stall the
 // batched loop's prefetches overlap.
 //
-// Emits a perf-trajectory point, with the source commit, the host's core
-// count and the build type, to BENCH_engine_throughput.json (--out
-// overrides the path). --smoke shrinks the stream for CI. The "kim" and
-// "olken" keys carry the serial, batched and approx legs, and
-// "capacity_stack" the grouped-stack leg.
+// Writes its record to BENCH_engine_throughput.json (--out overrides the
+// path) when both checks pass, and exits 1 without one when either fails.
+// --smoke shrinks the stream for CI.
 #include <cstdint>
-#include <fstream>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -98,10 +94,9 @@ Legs run_legs(const std::vector<std::uint64_t>& lines, double sample_rate,
     Legs legs;
     {
         Engine engine(args...);
-        ReuseEngine& virt = engine;  // force virtual dispatch per access
         Timer timer;
         for (const std::uint64_t line : lines)
-            legs.checksum_serial += virt.access(line);
+            legs.checksum_serial += engine.access(line);
         legs.serial_seconds = timer.seconds();
     }
     {
@@ -189,7 +184,7 @@ int main(int argc, char** argv) {
         cli.get_int("group-capacity", 1 << 20));
 
     std::cout << "Engine throughput, " << refs << " refs over " << distinct
-              << " distinct lines (serial virtual access() vs batched "
+              << " distinct lines (serial access() vs batched "
                  "access_batch() vs SHARDS-sampled R="
               << sample_rate << ")\n\n";
 
@@ -251,52 +246,27 @@ int main(int argc, char** argv) {
               << "x Olken batched); miss counts equal Olken's at every "
                  "capacity\n";
 
-    const std::string out_path =
-        cli.get("out", "BENCH_engine_throughput.json");
-    std::ofstream out(out_path);
-    if (out) {
-        const auto engine_json = [&](const Legs& legs) {
-            std::string s = "{\"serial_refs_per_sec\": " +
-                            std::to_string(rate(legs.serial_seconds));
-            s += ", \"batched_refs_per_sec\": " +
-                 std::to_string(rate(legs.batched_seconds));
-            s += ", \"speedup\": " +
-                 std::to_string(speedup(legs.serial_seconds,
-                                        legs.batched_seconds));
-            s += ", \"approx\": {\"sample_rate\": " +
-                 std::to_string(sample_rate);
-            s += ", \"input_refs_per_sec\": " +
-                 std::to_string(rate(legs.approx_seconds));
-            s += ", \"sampled_refs\": " +
-                 std::to_string(legs.approx_sampled_refs);
-            s += ", \"speedup_vs_batched\": " +
-                 std::to_string(speedup(legs.batched_seconds,
-                                        legs.approx_seconds));
-            s += ", \"speedup_vs_serial\": " +
-                 std::to_string(speedup(legs.serial_seconds,
-                                        legs.approx_seconds)) +
-                 "}}";
-            return s;
-        };
-        out << "{\"bench\": \"engine_throughput\", \"commit\": \""
-            << source_commit() << "\", \"host_cores\": "
-            << std::thread::hardware_concurrency() << ", \"build_type\": \""
-            << SPMV_BENCH_BUILD_TYPE << "\", \"refs\": " << refs
-            << ", \"distinct_lines\": " << distinct
-            << ", \"smoke\": " << (smoke ? "true" : "false")
-            << ", \"sample_rate\": " << sample_rate << ",\n \"kim\": "
-            << engine_json(kim) << ",\n \"olken\": " << engine_json(olken)
-            << ",\n \"capacity_stack\": {\"capacities\": [";
-        for (std::size_t i = 0; i < caps.size(); ++i)
-            out << (i > 0 ? ", " : "") << caps[i];
-        out << "], \"refs_per_sec\": " << std::to_string(rate(stack_seconds))
-            << ", \"speedup_vs_olken\": "
-            << std::to_string(
-                   speedup(olken.batched_seconds, stack_seconds))
-            << ", \"miss_counts_match_olken\": true}}\n";
-        std::cout << "perf point written to " << out_path << "\n";
-    } else {
-        std::cerr << "cannot write " << out_path << "\n";
+    BenchRecord record("engine_throughput", smoke);
+    record.param("refs", refs);
+    record.param("distinct_lines", distinct);
+    record.param("seed", seed);
+    record.param("sample_rate", sample_rate);
+    record.param("kim_group_capacity", kim_groups);
+    for (const auto& [name, legs] : {std::pair{"kim", &kim},
+                                     std::pair{"olken", &olken}}) {
+        const std::string at = std::string(name) + ".";
+        const auto reps = static_cast<std::int64_t>(refs);
+        record.metric(at + "serial_refs_per_s", "1/s",
+                      rate(legs->serial_seconds), reps);
+        record.metric(at + "batched_refs_per_s", "1/s",
+                      rate(legs->batched_seconds), reps);
+        record.metric(at + "approx_input_refs_per_s", "1/s",
+                      rate(legs->approx_seconds), reps);
+        record.metric(at + "approx_sampled_refs", "count",
+                      static_cast<double>(legs->approx_sampled_refs));
     }
-    return 0;
+    record.metric("capacity_stack.refs_per_s", "1/s", rate(stack_seconds),
+                  static_cast<std::int64_t>(refs));
+    return record.write(cli.get("out", "BENCH_engine_throughput.json")) ? 0
+                                                                         : 1;
 }

@@ -8,9 +8,11 @@
 // through /proc/self/clear_refs before every load, once freed heap pages
 // are handed back, so a leg's peak does not count what glibc kept of
 // earlier legs; omitted where the kernel refuses the reset).
-// Emits a perf-trajectory point to BENCH_ingest.json (--out overrides the
-// path); the headline number is the parse/cached-load speedup, expected
-// well above 10x. --smoke shrinks the suite for CI.
+// Writes its record to BENCH_ingest.json (--out overrides the path); the
+// headline is the parse/cached-load speedup, expected well above 10x. A
+// warm load that misses the cache, a column-major read that differs from
+// the row-major one, or a cached load slower than parsing exits 1 with no
+// record. --smoke shrinks the suite for CI.
 #include <malloc.h>
 #include <unistd.h>
 
@@ -20,7 +22,6 @@
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <tuple>
 
 #include "bench_common.hpp"
@@ -283,51 +284,40 @@ int main(int argc, char** argv) {
         std::cout << "peak RSS: parse " << fmt(parse_peak_mib, 1)
                   << " MiB, parallel " << fmt(parallel_peak_mib, 1)
                   << " MiB\n";
-    if (!all_cached)
-        std::cout << "WARNING: some warm loads missed the cache\n";
-
-    const std::string out_path = cli.get("out", "BENCH_ingest.json");
-    std::ofstream out(out_path);
-    if (out) {
-        out << "{\"bench\": \"ingest\", \"commit\": \"" << source_commit()
-            << "\", \"smoke\": " << (smoke ? "true" : "false")
-            << ", \"host_cores\": " << std::thread::hardware_concurrency()
-            << ", \"build_type\": \"" << SPMV_BENCH_BUILD_TYPE << "\""
-            << ", \"matrices\": " << paths.size()
-            << ", \"total_nnz\": " << total_nnz
-            << ", \"mtx_bytes\": " << total_mtx_bytes
-            << ", \"parse_jobs\": " << jobs
-            << ", \"parse_seconds\": " << parse_total
-            << ", \"parse_mb_per_s\": " << parse_mb_per_s
-            << ", \"parallel_parse_seconds\": " << parallel_total
-            << ", \"parallel_parse_mb_per_s\": " << parallel_parse_mb_per_s
-            << ", \"parallel_parse_speedup\": " << parallel_speedup;
-        if (rss_ok)
-            out << ", \"parse_peak_rss_mib\": " << parse_peak_mib
-                << ", \"parallel_parse_peak_rss_mib\": "
-                << parallel_peak_mib;
-        out << ", \"cache_write_seconds\": " << write_total
-            << ", \"cached_load_seconds\": " << cached_total
-            << ", \"cached_speedup\": " << speedup
-            << ", \"all_cache_hits\": " << (all_cached ? "true" : "false")
-            << ",\n \"column_major\": {\"mtx_bytes\": " << col_mtx_bytes
-            << ", \"parse_seconds\": " << col_parse_total
-            << ", \"parse_mb_per_s\": " << col_parse_mb_per_s;
-        if (rss_ok) out << ", \"parse_peak_rss_mib\": " << col_peak_mib;
-        out << ", \"same_matrices\": " << (col_same ? "true" : "false")
-            << "}"
-            << ",\n \"index_width\": {\"spmvc_bytes_w32\": " << bytes_w32
-            << ", \"spmvc_bytes_w64\": " << bytes_w64
-            << ", \"size_ratio\": " << size_ratio
-            << ", \"cached_load_seconds_w32\": " << cached_total
-            << ", \"cached_load_seconds_w64\": " << cached_w64_total
-            << "}}\n";
-        std::cout << "perf point written to " << out_path << "\n";
-    } else {
-        std::cerr << "cannot write " << out_path << "\n";
-    }
 
     std::error_code ec;
     fs::remove_all(work, ec);
-    return all_cached && col_same && speedup >= 1.0 ? 0 : 1;
+    if (!all_cached || !col_same || speedup < 1.0) {
+        std::cerr << "FATAL: "
+                  << (!all_cached ? "a warm load missed the cache"
+                      : !col_same ? "the column-major read differs"
+                                  : "cached loads are slower than parsing")
+                  << "\n";
+        return 1;
+    }
+
+    BenchRecord record("ingest", smoke);
+    record.param("matrices", paths.size());
+    record.param("scale", common.scale);
+    record.param("seed", common.seed);
+    record.param("total_nnz", total_nnz);
+    record.param("mtx_bytes", total_mtx_bytes);
+    record.param("column_mtx_bytes", col_mtx_bytes);
+    record.param("parse_jobs", jobs);
+    record.param("warm_iters", warm_iters);
+    record.metric("parse_s", "s", parse_total);
+    record.metric("parallel_parse_s", "s", parallel_total);
+    record.metric("column_parse_s", "s", col_parse_total);
+    if (rss_ok) {
+        record.metric("parse_peak_rss_mib", "MiB", parse_peak_mib);
+        record.metric("parallel_parse_peak_rss_mib", "MiB",
+                      parallel_peak_mib);
+        record.metric("column_parse_peak_rss_mib", "MiB", col_peak_mib);
+    }
+    record.metric("cache_write_s", "s", write_total);
+    record.metric("cached_load_s", "s", cached_total, warm_iters);
+    record.metric("cached_load_w64_s", "s", cached_w64_total, warm_iters);
+    record.metric("spmvc_bytes_w32", "B", static_cast<double>(bytes_w32));
+    record.metric("spmvc_bytes_w64", "B", static_cast<double>(bytes_w64));
+    return record.write(cli.get("out", "BENCH_ingest.json")) ? 0 : 1;
 }

@@ -3,13 +3,8 @@
 // method (B) runtime 6.54 s / 9.22 s at paper scale), with method (A) on
 // its grouped stack with one group per priced capacity (t_A), plus the
 // serial-vs-parallel wall-clock of the host-sharded model (--jobs). Both
-// are emitted, with the source commit, the host's core count and the
-// build type, as a perf-trajectory point to BENCH_model_parallel.json
-// (--out overrides the path).
-#include <fstream>
-#include <sstream>
-#include <thread>
-
+// go into one record, BENCH_model_parallel.json (--out overrides the
+// path).
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -20,6 +15,7 @@ int main(int argc, char** argv) {
                                     {"count", "scale", "seed", "mm",
                                      "threads", "jobs", "out"});
     const auto common = parse_common(cli, /*count=*/4, /*scale=*/0.3);
+    const std::int64_t par_jobs = cli.get_int("jobs", 4);
 
     std::cout << "Model runtime overhead t_A / t_B (paper §4.5.1: 4.21x at "
                  "1 thread, 3.02x at 48 threads)\n\n";
@@ -28,7 +24,12 @@ int main(int argc, char** argv) {
     TextTable table({"matrix", "threads", "t_A(grouped stack) [s]",
                      "t_B [s]", "t_A/t_B"});
 
-    std::ostringstream overhead;  // the JSON rows of the t_A/t_B totals
+    BenchRecord record("model_parallel", /*smoke=*/false);
+    record.param("matrices", suite.size());
+    record.param("scale", common.scale);
+    record.param("seed", common.seed);
+    record.param("threads", common.threads);
+    record.param("jobs", par_jobs);
     for (const std::int64_t threads : {std::int64_t{1}, common.threads}) {
         double total_a = 0.0, total_b = 0.0;
         for (const auto& spec : suite) {
@@ -51,11 +52,9 @@ int main(int argc, char** argv) {
         std::cout << "threads=" << threads << ": total t_A " << fmt(total_a, 2)
                   << " s, total t_B " << fmt(total_b, 2) << " s, ratio "
                   << fmt(ratio, 2) << "x\n";
-        overhead << (overhead.str().empty() ? "" : ", ")
-                 << "{\"threads\": " << threads
-                 << ", \"t_a_seconds\": " << total_a
-                 << ", \"t_b_seconds\": " << total_b
-                 << ", \"t_a_over_t_b\": " << ratio << "}";
+        const std::string at = ".t" + std::to_string(threads);
+        record.metric("t_a_s" + at, "s", total_a);
+        record.metric("t_b_s" + at, "s", total_b);
     }
     std::cout << '\n';
     table.render(std::cout);
@@ -63,13 +62,11 @@ int main(int argc, char** argv) {
     // ---- Host-parallel sharded execution: serial vs --jobs J -------------
     // Same predictions by construction (the differential suite asserts
     // bit-identity); only the wall-clock should move.
-    const std::int64_t par_jobs = cli.get_int("jobs", 4);
     std::cout << "\nSharded method (A), " << common.threads
               << " simulated threads: jobs=1 vs jobs=" << par_jobs << "\n";
     TextTable par_table(
         {"matrix", "shards", "t serial [s]", "t parallel [s]", "speedup"});
     double serial_total = 0.0, parallel_total = 0.0;
-    std::size_t matrices = 0;
     for (const auto& spec : suite) {
         const CsrMatrix m = spec.factory();
         ModelOptions options;
@@ -82,7 +79,6 @@ int main(int argc, char** argv) {
         const auto parallel = run_method_a(m, options);
         serial_total += serial.seconds;
         parallel_total += parallel.seconds;
-        ++matrices;
         par_table.add_row(
             {spec.name, std::to_string(parallel.shards.size()),
              fmt(serial.seconds, 3), fmt(parallel.seconds, 3),
@@ -98,24 +94,7 @@ int main(int argc, char** argv) {
               << par_jobs << " " << fmt(parallel_total, 2) << " s, speedup "
               << fmt(speedup, 2) << "x\n";
 
-    const std::string out_path =
-        cli.get("out", "BENCH_model_parallel.json");
-    std::ofstream out(out_path);
-    if (out) {
-        out << "{\"bench\": \"model_parallel\""
-            << ", \"commit\": \"" << source_commit() << "\""
-            << ", \"host_cores\": " << std::thread::hardware_concurrency()
-            << ", \"build_type\": \"" << SPMV_BENCH_BUILD_TYPE << "\""
-            << ", \"jobs\": " << par_jobs
-            << ", \"threads\": " << common.threads
-            << ", \"matrices\": " << matrices
-            << ", \"serial_seconds\": " << serial_total
-            << ", \"parallel_seconds\": " << parallel_total
-            << ", \"speedup\": " << speedup
-            << ",\n \"overhead\": [" << overhead.str() << "]}\n";
-        std::cout << "perf point written to " << out_path << "\n";
-    } else {
-        std::cerr << "cannot write " << out_path << "\n";
-    }
-    return 0;
+    record.metric("sharded.serial_s", "s", serial_total);
+    record.metric("sharded.parallel_s", "s", parallel_total);
+    return record.write(cli.get("out", "BENCH_model_parallel.json")) ? 0 : 1;
 }

@@ -3,10 +3,10 @@
 // lookup + payload replay), plus sustained request throughput through the
 // full run() loop with its bounded admission queue.
 //
-// Emits a perf-trajectory point to BENCH_serve.json (--out overrides the
-// path). --smoke shrinks the request counts and matrix sizes for CI.
+// Writes its record to BENCH_serve.json (--out overrides the path) once
+// every request got the answer it should; --smoke shrinks the request
+// counts and matrix sizes for CI.
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -134,24 +134,15 @@ int main(int argc, char** argv) {
               << stats.cache_hits << " hits, " << stats.rejected_overload
               << " overload rejections\n";
 
-    const std::string out_path = cli.get("out", "BENCH_serve.json");
-    std::ofstream json(out_path);
-    if (json) {
-        json << "{\"bench\": \"serve\", \"smoke\": "
-             << (smoke ? "true" : "false")
-             << ", \"threads\": " << threads
-             << ",\n \"cold_miss\": {\"requests\": " << cold_count
-             << ", \"avg_ms\": " << cold_ms
-             << "},\n \"cache_hit\": {\"requests\": " << hit_count
-             << ", \"avg_us\": " << hit_us
-             << ", \"speedup_vs_cold\": " << speedup
-             << "},\n \"stream\": {\"requests\": " << stream_count
-             << ", \"req_per_sec\": " << req_per_sec
-             << ", \"workers\": " << options.workers << "}}\n";
-        std::cout << "perf point written to " << out_path << "\n";
-    } else {
-        std::cerr << "cannot write " << out_path << "\n";
-        return 1;
-    }
-    return 0;
+    BenchRecord record("serve", smoke);
+    record.param("threads", threads);
+    record.param("cold_requests", cold_count);
+    record.param("hit_requests", hit_count);
+    record.param("stream_requests", stream_count);
+    record.param("size", base);
+    record.param("workers", options.workers);
+    record.metric("cold_miss_ms", "ms", cold_ms, cold_count);
+    record.metric("cache_hit_us", "us", hit_us, hit_count);
+    record.metric("stream_req_per_s", "1/s", req_per_sec, stream_count);
+    return record.write(cli.get("out", "BENCH_serve.json")) ? 0 : 1;
 }

@@ -10,26 +10,21 @@
 // reorder the per-row sums, so they are held to a tight relative
 // tolerance instead.
 //
-// Emits BENCH_spmv_kernel.json (--out overrides). --smoke shrinks
+// A last leg times the SIMD CSR kernel at both physical index widths.
+// Writes its record to BENCH_spmv_kernel.json (--out overrides) when every
+// variant verifies, and exits 1 without one otherwise. --smoke shrinks
 // matrices and iteration counts for CI.
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "kernels/engine.hpp"
 #include "kernels/spmv.hpp"
-#include "sparse/binary_cache.hpp"
-#include "sparse/fingerprint.hpp"
 #include "sparse/gen/banded.hpp"
 #include "sparse/gen/random.hpp"
 #include "sparse/gen/stencil.hpp"
-#include "sparse/matrix_stats.hpp"
 #include "sync/worker_team.hpp"
 #include "util/prng.hpp"
 
@@ -122,40 +117,6 @@ std::string verify_variant(const CsrMatrix& a, KernelEngine& engine,
     return {};
 }
 
-struct VariantResult {
-    KernelVariant variant = KernelVariant::CsrScalar;
-    std::int64_t threads = 1;
-    double gflops = 0.0;
-    double gbytes = 0.0;
-    double speedup = 0.0;  ///< vs spmv_csr_parallel at same thread count
-    EngineInfo info;
-};
-
-struct MatrixResult {
-    std::string name;
-    std::int64_t rows = 0;
-    std::int64_t nnz = 0;
-    std::vector<VariantResult> variants;
-    std::vector<double> baseline_gflops;  ///< per thread count
-    double best_speedup = 0.0;
-    std::string best_label;
-};
-
-/// The 64-vs-32 index-width leg: same matrix, same kernel variant, both
-/// physical widths, plus the .spmvc cache-entry footprint each width
-/// pays on disk.
-struct WidthResult {
-    std::string name;
-    std::int64_t rows = 0;
-    std::int64_t nnz = 0;
-    double gflops_w32 = 0.0;
-    double gflops_w64 = 0.0;
-    double speedup_32_over_64 = 0.0;
-    std::uint64_t spmvc_bytes_w32 = 0;
-    std::uint64_t spmvc_bytes_w64 = 0;
-    double size_ratio = 0.0;  ///< w32 bytes / w64 bytes
-};
-
 /// Times `iters` products on an engine built over `view` at its physical
 /// width; returns GFLOP/s.
 template <class Engine, class View>
@@ -179,8 +140,7 @@ int main(int argc, char** argv) {
     using namespace spmvcache::bench;
 
     const CliParser cli = parse_cli(argc, argv, "bench_spmv",
-                                    {"smoke", "seed", "threads", "out",
-                                     "width-out"});
+                                    {"smoke", "seed", "threads", "out"});
     const bool smoke = cli.has("smoke");
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cli.get_int("seed", 42));
@@ -201,6 +161,12 @@ int main(int argc, char** argv) {
     cases.push_back({"random", gen::random_uniform(nr, nr, 16, seed)});
     cases.push_back(
         {"imbalanced", gen::random_variable_rows(nr, nr, 16.0, 2.0, seed)});
+    const auto iters_for = [smoke](const CsrMatrix& a) {
+        return smoke ? std::int64_t{3}
+                     : std::max<std::int64_t>(
+                           5, (std::int64_t{1} << 28) /
+                                  std::max<std::int64_t>(a.nnz(), 1));
+    };
 
     std::vector<std::int64_t> thread_counts = {1};
     const std::int64_t max_threads = cli.get_int("threads", 2);
@@ -216,39 +182,47 @@ int main(int argc, char** argv) {
     std::cout << "host SIMD: " << simd::to_string(simd::best().isa)
               << "\n\n";
 
+    BenchRecord record("spmv_kernel", smoke);
+    record.param("seed", seed);
+    record.param("threads", thread_counts.back());
+    record.param("isa", simd::to_string(simd::best().isa));
+
     // The roof per team size, shared across matrices.
     const std::size_t triad_n = smoke ? (std::size_t{1} << 20)
                                       : (std::size_t{1} << 25);
+    const int triad_reps = smoke ? 3 : 10;
+    record.param("triad_doubles", triad_n);
     std::vector<double> roofs;
-    for (const std::int64_t t : thread_counts)
-        roofs.push_back(stream_triad_roof(t, triad_n, smoke ? 3 : 10));
+    for (const std::int64_t t : thread_counts) {
+        roofs.push_back(stream_triad_roof(t, triad_n, triad_reps));
+        record.metric("triad_gbs.t" + std::to_string(t), "GB/s",
+                      roofs.back(), triad_reps);
+    }
 
-    std::vector<MatrixResult> results;
     bool all_verified = true;
     double overall_best = 0.0;
     std::string overall_label;
 
     for (const auto& c : cases) {
         const CsrMatrix& a = c.matrix;
-        MatrixResult mr;
-        mr.name = c.name;
-        mr.rows = a.rows();
-        mr.nnz = a.nnz();
-        const std::int64_t iters =
-            smoke ? 3
-                  : std::max<std::int64_t>(
-                        5, (std::int64_t{1} << 28) / std::max<std::int64_t>(
-                                                         a.nnz(), 1));
+        const std::int64_t iters = iters_for(a);
+        const std::string at = std::string(c.name) + ".";
+        record.param(at + "rows", a.rows());
+        record.param(at + "nnz", a.nnz());
+        record.param(at + "iters", iters);
         const double flops_per_iter = 2.0 * static_cast<double>(a.nnz());
         const auto x = random_vector(static_cast<std::size_t>(a.cols()),
                                      seed);
         std::vector<double> y(static_cast<std::size_t>(a.rows()), 0.0);
+        double best_speedup = 0.0;
+        std::string best_label;
 
         TextTable table({"variant", "threads", "GFLOP/s", "GB/s",
                          "% roof", "vs baseline", "note"});
 
         for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
             const std::int64_t threads = thread_counts[ti];
+            const std::string on = ".t" + std::to_string(threads);
             // Baseline: the public spmv_csr_parallel entry point (scalar
             // engine per call, setup included — what callers got before
             // engines were reusable).
@@ -263,7 +237,8 @@ int main(int argc, char** argv) {
                                        static_cast<double>(iters) /
                                        base_seconds / 1e9
                                  : 0.0;
-            mr.baseline_gflops.push_back(base_gflops);
+            record.metric(at + "baseline_gflops" + on, "GFLOP/s",
+                          base_gflops, iters);
             // GB/s from GFLOP/s: bytes moved per flop pair is bytes/2nnz.
             const double base_gbytes = base_gflops * spmv_bytes(a) /
                                        (2.0 * static_cast<double>(a.nnz()));
@@ -297,45 +272,45 @@ int main(int argc, char** argv) {
                 Timer timer;
                 engine.run_iterations(x, y, iters);
                 const double seconds = timer.seconds();
-                VariantResult vr;
-                vr.variant = v;
-                vr.threads = threads;
-                vr.info = engine.info();
-                vr.gflops = seconds > 0
-                                ? flops_per_iter *
+                const EngineInfo info = engine.info();
+                const double gflops =
+                    seconds > 0 ? flops_per_iter *
                                       static_cast<double>(iters) / seconds /
                                       1e9
                                 : 0.0;
-                vr.gbytes = seconds > 0
-                                ? spmv_bytes(a) *
+                const double gbytes =
+                    seconds > 0 ? spmv_bytes(a) *
                                       static_cast<double>(iters) / seconds /
                                       1e9
                                 : 0.0;
-                vr.speedup =
-                    base_gflops > 0 ? vr.gflops / base_gflops : 0.0;
-                mr.variants.push_back(vr);
+                const double speedup =
+                    base_gflops > 0 ? gflops / base_gflops : 0.0;
+                record.metric(at + to_string(v) + "_gflops" + on,
+                              "GFLOP/s", gflops, iters);
 
                 std::string note;
-                if (v == KernelVariant::CsrPrefetch)
-                    note = "d=" +
-                           std::to_string(vr.info.prefetch_distance);
-                else if (v == KernelVariant::CsrSimd ||
-                         v == KernelVariant::SellSimd)
-                    note = simd::to_string(vr.info.isa);
+                if (v == KernelVariant::CsrPrefetch) {
+                    note = "d=" + std::to_string(info.prefetch_distance);
+                    record.param(at + "prefetch_distance" + on,
+                                 info.prefetch_distance);
+                } else if (v == KernelVariant::CsrSimd ||
+                           v == KernelVariant::SellSimd) {
+                    note = simd::to_string(info.isa);
+                }
                 if (v == KernelVariant::SellScalar ||
                     v == KernelVariant::SellSimd)
                     note += (note.empty() ? "beta=" : " beta=") +
-                            fmt(vr.info.sell_padding, 2);
+                            fmt(info.sell_padding, 2);
                 table.add_row({to_string(v), std::to_string(threads),
-                               fmt(vr.gflops, 2), fmt(vr.gbytes, 2),
-                               fmt(vr.gbytes /
-                                       std::max(roofs[ti], 1e-9) * 100.0,
+                               fmt(gflops, 2), fmt(gbytes, 2),
+                               fmt(gbytes / std::max(roofs[ti], 1e-9) *
+                                       100.0,
                                    1),
-                               fmt(vr.speedup, 2), note});
-                if (vr.speedup > mr.best_speedup) {
-                    mr.best_speedup = vr.speedup;
-                    mr.best_label = std::string(to_string(v)) + " t=" +
-                                    std::to_string(threads);
+                               fmt(speedup, 2), note});
+                if (speedup > best_speedup) {
+                    best_speedup = speedup;
+                    best_label = std::string(to_string(v)) + " t=" +
+                                 std::to_string(threads);
                 }
             }
         }
@@ -347,13 +322,12 @@ int main(int argc, char** argv) {
                       << " GB/s @t" << thread_counts[ti];
         std::cout << ")\n";
         table.render(std::cout);
-        std::cout << "best: " << mr.best_label << " at "
-                  << fmt(mr.best_speedup, 2) << "x baseline\n\n";
-        if (mr.best_speedup > overall_best) {
-            overall_best = mr.best_speedup;
-            overall_label = mr.name + "/" + mr.best_label;
+        std::cout << "best: " << best_label << " at "
+                  << fmt(best_speedup, 2) << "x baseline\n\n";
+        if (best_speedup > overall_best) {
+            overall_best = best_speedup;
+            overall_label = std::string(c.name) + "/" + best_label;
         }
-        results.push_back(std::move(mr));
     }
 
     std::cout << (all_verified
@@ -361,72 +335,18 @@ int main(int argc, char** argv) {
                       : "VERIFICATION FAILURES (see stderr)\n");
     std::cout << "best overall: " << overall_label << " at "
               << fmt(overall_best, 2) << "x spmv_csr_parallel\n";
-
-    const std::string out_path = cli.get("out", "BENCH_spmv_kernel.json");
-    std::ofstream out(out_path);
-    if (out) {
-        out << "{\"bench\": \"spmv_kernel\", \"smoke\": "
-            << (smoke ? "true" : "false") << ", \"simd\": \""
-            << simd::to_string(simd::best().isa) << "\",\n \"triad_roof\": [";
-        for (std::size_t ti = 0; ti < roofs.size(); ++ti)
-            out << (ti ? ", " : "") << "{\"threads\": " << thread_counts[ti]
-                << ", \"gbytes_per_sec\": " << roofs[ti] << "}";
-        out << "],\n \"verified\": " << (all_verified ? "true" : "false")
-            << ", \"best_speedup\": " << overall_best << ",\n"
-            << " \"matrices\": [\n";
-        for (std::size_t m = 0; m < results.size(); ++m) {
-            const MatrixResult& mr = results[m];
-            out << "  {\"name\": \"" << mr.name << "\", \"rows\": "
-                << mr.rows << ", \"nnz\": " << mr.nnz
-                << ", \"best_speedup\": " << mr.best_speedup
-                << ", \"best\": \"" << mr.best_label << "\",\n"
-                << "   \"baseline_gflops\": [";
-            for (std::size_t ti = 0; ti < mr.baseline_gflops.size(); ++ti)
-                out << (ti ? ", " : "") << mr.baseline_gflops[ti];
-            out << "],\n   \"variants\": [\n";
-            for (std::size_t v = 0; v < mr.variants.size(); ++v) {
-                const VariantResult& vr = mr.variants[v];
-                out << "    {\"variant\": \"" << to_string(vr.variant)
-                    << "\", \"threads\": " << vr.threads
-                    << ", \"gflops\": " << vr.gflops
-                    << ", \"gbytes_per_sec\": " << vr.gbytes
-                    << ", \"speedup\": " << vr.speedup
-                    << ", \"isa\": \"" << simd::to_string(vr.info.isa)
-                    << "\", \"prefetch_distance\": "
-                    << vr.info.prefetch_distance << "}"
-                    << (v + 1 < mr.variants.size() ? "," : "") << "\n";
-            }
-            out << "   ]}" << (m + 1 < results.size() ? "," : "") << "\n";
-        }
-        out << " ]}\n";
-        std::cout << "perf point written to " << out_path << "\n";
-    } else {
-        std::cerr << "cannot write " << out_path << "\n";
-    }
+    if (!all_verified) return 1;
 
     // ---- 64-vs-32 index-width leg -------------------------------------
     // Same matrix, same kernel variant (the SIMD CSR kernel — it streams
     // colidx hardest), both physical widths, at the largest team size.
-    // The .spmvc footprint of each width rides along so one JSON carries
-    // both halves of the narrow-index claim: faster SpMV, smaller cache.
-    namespace fs = std::filesystem;
-    const fs::path width_work =
-        fs::temp_directory_path() /
-        ("spmvcache_bench_width_" + std::to_string(::getpid()));
-    fs::create_directories(width_work);
-
     const std::int64_t width_threads = thread_counts.back();
-    std::vector<WidthResult> width_results;
-    TextTable width_table({"matrix", "w32 GFLOP/s", "w64 GFLOP/s",
-                           "32/64", "w32 .spmvc", "w64 .spmvc", "size"});
+    const std::string on = ".t" + std::to_string(width_threads);
+    TextTable width_table({"matrix", "w32 GFLOP/s", "w64 GFLOP/s", "32/64"});
     for (const auto& c : cases) {
         const CsrMatrix& a32 = c.matrix;
         const CsrMatrix64 a64 = convert_csr_width<Idx64>(CsrView(a32));
-        const std::int64_t iters =
-            smoke ? 3
-                  : std::max<std::int64_t>(
-                        5, (std::int64_t{1} << 28) /
-                               std::max<std::int64_t>(a32.nnz(), 1));
+        const std::int64_t iters = iters_for(a32);
         const auto x = random_vector(static_cast<std::size_t>(a32.cols()),
                                      seed);
         std::vector<double> y(static_cast<std::size_t>(a32.rows()), 0.0);
@@ -434,76 +354,19 @@ int main(int argc, char** argv) {
         EngineOptions options;
         options.threads = width_threads;
         options.variant = KernelVariant::CsrSimd;
-
-        WidthResult wr;
-        wr.name = c.name;
-        wr.rows = a32.rows();
-        wr.nnz = a32.nnz();
-        wr.gflops_w32 = time_width_leg<KernelEngine>(
+        const double w32 = time_width_leg<KernelEngine>(
             CsrView(a32), options, iters, x, std::span<double>(y));
-        wr.gflops_w64 = time_width_leg<KernelEngine64>(
+        const double w64 = time_width_leg<KernelEngine64>(
             CsrView64(a64), options, iters, x, std::span<double>(y));
-        wr.speedup_32_over_64 =
-            wr.gflops_w64 > 0 ? wr.gflops_w32 / wr.gflops_w64 : 0.0;
-
-        const auto entry_bytes = [&](const auto& m,
-                                     const char* tag) -> std::uint64_t {
-            const std::string path =
-                (width_work / (c.name + std::string(".") + tag + ".spmvc"))
-                    .string();
-            const Status written = write_binary_cache(
-                path, m, fingerprint_matrix(m), compute_stats(m),
-                "bench://" + std::string(c.name), SourceStamp{});
-            if (!written.ok()) return 0;
-            return static_cast<std::uint64_t>(fs::file_size(path));
-        };
-        wr.spmvc_bytes_w32 = entry_bytes(CsrView(a32), "w32");
-        wr.spmvc_bytes_w64 = entry_bytes(CsrView64(a64), "w64");
-        wr.size_ratio =
-            wr.spmvc_bytes_w64 > 0
-                ? static_cast<double>(wr.spmvc_bytes_w32) /
-                      static_cast<double>(wr.spmvc_bytes_w64)
-                : 0.0;
-
-        width_table.add_row({wr.name, fmt(wr.gflops_w32, 2),
-                             fmt(wr.gflops_w64, 2),
-                             fmt(wr.speedup_32_over_64, 2),
-                             fmt_bytes(wr.spmvc_bytes_w32),
-                             fmt_bytes(wr.spmvc_bytes_w64),
-                             fmt(wr.size_ratio, 2)});
-        width_results.push_back(std::move(wr));
+        const std::string at = std::string(c.name) + ".csr-simd_";
+        record.metric(at + "w32_gflops" + on, "GFLOP/s", w32, iters);
+        record.metric(at + "w64_gflops" + on, "GFLOP/s", w64, iters);
+        width_table.add_row({c.name, fmt(w32, 2), fmt(w64, 2),
+                             fmt(w64 > 0 ? w32 / w64 : 0.0, 2)});
     }
     std::cout << "\nindex width: csr-simd at t=" << width_threads
               << ", 32-bit vs 64-bit colidx/rowptr\n";
     width_table.render(std::cout);
 
-    const std::string width_out =
-        cli.get("width-out", "BENCH_index_width.json");
-    std::ofstream wout(width_out);
-    if (wout) {
-        wout << "{\"bench\": \"index_width\", \"smoke\": "
-             << (smoke ? "true" : "false")
-             << ", \"variant\": \"csr-simd\", \"threads\": "
-             << width_threads << ", \"simd\": \""
-             << simd::to_string(simd::best().isa) << "\",\n \"matrices\": [\n";
-        for (std::size_t i = 0; i < width_results.size(); ++i) {
-            const WidthResult& wr = width_results[i];
-            wout << "  {\"name\": \"" << wr.name << "\", \"rows\": "
-                 << wr.rows << ", \"nnz\": " << wr.nnz
-                 << ", \"gflops_w32\": " << wr.gflops_w32
-                 << ", \"gflops_w64\": " << wr.gflops_w64
-                 << ", \"speedup_32_over_64\": " << wr.speedup_32_over_64
-                 << ", \"spmvc_bytes_w32\": " << wr.spmvc_bytes_w32
-                 << ", \"spmvc_bytes_w64\": " << wr.spmvc_bytes_w64
-                 << ", \"size_ratio\": " << wr.size_ratio << "}"
-                 << (i + 1 < width_results.size() ? "," : "") << "\n";
-        }
-        wout << " ]}\n";
-        std::cout << "width comparison written to " << width_out << "\n";
-    } else {
-        std::cerr << "cannot write " << width_out << "\n";
-    }
-    std::error_code ec;
-    fs::remove_all(width_work, ec);
-    return all_verified ? 0 : 1;
+    return record.write(cli.get("out", "BENCH_spmv_kernel.json")) ? 0 : 1;
 }

@@ -13,6 +13,7 @@
 #include "core/matrix_source.hpp"
 #include "model/method_a.hpp"
 #include "sparse/matrix_stats.hpp"
+#include "util/csv.hpp"
 #include "util/fault.hpp"
 #include "util/format.hpp"
 
@@ -153,17 +154,6 @@ BatchItemResult cancelled_item(const std::string& path) {
                          "sweep drained before this matrix started")
                        .render();
     return item;
-}
-
-std::string csv_quote(const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string quoted = "\"";
-    for (const char ch : s) {
-        if (ch == '"') quoted += "\"\"";
-        else quoted += ch;
-    }
-    quoted += "\"";
-    return quoted;
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ std::uint32_t CapacityStackEngine::allocate(std::uint64_t line,
     return node;
 }
 
-std::uint32_t CapacityStackEngine::access_one(std::uint64_t line) {
+std::uint32_t CapacityStackEngine::access(std::uint64_t line) {
     // Disarmed this is one relaxed load; armed it lets chaos tests abort a
     // model run mid-pass to exercise the batch runner's stage isolation.
     fault::maybe_throw("reuse.access");
@@ -175,7 +175,7 @@ void CapacityStackEngine::access_batch(const std::uint64_t* lines,
     for (std::size_t i = 0; i < n; ++i) {
         if (i + kPrefetchAhead < n)
             node_of_line_.prefetch(lines[i + kPrefetchAhead]);
-        groups[i] = access_one(lines[i]);
+        groups[i] = access(lines[i]);
     }
 }
 

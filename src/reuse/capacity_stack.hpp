@@ -21,7 +21,7 @@
 // group is all CapacityMissCounter (reuse/histogram.hpp) needs to price
 // every capacity. The counter also builds the boundaries, moving each to
 // its SHARDS threshold when the run samples (DESIGN.md §10.1), and the
-// engine runs on them. It reports no distance and is not a ReuseEngine.
+// engine runs on them. It reports no distance.
 //
 // The stack is one LRU list whose groups are consecutive segments, as in
 // Kim et al.: moving a group's LRU line into the next group relabels it
@@ -66,10 +66,10 @@ public:
 
     /// Processes one access and returns its group: groups() when the
     /// line is not on the stack.
-    std::uint32_t access_one(std::uint64_t line);
+    std::uint32_t access(std::uint64_t line);
 
     /// Processes `n` accesses, writing each one's group to `groups`;
-    /// identical results to n access_one() calls in order.
+    /// identical results to n access() calls in order.
     void access_batch(const std::uint64_t* lines, std::uint32_t* groups,
                       std::size_t n);
 

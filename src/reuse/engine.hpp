@@ -1,12 +1,13 @@
-// Reuse-distance engine interface (§2.2 of the paper).
+// Reuse-distance engines (§2.2 of the paper): what they share.
 //
 // Given a stream of cache-line numbers, an engine returns for every access
 // the number of *distinct* lines referenced since the previous access to
-// the same line (kInfinite for first-ever accesses). With Eq. (1) of the
-// paper, an access misses in a fully associative LRU cache of n lines iff
-// its reuse distance is >= n.
+// the same line (kInfiniteDistance for first-ever accesses). With Eq. (1)
+// of the paper, an access misses in a fully associative LRU cache of n
+// lines iff its reuse distance is >= n.
 //
-// Three implementations with one contract:
+// Three engines with one contract, access(line), plus clear() and
+// distinct_lines():
 //  * NaiveStackEngine — O(distance) list walk; the executable definition,
 //    used to cross-check the others in tests.
 //  * OlkenEngine — exact, O(log n) per access via a Fenwick tree over
@@ -17,15 +18,15 @@
 //    at group granularity with per-access cost independent of the
 //    locality of the trace (tests and benches).
 //
-// Each has one batch path, access_batch: a lookahead loop that prefetches
-// the state of upcoming accesses, with results identical to serial access.
+// Olken and Kim also have one batch path, access_batch: a lookahead loop
+// that prefetches the state of upcoming accesses, with results identical
+// to serial access.
 //
 // The model runs none of them: methods (A) and (B) price through
 // CapacityStackEngine (reuse/capacity_stack.hpp), which puts Kim et al.'s
 // group boundaries at the capacities being priced. It reports each
 // access's group, which says only which of those capacities the distance
-// reaches, so it does not implement this full-distance contract and is
-// not a ReuseEngine.
+// reaches, so it does not implement this full-distance contract.
 #pragma once
 
 #include <cstdint>
@@ -45,21 +46,5 @@ inline void prefetch_ro(const void* p) noexcept {
     (void)p;
 #endif
 }
-
-/// Abstract engine; concrete classes also expose the same functions
-/// non-virtually for hot paths.
-class ReuseEngine {
-public:
-    virtual ~ReuseEngine() = default;
-
-    /// Processes one access and returns its reuse distance.
-    virtual std::uint64_t access(std::uint64_t line) = 0;
-
-    /// Forgets all history.
-    virtual void clear() = 0;
-
-    /// Number of distinct lines seen since clear().
-    [[nodiscard]] virtual std::uint64_t distinct_lines() const = 0;
-};
 
 }  // namespace spmvcache

@@ -47,7 +47,7 @@ std::int64_t KimEngine::pop_tail(std::uint32_t group_index) noexcept {
     return tail;
 }
 
-std::uint64_t KimEngine::access_one(std::uint64_t line) {
+std::uint64_t KimEngine::access(std::uint64_t line) {
     std::uint64_t distance = kInfiniteDistance;
     std::int64_t node_index = -1;
 
@@ -96,7 +96,7 @@ void KimEngine::access_batch(const std::uint64_t* lines,
     // speculatively to prefetch the node, then the node to prefetch the
     // prev/next nodes unlink() will touch. Speculative reads may observe
     // the map before intervening accesses mutate it — that only makes a
-    // prefetch useless, never wrong, and the access_one results are
+    // prefetch useless, never wrong, and the access results are
     // untouched.
     constexpr std::size_t kSlotAhead = 24;
     constexpr std::size_t kNodeAhead = 12;
@@ -128,7 +128,7 @@ void KimEngine::access_batch(const std::uint64_t* lines,
                 }
             }
         }
-        dists[i] = access_one(lines[i]);
+        dists[i] = access(lines[i]);
     }
 }
 

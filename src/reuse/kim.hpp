@@ -22,22 +22,21 @@ namespace spmvcache {
 /// Approximate engine with locality-independent per-access cost, for the
 /// tests and benches. The model runs CapacityStackEngine instead, which
 /// puts the group boundaries at the priced capacities.
-class KimEngine final : public ReuseEngine {
+class KimEngine {
 public:
     /// `group_capacity` trades accuracy (distances are +-capacity/2) for
     /// the number of groups. Pre: group_capacity >= 1.
     explicit KimEngine(std::uint64_t group_capacity = 512);
 
-    std::uint64_t access(std::uint64_t line) override { return access_one(line); }
-    void clear() override;
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
+    /// Processes one access and returns its approximate reuse distance
+    /// (one find_or_insert probe).
+    std::uint64_t access(std::uint64_t line);
+    /// Forgets all history.
+    void clear();
+    /// Number of distinct lines seen since clear().
+    [[nodiscard]] std::uint64_t distinct_lines() const {
         return line_count_;
     }
-
-    /// Non-virtual per-access path (one find_or_insert probe per access);
-    /// `access` forwards here, so hot loops templated on the concrete
-    /// engine pay no dispatch.
-    std::uint64_t access_one(std::uint64_t line);
 
     /// Processes `n` accesses, writing each reuse distance to `dists`.
     /// Identical results to n access() calls in order; a three-stage

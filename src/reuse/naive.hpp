@@ -12,11 +12,14 @@
 namespace spmvcache {
 
 /// Exact reuse distances via Mattson's stack algorithm with a linked list.
-class NaiveStackEngine final : public ReuseEngine {
+class NaiveStackEngine {
 public:
-    std::uint64_t access(std::uint64_t line) override;
-    void clear() override;
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
+    /// Processes one access and returns its reuse distance.
+    std::uint64_t access(std::uint64_t line);
+    /// Forgets all history.
+    void clear();
+    /// Number of distinct lines seen since clear().
+    [[nodiscard]] std::uint64_t distinct_lines() const {
         return stack_.size();
     }
 

@@ -32,7 +32,7 @@ std::uint64_t OlkenEngine::fenwick_prefix(std::size_t index) const noexcept {
     return sum;
 }
 
-std::uint64_t OlkenEngine::access_one(std::uint64_t line) {
+std::uint64_t OlkenEngine::access(std::uint64_t line) {
     // Disarmed this is one relaxed load; armed it lets chaos tests abort a
     // model run mid-pass to exercise the batch runner's stage isolation.
     fault::maybe_throw("reuse.access");
@@ -64,7 +64,7 @@ void OlkenEngine::access_batch(const std::uint64_t* lines,
     for (std::size_t i = 0; i < n; ++i) {
         if (i + kPrefetchAhead < n)
             last_access_.prefetch(lines[i + kPrefetchAhead]);
-        dists[i] = access_one(lines[i]);
+        dists[i] = access(lines[i]);
     }
 }
 

@@ -16,20 +16,20 @@ namespace spmvcache {
 
 /// Exact full-distance engine: reuse profiles, SampledEngine callers, the
 /// benches, and the reference the capacity stack is tested against.
-class OlkenEngine final : public ReuseEngine {
+class OlkenEngine {
 public:
     /// `expected_lines` presizes the hash map (purely a performance hint).
     explicit OlkenEngine(std::size_t expected_lines = 1024);
 
-    std::uint64_t access(std::uint64_t line) override { return access_one(line); }
-    void clear() override;
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
+    /// Processes one access and returns its reuse distance (one
+    /// find_or_insert probe).
+    std::uint64_t access(std::uint64_t line);
+    /// Forgets all history.
+    void clear();
+    /// Number of distinct lines seen since clear().
+    [[nodiscard]] std::uint64_t distinct_lines() const {
         return last_access_.size();
     }
-
-    /// Non-virtual per-access path (one find_or_insert probe per access);
-    /// `access` forwards here.
-    std::uint64_t access_one(std::uint64_t line);
 
     /// Processes `n` accesses, writing each reuse distance to `dists`.
     /// Identical results to n access() calls in order; a lookahead loop

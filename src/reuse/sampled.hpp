@@ -2,7 +2,7 @@
 // reuse-distance engine (trace/sample.hpp holds the filter and scaling
 // math; this adapter applies them around an engine's access paths).
 //
-// access_one / access_batch return full-trace distance *estimates* for
+// access / access_batch return full-trace distance *estimates* for
 // kept references (d_sampled / R, kInfiniteDistance preserved) and
 // kSkippedDistance for filtered ones; batches compact the kept lines
 // first so the wrapped engine's batch loop runs at full density and the
@@ -28,35 +28,31 @@ inline constexpr std::uint64_t kSkippedDistance = ~std::uint64_t{0} - 1;
 
 /// Adapter running any concrete engine on the sampled subtrace.
 template <class E>
-class SampledEngine final : public ReuseEngine {
+class SampledEngine {
 public:
     template <class... Args>
     explicit SampledEngine(SampleFilter filter, Args&&... args)
         : filter_(filter), engine_(std::forward<Args>(args)...) {}
 
-    std::uint64_t access(std::uint64_t line) override {
-        return access_one(line);
-    }
-
-    void clear() override {
+    void clear() {
         engine_.clear();
         sampled_refs_ = 0;
         skipped_refs_ = 0;
     }
 
     /// Scaled estimate of the full-trace distinct-line count.
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
+    [[nodiscard]] std::uint64_t distinct_lines() const {
         return static_cast<std::uint64_t>(std::llround(
             filter_.scale_count(static_cast<double>(engine_.distinct_lines()))));
     }
 
-    std::uint64_t access_one(std::uint64_t line) {
+    std::uint64_t access(std::uint64_t line) {
         if (!filter_.keep(line)) {
             ++skipped_refs_;
             return kSkippedDistance;
         }
         ++sampled_refs_;
-        return filter_.scale_distance(engine_.access_one(line));
+        return filter_.scale_distance(engine_.access(line));
     }
 
     /// Batch form: filter → compact → one dense batch through the wrapped

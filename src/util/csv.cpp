@@ -6,8 +6,7 @@
 
 namespace spmvcache {
 
-namespace {
-std::string escape(const std::string& field) {
+std::string csv_quote(const std::string& field) {
     if (field.find_first_of(",\"\n") == std::string::npos) return field;
     std::string quoted = "\"";
     for (char ch : field) {
@@ -17,7 +16,6 @@ std::string escape(const std::string& field) {
     quoted += '"';
     return quoted;
 }
-}  // namespace
 
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
     : out_(path), columns_(header.size()) {
@@ -35,7 +33,7 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
 void CsvWriter::emit(const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (i != 0) out_ << ',';
-        out_ << escape(cells[i]);
+        out_ << csv_quote(cells[i]);
     }
     out_ << '\n';
 }

@@ -8,6 +8,10 @@
 
 namespace spmvcache {
 
+/// One CSV field as RFC 4180 writes it: quoted when it holds a comma, a
+/// quote or a newline, with each quote inside doubled.
+[[nodiscard]] std::string csv_quote(const std::string& field);
+
 /// Minimal RFC-4180-style CSV writer (quotes fields containing separators).
 class CsvWriter {
 public:

@@ -281,6 +281,21 @@ TEST_F(BatchTest, CsvReportNamesFailuresWithStageAndCode) {
     EXPECT_NE(text.find(",ok,"), std::string::npos);
 }
 
+TEST_F(BatchTest, CsvReportQuotesNamesAndPathsWithCommasAndQuotes) {
+    add_valid("a,\"b\"");
+    const BatchReport report = run_batch(
+        collect_matrix_paths(dir_.string()).value(), fast_options());
+    std::ostringstream csv;
+    write_batch_report_csv(csv, report);
+    std::istringstream lines(csv.str());
+    std::string header, row;
+    ASSERT_TRUE(std::getline(lines, header) && std::getline(lines, row));
+    // Each field is quoted whole, with its quotes doubled.
+    const std::string want = "\"a,\"\"b\"\"\",\"" + dir_.string() +
+                             "/a,\"\"b\"\".mtx\",ok,";
+    EXPECT_EQ(row.substr(0, want.size()), want) << row;
+}
+
 TEST_F(BatchTest, JsonReportIsWellFormedEnoughToGrep) {
     add_corrupt("broken", "not a matrix at all\n");
     const BatchReport report = run_batch(

@@ -166,7 +166,7 @@ TEST_F(FaultTest, ReuseEngineAccessPointFires) {
     const std::uint64_t boundaries[] = {4};
     CapacityStackEngine stack(boundaries);
     expect_access_point_fires(
-        [&stack](std::uint64_t line) { return stack.access_one(line); },
+        [&stack](std::uint64_t line) { return stack.access(line); },
         stack.groups());  // off the stack
 }
 

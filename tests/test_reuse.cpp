@@ -238,7 +238,7 @@ void expect_class_exact(const std::vector<std::uint64_t>& lines,
         *std::max_element(capacities.begin(), capacities.end()));
     std::vector<std::uint64_t> want_misses(capacities.size(), 0);
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::uint32_t group = stack.access_one(lines[i]);
+        const std::uint32_t group = stack.access(lines[i]);
         counter.record(group);
         const std::uint64_t want =
             filter.scale_distance(olken.access(lines[i]));
@@ -327,17 +327,17 @@ TEST(CapacityStack, ReportsGroupIndices) {
     CapacityStackEngine e(boundaries);
     EXPECT_EQ(e.groups(), 2u);
     for (const std::uint64_t line : {1, 2, 3})
-        EXPECT_EQ(e.access_one(line), 2u);
-    EXPECT_EQ(e.access_one(1), 1u);  // true distance 2: group [2, 4)
-    EXPECT_EQ(e.access_one(1), 0u);  // distance 0: group [0, 2)
-    EXPECT_EQ(e.access_one(3), 0u);  // stack 1 3 2: distance 1
-    EXPECT_EQ(e.access_one(2), 1u);  // stack 3 1 2: distance 2
-    EXPECT_EQ(e.access_one(4), 2u);  // stack 4 2 3 1: full
+        EXPECT_EQ(e.access(line), 2u);
+    EXPECT_EQ(e.access(1), 1u);  // true distance 2: group [2, 4)
+    EXPECT_EQ(e.access(1), 0u);  // distance 0: group [0, 2)
+    EXPECT_EQ(e.access(3), 0u);  // stack 1 3 2: distance 1
+    EXPECT_EQ(e.access(2), 1u);  // stack 3 1 2: distance 2
+    EXPECT_EQ(e.access(4), 2u);  // stack 4 2 3 1: full
     EXPECT_EQ(e.resident_lines(), 4u);
-    EXPECT_EQ(e.access_one(5), 2u);  // 1 falls off
+    EXPECT_EQ(e.access(5), 2u);  // 1 falls off
     EXPECT_EQ(e.resident_lines(), 4u);
-    EXPECT_EQ(e.access_one(1), 2u);  // true distance 4
-    EXPECT_EQ(e.access_one(4), 1u);  // stack 1 5 4 2: distance 2
+    EXPECT_EQ(e.access(1), 2u);  // true distance 4
+    EXPECT_EQ(e.access(4), 1u);  // stack 1 5 4 2: distance 2
 }
 
 TEST(CapacityStack, BatchMatchesSerialForEveryChunking) {
@@ -346,7 +346,7 @@ TEST(CapacityStack, BatchMatchesSerialForEveryChunking) {
     CapacityStackEngine serial(priced.boundaries());
     std::vector<std::uint32_t> expected;
     for (const std::uint64_t line : lines)
-        expected.push_back(serial.access_one(line));
+        expected.push_back(serial.access(line));
     for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                     std::size_t{1024}, lines.size()}) {
         CapacityStackEngine batched(priced.boundaries());
@@ -374,14 +374,14 @@ void expect_close_matches_warm_up(const std::vector<std::uint64_t>& trace,
 
     CapacityMissCounter counted(capacities, filter);
     CapacityStackEngine warmed(counted.boundaries());
-    for (const std::uint64_t line : lines) (void)warmed.access_one(line);
+    for (const std::uint64_t line : lines) (void)warmed.access(line);
     for (const std::uint64_t line : lines)
-        counted.record(warmed.access_one(line));
+        counted.record(warmed.access(line));
 
     CapacityMissCounter closed(capacities, filter);
     CapacityStackEngine once(closed.boundaries());
     for (const std::uint64_t line : lines)
-        closed.record(once.access_one(line));
+        closed.record(once.access(line));
     const std::uint64_t resident = once.resident_lines();
     once.close_period([&](std::uint64_t, std::uint32_t group) {
         closed.resolve_cold(group);
@@ -452,7 +452,7 @@ TEST(CapacityStack, PeriodCloseMovesColdCountsIntoGroupZero) {
     CapacityMissCounter counter({2, 4});
     CapacityStackEngine engine(counter.boundaries());
     for (const std::uint64_t line : {1, 2, 1})
-        counter.record(engine.access_one(line));
+        counter.record(engine.access(line));
     EXPECT_EQ(counter.total_misses(2), 2u);
     EXPECT_EQ(counter.total_misses(4), 2u);
     std::vector<std::pair<std::uint64_t, std::uint32_t>> reported;

@@ -107,7 +107,7 @@ void expect_rate_one_bit_identical(Args&&... args) {
                                             : rng.bounded(30000) + 128);
     // Serial half.
     for (std::size_t i = 0; i < lines.size() / 2; ++i)
-        ASSERT_EQ(sampled.access_one(lines[i]), bare.access_one(lines[i]))
+        ASSERT_EQ(sampled.access(lines[i]), bare.access(lines[i]))
             << "ref " << i;
     // Batched half.
     const std::size_t half = lines.size() / 2;
@@ -147,7 +147,7 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
         std::uint64_t got = 0;
         if (i < lines.size() / 2) {
-            got = sampled.access_one(lines[i]);
+            got = sampled.access(lines[i]);
         } else {
             if (i == lines.size() / 2 || (i - lines.size() / 2) % 257 == 0) {
                 const std::size_t n =
@@ -159,7 +159,7 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
                     const std::uint64_t expected =
                         filter.keep(lines[i + k])
                             ? filter.scale_distance(
-                                  reference.access_one(lines[i + k]))
+                                  reference.access(lines[i + k]))
                             : kSkippedDistance;
                     ASSERT_EQ(dists[k], expected) << "ref " << i + k;
                     if (filter.keep(lines[i + k])) ++kept;
@@ -169,7 +169,7 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
         }
         const std::uint64_t expected =
             filter.keep(lines[i])
-                ? filter.scale_distance(reference.access_one(lines[i]))
+                ? filter.scale_distance(reference.access(lines[i]))
                 : kSkippedDistance;
         ASSERT_EQ(got, expected) << "ref " << i;
         if (filter.keep(lines[i])) ++kept;

@@ -187,6 +187,33 @@ void report_error(const Error& e) {
     return n;
 }
 
+/// The --report file of batch and kernelbench, and its format.
+struct ReportFile {
+    std::string path;  ///< empty: no --report, so nothing is written
+    std::string format;  ///< "csv" or "json"
+    std::ofstream out;
+};
+
+/// Reads --report and --format (csv or json; by default json for a path
+/// ending in ".json", csv otherwise) and opens the file, before the run
+/// it reports. Any other format is a usage error, and so is a file that
+/// cannot be opened.
+[[nodiscard]] Status open_report(const CliParser& cli, ReportFile& report) {
+    report.path = cli.get("report", "");
+    report.format = to_lower(
+        cli.get("format", report.path.ends_with(".json") ? "json" : "csv"));
+    if (report.format != "csv" && report.format != "json")
+        return Error(ErrorCode::ValidationError,
+                     "--format must be csv or json, not '" + report.format +
+                         "'");
+    if (report.path.empty()) return OkStatus();
+    report.out.open(report.path);
+    if (!report.out)
+        return Error(ErrorCode::ResourceError,
+                     "cannot write report '" + report.path + "'");
+    return OkStatus();
+}
+
 /// Reads the model flags predict and tune share (--threads, --jobs,
 /// --timeout, --approx) over the op's defaults in `options`. Out-of-range
 /// values are usage errors.
@@ -638,6 +665,11 @@ int cmd_batch(const CliParser& cli) {
         return kExitUsage;
     }
     options.sample_rate = rate.value();
+    ReportFile report_file;
+    if (const Status opened = open_report(cli, report_file); !opened.ok()) {
+        report_error(opened.error());
+        return kExitUsage;
+    }
 
     // SIGINT/SIGTERM drain the sweep instead of killing it: the current
     // matrix finishes, pending ones are recorded as Cancelled, and the
@@ -678,26 +710,13 @@ int cmd_batch(const CliParser& cli) {
                       << "/" << to_string(item.code) << "] " << item.message
                       << "\n";
 
-    const std::string report_path = cli.get("report", "");
-    if (!report_path.empty()) {
-        std::ofstream out(report_path);
-        if (!out) {
-            report_error(Error(ErrorCode::ResourceError,
-                               "cannot write report '" + report_path + "'"));
-            return kExitUsage;
-        }
-        const std::string format = to_lower(cli.get(
-            "format", report_path.size() > 5 &&
-                              report_path.substr(report_path.size() - 5) ==
-                                  ".json"
-                          ? "json"
-                          : "csv"));
-        if (format == "json")
-            write_batch_report_json(out, report);
+    if (report_file.out.is_open()) {
+        if (report_file.format == "json")
+            write_batch_report_json(report_file.out, report);
         else
-            write_batch_report_csv(out, report);
-        std::cout << "report written to " << report_path << " (" << format
-                  << ")\n";
+            write_batch_report_csv(report_file.out, report);
+        std::cout << "report written to " << report_file.path << " ("
+                  << report_file.format << ")\n";
     }
     return report.exit_code();
 }
@@ -919,6 +938,11 @@ int cmd_kernelbench(const CliParser& cli) {
         report_error(flags.error());
         return kExitUsage;
     }
+    ReportFile report;
+    if (const Status opened = open_report(cli, report); !opened.ok()) {
+        report_error(opened.error());
+        return kExitUsage;
+    }
     const Result<LoadedMatrix> loaded = load_handle(cli, 1);
     if (!loaded.ok()) {
         report_error(loaded.error());
@@ -1002,31 +1026,19 @@ int cmd_kernelbench(const CliParser& cli) {
                             std::to_string(iters) + " iterations, host " +
                             simd::to_string(simd::best().isa) + ":");
 
-    const std::string report_path = cli.get("report", "");
-    if (!report_path.empty()) {
-        std::ofstream out(report_path);
-        if (!out) {
-            report_error(Error(ErrorCode::ResourceError,
-                               "cannot write report '" + report_path + "'"));
-            return kExitUsage;
-        }
-        const std::string format = to_lower(cli.get(
-            "format", report_path.size() > 5 &&
-                              report_path.substr(report_path.size() - 5) ==
-                                  ".json"
-                          ? "json"
-                          : "csv"));
-        if (format == "json") {
+    if (report.out.is_open()) {
+        std::ostream& out = report.out;
+        if (report.format == "json") {
             out << "{\"threads\": " << threads << ", \"iters\": " << iters
-                << ", \"baseline_gflops\": " << base_gflops
+                << ", \"baseline_gflops\": " << json_double(base_gflops)
                 << ", \"host_simd\": \"" << simd::to_string(simd::best().isa)
                 << "\",\n \"variants\": [\n";
             for (std::size_t i = 0; i < rows.size(); ++i)
                 out << "  {\"variant\": \"" << rows[i].variant
                     << "\", \"resolved\": \""
                     << to_string(rows[i].info.variant)
-                    << "\", \"gflops\": " << rows[i].gflops
-                    << ", \"speedup\": " << rows[i].speedup
+                    << "\", \"gflops\": " << json_double(rows[i].gflops)
+                    << ", \"speedup\": " << json_double(rows[i].speedup)
                     << ", \"isa\": \"" << simd::to_string(rows[i].info.isa)
                     << "\", \"prefetch_distance\": "
                     << rows[i].info.prefetch_distance << "}"
@@ -1036,12 +1048,13 @@ int cmd_kernelbench(const CliParser& cli) {
             out << "variant,resolved,gflops,speedup,isa,prefetch_distance\n";
             for (const auto& row : rows)
                 out << row.variant << ',' << to_string(row.info.variant)
-                    << ',' << row.gflops << ',' << row.speedup << ','
+                    << ',' << json_double(row.gflops) << ','
+                    << json_double(row.speedup) << ','
                     << simd::to_string(row.info.isa) << ','
                     << row.info.prefetch_distance << "\n";
         }
-        std::cout << "report written to " << report_path << " (" << format
-                  << ")\n";
+        std::cout << "report written to " << report.path << " ("
+                  << report.format << ")\n";
     }
     return 0;
 }
