@@ -88,8 +88,9 @@ int main(int argc, char** argv) {
         const std::string spec =
             "stencil2d5:" +
             std::to_string(base + (i % (cold_count > 0 ? cold_count : 1)));
-        in_text << predict_line("s" + std::to_string(i), spec, threads)
-                << "\n";
+        std::string id = "s";
+        id += std::to_string(i);
+        in_text << predict_line(id, spec, threads) << "\n";
     }
     in_text << "{\"id\":\"end\",\"op\":\"shutdown\"}\n";
     std::istringstream in(in_text.str());

@@ -18,12 +18,18 @@ namespace {
 /// colidx[i + d] plus the values/colidx stream positions i + d are
 /// requested. Reads of colidx stay clamped inside [0, nnz); prefetches of
 /// one-past-range addresses are harmless (prefetch never faults).
+/// Distance 0 prefetches nothing: it runs the CsrScalar loop.
 template <class Idx>
 void csr_range_prefetch(const typename Idx::offset_type* rowptr,
                         const typename Idx::index_type* colidx,
                         const double* values, const double* x, double* y,
                         std::int64_t row_begin, std::int64_t row_end,
                         std::int64_t nnz, std::int64_t distance) {
+    if (distance == 0) {
+        simd::detail::csr_range_scalar<Idx>(rowptr, colidx, values, x, y,
+                                            row_begin, row_end);
+        return;
+    }
     const std::int64_t last = nnz > 0 ? nnz - 1 : 0;
     for (std::int64_t r = row_begin; r < row_end; ++r) {
         double acc = y[r];  // same accumulation order as spmv_csr
@@ -107,19 +113,10 @@ const char* to_string(KernelVariant variant) noexcept {
 template <class Idx>
 BasicKernelEngine<Idx>::BasicKernelEngine(const BasicCsrView<Idx>& a,
                                           const EngineOptions& options)
-    : BasicKernelEngine(a,
-                        RowPartition(a, resolve_threads(options.threads),
-                                     PartitionPolicy::BalancedNonzeros),
-                        options) {}
-
-template <class Idx>
-BasicKernelEngine<Idx>::BasicKernelEngine(const BasicCsrView<Idx>& a,
-                                          const RowPartition& partition,
-                                          const EngineOptions& options)
     : rows_(a.rows()), cols_(a.cols()), nnz_(a.nnz()),
-      partition_(partition) {
+      partition_(a, resolve_threads(options.threads),
+                 PartitionPolicy::BalancedNonzeros) {
     info_.threads = partition_.threads();
-    info_.first_touch = options.first_touch;
     info_.imbalance = partition_.imbalance(a);
     if (info_.threads > 1)
         team_ = std::make_unique<WorkerTeam>(
@@ -130,18 +127,18 @@ BasicKernelEngine<Idx>::BasicKernelEngine(const BasicCsrView<Idx>& a,
     switch (info_.variant) {
         case KernelVariant::SellScalar:
         case KernelVariant::SellSimd:
-            setup_sell(a, options);
+            setup_sell(a);
             break;
         case KernelVariant::CsrMerge:
-            setup_csr(a, options);
+            setup_csr(a);
             setup_merge(a);
             break;
         default:
-            setup_csr(a, options);
+            setup_csr(a);
             break;
     }
     if (info_.variant == KernelVariant::CsrPrefetch)
-        calibrate_prefetch(a, options);
+        calibrate_prefetch(options.prefetch_distance);
 }
 
 template <class Idx>
@@ -176,21 +173,13 @@ void BasicKernelEngine<Idx>::resolve_variant(const BasicCsrView<Idx>& a,
 }
 
 template <class Idx>
-void BasicKernelEngine<Idx>::setup_csr(const BasicCsrView<Idx>& a,
-                                       const EngineOptions& options) {
-    if (!options.first_touch) {
-        rowptr_ = a.rowptr();
-        colidx_ = a.colidx();
-        values_ = a.values();
-        return;
-    }
+void BasicKernelEngine<Idx>::setup_csr(const BasicCsrView<Idx>& a) {
     // First-touch copies: worker t writes (and therefore faults in) the
     // rowptr/colidx/values slices of its own row range.
-    own_rowptr_ = FirstTouchBuffer<offset_type>(
+    rowptr_ = FirstTouchBuffer<offset_type>(
         static_cast<std::size_t>(rows_) + 1);
-    own_colidx_ =
-        FirstTouchBuffer<index_type>(static_cast<std::size_t>(nnz_));
-    own_values_ = FirstTouchBuffer<double>(static_cast<std::size_t>(nnz_));
+    colidx_ = FirstTouchBuffer<index_type>(static_cast<std::size_t>(nnz_));
+    values_ = FirstTouchBuffer<double>(static_cast<std::size_t>(nnz_));
     const auto src_rowptr = a.rowptr();
     const auto src_colidx = a.colidx();
     const auto src_values = a.values();
@@ -202,25 +191,21 @@ void BasicKernelEngine<Idx>::setup_csr(const BasicCsrView<Idx>& a,
         const auto hi = static_cast<std::int64_t>(
             src_rowptr[static_cast<std::size_t>(range.end)]);
         for (std::int64_t r = range.begin; r < range.end; ++r)
-            own_rowptr_.data()[r] = src_rowptr[static_cast<std::size_t>(r)];
+            rowptr_.data()[r] = src_rowptr[static_cast<std::size_t>(r)];
         // Empty trailing ranges end at rows_ too; only the last range
         // writes the closing entry, so exactly one worker stores it.
         if (static_cast<std::int64_t>(t) + 1 == partition_.threads())
-            own_rowptr_.data()[rows_] =
+            rowptr_.data()[rows_] =
                 src_rowptr[static_cast<std::size_t>(rows_)];
         for (std::int64_t i = lo; i < hi; ++i) {
-            own_colidx_.data()[i] = src_colidx[static_cast<std::size_t>(i)];
-            own_values_.data()[i] = src_values[static_cast<std::size_t>(i)];
+            colidx_.data()[i] = src_colidx[static_cast<std::size_t>(i)];
+            values_.data()[i] = src_values[static_cast<std::size_t>(i)];
         }
     });
-    rowptr_ = own_rowptr_.span();
-    colidx_ = own_colidx_.span();
-    values_ = own_values_.span();
 }
 
 template <class Idx>
-void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a,
-                                        const EngineOptions& options) {
+void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a) {
     sell_.emplace(a, kSellChunk, kSellSigma);
     info_.sell_padding = sell_->padding_factor();
 
@@ -243,15 +228,9 @@ void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a,
         chunk_ranges_[static_cast<std::size_t>(t)] = RowRange{begin, k};
     }
 
-    if (!options.first_touch) {
-        sell_values_ = sell_->values();
-        sell_colidx_ = sell_->colidx();
-        return;
-    }
     // First-touch copies of the chunk-major arrays, sliced by chunk range.
-    sell_own_values_ = FirstTouchBuffer<double>(sell_->values().size());
-    sell_own_colidx_ =
-        FirstTouchBuffer<index_type>(sell_->colidx().size());
+    sell_values_ = FirstTouchBuffer<double>(sell_->values().size());
+    sell_colidx_ = FirstTouchBuffer<index_type>(sell_->colidx().size());
     const auto src_values = sell_->values();
     const auto src_colidx = sell_->colidx();
     dispatch([&](std::size_t t) {
@@ -260,14 +239,10 @@ void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a,
         const std::int64_t lo = offsets[static_cast<std::size_t>(range.begin)];
         const std::int64_t hi = offsets[static_cast<std::size_t>(range.end)];
         for (std::int64_t i = lo; i < hi; ++i) {
-            sell_own_values_.data()[i] =
-                src_values[static_cast<std::size_t>(i)];
-            sell_own_colidx_.data()[i] =
-                src_colidx[static_cast<std::size_t>(i)];
+            sell_values_.data()[i] = src_values[static_cast<std::size_t>(i)];
+            sell_colidx_.data()[i] = src_colidx[static_cast<std::size_t>(i)];
         }
     });
-    sell_values_ = sell_own_values_.span();
-    sell_colidx_ = sell_own_colidx_.span();
 }
 
 template <class Idx>
@@ -291,18 +266,18 @@ void BasicKernelEngine<Idx>::setup_merge(const BasicCsrView<Idx>& a) {
 }
 
 template <class Idx>
-void BasicKernelEngine<Idx>::calibrate_prefetch(const BasicCsrView<Idx>& a,
-                                                const EngineOptions& options) {
-    if (options.prefetch_distance > 0) {
-        info_.prefetch_distance = options.prefetch_distance;
+void BasicKernelEngine<Idx>::calibrate_prefetch(
+    std::int64_t pinned_distance) {
+    if (pinned_distance > 0) {
+        info_.prefetch_distance = pinned_distance;
         return;
     }
     // Short single-threaded calibration over a bounded row sample: time
     // each candidate distance twice, keep the best minimum. Distance 0
-    // (no prefetch) competes too, so calibration can turn prefetch off
-    // on cache-resident matrices.
+    // (the CsrScalar loop, no prefetch) competes too, so calibration can
+    // turn prefetch off on cache-resident matrices.
     static constexpr std::int64_t kCandidates[] = {0, 4, 8, 16, 32, 64};
-    const auto rowptr = rowptr_;
+    const auto rowptr = rowptr_.span();
     std::int64_t sample_rows = rows_;
     const std::int64_t nnz_budget = 1 << 21;
     if (nnz_ > nnz_budget) {
@@ -321,7 +296,6 @@ void BasicKernelEngine<Idx>::calibrate_prefetch(const BasicCsrView<Idx>& a,
     std::vector<double> y(static_cast<std::size_t>(sample_rows), 0.0);
     std::int64_t best = 16;
     double best_seconds = std::numeric_limits<double>::infinity();
-    (void)a;
     for (const std::int64_t d : kCandidates) {
         double seconds = std::numeric_limits<double>::infinity();
         for (int rep = 0; rep < 2; ++rep) {
@@ -389,33 +363,24 @@ void BasicKernelEngine<Idx>::run_csr(std::span<const double> x,
     double* yp = y.data();
     const std::int64_t nnz = nnz_;
     const std::int64_t distance = info_.prefetch_distance;
-    const KernelVariant variant = info_.variant;
+    const bool prefetch = info_.variant == KernelVariant::CsrPrefetch;
     using CsrRangeFn = typename simd::WidthKernels<Idx>::CsrRangeFn;
-    const CsrRangeFn scalar_fn = simd::scalar().get<Idx>().csr;
-    const CsrRangeFn simd_fn = variant == KernelVariant::CsrSimd
-                                   ? simd_.get<Idx>().csr
-                                   : scalar_fn;
+    const CsrRangeFn kernel = info_.variant == KernelVariant::CsrSimd
+                                  ? simd_.get<Idx>().csr
+                                  : simd::scalar().get<Idx>().csr;
     // Row ranges are disjoint and x is read-only, so all iterations run
     // inside one team dispatch with no inter-iteration barrier.
     dispatch([&](std::size_t t) {
         const RowRange& range =
             partition_.range(static_cast<std::int64_t>(t));
         for (std::int64_t it = 0; it < iterations; ++it) {
-            switch (variant) {
-                case KernelVariant::CsrPrefetch:
-                    csr_range_prefetch<Idx>(rowptr, colidx, values, xp, yp,
-                                            range.begin, range.end, nnz,
-                                            distance);
-                    break;
-                case KernelVariant::CsrSimd:
-                    simd_fn(rowptr, colidx, values, xp, yp, range.begin,
-                            range.end);
-                    break;
-                default:
-                    scalar_fn(rowptr, colidx, values, xp, yp, range.begin,
-                              range.end);
-                    break;
-            }
+            if (prefetch)
+                csr_range_prefetch<Idx>(rowptr, colidx, values, xp, yp,
+                                        range.begin, range.end, nnz,
+                                        distance);
+            else
+                kernel(rowptr, colidx, values, xp, yp, range.begin,
+                       range.end);
         }
     });
 }
@@ -489,21 +454,6 @@ void BasicKernelEngine<Idx>::run_merge(std::span<const double> x,
     }
 }
 
-template <class Idx>
-FirstTouchVector BasicKernelEngine<Idx>::make_vector(std::size_t n,
-                                                     double value) {
-    FirstTouchVector v(n);
-    const std::size_t workers =
-        static_cast<std::size_t>(info_.threads);
-    const std::size_t slice = (n + workers - 1) / workers;
-    dispatch([&](std::size_t t) {
-        const std::size_t begin = std::min(t * slice, n);
-        const std::size_t end = std::min(begin + slice, n);
-        for (std::size_t i = begin; i < end; ++i) v.data()[i] = value;
-    });
-    return v;
-}
-
 template class BasicKernelEngine<Idx32>;
 template class BasicKernelEngine<Idx64>;
 
@@ -513,16 +463,6 @@ AnyKernelEngine::AnyKernelEngine(const AnyCsrView& a,
         e32_ = std::make_unique<KernelEngine>(*a.as32(), options);
     else
         e64_ = std::make_unique<KernelEngine64>(*a.as64(), options);
-}
-
-AnyKernelEngine::AnyKernelEngine(const AnyCsrView& a,
-                                 const RowPartition& partition,
-                                 const EngineOptions& options) {
-    if (a.index_width() == IndexWidth::W32)
-        e32_ = std::make_unique<KernelEngine>(*a.as32(), partition, options);
-    else
-        e64_ =
-            std::make_unique<KernelEngine64>(*a.as64(), partition, options);
 }
 
 void AnyKernelEngine::run(std::span<const double> x, std::span<double> y) {
@@ -543,11 +483,6 @@ void AnyKernelEngine::run_iterations(std::span<const double> x,
 
 const EngineInfo& AnyKernelEngine::info() const noexcept {
     return e32_ ? e32_->info() : e64_->info();
-}
-
-FirstTouchVector AnyKernelEngine::make_vector(std::size_t n, double value) {
-    return e32_ ? e32_->make_vector(n, value)
-                : e64_->make_vector(n, value);
 }
 
 }  // namespace spmvcache

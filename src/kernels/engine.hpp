@@ -6,12 +6,13 @@
 // fixed row/chunk ranges, with kernel variants selected at runtime:
 //
 //   CsrScalar    the Listing-1 loop per row range (bit-identical to
-//                spmv_csr; the baseline every other variant is verified
-//                against)
+//                spmv_csr; the reference the benches time every other
+//                variant against)
 //   CsrPrefetch  scalar loop + __builtin_prefetch of the x[colidx[i+d]]
 //                gather and of the values/colidx streams at distance d
-//                (auto-calibrated unless EngineOptions pins it) — the
-//                software-prefetch lever of Alappat et al.
+//                (auto-calibrated unless EngineOptions pins it; d = 0 is
+//                the CsrScalar loop) — the software-prefetch lever of
+//                Alappat et al.
 //   CsrSimd      vectorized CSR rows via the simd.hpp shim
 //                (AVX2/AVX-512/NEON, scalar fallback)
 //   SellScalar / SellSimd
@@ -22,12 +23,11 @@
 //   Auto         picks a variant from matrix shape + host ISA; the
 //                heuristic is documented in DESIGN.md §5
 //
-// Worker i always executes range i (WorkerTeam guarantee), and with
-// EngineOptions::first_touch the engine's copies of the matrix arrays —
-// and any vector obtained from make_vector() — are first touched by their
-// owning worker, so pages land on the NUMA node that computes on them.
-// With threads == 1 the engine runs inline on the calling thread with no
-// team at all (the documented sequential fallback).
+// Worker i always executes range i (WorkerTeam guarantee), and the
+// engine's copies of the matrix arrays are first touched by their owning
+// worker, so pages land on the NUMA node that computes on them. With
+// threads == 1 the engine runs inline on the calling thread with no team
+// at all (the documented sequential fallback).
 #pragma once
 
 #include <cstdint>
@@ -75,10 +75,6 @@ struct EngineOptions {
     KernelVariant variant = KernelVariant::Auto;
     /// Lookahead (in nonzeros) for CsrPrefetch; 0 = auto-calibrate.
     std::int64_t prefetch_distance = 0;
-    /// Copy the matrix arrays into engine-owned storage, each slice first
-    /// touched by its owning worker. Off = borrow the caller's arrays
-    /// (zero setup cost; the matrix must outlive the engine).
-    bool first_touch = true;
 };
 
 /// Resolved configuration, surfaced through bench/CLI output.
@@ -89,7 +85,8 @@ struct EngineInfo {
     std::int64_t threads = 1;
     double sell_padding = 1.0;  ///< padded/logical nnz (SELL variants)
     double imbalance = 1.0;     ///< nnz imbalance of the row partition
-    bool first_touch = false;
+    /// Always true: every engine computes on first-touch copies.
+    bool first_touch = true;
 };
 
 /// Cache-line-aligned storage that is NOT zero-initialised at allocation,
@@ -141,9 +138,6 @@ private:
     std::size_t size_ = 0;
 };
 
-/// First-touch double storage for x/y vectors (see make_vector()).
-using FirstTouchVector = FirstTouchBuffer<double>;
-
 /// Persistent-team SpMV executor at one physical index width: construct
 /// once per matrix, run many iterations. run() computes y <- y + A x
 /// exactly like spmv_csr. `KernelEngine` (= the Idx32 instantiation) is
@@ -155,14 +149,10 @@ public:
     using index_type = typename Idx::index_type;
 
     /// Splits the rows by nonzeros over options.threads workers (SELL
-    /// splits by padded nonzeros and merge by path diagonals regardless).
-    /// A caller that needs another split passes its own partition.
+    /// splits by padded nonzeros and merge by path diagonals) and copies
+    /// the arrays the variant reads, each slice first touched by the
+    /// worker that computes on it; `a` need not outlive the engine.
     BasicKernelEngine(const BasicCsrView<Idx>& a,
-                      const EngineOptions& options);
-    /// Honors an externally supplied partition (its thread count wins
-    /// over options.threads).
-    BasicKernelEngine(const BasicCsrView<Idx>& a,
-                      const RowPartition& partition,
                       const EngineOptions& options);
     ~BasicKernelEngine();
 
@@ -181,19 +171,13 @@ public:
 
     [[nodiscard]] const EngineInfo& info() const noexcept { return info_; }
 
-    /// Allocates n doubles, each worker's slice first touched (and set to
-    /// `value`) by that worker — pair with run() for NUMA-local x/y.
-    [[nodiscard]] FirstTouchVector make_vector(std::size_t n, double value);
-
 private:
     void resolve_variant(const BasicCsrView<Idx>& a,
                          const EngineOptions& options);
-    void setup_csr(const BasicCsrView<Idx>& a, const EngineOptions& options);
-    void setup_sell(const BasicCsrView<Idx>& a,
-                    const EngineOptions& options);
+    void setup_csr(const BasicCsrView<Idx>& a);
+    void setup_sell(const BasicCsrView<Idx>& a);
     void setup_merge(const BasicCsrView<Idx>& a);
-    void calibrate_prefetch(const BasicCsrView<Idx>& a,
-                            const EngineOptions& options);
+    void calibrate_prefetch(std::int64_t pinned_distance);
     void dispatch(const std::function<void(std::size_t)>& body);
 
     void run_csr(std::span<const double> x, std::span<double> y,
@@ -210,22 +194,18 @@ private:
     RowPartition partition_;
     std::unique_ptr<WorkerTeam> team_;  ///< null when threads == 1
 
-    // CSR data: either borrowed from the source matrix or first-touch
-    // copies owned by the engine.
-    std::span<const offset_type> rowptr_;
-    std::span<const index_type> colidx_;
-    std::span<const double> values_;
-    FirstTouchBuffer<double> own_values_;
-    FirstTouchBuffer<offset_type> own_rowptr_;
-    FirstTouchBuffer<index_type> own_colidx_;
+    // CSR data: first-touch copies of the source matrix's arrays.
+    FirstTouchBuffer<offset_type> rowptr_;
+    FirstTouchBuffer<index_type> colidx_;
+    FirstTouchBuffer<double> values_;
 
-    // SELL data (built only for the Sell* variants).
+    // SELL data (built only for the Sell* variants): the geometry and
+    // permutation stay in sell_, the chunk-major arrays the kernel
+    // streams are first-touch copies.
     std::optional<BasicSellCSigmaMatrix<Idx>> sell_;
     std::vector<RowRange> chunk_ranges_;  ///< chunks owned per worker
-    FirstTouchBuffer<double> sell_own_values_;
-    FirstTouchBuffer<index_type> sell_own_colidx_;
-    std::span<const double> sell_values_;
-    std::span<const index_type> sell_colidx_;
+    FirstTouchBuffer<double> sell_values_;
+    FirstTouchBuffer<index_type> sell_colidx_;
 
     // Merge data: per-piece path coordinates and carry slots.
     std::vector<MergeCoordinate> piece_begin_;
@@ -248,17 +228,11 @@ extern template class BasicKernelEngine<Idx64>;
 class AnyKernelEngine {
 public:
     AnyKernelEngine(const AnyCsrView& a, const EngineOptions& options);
-    AnyKernelEngine(const AnyCsrView& a, const RowPartition& partition,
-                    const EngineOptions& options);
 
     void run(std::span<const double> x, std::span<double> y);
     void run_iterations(std::span<const double> x, std::span<double> y,
                         std::int64_t iterations);
     [[nodiscard]] const EngineInfo& info() const noexcept;
-    [[nodiscard]] FirstTouchVector make_vector(std::size_t n, double value);
-    [[nodiscard]] IndexWidth index_width() const noexcept {
-        return e32_ ? IndexWidth::W32 : IndexWidth::W64;
-    }
 
 private:
     // Exactly one is non-null (which one mirrors a.index_width()).

@@ -1,6 +1,5 @@
 #include "kernels/spmv.hpp"
 
-#include "kernels/engine.hpp"
 #include "util/error.hpp"
 
 namespace spmvcache {
@@ -29,23 +28,6 @@ void spmv_csr(const BasicCsrView<Idx>& a, std::span<const double> x,
 }
 
 template <class Idx>
-void spmv_csr_parallel(const BasicCsrView<Idx>& a, std::span<const double> x,
-                       std::span<double> y, const RowPartition& partition) {
-    SPMV_EXPECTS(x.size() == static_cast<std::size_t>(a.cols()));
-    SPMV_EXPECTS(y.size() == static_cast<std::size_t>(a.rows()));
-    // Execute on the kernel engine's WorkerTeam, so a partition with N
-    // ranges runs on N threads. The scalar variant keeps the per-row
-    // accumulation order of spmv_csr, so results stay bitwise identical to
-    // the sequential kernel. With partition.threads() == 1 the engine runs
-    // inline on the calling thread — the documented sequential fallback.
-    EngineOptions options;
-    options.variant = KernelVariant::CsrScalar;
-    options.first_touch = false;  // transient: borrow the caller's arrays
-    BasicKernelEngine<Idx> engine(a, partition, options);
-    engine.run(x, y);
-}
-
-template <class Idx>
 void spmv_csr_overwrite(const BasicCsrView<Idx>& a, std::span<const double> x,
                         std::span<double> y) {
     SPMV_EXPECTS(y.size() == static_cast<std::size_t>(a.rows()));
@@ -57,14 +39,6 @@ template void spmv_csr<Idx32>(const BasicCsrView<Idx32>&,
                               std::span<const double>, std::span<double>);
 template void spmv_csr<Idx64>(const BasicCsrView<Idx64>&,
                               std::span<const double>, std::span<double>);
-template void spmv_csr_parallel<Idx32>(const BasicCsrView<Idx32>&,
-                                       std::span<const double>,
-                                       std::span<double>,
-                                       const RowPartition&);
-template void spmv_csr_parallel<Idx64>(const BasicCsrView<Idx64>&,
-                                       std::span<const double>,
-                                       std::span<double>,
-                                       const RowPartition&);
 template void spmv_csr_overwrite<Idx32>(const BasicCsrView<Idx32>&,
                                         std::span<const double>,
                                         std::span<double>);

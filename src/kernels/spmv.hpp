@@ -1,14 +1,15 @@
 // Executable CSR SpMV kernels — the code of Listing 1, runnable on the
 // host. The trace generator and simulator *model* these kernels; the tests
 // cross-check that modelled and executed access patterns agree, and the
-// microbenchmarks time them natively.
+// microbenchmarks time them natively. Parallel products run on the kernel
+// engine (kernels/engine.hpp), whose every variant is checked against
+// spmv_csr.
 #pragma once
 
 #include <span>
 
 #include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
-#include "sparse/partition.hpp"
 
 namespace spmvcache {
 
@@ -18,17 +19,6 @@ namespace spmvcache {
 template <class Idx>
 void spmv_csr(const BasicCsrView<Idx>& a, std::span<const double> x,
               std::span<double> y);
-
-/// y <- y + A x with row-parallelism over `partition`'s ranges, executed
-/// on a transient KernelEngine WorkerTeam (one std::thread per range; a
-/// 1-range partition runs sequentially inline). Bitwise identical to
-/// spmv_csr. For repeated
-/// products construct a KernelEngine directly — it keeps the team, the
-/// first-touch data placement and the tuned kernel variant alive across
-/// iterations instead of paying setup per call.
-template <class Idx>
-void spmv_csr_parallel(const BasicCsrView<Idx>& a, std::span<const double> x,
-                       std::span<double> y, const RowPartition& partition);
 
 /// y <- A x (overwrite), sequential; convenience for solvers.
 template <class Idx>
@@ -41,14 +31,6 @@ extern template void spmv_csr<Idx32>(const BasicCsrView<Idx32>&,
 extern template void spmv_csr<Idx64>(const BasicCsrView<Idx64>&,
                                      std::span<const double>,
                                      std::span<double>);
-extern template void spmv_csr_parallel<Idx32>(const BasicCsrView<Idx32>&,
-                                              std::span<const double>,
-                                              std::span<double>,
-                                              const RowPartition&);
-extern template void spmv_csr_parallel<Idx64>(const BasicCsrView<Idx64>&,
-                                              std::span<const double>,
-                                              std::span<double>,
-                                              const RowPartition&);
 extern template void spmv_csr_overwrite<Idx32>(const BasicCsrView<Idx32>&,
                                                std::span<const double>,
                                                std::span<double>);
@@ -62,13 +44,6 @@ template <class Idx>
 void spmv_csr(const BasicCsrMatrix<Idx>& a, std::span<const double> x,
               std::span<double> y) {
     spmv_csr(BasicCsrView<Idx>(a), x, y);
-}
-
-template <class Idx>
-void spmv_csr_parallel(const BasicCsrMatrix<Idx>& a,
-                       std::span<const double> x, std::span<double> y,
-                       const RowPartition& partition) {
-    spmv_csr_parallel(BasicCsrView<Idx>(a), x, y, partition);
 }
 
 template <class Idx>

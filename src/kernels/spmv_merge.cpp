@@ -1,7 +1,6 @@
 #include "kernels/spmv_merge.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/error.hpp"
 
@@ -30,72 +29,9 @@ MergeCoordinate merge_path_search(const BasicCsrView<Idx>& a,
     return MergeCoordinate{lo, diagonal - lo};
 }
 
-template <class Idx>
-void spmv_csr_merge(const BasicCsrView<Idx>& a, std::span<const double> x,
-                    std::span<double> y, std::int64_t pieces) {
-    SPMV_EXPECTS(pieces >= 1);
-    SPMV_EXPECTS(x.size() == static_cast<std::size_t>(a.cols()));
-    SPMV_EXPECTS(y.size() == static_cast<std::size_t>(a.rows()));
-    const auto rowptr = a.rowptr();
-    const auto colidx = a.colidx();
-    const auto values = a.values();
-    const std::int64_t path_length = a.rows() + a.nnz();
-    const std::int64_t chunk = (path_length + pieces - 1) / pieces;
-
-    // Per-piece carry-out: the partial sum of the row each piece ends in.
-    std::vector<std::int64_t> carry_row(static_cast<std::size_t>(pieces), -1);
-    std::vector<double> carry_value(static_cast<std::size_t>(pieces), 0.0);
-
-    for (std::int64_t p = 0; p < pieces; ++p) {
-        const std::int64_t diag_begin = std::min(p * chunk, path_length);
-        const std::int64_t diag_end = std::min(diag_begin + chunk,
-                                               path_length);
-        MergeCoordinate cur = merge_path_search(a, diag_begin);
-        const MergeCoordinate end = merge_path_search(a, diag_end);
-
-        double acc = 0.0;
-        while (cur.row < end.row) {
-            // Consume the rest of the current row, then emit it.
-            for (; cur.nonzero < rowptr[static_cast<std::size_t>(cur.row) + 1];
-                 ++cur.nonzero) {
-                acc += values[static_cast<std::size_t>(cur.nonzero)] *
-                       x[static_cast<std::size_t>(
-                           colidx[static_cast<std::size_t>(cur.nonzero)])];
-            }
-            y[static_cast<std::size_t>(cur.row)] += acc;
-            acc = 0.0;
-            ++cur.row;
-        }
-        // Partial row at the end of the piece: keep as carry-out.
-        for (; cur.nonzero < end.nonzero; ++cur.nonzero) {
-            acc += values[static_cast<std::size_t>(cur.nonzero)] *
-                   x[static_cast<std::size_t>(
-                       colidx[static_cast<std::size_t>(cur.nonzero)])];
-        }
-        if (cur.row < a.rows()) {
-            carry_row[static_cast<std::size_t>(p)] = cur.row;
-            carry_value[static_cast<std::size_t>(p)] = acc;
-        }
-    }
-
-    // Carry fix-up (sequential, cheap: one addition per piece).
-    for (std::int64_t p = 0; p < pieces; ++p) {
-        if (carry_row[static_cast<std::size_t>(p)] >= 0)
-            y[static_cast<std::size_t>(
-                carry_row[static_cast<std::size_t>(p)])] +=
-                carry_value[static_cast<std::size_t>(p)];
-    }
-}
-
 template MergeCoordinate merge_path_search<Idx32>(const BasicCsrView<Idx32>&,
                                                   std::int64_t);
 template MergeCoordinate merge_path_search<Idx64>(const BasicCsrView<Idx64>&,
                                                   std::int64_t);
-template void spmv_csr_merge<Idx32>(const BasicCsrView<Idx32>&,
-                                    std::span<const double>,
-                                    std::span<double>, std::int64_t);
-template void spmv_csr_merge<Idx64>(const BasicCsrView<Idx64>&,
-                                    std::span<const double>,
-                                    std::span<double>, std::int64_t);
 
 }  // namespace spmvcache

@@ -1,14 +1,15 @@
-// Merge-based CSR SpMV after Merrill & Garland [PPoPP'16], which the paper
-// names as the standard mitigation for row-imbalanced matrices (§2.1).
+// Merge-path search for merge-based CSR SpMV after Merrill & Garland
+// [PPoPP'16], which the paper names as the standard mitigation for
+// row-imbalanced matrices (§2.1).
 //
 // The (rowptr, nonzero-index) merge path is split into equal-length
 // diagonals, so every thread does the same amount of work regardless of
 // how nonzeros are distributed over rows; rows straddling a boundary are
-// combined through partial-sum carry-out.
+// combined through partial-sum carry-out. The kernel engine's CsrMerge
+// variant (kernels/engine.hpp) runs the pieces, one per worker.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
@@ -28,37 +29,17 @@ template <class Idx>
 [[nodiscard]] MergeCoordinate merge_path_search(const BasicCsrView<Idx>& a,
                                                 std::int64_t diagonal);
 
-/// y <- y + A x using the merge-based decomposition into `pieces` equal
-/// chunks (sequentially executed chunk loop; each chunk is independent
-/// except for the carry, which is fixed up afterwards).
-/// Pre: pieces >= 1, x.size() == cols, y.size() == rows.
-template <class Idx>
-void spmv_csr_merge(const BasicCsrView<Idx>& a, std::span<const double> x,
-                    std::span<double> y, std::int64_t pieces);
-
 extern template MergeCoordinate merge_path_search<Idx32>(
     const BasicCsrView<Idx32>&, std::int64_t);
 extern template MergeCoordinate merge_path_search<Idx64>(
     const BasicCsrView<Idx64>&, std::int64_t);
-extern template void spmv_csr_merge<Idx32>(const BasicCsrView<Idx32>&,
-                                           std::span<const double>,
-                                           std::span<double>, std::int64_t);
-extern template void spmv_csr_merge<Idx64>(const BasicCsrView<Idx64>&,
-                                           std::span<const double>,
-                                           std::span<double>, std::int64_t);
 
-// Owning-matrix conveniences (deduction cannot see through the implicit
+// Owning-matrix convenience (deduction cannot see through the implicit
 // matrix -> view conversion).
 template <class Idx>
 [[nodiscard]] MergeCoordinate merge_path_search(const BasicCsrMatrix<Idx>& a,
                                                 std::int64_t diagonal) {
     return merge_path_search(BasicCsrView<Idx>(a), diagonal);
-}
-
-template <class Idx>
-void spmv_csr_merge(const BasicCsrMatrix<Idx>& a, std::span<const double> x,
-                    std::span<double> y, std::int64_t pieces) {
-    spmv_csr_merge(BasicCsrView<Idx>(a), x, y, pieces);
 }
 
 }  // namespace spmvcache

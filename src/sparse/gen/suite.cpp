@@ -28,7 +28,11 @@ std::int64_t lerp_size(double t, double lo, double hi, double scale) {
     return std::max<std::int64_t>(4, static_cast<std::int64_t>(v));
 }
 
-std::string size_tag(std::int64_t n) { return "@" + std::to_string(n); }
+std::string size_tag(std::int64_t n) {
+    std::string tag = "@";
+    tag += std::to_string(n);
+    return tag;
+}
 
 const std::vector<Family>& families() {
     static const std::vector<Family> kFamilies = {

@@ -13,9 +13,10 @@ namespace {
 std::vector<gen::MatrixSpec> tiny_suite(int n) {
     std::vector<gen::MatrixSpec> suite;
     for (int i = 0; i < n; ++i) {
+        std::string name = "m";
+        name += std::to_string(i);
         suite.push_back(gen::MatrixSpec{
-            "m" + std::to_string(i), "stencil",
-            [i] { return gen::stencil_2d_5pt(4 + i, 4); }});
+            name, "stencil", [i] { return gen::stencil_2d_5pt(4 + i, 4); }});
     }
     return suite;
 }
@@ -28,7 +29,7 @@ TEST(Collection, PreservesSuiteOrder) {
     ASSERT_EQ(outcomes.size(), 6u);
     for (int i = 0; i < 6; ++i) {
         EXPECT_EQ(outcomes[static_cast<std::size_t>(i)].name,
-                  "m" + std::to_string(i));
+                  suite[static_cast<std::size_t>(i)].name);
         EXPECT_TRUE(outcomes[static_cast<std::size_t>(i)].ok);
         EXPECT_EQ(outcomes[static_cast<std::size_t>(i)].result,
                   (4 + i) * 4);

@@ -1,7 +1,8 @@
 // Tests for the kernel engine: every variant against the sequential
-// spmv_csr reference across team sizes and first-touch modes, the
-// bit-exactness contract of the scalar/prefetch variants, multi-iteration
-// semantics, variant parsing, and the kernel.exec fault point.
+// spmv_csr reference across team sizes, the merge variant on the inputs
+// that stress its carry fix-up, the bit-exactness contract of the
+// scalar/prefetch variants, multi-iteration semantics, variant parsing,
+// and the kernel.exec fault point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,20 +41,21 @@ bool is_bitwise(KernelVariant v) {
 }
 
 class EngineDifferential
-    : public testing::TestWithParam<
-          std::tuple<KernelVariant, std::int64_t, bool>> {};
+    : public testing::TestWithParam<std::tuple<KernelVariant, std::int64_t>> {
+};
 
+/// `<variant>_t<threads>_touch`: every engine computes on first-touch
+/// copies of the matrix arrays.
 std::string differential_name(
     const testing::TestParamInfo<EngineDifferential::ParamType>& info) {
     std::string name = to_string(std::get<0>(info.param));
     for (auto& ch : name)
         if (ch == '-') ch = '_';
-    return name + "_t" + std::to_string(std::get<1>(info.param)) +
-           (std::get<2>(info.param) ? "_touch" : "_borrow");
+    return name + "_t" + std::to_string(std::get<1>(info.param)) + "_touch";
 }
 
 TEST_P(EngineDifferential, MatchesSequentialKernel) {
-    const auto [variant, threads, first_touch] = GetParam();
+    const auto [variant, threads] = GetParam();
     const CsrMatrix a = gen::random_variable_rows(353, 353, 9.0, 1.5, 21);
     const auto x = random_vector(353, 1);
     auto y_ref = random_vector(353, 2);
@@ -63,10 +65,10 @@ TEST_P(EngineDifferential, MatchesSequentialKernel) {
     EngineOptions options;
     options.threads = threads;
     options.variant = variant;
-    options.first_touch = first_touch;
     KernelEngine engine(a, options);
     EXPECT_EQ(engine.info().variant, variant);
     EXPECT_EQ(engine.info().threads, threads);
+    EXPECT_TRUE(engine.info().first_touch);
     engine.run(x, y_eng);
 
     for (std::size_t r = 0; r < y_ref.size(); ++r) {
@@ -87,9 +89,64 @@ INSTANTIATE_TEST_SUITE_P(
     VariantsThreadsTouch, EngineDifferential,
     testing::Combine(testing::ValuesIn(kAllVariants),
                      testing::Values(std::int64_t{1}, std::int64_t{2},
-                                     std::int64_t{5}),
-                     testing::Bool()),
+                                     std::int64_t{5})),
     differential_name);
+
+/// Runs the merge variant on `threads` workers from the same seed
+/// vectors as spmv_csr; merge reorders the per-row sums, so the check is
+/// fma-tolerant.
+void expect_merge_matches(const CsrMatrix& a, std::int64_t threads,
+                          std::uint64_t seed) {
+    const auto x = random_vector(static_cast<std::size_t>(a.cols()), seed);
+    auto y_ref = random_vector(static_cast<std::size_t>(a.rows()), seed + 1);
+    auto y_eng = y_ref;
+    spmv_csr(a, x, y_ref);
+    EngineOptions options;
+    options.threads = threads;
+    options.variant = KernelVariant::CsrMerge;
+    KernelEngine engine(a, options);
+    engine.run(x, y_eng);
+    for (std::size_t r = 0; r < y_ref.size(); ++r)
+        EXPECT_NEAR(y_eng[r], y_ref[r],
+                    1e-12 * std::max(std::abs(y_ref[r]), 1.0))
+            << threads << " threads, row " << r;
+}
+
+TEST(SpmvMerge, MatchesStandardCsr) {
+    const CsrMatrix a = gen::random_uniform(300, 250, 6, 9);
+    for (const std::int64_t threads : {1, 2, 7})
+        expect_merge_matches(a, threads, 10);
+    // Fewer rows than threads: the pieces split rows, which the carry
+    // fix-up completes.
+    const CsrMatrix few = gen::random_uniform(5, 64, 12, 11);
+    expect_merge_matches(few, 8, 12);
+}
+
+TEST(SpmvMerge, HandlesSkewedRowsAcrossPieceBoundaries) {
+    // One 500-nonzero row followed by many empty and tiny rows: rows
+    // straddle piece boundaries, exercising the carry fix-up.
+    CsrBuilder b(50, 512);
+    for (int c = 0; c < 500; ++c) b.push(0, c, 0.01);
+    for (int r = 10; r < 50; r += 3)
+        b.push(r, static_cast<std::int32_t>(r), 1.0);
+    const CsrMatrix a = std::move(b).finish();
+    for (const std::int64_t threads : {3, 8, 16})
+        expect_merge_matches(a, threads, 13);
+}
+
+TEST(SpmvMerge, EmptyMatrix) {
+    // More threads than rows and no nonzeros: every piece walks row ends
+    // only, and y stays as it was.
+    CsrBuilder b(4, 4);
+    const CsrMatrix a = std::move(b).finish();
+    EngineOptions options;
+    options.threads = 8;
+    options.variant = KernelVariant::CsrMerge;
+    KernelEngine engine(a, options);
+    std::vector<double> x(4, 1.0), y(4, 2.0);
+    engine.run(x, y);
+    for (const double v : y) EXPECT_DOUBLE_EQ(v, 2.0);
+}
 
 TEST(KernelEngine, RunIterationsEqualsRepeatedRuns) {
     const CsrMatrix a = gen::random_uniform(200, 200, 8, 3);
@@ -160,27 +217,6 @@ TEST(KernelEngine, PrefetchDistanceIsSurfacedAndPinnable) {
         EXPECT_EQ(std::memcmp(&y_ref[r], &y_eng[r], sizeof(double)), 0);
 }
 
-TEST(KernelEngine, ExternalPartitionThreadCountWins) {
-    const CsrMatrix a = gen::random_uniform(120, 120, 6, 17);
-    const RowPartition partition(a, 4, PartitionPolicy::BalancedRows);
-    EngineOptions options;
-    options.threads = 1;  // overridden by the partition
-    options.variant = KernelVariant::CsrScalar;
-    KernelEngine engine(a, partition, options);
-    EXPECT_EQ(engine.info().threads, 4);
-}
-
-TEST(KernelEngine, MakeVectorFillsEverySlot) {
-    const CsrMatrix a = gen::random_uniform(97, 97, 5, 19);
-    EngineOptions options;
-    options.threads = 3;
-    KernelEngine engine(a, options);
-    const FirstTouchVector v = engine.make_vector(97, 2.5);
-    ASSERT_EQ(v.size(), 97u);
-    for (std::size_t i = 0; i < v.size(); ++i)
-        EXPECT_DOUBLE_EQ(v.data()[i], 2.5) << "slot " << i;
-}
-
 TEST(KernelEngine, EmptyMatrix) {
     CsrBuilder b(10, 10);
     const CsrMatrix a = std::move(b).finish();
@@ -194,25 +230,6 @@ TEST(KernelEngine, EmptyMatrix) {
         engine.run(x, y);
         for (const double e : y)
             EXPECT_DOUBLE_EQ(e, 3.5) << to_string(v);
-    }
-}
-
-TEST(KernelEngine, SpmvCsrParallelStaysBitwiseOnEngine) {
-    // The public entry point now routes through the engine; its contract
-    // of matching the sequential kernel exactly must survive the move.
-    const CsrMatrix a = gen::random_variable_rows(500, 500, 7.0, 2.0, 29);
-    const auto x = random_vector(500, 30);
-    auto y_seq = random_vector(500, 31);
-    auto y_par = y_seq;
-    spmv_csr(a, x, y_seq);
-    for (const std::int64_t threads : {1, 2, 7}) {
-        auto y = y_par;
-        const RowPartition partition(a, threads,
-                                     PartitionPolicy::BalancedNonzeros);
-        spmv_csr_parallel(a, x, y, partition);
-        for (std::size_t r = 0; r < 500; ++r)
-            EXPECT_EQ(std::memcmp(&y_seq[r], &y[r], sizeof(double)), 0)
-                << threads << " threads, row " << r;
     }
 }
 

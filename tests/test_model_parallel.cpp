@@ -118,8 +118,8 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, ModelParallelTest,
     testing::Values(PartitionPolicy::BalancedRows,
                     PartitionPolicy::BalancedNonzeros),
-    [](const testing::TestParamInfo<PartitionPolicy>& info) {
-        return info.param == PartitionPolicy::BalancedRows
+    [](const testing::TestParamInfo<PartitionPolicy>& param_info) {
+        return param_info.param == PartitionPolicy::BalancedRows
                    ? "BalancedRows"
                    : "BalancedNonzeros";
     });

@@ -241,8 +241,8 @@ TEST(SectorQuota, ReTaggingHitsMayTransientlyExceedQuota) {
     SectorCache cache(CacheConfig{4 * 4 * 16, 16, 4, 1});
     cache.fill(0, 0, false, false);
     cache.fill(4, 0, false, false);
-    cache.lookup(0, 1, false);
-    cache.lookup(4, 1, false);
+    EXPECT_TRUE(cache.lookup(0, 1, false).hit);
+    EXPECT_TRUE(cache.lookup(4, 1, false).hit);
     EXPECT_EQ(cache.occupancy(1), 2u);  // over the 1-way quota, transiently
     // The next sector-1 fill to the set evicts within sector 1.
     cache.fill(8, 1, false, false);

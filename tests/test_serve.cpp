@@ -373,9 +373,11 @@ TEST(ServeServer, BackpressureRejectsBeyondQueueCapacity) {
     options.max_retries = 0;
     Server server(options);
     std::ostringstream in_text;
-    for (int i = 0; i < 4; ++i)
-        in_text << predict_line("p" + std::to_string(i), "stencil2d5:16")
-                << "\n";
+    for (int i = 0; i < 4; ++i) {
+        std::string id = "p";
+        id += std::to_string(i);
+        in_text << predict_line(id, "stencil2d5:16") << "\n";
+    }
     in_text << "{\"id\":\"h\",\"op\":\"health\"}\n";
     in_text << "{\"id\":\"end\",\"op\":\"shutdown\"}\n";
     std::istringstream in(in_text.str());
@@ -490,8 +492,10 @@ TEST(ServeServer, StatsSnapshotsStayConsistentWhileServing) {
         for (int i = 0; i < kRequestsPerWriter; ++i) {
             const std::string spec =
                 (i % 2 == 0) ? "stencil2d5:16" : "banded:128";
-            const std::string line = server.handle_line(predict_line(
-                "w" + std::to_string(w) + "n" + std::to_string(i), spec));
+            std::string id = "w";
+            id += std::to_string(w) + "n" + std::to_string(i);
+            const std::string line =
+                server.handle_line(predict_line(id, spec));
             EXPECT_TRUE(response_ok(line)) << line;
         }
     };
@@ -571,10 +575,9 @@ TEST(ServeSoak, ThousandMixedRequestsUnderInjectedFaults) {
             default: {
                 const std::size_t which =
                     static_cast<std::size_t>(i) % specs.size();
-                in_text << predict_line(
-                               "p" + std::to_string(which) + "x" + n,
-                               specs[which])
-                        << "\n";
+                std::string id = "p";
+                id += std::to_string(which) + "x" + n;
+                in_text << predict_line(id, specs[which]) << "\n";
                 break;
             }
         }
