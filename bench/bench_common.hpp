@@ -110,8 +110,9 @@ inline std::string source_commit() {
 ///    "metrics": [{"name", "unit", "value", "reps"}, ...]}
 ///
 /// `params` are the sizes, counts, rates and ISA the run used; `metrics`
-/// what it measured. Numbers are written at shortest round trip. A
-/// harness writes its record only after every check of the run passed.
+/// what it measured. Integral params are written as integers, every
+/// other number at shortest round trip. A harness writes its record only
+/// after every check of the run passed.
 class BenchRecord {
 public:
     BenchRecord(std::string bench, bool smoke)
@@ -120,7 +121,10 @@ public:
     template <class Number>
         requires std::is_arithmetic_v<Number>
     void param(const std::string& name, Number value) {
-        params_.emplace_back(name, json_double(static_cast<double>(value)));
+        if constexpr (std::is_integral_v<Number>)
+            params_.emplace_back(name, std::to_string(value));
+        else
+            params_.emplace_back(name, json_double(static_cast<double>(value)));
     }
     void param(const std::string& name, const std::string& value) {
         params_.emplace_back(name, json_quote(value));
@@ -136,9 +140,12 @@ public:
 
     /// Writes the record to `path`; false, with a message, when it cannot.
     [[nodiscard]] bool write(const std::string& path) const {
+        // Asked before `path` is truncated: a record written over its own
+        // tracked copy must not make the tree it names look dirty.
+        const std::string commit = source_commit();
         std::ofstream out(path);
         out << "{\"bench\": " << json_quote(bench_)
-            << ", \"commit\": " << json_quote(source_commit())
+            << ", \"commit\": " << json_quote(commit)
             << ", \"host_cores\": " << std::thread::hardware_concurrency()
             << ", \"build_type\": " << json_quote(SPMV_BENCH_BUILD_TYPE)
             << ", \"smoke\": " << (smoke_ ? "true" : "false")

@@ -34,7 +34,5 @@ run bench_table2 "$@"
 run bench_table3 "$@"
 "$BUILD/bench/bench_overhead" "$@" | tee "$OUT/bench_overhead.txt"
 "$BUILD/bench/bench_ablation" "$@" | tee "$OUT/bench_ablation.txt"
-"$BUILD/bench/bench_micro" --benchmark_min_time=0.05s \
-    | tee "$OUT/bench_micro.txt"
 
 echo "all outputs in $OUT/"

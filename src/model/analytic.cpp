@@ -21,8 +21,8 @@ StreamingMisses streaming_misses(std::int64_t rows, std::int64_t nnz,
     auto lines_for = [line_bytes](std::uint64_t elems,
                                   std::uint64_t elem_bytes) {
         std::uint64_t bytes = 0, rounded = 0;
-        SPMV_EXPECT(checked_mul(elems, elem_bytes, bytes));
-        SPMV_EXPECT(checked_add(bytes, line_bytes - 1, rounded));
+        SPMV_EXPECTS(checked_mul(elems, elem_bytes, bytes));
+        SPMV_EXPECTS(checked_add(bytes, line_bytes - 1, rounded));
         return rounded / line_bytes;
     };
     StreamingMisses s;

@@ -1,6 +1,7 @@
 #include "model/classify.hpp"
 
 #include "util/checked.hpp"
+#include "util/error.hpp"
 
 namespace spmvcache {
 
@@ -24,18 +25,18 @@ MatrixClass classify(const MatrixStats& stats, std::uint64_t cache_bytes,
     // would misclassify silently (class (3b) looking like (1)), so every
     // product and sum is overflow-checked.
     std::uint64_t x_bytes = 0, y_bytes = 0, rowptr_bytes = 0;
-    SPMV_EXPECT(checked_mul<std::uint64_t>(
+    SPMV_EXPECTS(checked_mul<std::uint64_t>(
         static_cast<std::uint64_t>(stats.cols), 8, x_bytes));
-    SPMV_EXPECT(checked_mul<std::uint64_t>(
+    SPMV_EXPECTS(checked_mul<std::uint64_t>(
         static_cast<std::uint64_t>(stats.rows), 8, y_bytes));
-    SPMV_EXPECT(checked_mul<std::uint64_t>(
+    SPMV_EXPECTS(checked_mul<std::uint64_t>(
         static_cast<std::uint64_t>(stats.rows) + 1,
         rowptr_width_bytes(stats.index_width), rowptr_bytes));
 
     if (stats.working_set_bytes <= cache_bytes) return MatrixClass::Class1;
     std::uint64_t vectors_bytes = 0;
-    SPMV_EXPECT(checked_add(x_bytes, y_bytes, vectors_bytes));
-    SPMV_EXPECT(checked_add(vectors_bytes, rowptr_bytes, vectors_bytes));
+    SPMV_EXPECTS(checked_add(x_bytes, y_bytes, vectors_bytes));
+    SPMV_EXPECTS(checked_add(vectors_bytes, rowptr_bytes, vectors_bytes));
     if (vectors_bytes <= sector0_bytes) return MatrixClass::Class2;
     if (x_bytes <= sector0_bytes) return MatrixClass::Class3a;
     return MatrixClass::Class3b;

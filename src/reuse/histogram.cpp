@@ -49,14 +49,14 @@ std::uint64_t CapacityMissCounter::total_misses(
     // the accumulation checked.
     std::uint64_t misses = 0;
     for (std::size_t g = first_miss_group(capacity); g < tallies_.size(); ++g)
-        SPMV_EXPECT(checked_add(misses, tallies_[g], misses));
+        SPMV_EXPECTS(checked_add(misses, tallies_[g], misses));
     return misses;
 }
 
 std::uint64_t CapacityMissCounter::accesses() const {
     std::uint64_t n = 0;
     for (const std::uint64_t tally : tallies_)
-        SPMV_EXPECT(checked_add(n, tally, n));
+        SPMV_EXPECTS(checked_add(n, tally, n));
     return n;
 }
 

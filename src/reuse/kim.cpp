@@ -58,18 +58,18 @@ std::uint64_t KimEngine::access(std::uint64_t line) {
         // int64 (negative = null). The narrow is provably in range —
         // only valid indices are ever stored — and the contract keeps the
         // signedness crossing honest.
-        SPMV_EXPECT(checked_narrow(*slot, node_index));
+        SPMV_EXPECTS(checked_narrow(*slot, node_index));
         const std::uint32_t group =
             nodes_[static_cast<std::size_t>(node_index)].group;
         // Approximate stack depth: everything above this group, plus the
         // midpoint of the group itself (Kim et al.'s group-granular count).
         std::uint64_t above = 0;
         for (std::uint32_t g = 0; g < group; ++g)
-            SPMV_EXPECT(checked_add(above, groups_[g].size, above));
+            SPMV_EXPECTS(checked_add(above, groups_[g].size, above));
         distance = above + groups_[group].size / 2;
         unlink(node_index);
     } else {
-        SPMV_EXPECT(checked_narrow(nodes_.size(), node_index));
+        SPMV_EXPECTS(checked_narrow(nodes_.size(), node_index));
         nodes_.push_back(Node{line, -1, -1, 0});
         *slot = static_cast<std::uint64_t>(node_index);
         ++line_count_;

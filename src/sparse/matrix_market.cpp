@@ -15,6 +15,7 @@
 #include "sparse/coo.hpp"
 #include "sync/thread_pool.hpp"
 #include "util/checked.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/format.hpp"
 
@@ -414,7 +415,7 @@ public:
         // parse_size_line proved 2*nnz fits; the contract keeps that
         // proof attached to the arithmetic it guards.
         if (g.header.symmetric)
-            SPMV_EXPECT(
+            SPMV_EXPECTS(
                 checked_mul<std::int64_t>(2, g.size.nnz, logical_nnz_));
         // Cap the up-front reservation: a lying size line must not be
         // able to trigger a huge allocation before the truncation check

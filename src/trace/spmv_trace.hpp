@@ -6,13 +6,10 @@
 // x[colidx[i]], and finally the y[r] read-modify-write — mapped to cache
 // lines by SpmvLayout.
 //
-// Parallel traces interleave the per-thread reference streams. Two
-// interleavings are provided:
-//  * generate_spmv_trace: deterministic round-robin at a configurable
-//    quantum (default: one nonzero per thread per turn), the reproducible
-//    stand-in for concurrent execution;
-//  * record_spmv_trace_mcs: real std::threads submitting chunks through an
-//    MCS queue lock, exactly the mechanism the paper describes (§3.2.1).
+// Parallel traces interleave the per-thread reference streams round-robin
+// at a configurable quantum (default: one nonzero per thread per turn):
+// the deterministic, reproducible stand-in for the MCS-lock interleaving
+// of concurrent threads the paper describes (§3.2.1).
 #pragma once
 
 #include <algorithm>
@@ -228,17 +225,6 @@ template <class Idx>
     const BasicCsrView<Idx>& m, const TraceConfig& cfg,
     std::int64_t cores_per_numa);
 
-/// Records a parallel trace with real threads: each worker generates the
-/// references of its row range and submits them in chunks of `chunk_refs`
-/// through an MCS queue lock (starvation-free, FIFO hand-off), exactly as
-/// §3.2.1 describes. The resulting interleaving is a valid concurrent
-/// ordering but not deterministic across runs.
-template <class Idx>
-[[nodiscard]] std::vector<MemRef> record_spmv_trace_mcs(
-    const BasicCsrView<Idx>& m, const SpmvLayout& layout,
-    std::int64_t threads, std::int64_t chunk_refs = 64,
-    PartitionPolicy partition = PartitionPolicy::BalancedRows);
-
 extern template std::vector<MemRef> collect_spmv_trace<Idx32>(
     const BasicCsrView<Idx32>&, const SpmvLayout&, const TraceConfig&);
 extern template std::vector<MemRef> collect_spmv_trace<Idx64>(
@@ -253,12 +239,6 @@ extern template std::vector<std::uint64_t> spmv_segment_lengths<Idx32>(
     const BasicCsrView<Idx32>&, const TraceConfig&, std::int64_t);
 extern template std::vector<std::uint64_t> spmv_segment_lengths<Idx64>(
     const BasicCsrView<Idx64>&, const TraceConfig&, std::int64_t);
-extern template std::vector<MemRef> record_spmv_trace_mcs<Idx32>(
-    const BasicCsrView<Idx32>&, const SpmvLayout&, std::int64_t,
-    std::int64_t, PartitionPolicy);
-extern template std::vector<MemRef> record_spmv_trace_mcs<Idx64>(
-    const BasicCsrView<Idx64>&, const SpmvLayout&, std::int64_t,
-    std::int64_t, PartitionPolicy);
 
 // Owning-matrix conveniences: deduction cannot see through the implicit
 // matrix -> view conversion.
@@ -302,15 +282,6 @@ template <class Idx>
     const BasicCsrMatrix<Idx>& m, const TraceConfig& cfg,
     std::int64_t cores_per_numa) {
     return spmv_segment_lengths(BasicCsrView<Idx>(m), cfg, cores_per_numa);
-}
-
-template <class Idx>
-[[nodiscard]] std::vector<MemRef> record_spmv_trace_mcs(
-    const BasicCsrMatrix<Idx>& m, const SpmvLayout& layout,
-    std::int64_t threads, std::int64_t chunk_refs = 64,
-    PartitionPolicy partition = PartitionPolicy::BalancedRows) {
-    return record_spmv_trace_mcs(BasicCsrView<Idx>(m), layout, threads,
-                                 chunk_refs, partition);
 }
 
 }  // namespace spmvcache

@@ -1,4 +1,4 @@
-// Overflow-checked integer arithmetic and build-mode contracts.
+// Overflow-checked integer arithmetic.
 //
 // The model's outputs are exact integer accounting: trace lengths derived
 // from nnz, per-shard miss counters summed across segments, byte counts
@@ -7,7 +7,9 @@
 // test, so every hot integer path funnels through these helpers:
 //
 //   * bool flavours (out-parameter) for hot paths — no allocation, pair
-//     them with SPMV_EXPECT:        SPMV_EXPECT(checked_mul(a, b, out));
+//     them with SPMV_EXPECTS:       SPMV_EXPECTS(checked_mul(a, b, out));
+//     a wrap throws ContractViolation (util/error.hpp) in every build, so
+//     the request fails instead of returning a wrapped number;
 //   * Result<T> flavours for Status-plumbed paths (parsers, public
 //     entry points):                SPMV_ASSIGN_OR_RETURN(auto n,
 //                                       checked_mul(rows, cols));
@@ -15,72 +17,16 @@
 //     width or signedness boundary;
 //   * checked_to_double guards the int -> double conversions in the
 //     analytic s1/s2 terms (exact only up to 2^53).
-//
-// SPMV_EXPECT/SPMV_ENSURE are the *configurable* siblings of the always-on
-// throwing contracts in util/error.hpp. Their behaviour is fixed per
-// translation unit by SPMV_CONTRACT_MODE (CMake: -DSPMV_CONTRACTS=off|
-// log|trap):
-//   0 (off)  — the condition is still evaluated (contract expressions are
-//              allowed to BE the checked arithmetic, so eliding them
-//              would skip the computation), but the branch and diagnostic
-//              are dropped;
-//   1 (log)  — print one diagnostic line to stderr and continue (default);
-//   2 (trap) — print and abort(), for CI and the death tests.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
 
+#include "util/error.hpp"
 #include "util/status.hpp"
-
-#ifndef SPMV_CONTRACT_MODE
-#define SPMV_CONTRACT_MODE 1
-#endif
-
-namespace spmvcache {
-
-namespace detail {
-
-inline void contract_report(const char* kind, const char* expr,
-                            const char* file, int line) noexcept {
-    std::fprintf(stderr, "spmvcache: %s violated: %s at %s:%d\n", kind, expr,
-                 file, line);
-}
-
-[[noreturn]] inline void contract_trap(const char* kind, const char* expr,
-                                       const char* file, int line) noexcept {
-    contract_report(kind, expr, file, line);
-    std::abort();
-}
-
-}  // namespace detail
-}  // namespace spmvcache
-
-#if SPMV_CONTRACT_MODE == 0
-#define SPMV_CONTRACT_CHECK_(kind, cond) ((void)(cond))
-#elif SPMV_CONTRACT_MODE == 1
-#define SPMV_CONTRACT_CHECK_(kind, cond)                                      \
-    do {                                                                      \
-        if (!(cond))                                                          \
-            ::spmvcache::detail::contract_report(kind, #cond, __FILE__,       \
-                                                 __LINE__);                   \
-    } while (0)
-#else
-#define SPMV_CONTRACT_CHECK_(kind, cond)                                      \
-    do {                                                                      \
-        if (!(cond))                                                          \
-            ::spmvcache::detail::contract_trap(kind, #cond, __FILE__,         \
-                                               __LINE__);                     \
-    } while (0)
-#endif
-
-#define SPMV_EXPECT(cond) SPMV_CONTRACT_CHECK_("expectation", cond)
-#define SPMV_ENSURE(cond) SPMV_CONTRACT_CHECK_("guarantee", cond)
 
 namespace spmvcache {
 
@@ -182,11 +128,11 @@ inline constexpr std::int64_t kMaxExactDouble = std::int64_t{1} << 53;
     return v >= -kMaxExactDouble && v <= kMaxExactDouble;
 }
 
-/// int64 -> double conversion that contracts on exactness; the analytic
-/// s1/s2 factors divide two of these, so a rounded operand would silently
-/// bias every method-(B) prediction.
+/// int64 -> double conversion that throws ContractViolation unless the
+/// value is exact; the analytic s1/s2 factors divide two of these, so a
+/// rounded operand would silently bias every method-(B) prediction.
 [[nodiscard]] inline double checked_to_double(std::int64_t v) {
-    SPMV_EXPECT(exactly_representable(v));
+    SPMV_EXPECTS(exactly_representable(v));
     return static_cast<double>(v);
 }
 

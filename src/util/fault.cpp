@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "util/annotated_mutex.hpp"
-#include "util/checked.hpp"
+#include "util/error.hpp"
 #include "util/fault_points.hpp"
 #include "util/prng.hpp"
 
@@ -40,7 +40,7 @@ void arm(std::string point, FaultSpec spec) {
     // A typo'd point would arm a trigger no library code ever checks —
     // exactly the dead-point bug the registry exists to catch. Test-local
     // "t." points are exempt by convention (see util/fault_points.hpp).
-    SPMV_EXPECT(is_registered_point(point) || is_test_point(point));
+    SPMV_EXPECTS(is_registered_point(point) || is_test_point(point));
     auto& r = registry();
     const MutexLock lock(r.mutex);
     auto [it, inserted] = r.points.insert_or_assign(

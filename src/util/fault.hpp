@@ -1,10 +1,10 @@
 // Deterministic fault injection for robustness tests and chaos runs.
 //
-// Library code declares *named injection points*; tests (or the CLI via
-// --inject) arm them by name with a fail-after-N counter or a seeded
-// Bernoulli trigger. Disarmed, every point is a single relaxed atomic load
-// and a predicted-not-taken branch, so points can sit on hot paths (the
-// reuse engine checks one per access).
+// Library code declares *named injection points*; tests arm them by name
+// with a fail-after-N counter or a seeded Bernoulli trigger. Disarmed,
+// every point is a single relaxed atomic load and a predicted-not-taken
+// branch, so points can sit on hot paths (the reuse engine checks one per
+// access).
 //
 //   // library code
 //   SPMV_RETURN_IF_ERROR(fault::maybe_fail("mm.read_entry"));   // Status path
@@ -15,7 +15,7 @@
 //   ... third entry read reports ErrorCode::FaultInjected ...
 //
 // Every library point name is listed in util/fault_points.hpp (the
-// central registry): arm() soft-checks names against it at runtime, and
+// central registry): arm() throws ContractViolation on any other name, and
 // spmv-lint's `unknown-fault-point` rule cross-checks the literals at the
 // injection sites, so a typo'd point cannot silently never fire.
 #pragma once

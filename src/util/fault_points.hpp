@@ -9,9 +9,10 @@
 //   * spmv-lint's `unknown-fault-point` rule cross-checks every string
 //     literal passed to maybe_fail/maybe_throw/should_fail in src/ against
 //     this file (the tree lint runs with `--fault-registry` pointing here);
-//   * fault::arm() soft-checks names at runtime via SPMV_EXPECT, with a
-//     "t." prefix escape for test-local points (tests/test_fault.cpp arms
-//     ad-hoc points like "t.counter" that no library code ever checks).
+//   * fault::arm() throws ContractViolation (SPMV_EXPECTS) on a name not
+//     listed here, with a "t." prefix escape for test-local points
+//     (tests/test_fault.cpp arms ad-hoc points like "t.counter" that no
+//     library code ever checks).
 //
 // Adding a new point = add the literal to kRegisteredPoints, use it at the
 // injection site, and document it in the fault.hpp header comment.
@@ -35,7 +36,6 @@ inline constexpr std::string_view kRegisteredPoints[] = {
     "cache.map",
     // Trace generation and packing (trace/)
     "trace.generate",
-    "trace.worker",
     "trace.pack",
     // Reuse-distance engines (reuse/)
     "reuse.access",

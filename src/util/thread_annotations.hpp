@@ -36,7 +36,7 @@
 #define SPMV_CAPABILITY(x) SPMV_THREAD_ANNOTATION_(capability(x))
 
 /// An RAII type that acquires a capability in its constructor and
-/// releases it in its destructor (MutexLock, McsGuard).
+/// releases it in its destructor (MutexLock).
 #define SPMV_SCOPED_CAPABILITY SPMV_THREAD_ANNOTATION_(scoped_lockable)
 
 /// Data member readable/writable only while holding `x`.

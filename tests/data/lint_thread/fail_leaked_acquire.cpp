@@ -1,6 +1,5 @@
 // MUST fail -Wthread-safety: a raw lock() with no matching unlock() on
-// a path out of the function (the leak McsGuard/MutexLock exist to
-// prevent).
+// a path out of the function (the leak MutexLock exists to prevent).
 #include "util/annotated_mutex.hpp"
 
 namespace {

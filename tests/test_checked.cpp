@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <limits>
 
+#include "model/classify.hpp"
 #include "trace/spmv_trace.hpp"
 #include "util/checked.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/status.hpp"
 
 namespace spmvcache {
@@ -119,25 +121,41 @@ TEST(CheckedToDouble, ExactnessBoundary) {
     EXPECT_EQ(checked_to_double(1 << 20), 1048576.0);
     EXPECT_EQ(checked_to_double(kMaxExactDouble),
               9007199254740992.0);
+    // 2^53 + 1 would round to 2^53.
+    EXPECT_THROW((void)checked_to_double(kMaxExactDouble + 1),
+                 ContractViolation);
 }
 
-// In the default log mode a violated contract reports and continues; the
-// test process must survive. (Trap-mode abort is covered by
-// test_contracts_trap.)
-TEST(Contracts, LogModeDoesNotAbort) {
-    testing::internal::CaptureStderr();
-    SPMV_EXPECT(1 + 1 == 3);
-    SPMV_ENSURE(false);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("expectation violated"), std::string::npos);
-    EXPECT_NE(err.find("guarantee violated"), std::string::npos);
+// A violated contract stops the run: the caller gets ContractViolation
+// naming the expression, never the wrapped value.
+TEST(Contracts, OverflowingCheckedMulThrows) {
+    std::int64_t out = 0;
+    try {
+        SPMV_EXPECTS(checked_mul<std::int64_t>(kI64Max, 2, out));
+        FAIL() << "expected ContractViolation";
+    } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("checked_mul"),
+                  std::string::npos);
+    }
 }
 
-// Off mode drops the diagnostic but must still evaluate the condition:
-// call sites put the checked arithmetic itself inside the macro.
+// x's byte count (8 * cols) wraps to 800 bytes, which would put a matrix
+// with an exabyte-scale x vector into class (2).
+TEST(Contracts, ClassifyRejectsWrappedByteCount) {
+    MatrixStats stats;
+    stats.rows = 1000;
+    stats.cols = (std::int64_t{1} << 61) + 100;
+    stats.nnz = 1000;
+    stats.working_set_bytes = kU64Max;
+    const std::uint64_t l2 = std::uint64_t{8} << 20;
+    EXPECT_THROW((void)classify(stats, l2, l2), ContractViolation);
+}
+
+// Call sites put the checked arithmetic itself inside the macro, so the
+// condition is evaluated whether or not it holds.
 TEST(Contracts, ConditionIsAlwaysEvaluated) {
     std::int64_t out = 0;
-    SPMV_EXPECT(checked_add<std::int64_t>(40, 2, out));
+    SPMV_EXPECTS(checked_add<std::int64_t>(40, 2, out));
     EXPECT_EQ(out, 42);
 }
 

@@ -138,16 +138,6 @@ TEST_F(FaultTest, TraceGeneratePointAborts) {
                  fault::FaultInjectedError);
 }
 
-TEST_F(FaultTest, TraceWorkerFaultPropagatesAcrossThreads) {
-    const CsrMatrix m = gen::stencil_2d_5pt(16, 16);
-    const SpmvLayout layout(m, 256);
-    fault::ScopedFault f("trace.worker", {.fail_after = 2});
-    EXPECT_THROW((void)record_spmv_trace_mcs(m, layout, /*threads=*/4,
-                                             /*chunk_refs=*/64,
-                                             PartitionPolicy::BalancedRows),
-                 fault::FaultInjectedError);
-}
-
 /// `access` (one engine's per-access path) is a normal access while
 /// `reuse.access` is disarmed, answering `first` for a line never seen,
 /// and throws once it is armed.

@@ -1,5 +1,5 @@
 // Unit tests for src/trace: the Fig. 1 layout, trace generation from the
-// sparsity pattern, round-robin interleaving and the MCS-lock recorder.
+// sparsity pattern and round-robin interleaving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -168,24 +168,6 @@ TEST(Trace, EmptyRowsEmitHeaderAndFooter) {
     EXPECT_EQ(count[DataObject::RowPtr], 6);
     EXPECT_EQ(count[DataObject::Y], 6);
     EXPECT_EQ(count[DataObject::X], 1);
-}
-
-TEST(Trace, McsRecorderProducesValidInterleaving) {
-    const CsrMatrix m = figure1_matrix();
-    const SpmvLayout layout(m, 16);
-    const auto trace = record_spmv_trace_mcs(m, layout, 3, 4);
-    EXPECT_EQ(trace.size(), spmv_trace_length(m.rows(), m.nnz()));
-
-    // Each thread's subsequence must be in program order: recompute the
-    // expected per-thread reference streams and compare.
-    const TraceConfig cfg{3};
-    std::map<std::uint32_t, std::vector<std::uint64_t>> expected;
-    generate_spmv_trace(m, layout, cfg, [&](const MemRef& ref) {
-        expected[ref.thread].push_back(ref.line);
-    });
-    std::map<std::uint32_t, std::vector<std::uint64_t>> actual;
-    for (const auto& ref : trace) actual[ref.thread].push_back(ref.line);
-    EXPECT_EQ(actual, expected);
 }
 
 // ---- Segment-filtered generation (host-parallel model sharding) --------
