@@ -3,6 +3,8 @@
 // classes and team sizes, with an in-process STREAM-triad roof measured
 // on the same WorkerTeam so the table reads as a roofline ("how much of
 // the machine's streaming bandwidth does each SpMV variant reach").
+// `auto` is timed on every cell too, with the variant it resolved to and
+// its ratio to the best concrete variant of the cell.
 //
 // Every variant is verified against the sequential spmv_csr kernel before
 // it is timed: CsrScalar and CsrPrefetch must match bit-for-bit (they
@@ -14,8 +16,10 @@
 // Writes its record to BENCH_spmv_kernel.json (--out overrides) when every
 // variant verifies, and exits 1 without one otherwise. --smoke shrinks
 // matrices and iteration counts for CI.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -88,6 +92,28 @@ double stream_triad_roof(std::int64_t threads, std::size_t n, int reps) {
     return seconds > 0 ? bytes / seconds / 1e9 : 0.0;
 }
 
+/// Rows of random columns: `short_len` per row, except the first row of
+/// every 256-row window (one sigma window of the engine's SELL layout),
+/// which holds `long_len`. Sorting cannot hide those rows: each pads its
+/// chunk's other seven lanes to its length.
+CsrMatrix long_row_windows(std::int64_t rows, std::int64_t long_len,
+                           std::int64_t short_len, std::uint64_t seed) {
+    CsrBuilder b(rows, rows);
+    Xoshiro256 rng(seed);
+    std::vector<std::int32_t> cols;
+    for (std::int64_t r = 0; r < rows; ++r) {
+        const std::int64_t len = r % 256 == 0 ? long_len : short_len;
+        cols.clear();
+        for (std::int64_t j = 0; j < len; ++j)
+            cols.push_back(static_cast<std::int32_t>(
+                rng.uniform() * static_cast<double>(rows)));
+        std::sort(cols.begin(), cols.end());
+        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+        for (const std::int32_t c : cols) b.push(r, c, rng.uniform());
+    }
+    return std::move(b).finish();
+}
+
 enum class Verify { Bitwise, Tolerance };
 
 /// Compares an engine run against sequential spmv_csr from the same seed
@@ -117,19 +143,36 @@ std::string verify_variant(const CsrMatrix& a, KernelEngine& engine,
     return {};
 }
 
-/// Times `iters` products on an engine built over `view` at its physical
-/// width; returns GFLOP/s.
+/// Every cell is timed as the fastest of this many blocks of a third of
+/// its iterations: a transient stall on a shared host costs one block,
+/// not the cell.
+constexpr int kTimedBlocks = 3;
+
+/// Seconds of the fastest of kTimedBlocks runs of `block` iterations,
+/// after one warm-up iteration.
+template <class Engine>
+double best_block_seconds(Engine& engine, std::span<const double> x,
+                          std::span<double> y, std::int64_t block) {
+    engine.run_iterations(x, y, 1);  // warm-up
+    double best = std::numeric_limits<double>::infinity();
+    for (int b = 0; b < kTimedBlocks; ++b) {
+        Timer timer;
+        engine.run_iterations(x, y, block);
+        best = std::min(best, timer.seconds());
+    }
+    return best;
+}
+
+/// Times blocks of `block` products on an engine built over `view` at its
+/// physical width; returns GFLOP/s.
 template <class Engine, class View>
 double time_width_leg(const View& view, const EngineOptions& options,
-                      std::int64_t iters, std::span<const double> x,
+                      std::int64_t block, std::span<const double> x,
                       std::span<double> y) {
     Engine engine(view, options);
-    engine.run_iterations(x, y, 1);  // warm-up
-    Timer timer;
-    engine.run_iterations(x, y, iters);
-    const double seconds = timer.seconds();
+    const double seconds = best_block_seconds(engine, x, y, block);
     const double flops = 2.0 * static_cast<double>(view.nnz()) *
-                         static_cast<double>(iters);
+                         static_cast<double>(block);
     return seconds > 0 ? flops / seconds / 1e9 : 0.0;
 }
 
@@ -146,8 +189,11 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
     // Matrix classes: best-case x locality (stencil), banded FEM-like,
-    // worst-case x locality (uniform random), and a row-imbalanced class
-    // for the merge variant.
+    // worst-case x locality (uniform random), a row-imbalanced class for
+    // the merge variant (randomcv's generator at mean 16), and one 128-
+    // nonzero row per window of 8-nonzero rows, whose sigma-sorted SELL
+    // layout pads by ~39 %: the cells on either side of auto's padding
+    // bound.
     struct Case {
         const char* name;
         CsrMatrix matrix;
@@ -161,10 +207,12 @@ int main(int argc, char** argv) {
     cases.push_back({"random", gen::random_uniform(nr, nr, 16, seed)});
     cases.push_back(
         {"imbalanced", gen::random_variable_rows(nr, nr, 16.0, 2.0, seed)});
-    const auto iters_for = [smoke](const CsrMatrix& a) {
-        return smoke ? std::int64_t{3}
+    cases.push_back({"longrow", long_row_windows(nr, 128, 8, seed)});
+    // Iterations per timed block: a third of ~2^28 nonzeros' worth.
+    const auto block_for = [smoke](const CsrMatrix& a) {
+        return smoke ? std::int64_t{1}
                      : std::max<std::int64_t>(
-                           5, (std::int64_t{1} << 28) /
+                           2, (std::int64_t{1} << 28) / kTimedBlocks /
                                   std::max<std::int64_t>(a.nnz(), 1));
     };
 
@@ -173,11 +221,13 @@ int main(int argc, char** argv) {
     for (std::int64_t t = 2; t <= max_threads; t *= 2)
         thread_counts.push_back(t);
 
-    // csr first: every other variant is reported against it.
+    // csr first: every other variant is reported against it; auto last,
+    // against the best of the concrete ones.
     static constexpr KernelVariant kVariants[] = {
         KernelVariant::CsrScalar,   KernelVariant::CsrPrefetch,
         KernelVariant::CsrSimd,     KernelVariant::SellScalar,
         KernelVariant::SellSimd,    KernelVariant::CsrMerge,
+        KernelVariant::Auto,
     };
 
     std::cout << "host SIMD: " << simd::to_string(simd::best().isa)
@@ -193,6 +243,7 @@ int main(int argc, char** argv) {
                                       : (std::size_t{1} << 25);
     const int triad_reps = smoke ? 3 : 10;
     record.param("triad_doubles", triad_n);
+    record.param("timed_blocks", kTimedBlocks);
     std::vector<double> roofs;
     for (const std::int64_t t : thread_counts) {
         roofs.push_back(stream_triad_roof(t, triad_n, triad_reps));
@@ -206,11 +257,11 @@ int main(int argc, char** argv) {
 
     for (const auto& c : cases) {
         const CsrMatrix& a = c.matrix;
-        const std::int64_t iters = iters_for(a);
+        const std::int64_t block = block_for(a);
         const std::string at = std::string(c.name) + ".";
         record.param(at + "rows", a.rows());
         record.param(at + "nnz", a.nnz());
-        record.param(at + "iters", iters);
+        record.param(at + "iters_per_block", block);
         const double flops_per_iter = 2.0 * static_cast<double>(a.nnz());
         const auto x = random_vector(static_cast<std::size_t>(a.cols()),
                                      seed);
@@ -225,15 +276,17 @@ int main(int argc, char** argv) {
             const std::int64_t threads = thread_counts[ti];
             const std::string on = ".t" + std::to_string(threads);
             double csr_gflops = 0.0;  // set by kVariants' first row
+            double best_concrete = 0.0;
 
             for (const KernelVariant v : kVariants) {
                 EngineOptions options;
                 options.threads = threads;
                 options.variant = v;
                 KernelEngine engine(a, options);
+                const KernelVariant resolved = engine.info().variant;
 
-                const Verify mode = (v == KernelVariant::CsrScalar ||
-                                     v == KernelVariant::CsrPrefetch)
+                const Verify mode = (resolved == KernelVariant::CsrScalar ||
+                                     resolved == KernelVariant::CsrPrefetch)
                                         ? Verify::Bitwise
                                         : Verify::Tolerance;
                 const std::string err = verify_variant(a, engine, mode);
@@ -245,40 +298,57 @@ int main(int argc, char** argv) {
                     continue;
                 }
 
-                engine.run_iterations(x, y, 1);  // warm-up
-                Timer timer;
-                engine.run_iterations(x, y, iters);
-                const double seconds = timer.seconds();
+                const double seconds =
+                    best_block_seconds(engine, x, std::span<double>(y), block);
                 const EngineInfo info = engine.info();
                 const double gflops =
                     seconds > 0 ? flops_per_iter *
-                                      static_cast<double>(iters) / seconds /
+                                      static_cast<double>(block) / seconds /
                                       1e9
                                 : 0.0;
                 const double gbytes =
                     seconds > 0 ? spmv_bytes(a) *
-                                      static_cast<double>(iters) / seconds /
+                                      static_cast<double>(block) / seconds /
                                       1e9
                                 : 0.0;
                 if (v == KernelVariant::CsrScalar) csr_gflops = gflops;
                 const double speedup =
                     csr_gflops > 0 ? gflops / csr_gflops : 0.0;
                 record.metric(at + to_string(v) + "_gflops" + on,
-                              "GFLOP/s", gflops, iters);
+                              "GFLOP/s", gflops, block);
 
                 std::string note;
-                if (v == KernelVariant::CsrPrefetch) {
-                    note = "d=" + std::to_string(info.prefetch_distance);
-                    record.param(at + "prefetch_distance" + on,
-                                 info.prefetch_distance);
-                } else if (v == KernelVariant::CsrSimd ||
-                           v == KernelVariant::SellSimd) {
-                    note = simd::to_string(info.isa);
+                const auto add_note = [&note](const std::string& piece) {
+                    if (!note.empty()) note += ' ';
+                    note += piece;
+                };
+                if (v == KernelVariant::Auto) {
+                    const double vs_best =
+                        best_concrete > 0 ? gflops / best_concrete : 0.0;
+                    record.param(at + "auto_variant" + on,
+                                 to_string(resolved));
+                    record.metric(at + "auto_vs_best" + on, "ratio",
+                                  vs_best, block);
+                    add_note(std::string("-> ") + to_string(resolved) + ",");
+                    add_note(fmt(vs_best, 2) + "x best");
+                } else {
+                    best_concrete = std::max(best_concrete, gflops);
                 }
-                if (v == KernelVariant::SellScalar ||
-                    v == KernelVariant::SellSimd)
-                    note += (note.empty() ? "beta=" : " beta=") +
-                            fmt(info.sell_padding, 2);
+                if (resolved == KernelVariant::CsrPrefetch) {
+                    add_note("d=" + std::to_string(info.prefetch_distance));
+                    if (v == KernelVariant::CsrPrefetch)
+                        record.param(at + "prefetch_distance" + on,
+                                     info.prefetch_distance);
+                } else if (resolved == KernelVariant::CsrSimd ||
+                           resolved == KernelVariant::SellSimd) {
+                    add_note(simd::to_string(info.isa));
+                }
+                if (info.sell_padding > 0.0)
+                    add_note("beta=" + fmt(info.sell_padding, 2));
+                if (v == KernelVariant::SellScalar && ti == 0)
+                    record.param(at + "sell_padding", info.sell_padding);
+                if (v == KernelVariant::CsrScalar)
+                    record.param(at + "imbalance" + on, info.imbalance);
                 table.add_row({to_string(v), std::to_string(threads),
                                fmt(gflops, 2), fmt(gbytes, 2),
                                fmt(gbytes / std::max(roofs[ti], 1e-9) *
@@ -294,7 +364,8 @@ int main(int argc, char** argv) {
         }
 
         std::cout << c.name << ": " << a.rows() << " rows, " << a.nnz()
-                  << " nnz, " << iters << " iters (triad roof";
+                  << " nnz, best of " << kTimedBlocks << " x " << block
+                  << " iters (triad roof";
         for (std::size_t ti = 0; ti < roofs.size(); ++ti)
             std::cout << (ti == 0 ? " " : " / ") << fmt(roofs[ti], 1)
                       << " GB/s @t" << thread_counts[ti];
@@ -324,7 +395,7 @@ int main(int argc, char** argv) {
     for (const auto& c : cases) {
         const CsrMatrix& a32 = c.matrix;
         const CsrMatrix64 a64 = convert_csr_width<Idx64>(CsrView(a32));
-        const std::int64_t iters = iters_for(a32);
+        const std::int64_t block = block_for(a32);
         const auto x = random_vector(static_cast<std::size_t>(a32.cols()),
                                      seed);
         std::vector<double> y(static_cast<std::size_t>(a32.rows()), 0.0);
@@ -333,12 +404,12 @@ int main(int argc, char** argv) {
         options.threads = width_threads;
         options.variant = KernelVariant::CsrSimd;
         const double w32 = time_width_leg<KernelEngine>(
-            CsrView(a32), options, iters, x, std::span<double>(y));
+            CsrView(a32), options, block, x, std::span<double>(y));
         const double w64 = time_width_leg<KernelEngine64>(
-            CsrView64(a64), options, iters, x, std::span<double>(y));
+            CsrView64(a64), options, block, x, std::span<double>(y));
         const std::string at = std::string(c.name) + ".csr-simd_";
-        record.metric(at + "w32_gflops" + on, "GFLOP/s", w32, iters);
-        record.metric(at + "w64_gflops" + on, "GFLOP/s", w64, iters);
+        record.metric(at + "w32_gflops" + on, "GFLOP/s", w32, block);
+        record.metric(at + "w64_gflops" + on, "GFLOP/s", w64, block);
         width_table.add_row({c.name, fmt(w32, 2), fmt(w64, 2),
                              fmt(w64 > 0 ? w32 / w64 : 0.0, 2)});
     }

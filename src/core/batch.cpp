@@ -182,6 +182,13 @@ int BatchReport::exit_code() const noexcept {
     return failed() == 0 ? kExitOk : kExitSomeFailed;
 }
 
+int exit_code_for_exception(const std::exception& e) noexcept {
+    const auto* status = dynamic_cast<const StatusError*>(&e);
+    return status != nullptr && status->code() == ErrorCode::ParseError
+               ? kExitUsage
+               : kExitSomeFailed;
+}
+
 [[nodiscard]] Result<std::vector<std::string>> collect_matrix_paths(
     const std::string& spec) {
     std::error_code ec;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -112,6 +113,13 @@ struct BatchItemResult {
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitSomeFailed = 1;
 inline constexpr int kExitUsage = 2;
+
+/// Exit code for an exception that escaped a subcommand. A flag value the
+/// CLI parser could not read (a StatusError carrying ParseError) is a
+/// usage error, kExitUsage; a broken contract, exhaustion or any other
+/// escape is an internal failure, kExitSomeFailed, so it never reads as
+/// a refused flag.
+[[nodiscard]] int exit_code_for_exception(const std::exception& e) noexcept;
 
 /// Everything a sweep produced, failures included.
 struct BatchReport {

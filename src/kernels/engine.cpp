@@ -1,7 +1,6 @@
 #include "kernels/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "sync/thread_pool.hpp"
@@ -51,32 +50,16 @@ void csr_range_prefetch(const typename Idx::offset_type* rowptr,
 /// chunks.
 constexpr std::int64_t kSellChunk = 8;
 constexpr std::int64_t kSellSigma = 32 * kSellChunk;
+/// Auto runs sell-simd while the sigma-sorted layout stores at most this
+/// many elements per nonzero (DESIGN.md §5 decision 11 names the cells
+/// that set it).
+constexpr double kSellMaxPadding = 1.2;
 
 std::int64_t resolve_threads(std::int64_t requested) {
     if (requested == 0)
         return static_cast<std::int64_t>(default_host_jobs());
     SPMV_EXPECTS(requested >= 1);
     return requested;
-}
-
-/// Coefficient of variation of the row lengths (cheap shape probe for the
-/// Auto heuristic; matches MatrixStats::cv_nnz_per_row).
-template <class Idx>
-double row_length_cv(const BasicCsrView<Idx>& a) {
-    const auto rowptr = a.rowptr();
-    const std::int64_t n = a.rows();
-    if (n == 0 || a.nnz() == 0) return 0.0;
-    const double mean = static_cast<double>(a.nnz()) /
-                        static_cast<double>(n);
-    double ss = 0.0;
-    for (std::int64_t r = 0; r < n; ++r) {
-        const double len = static_cast<double>(
-            static_cast<std::int64_t>(
-                rowptr[static_cast<std::size_t>(r) + 1]) -
-            static_cast<std::int64_t>(rowptr[static_cast<std::size_t>(r)]));
-        ss += (len - mean) * (len - mean);
-    }
-    return std::sqrt(ss / static_cast<double>(n)) / mean;
 }
 
 }  // namespace
@@ -145,26 +128,40 @@ template <class Idx>
 BasicKernelEngine<Idx>::~BasicKernelEngine() = default;
 
 template <class Idx>
+const BasicSellGeometry<Idx>& BasicKernelEngine<Idx>::sell_geometry() const {
+    SPMV_EXPECTS(sell_.has_value());
+    return *sell_;
+}
+
+template <class Idx>
 void BasicKernelEngine<Idx>::resolve_variant(const BasicCsrView<Idx>& a,
                                              const EngineOptions& options) {
     simd_ = simd::best();
     KernelVariant variant = options.variant;
+    const auto is_sell = [](KernelVariant v) {
+        return v == KernelVariant::SellScalar || v == KernelVariant::SellSimd;
+    };
     if (variant == KernelVariant::Auto) {
         // Documented in DESIGN.md §5: merge for row-imbalanced matrices,
-        // SELL when sorting keeps padding low, SIMD CSR otherwise, and
-        // the prefetch variant when no vector ISA is compiled in (the
-        // gather latency is then the only lever left).
-        const bool has_simd = simd_.isa != simd::Isa::Scalar;
+        // SELL when the sigma-sorted layout the engine would build keeps
+        // padding low, SIMD CSR otherwise, and the prefetch variant when
+        // no vector ISA is compiled in (the gather latency is then the
+        // only lever left).
         if (info_.threads > 1 && info_.imbalance > 1.5) {
             variant = KernelVariant::CsrMerge;
-        } else if (has_simd && row_length_cv(a) <= 1.0) {
-            variant = KernelVariant::SellSimd;
-        } else if (has_simd) {
-            variant = KernelVariant::CsrSimd;
+        } else if (simd_.isa != simd::Isa::Scalar) {
+            sell_.emplace(a, kSellChunk, kSellSigma);
+            variant = sell_->padding_factor() <= kSellMaxPadding
+                          ? KernelVariant::SellSimd
+                          : KernelVariant::CsrSimd;
         } else {
             variant = KernelVariant::CsrPrefetch;
         }
+    } else if (is_sell(variant)) {
+        sell_.emplace(a, kSellChunk, kSellSigma);
     }
+    if (sell_) info_.sell_padding = sell_->padding_factor();
+    if (!is_sell(variant)) sell_.reset();  // probed, then resolved to CSR
     info_.variant = variant;
     info_.isa = (variant == KernelVariant::CsrSimd ||
                  variant == KernelVariant::SellSimd)
@@ -206,9 +203,6 @@ void BasicKernelEngine<Idx>::setup_csr(const BasicCsrView<Idx>& a) {
 
 template <class Idx>
 void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a) {
-    sell_.emplace(a, kSellChunk, kSellSigma);
-    info_.sell_padding = sell_->padding_factor();
-
     // Chunk ownership: contiguous chunk ranges balanced by padded
     // elements (the actual per-chunk work, padding included). A chunk
     // goes to worker t while its end offset stays within t's share.
@@ -228,20 +222,15 @@ void BasicKernelEngine<Idx>::setup_sell(const BasicCsrView<Idx>& a) {
         chunk_ranges_[static_cast<std::size_t>(t)] = RowRange{begin, k};
     }
 
-    // First-touch copies of the chunk-major arrays, sliced by chunk range.
-    sell_values_ = FirstTouchBuffer<double>(sell_->values().size());
-    sell_colidx_ = FirstTouchBuffer<index_type>(sell_->colidx().size());
-    const auto src_values = sell_->values();
-    const auto src_colidx = sell_->colidx();
+    // Each worker fills, and so first touches, its own chunks of the
+    // chunk-major arrays, padding slots included.
+    sell_values_ = FirstTouchBuffer<double>(static_cast<std::size_t>(padded));
+    sell_colidx_ =
+        FirstTouchBuffer<index_type>(static_cast<std::size_t>(padded));
     dispatch([&](std::size_t t) {
         const RowRange& range = chunk_ranges_[t];
-        if (range.begin >= range.end) return;
-        const std::int64_t lo = offsets[static_cast<std::size_t>(range.begin)];
-        const std::int64_t hi = offsets[static_cast<std::size_t>(range.end)];
-        for (std::int64_t i = lo; i < hi; ++i) {
-            sell_values_.data()[i] = src_values[static_cast<std::size_t>(i)];
-            sell_colidx_.data()[i] = src_colidx[static_cast<std::size_t>(i)];
-        }
+        sell_->fill(a, range.begin, range.end, sell_values_.span(),
+                    sell_colidx_.span());
     });
 }
 

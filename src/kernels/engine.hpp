@@ -17,15 +17,20 @@
 //                (AVX2/AVX-512/NEON, scalar fallback)
 //   SellScalar / SellSimd
 //                SELL-C-sigma chunk kernels (Kreutzer et al.), chunk loop
-//                column-major; the engine builds the SELL form internally
+//                column-major (C = 8, sigma = 256); the engine computes
+//                the SELL geometry once and each worker fills its own
+//                chunks of the padded arrays
 //   CsrMerge     merge-path decomposition (Merrill & Garland) across the
 //                team for row-imbalanced matrices
-//   Auto         picks a variant from matrix shape + host ISA; the
-//                heuristic is documented in DESIGN.md §5
+//   Auto         merge when the row partition is imbalanced, else
+//                sell-simd when the SELL layout it would build pads the
+//                nonzeros by at most kSellMaxPadding (the probe is that
+//                layout's geometry, kept for the run), else csr-simd, and
+//                csr-prefetch with no vector ISA; DESIGN.md §5 decision 11
 //
 // Worker i always executes range i (WorkerTeam guarantee), and the
-// engine's copies of the matrix arrays are first touched by their owning
-// worker, so pages land on the NUMA node that computes on them. With
+// engine's arrays are first touched by their owning worker, so pages
+// land on the NUMA node that computes on them. With
 // threads == 1 the engine runs inline on the calling thread with no team
 // at all (the documented sequential fallback).
 #pragma once
@@ -83,8 +88,10 @@ struct EngineInfo {
     simd::Isa isa = simd::Isa::Scalar;  ///< for the *Simd variants
     std::int64_t prefetch_distance = 0;  ///< post-calibration
     std::int64_t threads = 1;
-    double sell_padding = 1.0;  ///< padded/logical nnz (SELL variants)
-    double imbalance = 1.0;     ///< nnz imbalance of the row partition
+    /// Padded/logical nnz of the sigma-sorted SELL layout, whenever the
+    /// engine built it (SELL variants) or auto probed it; 0 otherwise.
+    double sell_padding = 0.0;
+    double imbalance = 1.0;  ///< nnz imbalance of the row partition
     /// Always true: every engine computes on first-touch copies.
     bool first_touch = true;
 };
@@ -149,9 +156,10 @@ public:
     using index_type = typename Idx::index_type;
 
     /// Splits the rows by nonzeros over options.threads workers (SELL
-    /// splits by padded nonzeros and merge by path diagonals) and copies
-    /// the arrays the variant reads, each slice first touched by the
-    /// worker that computes on it; `a` need not outlive the engine.
+    /// splits chunks by padded nonzeros and merge by path diagonals) and
+    /// copies the CSR arrays, or fills the SELL arrays, the variant reads,
+    /// each slice first touched by the worker that computes on it; `a`
+    /// need not outlive the engine.
     BasicKernelEngine(const BasicCsrView<Idx>& a,
                       const EngineOptions& options);
     ~BasicKernelEngine();
@@ -170,6 +178,17 @@ public:
                         std::int64_t iterations);
 
     [[nodiscard]] const EngineInfo& info() const noexcept { return info_; }
+
+    /// The SELL layout a sell or sell-simd engine runs on: its geometry,
+    /// and the chunk-major arrays the workers filled in place. Pre: the
+    /// resolved variant is a SELL one.
+    [[nodiscard]] const BasicSellGeometry<Idx>& sell_geometry() const;
+    [[nodiscard]] std::span<const double> sell_values() const noexcept {
+        return sell_values_.span();
+    }
+    [[nodiscard]] std::span<const index_type> sell_colidx() const noexcept {
+        return sell_colidx_.span();
+    }
 
 private:
     void resolve_variant(const BasicCsrView<Idx>& a,
@@ -199,10 +218,10 @@ private:
     FirstTouchBuffer<index_type> colidx_;
     FirstTouchBuffer<double> values_;
 
-    // SELL data (built only for the Sell* variants): the geometry and
-    // permutation stay in sell_, the chunk-major arrays the kernel
-    // streams are first-touch copies.
-    std::optional<BasicSellCSigmaMatrix<Idx>> sell_;
+    // SELL data (kept only for the Sell* variants): the geometry and
+    // permutation, and the chunk-major arrays the kernel streams, each
+    // worker's chunks filled in place by that worker.
+    std::optional<BasicSellGeometry<Idx>> sell_;
     std::vector<RowRange> chunk_ranges_;  ///< chunks owned per worker
     FirstTouchBuffer<double> sell_values_;
     FirstTouchBuffer<index_type> sell_colidx_;

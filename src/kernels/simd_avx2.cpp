@@ -46,14 +46,20 @@ __m256d load_pd4(const double* p) noexcept {
 
 /// Gathers x[colidx[0..3]] at either index width: vgatherdpd for the
 /// 4-byte indices (half the index stream of the wide form), vgatherqpd
-/// for the 8-byte fallback.
+/// for the 8-byte fallback. The masked form with every lane enabled and a
+/// zeroed pass-through source is the same instruction as the unmasked
+/// intrinsic, whose header passes an undefined source register.
 template <class Idx>
 __m256d gather4(const double* x,
                 const typename Idx::index_type* colidx) noexcept {
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     if constexpr (sizeof(typename Idx::index_type) == 4)
-        return _mm256_i32gather_pd(x, load_idx4_32(colidx), 8);
+        return _mm256_mask_i32gather_pd(zero, x, load_idx4_32(colidx), all,
+                                        8);
     else
-        return _mm256_i64gather_pd(x, load_idx4_64(colidx), 8);
+        return _mm256_mask_i64gather_pd(zero, x, load_idx4_64(colidx), all,
+                                        8);
 }
 
 }  // namespace

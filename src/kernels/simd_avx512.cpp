@@ -35,13 +35,33 @@ __m512d load_pd8(const double* p) noexcept {
 
 /// Gathers x[colidx[0..7]] at either index width: the W32 form reads a
 /// 256-bit index vector (half the index stream), the W64 form 512 bits.
+/// The masked form with every lane enabled and a zeroed pass-through
+/// source is the same instruction as the unmasked intrinsic, whose header
+/// passes an undefined source register.
 template <class Idx>
 __m512d gather8(const double* x,
                 const typename Idx::index_type* colidx) noexcept {
+    const __m512d zero = _mm512_setzero_pd();
     if constexpr (sizeof(typename Idx::index_type) == 4)
-        return _mm512_i32gather_pd(load_idx8_32(colidx), x, 8);
+        return _mm512_mask_i32gather_pd(zero, 0xFF, load_idx8_32(colidx), x,
+                                        8);
     else
-        return _mm512_i64gather_pd(load_idx8_64(colidx), x, 8);
+        return _mm512_mask_i64gather_pd(zero, 0xFF, load_idx8_64(colidx), x,
+                                        8);
+}
+
+/// Horizontal sum of an 8-lane double vector, in _mm512_reduce_add_pd's
+/// order (high half plus low half, then the 128-bit halves, then the two
+/// lanes). Both 256-bit halves are extracted over a zeroed source: the
+/// unmasked extract, and the header's cast built on it, pass an undefined
+/// one.
+double hsum8(__m512d v) noexcept {
+    const __m256d half = _mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xF, v, 1),
+                                       _mm512_maskz_extractf64x4_pd(0xF, v, 0));
+    const __m128d quarter = _mm_add_pd(_mm256_extractf128_pd(half, 1),
+                                       _mm256_castpd256_pd128(half));
+    return _mm_cvtsd_f64(
+        _mm_add_sd(quarter, _mm_unpackhi_pd(quarter, quarter)));
 }
 
 }  // namespace
@@ -60,7 +80,7 @@ void csr_range_avx512(const typename Idx::offset_type* rowptr,
             const __m512d xv = gather8<Idx>(x, colidx + i);
             acc = _mm512_fmadd_pd(load_pd8(values + i), xv, acc);
         }
-        double sum = _mm512_reduce_add_pd(acc);
+        double sum = hsum8(acc);
         for (; i < end; ++i) sum += values[i] * x[colidx[i]];
         y[r] += sum;
     }

@@ -64,13 +64,13 @@ public:
     [[nodiscard]] std::uint64_t rowptr_bytes() const noexcept {
         return visit([](const auto& v) { return v.rowptr_bytes(); });
     }
-    [[nodiscard]] std::uint64_t x_bytes() const noexcept {
+    [[nodiscard]] std::uint64_t x_bytes() const {
         return visit([](const auto& v) { return v.x_bytes(); });
     }
-    [[nodiscard]] std::uint64_t y_bytes() const noexcept {
+    [[nodiscard]] std::uint64_t y_bytes() const {
         return visit([](const auto& v) { return v.y_bytes(); });
     }
-    [[nodiscard]] std::uint64_t working_set_bytes() const noexcept {
+    [[nodiscard]] std::uint64_t working_set_bytes() const {
         return visit([](const auto& v) { return v.working_set_bytes(); });
     }
 

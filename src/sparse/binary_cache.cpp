@@ -347,6 +347,11 @@ const void* byte_ptr(const unsigned char* base, std::uint64_t offset) {
     // fingerprint must agree before any array bytes are trusted.
     if (info.rows < 0 || info.cols < 0 || info.nnz < 0)
         return invalid("negative dimensions in .spmvc header");
+    if (const Result<std::int64_t> bytes = checked_working_set_bytes(
+            info.rows, info.cols, info.nnz, info.index_width);
+        !bytes.ok())
+        return invalid("unaddressable shape in .spmvc header: " +
+                       bytes.error().message);
     if (plan.rowptr_bytes != (static_cast<std::uint64_t>(info.rows) + 1) *
                                  rowptr_elem_bytes(info.index_width))
         return invalid("rowptr section length disagrees with rows");

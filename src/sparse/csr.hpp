@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string>
@@ -17,9 +18,37 @@
 
 #include "sparse/index_width.hpp"
 #include "util/align.hpp"
+#include "util/checked.hpp"
+#include "util/error.hpp"
 #include "util/status.hpp"
 
 namespace spmvcache {
+
+namespace detail {
+
+/// `count` elements of `element_bytes` each, as a byte count that fits
+/// int64; ContractViolation otherwise.
+[[nodiscard]] inline std::uint64_t checked_bytes(std::int64_t count,
+                                                 std::size_t element_bytes) {
+    std::int64_t bytes = 0;
+    SPMV_EXPECTS(checked_mul(count, static_cast<std::int64_t>(element_bytes),
+                             bytes));
+    return static_cast<std::uint64_t>(bytes);
+}
+
+/// Sum of byte counts that fits int64; ContractViolation otherwise.
+[[nodiscard]] inline std::uint64_t checked_byte_sum(
+    std::initializer_list<std::uint64_t> terms) {
+    std::int64_t sum = 0;
+    for (const std::uint64_t term : terms) {
+        std::int64_t bytes = 0;
+        SPMV_EXPECTS(checked_narrow(term, bytes) &&
+                     checked_add(sum, bytes, sum));
+    }
+    return static_cast<std::uint64_t>(sum);
+}
+
+}  // namespace detail
 
 template <class Idx>
 class BasicCsrBuilder;
@@ -76,18 +105,21 @@ public:
     [[nodiscard]] std::uint64_t rowptr_bytes() const noexcept {
         return rowptr_.size() * sizeof(offset_type);
     }
-    /// Size of the input vector x (cols() doubles).
-    [[nodiscard]] std::uint64_t x_bytes() const noexcept {
-        return static_cast<std::uint64_t>(cols_) * sizeof(value_type);
+    /// Size of the input vector x (cols() doubles). These three throw
+    /// ContractViolation for a shape whose byte count does not fit int64;
+    /// the readers refuse such a shape at the door.
+    [[nodiscard]] std::uint64_t x_bytes() const {
+        return detail::checked_bytes(cols_, sizeof(value_type));
     }
     /// Size of the output vector y (rows() doubles).
-    [[nodiscard]] std::uint64_t y_bytes() const noexcept {
-        return static_cast<std::uint64_t>(rows_) * sizeof(value_type);
+    [[nodiscard]] std::uint64_t y_bytes() const {
+        return detail::checked_bytes(rows_, sizeof(value_type));
     }
     /// Total working set: matrix arrays plus both vectors.
-    [[nodiscard]] std::uint64_t working_set_bytes() const noexcept {
-        return values_bytes() + colidx_bytes() + rowptr_bytes() + x_bytes() +
-               y_bytes();
+    [[nodiscard]] std::uint64_t working_set_bytes() const {
+        return detail::checked_byte_sum({values_bytes(), colidx_bytes(),
+                                         rowptr_bytes(), x_bytes(),
+                                         y_bytes()});
     }
 
     /// Checks structural invariants (monotone rowptr, indices in range,

@@ -95,15 +95,18 @@ public:
     [[nodiscard]] std::uint64_t rowptr_bytes() const noexcept {
         return rowptr_.size() * sizeof(offset_type);
     }
-    [[nodiscard]] std::uint64_t x_bytes() const noexcept {
-        return static_cast<std::uint64_t>(cols_) * sizeof(value_type);
+    /// x, y and the working set throw ContractViolation for a shape whose
+    /// byte count does not fit int64 (as BasicCsrMatrix's do).
+    [[nodiscard]] std::uint64_t x_bytes() const {
+        return detail::checked_bytes(cols_, sizeof(value_type));
     }
-    [[nodiscard]] std::uint64_t y_bytes() const noexcept {
-        return static_cast<std::uint64_t>(rows_) * sizeof(value_type);
+    [[nodiscard]] std::uint64_t y_bytes() const {
+        return detail::checked_bytes(rows_, sizeof(value_type));
     }
-    [[nodiscard]] std::uint64_t working_set_bytes() const noexcept {
-        return values_bytes() + colidx_bytes() + rowptr_bytes() + x_bytes() +
-               y_bytes();
+    [[nodiscard]] std::uint64_t working_set_bytes() const {
+        return detail::checked_byte_sum({values_bytes(), colidx_bytes(),
+                                         rowptr_bytes(), x_bytes(),
+                                         y_bytes()});
     }
 
 private:

@@ -27,6 +27,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/checked.hpp"
 #include "util/status.hpp"
 
 namespace spmvcache {
@@ -147,6 +148,43 @@ struct Idx64 {
                     "2^32-1); use --index-width auto or 64");
     }
     return Error(ErrorCode::ValidationError, "invalid index width choice");
+}
+
+/// Bytes of the §3.1 working set of a rows x cols matrix holding nnz
+/// entries as CSR at `width`: values, colidx and rowptr plus x (cols
+/// doubles) and y (rows doubles). A shape whose x, y or sum does not fit
+/// int64 cannot be addressed; the readers refuse it with the
+/// OverflowError this returns. Pre: rows, cols, nnz >= 0.
+[[nodiscard]] inline Result<std::int64_t> checked_working_set_bytes(
+    std::int64_t rows, std::int64_t cols, std::int64_t nnz,
+    IndexWidth width) {
+    constexpr auto kDouble = static_cast<std::int64_t>(sizeof(double));
+    std::int64_t x = 0;
+    std::int64_t y = 0;
+    if (!checked_mul(cols, kDouble, x))
+        return Error(ErrorCode::OverflowError,
+                     "x of " + std::to_string(cols) +
+                         " doubles overflows int64 bytes");
+    if (!checked_mul(rows, kDouble, y))
+        return Error(ErrorCode::OverflowError,
+                     "y of " + std::to_string(rows) +
+                         " doubles overflows int64 bytes");
+    const std::int64_t entry_bytes = kDouble + colidx_width_bytes(width);
+    std::int64_t entries = 0;
+    std::int64_t offsets = 0;
+    std::int64_t sum = 0;
+    if (!checked_mul(nnz, entry_bytes, entries) ||
+        !checked_add(rows, std::int64_t{1}, offsets) ||
+        !checked_mul(offsets, std::int64_t{rowptr_width_bytes(width)},
+                     offsets) ||
+        !checked_add(x, y, sum) || !checked_add(sum, entries, sum) ||
+        !checked_add(sum, offsets, sum))
+        return Error(ErrorCode::OverflowError,
+                     "working set of " + std::to_string(rows) + " x " +
+                         std::to_string(cols) + " with " +
+                         std::to_string(nnz) +
+                         " entries overflows int64 bytes");
+    return sum;
 }
 
 }  // namespace spmvcache

@@ -216,6 +216,21 @@ bool is_comment_or_blank(std::string_view line) {
                      "declared nnz " + std::to_string(size.nnz) +
                          " exceeds rows*cols = " + std::to_string(cells),
                      line_no);
+    std::int64_t logical = size.nnz;
+    if (header.symmetric &&
+        !checked_mul<std::int64_t>(size.nnz, 2, logical))
+        return Error(ErrorCode::OverflowError,
+                     "symmetric nnz expansion overflows int64", line_no);
+    // Every byte count of the shape must be addressable, at every index
+    // width: the wide layout bounds both, as a shape within the W32
+    // bounds is far below int64.
+    Result<std::int64_t> bytes = checked_working_set_bytes(
+        size.rows, size.cols, logical, IndexWidth::W64);
+    if (!bytes.ok()) {
+        Error e = std::move(bytes).to_error();
+        e.line = line_no;
+        return e;
+    }
     // The W32 bounds are enforced here, before any entry is read, only
     // when the caller *forces* the narrow layout; Auto resolves the width
     // after the size line (sparse/index_width.hpp) and W64 has no 32-bit
@@ -237,11 +252,6 @@ bool is_comment_or_blank(std::string_view line) {
                          "matrix does not fit the forced 32-bit index layout",
                          line_no);
     }
-    std::int64_t logical = size.nnz;
-    if (header.symmetric &&
-        !checked_mul<std::int64_t>(size.nnz, 2, logical))
-        return Error(ErrorCode::OverflowError,
-                     "symmetric nnz expansion overflows int64", line_no);
     return size;
 }
 

@@ -8,9 +8,9 @@
 namespace spmvcache {
 
 template <class Idx>
-BasicSellCSigmaMatrix<Idx>::BasicSellCSigmaMatrix(
-    const BasicCsrView<Idx>& csr, std::int64_t chunk_height,
-    std::int64_t sigma)
+BasicSellGeometry<Idx>::BasicSellGeometry(const BasicCsrView<Idx>& csr,
+                                          std::int64_t chunk_height,
+                                          std::int64_t sigma)
     : rows_(csr.rows()), cols_(csr.cols()), nnz_(csr.nnz()),
       c_(chunk_height), sigma_(sigma) {
     SPMV_EXPECTS(chunk_height >= 1);
@@ -18,8 +18,6 @@ BasicSellCSigmaMatrix<Idx>::BasicSellCSigmaMatrix(
     SPMV_EXPECTS(sigma == 1 || sigma % chunk_height == 0);
 
     const auto rowptr = csr.rowptr();
-    const auto csr_colidx = csr.colidx();
-    const auto csr_values = csr.values();
 
     // Sort rows by descending length within windows of sigma rows.
     perm_.resize(static_cast<std::size_t>(rows_));
@@ -61,29 +59,47 @@ BasicSellCSigmaMatrix<Idx>::BasicSellCSigmaMatrix(
         chunk_offset_[static_cast<std::size_t>(k) + 1] =
             chunk_offset_[static_cast<std::size_t>(k)] + width * c_;
     }
+}
 
-    // Fill column-major chunks; padding uses column 0 and value 0 so the
-    // kernel needs no branches.
-    const auto total = static_cast<std::size_t>(chunk_offset_.back());
-    values_.assign(total, 0.0);
-    colidx_.assign(total, 0);
-    for (std::int64_t k = 0; k < num_chunks; ++k) {
+template <class Idx>
+void BasicSellGeometry<Idx>::fill(const BasicCsrView<Idx>& csr,
+                                  std::int64_t chunk_begin,
+                                  std::int64_t chunk_end,
+                                  std::span<double> values,
+                                  std::span<index_type> colidx) const {
+    SPMV_EXPECTS(csr.rows() == rows_ && csr.nnz() == nnz_);
+    SPMV_EXPECTS(0 <= chunk_begin && chunk_begin <= chunk_end &&
+                 chunk_end <= chunks());
+    SPMV_EXPECTS(values.size() == static_cast<std::size_t>(padded_nnz()) &&
+                 colidx.size() == values.size());
+    const auto rowptr = csr.rowptr();
+    const auto csr_colidx = csr.colidx();
+    const auto csr_values = csr.values();
+    // Lane i of chunk k holds sorted row k*C + i; a lane past the last row
+    // (ragged final chunk) and the tail of a short row are padding.
+    for (std::int64_t k = chunk_begin; k < chunk_end; ++k) {
         const std::int64_t base = chunk_offset_[static_cast<std::size_t>(k)];
         const std::int64_t width = chunk_width_[static_cast<std::size_t>(k)];
         for (std::int64_t i = 0; i < c_; ++i) {
             const std::int64_t p = k * c_ + i;
-            if (p >= rows_) continue;
-            const auto row = perm_[static_cast<std::size_t>(p)];
-            const auto begin = rowptr[static_cast<std::size_t>(row)];
-            const auto len = row_lengths_[static_cast<std::size_t>(p)];
+            std::int64_t begin = 0;
+            std::int64_t len = 0;
+            if (p < rows_) {
+                const auto row =
+                    static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)]);
+                begin = static_cast<std::int64_t>(rowptr[row]);
+                len = row_lengths_[static_cast<std::size_t>(p)];
+            }
             for (std::int64_t j = 0; j < width; ++j) {
-                const std::size_t slot =
-                    static_cast<std::size_t>(base + j * c_ + i);
+                const auto slot = static_cast<std::size_t>(base + j * c_ + i);
                 if (j < len) {
-                    values_[slot] =
+                    values[slot] =
                         csr_values[static_cast<std::size_t>(begin + j)];
-                    colidx_[slot] =
+                    colidx[slot] =
                         csr_colidx[static_cast<std::size_t>(begin + j)];
+                } else {
+                    values[slot] = 0.0;
+                    colidx[slot] = 0;
                 }
             }
         }
@@ -91,15 +107,26 @@ BasicSellCSigmaMatrix<Idx>::BasicSellCSigmaMatrix(
 }
 
 template <class Idx>
-std::int64_t BasicSellCSigmaMatrix<Idx>::chunk_width(std::int64_t k) const {
+std::int64_t BasicSellGeometry<Idx>::chunk_width(std::int64_t k) const {
     SPMV_EXPECTS(k >= 0 && k < chunks());
     return chunk_width_[static_cast<std::size_t>(k)];
 }
 
 template <class Idx>
-std::int64_t BasicSellCSigmaMatrix<Idx>::chunk_offset(std::int64_t k) const {
+std::int64_t BasicSellGeometry<Idx>::chunk_offset(std::int64_t k) const {
     SPMV_EXPECTS(k >= 0 && k < chunks());
     return chunk_offset_[static_cast<std::size_t>(k)];
+}
+
+template <class Idx>
+BasicSellCSigmaMatrix<Idx>::BasicSellCSigmaMatrix(
+    const BasicCsrView<Idx>& csr, std::int64_t chunk_height,
+    std::int64_t sigma)
+    : BasicSellGeometry<Idx>(csr, chunk_height, sigma),
+      values_(static_cast<std::size_t>(this->padded_nnz())),
+      colidx_(static_cast<std::size_t>(this->padded_nnz())) {
+    this->fill(csr, 0, this->chunks(), {values_.data(), values_.size()},
+               {colidx_.data(), colidx_.size()});
 }
 
 template <class Idx>
@@ -132,6 +159,8 @@ void spmv_sell(const BasicSellCSigmaMatrix<Idx>& a, std::span<const double> x,
     }
 }
 
+template class BasicSellGeometry<Idx32>;
+template class BasicSellGeometry<Idx64>;
 template class BasicSellCSigmaMatrix<Idx32>;
 template class BasicSellCSigmaMatrix<Idx64>;
 template void spmv_sell<Idx32>(const BasicSellCSigmaMatrix<Idx32>&,

@@ -17,23 +17,29 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sparse/csr_view.hpp"
 #include "util/align.hpp"
 
 namespace spmvcache {
 
-/// Immutable SELL-C-sigma matrix, built from a CSR matrix.
+/// The layout of a SELL-C-sigma matrix without its element arrays: the
+/// sigma-sorted row permutation, each sorted row's length, and the chunk
+/// widths and offsets. Building it reads only the CSR row pointers, so a
+/// caller learns padded_nnz() before it stores a padded element, and
+/// fill() then writes the arrays one chunk range at a time (the kernel
+/// engine fills each worker's chunks on that worker).
 template <class Idx>
-class BasicSellCSigmaMatrix {
+class BasicSellGeometry {
 public:
     using index_type = typename Idx::index_type;
     using idx_tag = Idx;
 
-    /// Converts `csr`. Pre: chunk_height >= 1; sigma >= 1 and a multiple
-    /// of chunk_height (or 1 for no sorting).
-    BasicSellCSigmaMatrix(const BasicCsrView<Idx>& csr,
-                          std::int64_t chunk_height, std::int64_t sigma);
+    /// Sorts and chunks the rows of `csr`. Pre: chunk_height >= 1; sigma
+    /// >= 1 and a multiple of chunk_height (or 1 for no sorting).
+    BasicSellGeometry(const BasicCsrView<Idx>& csr, std::int64_t chunk_height,
+                      std::int64_t sigma);
 
     [[nodiscard]] static constexpr IndexWidth index_width() noexcept {
         return Idx::width;
@@ -51,7 +57,7 @@ public:
 
     /// Stored elements including zero padding.
     [[nodiscard]] std::int64_t padded_nnz() const noexcept {
-        return static_cast<std::int64_t>(values_.size());
+        return chunk_offset_.back();
     }
     /// Padding overhead beta = padded / logical (1.0 = no padding).
     [[nodiscard]] double padding_factor() const noexcept {
@@ -62,7 +68,7 @@ public:
 
     /// Width (longest row) of chunk `k`. Pre: 0 <= k < chunks().
     [[nodiscard]] std::int64_t chunk_width(std::int64_t k) const;
-    /// Offset of chunk k's first element in values()/colidx().
+    /// Offset of chunk k's first element in the chunk-major arrays.
     [[nodiscard]] std::int64_t chunk_offset(std::int64_t k) const;
 
     /// Whole geometry arrays (for kernels that loop over chunk ranges):
@@ -78,15 +84,50 @@ public:
     [[nodiscard]] std::span<const index_type> perm() const noexcept {
         return {perm_.data(), perm_.size()};
     }
+    /// Nonzeros (unpadded length) of sorted row position p.
+    [[nodiscard]] std::span<const index_type> row_lengths() const noexcept {
+        return {row_lengths_.data(), row_lengths_.size()};
+    }
+
+    /// Writes chunks [chunk_begin, chunk_end) of the chunk-major arrays of
+    /// `csr`, the matrix this geometry was built from: every slot in
+    /// [chunk_offset(chunk_begin), chunk_offset(chunk_end)) of `values`
+    /// and `colidx`, padding included (value 0, column 0, so the kernels
+    /// need no branches), and no slot outside it. Disjoint chunk ranges
+    /// may be filled concurrently. Pre: 0 <= chunk_begin <= chunk_end <=
+    /// chunks(); both arrays hold padded_nnz() elements.
+    void fill(const BasicCsrView<Idx>& csr, std::int64_t chunk_begin,
+              std::int64_t chunk_end, std::span<double> values,
+              std::span<index_type> colidx) const;
+
+private:
+    std::int64_t rows_ = 0;
+    std::int64_t cols_ = 0;
+    std::int64_t nnz_ = 0;
+    std::int64_t c_ = 1;
+    std::int64_t sigma_ = 1;
+    aligned_vector<std::int64_t> chunk_offset_;  ///< chunks()+1 entries
+    std::vector<std::int64_t> chunk_width_;
+    std::vector<index_type> perm_;
+    std::vector<index_type> row_lengths_;
+};
+
+/// Immutable SELL-C-sigma matrix, built from a CSR matrix: its geometry
+/// plus the chunk-major arrays, filled over all chunks.
+template <class Idx>
+class BasicSellCSigmaMatrix : public BasicSellGeometry<Idx> {
+public:
+    using index_type = typename Idx::index_type;
+
+    /// Converts `csr`. Pre: as BasicSellGeometry's.
+    BasicSellCSigmaMatrix(const BasicCsrView<Idx>& csr,
+                          std::int64_t chunk_height, std::int64_t sigma);
+
     [[nodiscard]] std::span<const double> values() const noexcept {
         return {values_.data(), values_.size()};
     }
     [[nodiscard]] std::span<const index_type> colidx() const noexcept {
         return {colidx_.data(), colidx_.size()};
-    }
-    /// Nonzeros (unpadded length) of sorted row position p.
-    [[nodiscard]] std::span<const index_type> row_lengths() const noexcept {
-        return {row_lengths_.data(), row_lengths_.size()};
     }
 
     /// Byte sizes for working-set classification.
@@ -98,19 +139,12 @@ public:
     }
 
 private:
-    std::int64_t rows_ = 0;
-    std::int64_t cols_ = 0;
-    std::int64_t nnz_ = 0;
-    std::int64_t c_ = 1;
-    std::int64_t sigma_ = 1;
     aligned_vector<double> values_;
     aligned_vector<index_type> colidx_;
-    aligned_vector<std::int64_t> chunk_offset_;  ///< chunks()+1 entries
-    std::vector<std::int64_t> chunk_width_;
-    std::vector<index_type> perm_;
-    std::vector<index_type> row_lengths_;
 };
 
+using SellGeometry = BasicSellGeometry<Idx32>;
+using SellGeometry64 = BasicSellGeometry<Idx64>;
 using SellCSigmaMatrix = BasicSellCSigmaMatrix<Idx32>;
 using SellCSigmaMatrix64 = BasicSellCSigmaMatrix<Idx64>;
 
@@ -121,6 +155,8 @@ template <class Idx>
 void spmv_sell(const BasicSellCSigmaMatrix<Idx>& a, std::span<const double> x,
                std::span<double> y);
 
+extern template class BasicSellGeometry<Idx32>;
+extern template class BasicSellGeometry<Idx64>;
 extern template class BasicSellCSigmaMatrix<Idx32>;
 extern template class BasicSellCSigmaMatrix<Idx64>;
 extern template void spmv_sell<Idx32>(const BasicSellCSigmaMatrix<Idx32>&,

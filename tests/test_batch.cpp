@@ -11,12 +11,15 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/batch.hpp"
 #include "core/deadline.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/matrix_market.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/format.hpp"
 
@@ -179,6 +182,21 @@ TEST_F(BatchTest, TimeoutRecordsTimeoutError) {
     EXPECT_EQ(report.items[0].code, ErrorCode::TimeoutError);
     EXPECT_FALSE(report.items[0].retried);  // timeouts are not transient
     EXPECT_EQ(report.exit_code(), kExitSomeFailed);
+}
+
+TEST(ExitCode, EscapedExceptionIsAFailureUnlessAFlagWasUnreadable) {
+    EXPECT_EQ(exit_code_for_exception(ContractViolation("precondition")),
+              kExitSomeFailed);
+    EXPECT_EQ(exit_code_for_exception(std::bad_alloc()), kExitSomeFailed);
+    EXPECT_EQ(exit_code_for_exception(std::runtime_error("unexpected")),
+              kExitSomeFailed);
+    EXPECT_EQ(exit_code_for_exception(StatusError(
+                  Error(ErrorCode::ValidationError, "does not fit"))),
+              kExitSomeFailed);
+    // What CliParser throws for `--threads abc`.
+    EXPECT_EQ(exit_code_for_exception(StatusError(
+                  Error(ErrorCode::ParseError, "not an integer: 'abc'"))),
+              kExitUsage);
 }
 
 TEST(Deadline, BudgetBeyondTheClockIsNoBudget) {

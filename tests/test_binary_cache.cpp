@@ -219,6 +219,28 @@ TEST_F(BinaryCacheTest, FreshDamageMatchesCorpusErrorCodes) {
               ErrorCode::ParseError);
 }
 
+// A header whose shape cannot be addressed: rows*cols fits int64, but x's
+// byte count (8 per column) does not. Such an entry is refused before any
+// section is trusted, like a .mtx declaring the same shape.
+TEST_F(BinaryCacheTest, UnaddressableShapeIsValidationError) {
+    const std::vector<std::int64_t> rowptr = {0, 1, 2};
+    const std::vector<std::int64_t> colidx = {0, 1};
+    const std::vector<double> values = {1.0, 2.0};
+    const CsrView64 view(2, 2305843009213694052, rowptr, colidx, values);
+    const std::string entry = (dir_ / "unaddressable.spmvc").string();
+    const Status written =
+        write_binary_cache(entry, view, fingerprint_matrix(view),
+                           MatrixStats{}, "generated://unaddressable",
+                           SourceStamp{});
+    ASSERT_TRUE(written.ok()) << written.error().render();
+    const Result<MappedCsr> loaded = load_binary_cache(entry);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code, ErrorCode::ValidationError);
+    EXPECT_NE(loaded.error().message.find("unaddressable shape"),
+              std::string::npos)
+        << loaded.error().render();
+}
+
 // ---- Round trips -------------------------------------------------------
 
 TEST_F(BinaryCacheTest, RoundTripIsByteIdenticalAcrossGenerators) {

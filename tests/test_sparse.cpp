@@ -6,9 +6,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "sparse/any_csr.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/gen/suite.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/csr_view.hpp"
+#include "sparse/index_width.hpp"
 #include "sparse/matrix_market.hpp"
 #include "sparse/matrix_stats.hpp"
 #include "sparse/partition.hpp"
@@ -358,6 +361,48 @@ TEST(MatrixMarketHardened, DimensionOverflowIsTypedNotUb) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::OverflowError);
     EXPECT_EQ(r.error().line, 2);
+}
+
+TEST(MatrixMarketHardened, UnaddressableVectorIsRefusedAtTheSizeLine) {
+    // rows*cols fits int64, but x (8 bytes per column) does not: the
+    // shape is refused before any entry is read.
+    const Result<AnyCsrMatrix> wide_x = parse(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2305843009213694052 2\n"
+        "1 1 1.0\n"
+        "2 2 2.0\n");
+    ASSERT_FALSE(wide_x.ok());
+    EXPECT_EQ(wide_x.code(), ErrorCode::OverflowError);
+    EXPECT_EQ(wide_x.error().line, 2);
+    EXPECT_NE(wide_x.error().message.find("x of"), std::string::npos);
+
+    // x and y fit on their own; their sum with the arrays does not.
+    const Result<AnyCsrMatrix> sum = parse(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "1 1152921504606846975 1\n"
+        "1 1 1.0\n");
+    ASSERT_FALSE(sum.ok());
+    EXPECT_EQ(sum.code(), ErrorCode::OverflowError);
+    EXPECT_NE(sum.error().message.find("working set"), std::string::npos);
+}
+
+TEST(Csr, ByteSizesAreOverflowChecked) {
+    EXPECT_EQ(checked_working_set_bytes(4, 4, 7, IndexWidth::W32).value(),
+              7 * 8 + 7 * 4 + 5 * 4 + 4 * 8 + 4 * 8);
+    EXPECT_EQ(checked_working_set_bytes(4, 4, 7, IndexWidth::W64).value(),
+              7 * 8 + 7 * 8 + 5 * 8 + 4 * 8 + 4 * 8);
+    EXPECT_EQ(checked_working_set_bytes(2, 2305843009213694052, 2,
+                                        IndexWidth::W64)
+                  .code(),
+              ErrorCode::OverflowError);
+
+    // A view whose x byte count wraps throws instead of answering.
+    const std::vector<std::uint32_t> rowptr = {0, 0, 0};
+    const CsrView v(2, 2305843009213694052, rowptr, {}, {});
+    EXPECT_EQ(v.y_bytes(), 16u);
+    EXPECT_THROW((void)v.x_bytes(), ContractViolation);
+    EXPECT_THROW((void)v.working_set_bytes(), ContractViolation);
+    EXPECT_THROW((void)AnyCsrView(v).working_set_bytes(), ContractViolation);
 }
 
 TEST(MatrixMarketHardened, DuplicatesCombinedLenientlyRejectedStrictly) {

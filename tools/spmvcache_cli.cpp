@@ -1005,15 +1005,23 @@ int cmd_kernelbench(const CliParser& cli) {
         rows.push_back(std::move(row));
     }
 
+    // Why auto chose: the partition imbalance (merge above 1.5) and the
+    // SELL padding, shown on each row whose engine built or probed the
+    // SELL layout (sell_padding 0: it did neither).
+    const auto probed = [](const KernelRow& row) {
+        return row.info.sell_padding > 0.0;
+    };
     TextTable t({"variant", "resolved", "GFLOP/s", "vs csr", "isa",
-                 "prefetch d"});
+                 "prefetch d", "sell padding", "imbalance"});
     for (const auto& row : rows)
         t.add_row({row.variant, to_string(row.info.variant),
                    fmt(row.gflops, 2), fmt(row.speedup, 2),
                    simd::to_string(row.info.isa),
                    row.info.variant == KernelVariant::CsrPrefetch
                        ? std::to_string(row.info.prefetch_distance)
-                       : "-"});
+                       : "-",
+                   probed(row) ? fmt(row.info.sell_padding, 3) : "-",
+                   fmt(row.info.imbalance, 3)});
     t.render(std::cout, std::to_string(threads) + " thread(s), " +
                             std::to_string(iters) + " iterations, host " +
                             simd::to_string(simd::best().isa) + ", csr " +
@@ -1034,17 +1042,25 @@ int cmd_kernelbench(const CliParser& cli) {
                     << ", \"speedup\": " << json_double(rows[i].speedup)
                     << ", \"isa\": \"" << simd::to_string(rows[i].info.isa)
                     << "\", \"prefetch_distance\": "
-                    << rows[i].info.prefetch_distance << "}"
+                    << rows[i].info.prefetch_distance
+                    << ", \"sell_padding\": "
+                    << (probed(rows[i]) ? json_double(rows[i].info.sell_padding)
+                                        : "null")
+                    << ", \"imbalance\": "
+                    << json_double(rows[i].info.imbalance) << "}"
                     << (i + 1 < rows.size() ? "," : "") << "\n";
             out << " ]}\n";
         } else {
-            out << "variant,resolved,gflops,speedup,isa,prefetch_distance\n";
+            out << "variant,resolved,gflops,speedup,isa,prefetch_distance,"
+                   "sell_padding,imbalance\n";
             for (const auto& row : rows)
                 out << row.variant << ',' << to_string(row.info.variant)
                     << ',' << json_double(row.gflops) << ','
                     << json_double(row.speedup) << ','
                     << simd::to_string(row.info.isa) << ','
-                    << row.info.prefetch_distance << "\n";
+                    << row.info.prefetch_distance << ','
+                    << (probed(row) ? json_double(row.info.sell_padding) : "")
+                    << ',' << json_double(row.info.imbalance) << "\n";
         }
         std::cout << "report written to " << report.path << " ("
                   << report.format << ")\n";
@@ -1158,8 +1174,9 @@ int main(int argc, char** argv) {
         return it->run(cli);
     } catch (const std::exception& e) {
         // Input errors are handled through the Status layer above; anything
-        // landing here is a programmer error or resource exhaustion.
+        // landing here is an unreadable flag value, a programmer error or
+        // resource exhaustion.
         std::cerr << "fatal: " << e.what() << "\n";
-        return kExitUsage;
+        return exit_code_for_exception(e);
     }
 }
