@@ -1,7 +1,9 @@
 #include "sparse/sellcs.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -18,23 +20,46 @@ BasicSellGeometry<Idx>::BasicSellGeometry(const BasicCsrView<Idx>& csr,
     SPMV_EXPECTS(sigma == 1 || sigma % chunk_height == 0);
 
     const auto rowptr = csr.rowptr();
-
-    // Sort rows by descending length within windows of sigma rows.
-    perm_.resize(static_cast<std::size_t>(rows_));
-    std::iota(perm_.begin(), perm_.end(), index_type{0});
-    auto row_len = [&](index_type r) {
+    auto row_len = [&](std::int64_t r) {
         return static_cast<std::int64_t>(
             rowptr[static_cast<std::size_t>(r) + 1] -
             rowptr[static_cast<std::size_t>(r)]);
     };
+
+    // Sort rows by descending length within windows of sigma rows,
+    // stably: a counting sort over the window's range of lengths, or a
+    // comparison sort when that range is far wider than the window.
+    perm_.resize(static_cast<std::size_t>(rows_));
+    std::vector<std::int64_t> next;  // per length key: next position
     for (std::int64_t window = 0; window < rows_; window += sigma_) {
-        const auto begin = perm_.begin() + static_cast<std::ptrdiff_t>(window);
-        const auto end =
-            perm_.begin() +
-            static_cast<std::ptrdiff_t>(std::min(window + sigma_, rows_));
-        std::stable_sort(begin, end, [&](index_type a, index_type b) {
-            return row_len(a) > row_len(b);
-        });
+        const std::int64_t end = std::min(window + sigma_, rows_);
+        std::int64_t longest = 0;
+        std::int64_t shortest = std::numeric_limits<std::int64_t>::max();
+        for (std::int64_t r = window; r < end; ++r) {
+            longest = std::max(longest, row_len(r));
+            shortest = std::min(shortest, row_len(r));
+        }
+        const std::int64_t range = longest - shortest + 1;
+        if (range > 4 * (end - window)) {
+            const auto first =
+                perm_.begin() + static_cast<std::ptrdiff_t>(window);
+            const auto last = perm_.begin() + static_cast<std::ptrdiff_t>(end);
+            std::iota(first, last, static_cast<index_type>(window));
+            std::stable_sort(first, last, [&](index_type a, index_type b) {
+                return row_len(a) > row_len(b);
+            });
+            continue;
+        }
+        // Key longest - length: 0 for the longest rows, which go first.
+        next.assign(static_cast<std::size_t>(range) + 1, 0);
+        for (std::int64_t r = window; r < end; ++r)
+            ++next[static_cast<std::size_t>(longest - row_len(r)) + 1];
+        for (std::size_t key = 1; key < next.size(); ++key)
+            next[key] += next[key - 1];
+        for (std::int64_t r = window; r < end; ++r)
+            perm_[static_cast<std::size_t>(
+                window + next[static_cast<std::size_t>(longest - row_len(r))]++)] =
+                static_cast<index_type>(r);
     }
 
     row_lengths_.resize(static_cast<std::size_t>(rows_));
@@ -75,28 +100,35 @@ void BasicSellGeometry<Idx>::fill(const BasicCsrView<Idx>& csr,
     const auto rowptr = csr.rowptr();
     const auto csr_colidx = csr.colidx();
     const auto csr_values = csr.values();
-    // Lane i of chunk k holds sorted row k*C + i; a lane past the last row
-    // (ragged final chunk) and the tail of a short row are padding.
+    // Lane i of chunk k holds sorted row k*C + i, column-major: slot
+    // base + j*C + i is element j of that row, or padding past the row's
+    // end (and in every lane past the last row, in a ragged final chunk).
+    // The slots are written in order.
+    std::vector<std::int64_t> lane_begin(static_cast<std::size_t>(c_));
+    std::vector<std::int64_t> lane_len(static_cast<std::size_t>(c_));
     for (std::int64_t k = chunk_begin; k < chunk_end; ++k) {
-        const std::int64_t base = chunk_offset_[static_cast<std::size_t>(k)];
-        const std::int64_t width = chunk_width_[static_cast<std::size_t>(k)];
         for (std::int64_t i = 0; i < c_; ++i) {
             const std::int64_t p = k * c_ + i;
-            std::int64_t begin = 0;
-            std::int64_t len = 0;
+            const auto lane = static_cast<std::size_t>(i);
+            lane_begin[lane] = 0;
+            lane_len[lane] = 0;
             if (p < rows_) {
                 const auto row =
                     static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)]);
-                begin = static_cast<std::int64_t>(rowptr[row]);
-                len = row_lengths_[static_cast<std::size_t>(p)];
+                lane_begin[lane] = static_cast<std::int64_t>(rowptr[row]);
+                lane_len[lane] = row_lengths_[static_cast<std::size_t>(p)];
             }
-            for (std::int64_t j = 0; j < width; ++j) {
-                const auto slot = static_cast<std::size_t>(base + j * c_ + i);
-                if (j < len) {
-                    values[slot] =
-                        csr_values[static_cast<std::size_t>(begin + j)];
-                    colidx[slot] =
-                        csr_colidx[static_cast<std::size_t>(begin + j)];
+        }
+        auto slot = static_cast<std::size_t>(
+            chunk_offset_[static_cast<std::size_t>(k)]);
+        const std::int64_t width = chunk_width_[static_cast<std::size_t>(k)];
+        for (std::int64_t j = 0; j < width; ++j) {
+            for (std::size_t lane = 0; lane < lane_len.size(); ++lane, ++slot) {
+                if (j < lane_len[lane]) {
+                    const auto at =
+                        static_cast<std::size_t>(lane_begin[lane] + j);
+                    values[slot] = csr_values[at];
+                    colidx[slot] = csr_colidx[at];
                 } else {
                     values[slot] = 0.0;
                     colidx[slot] = 0;

@@ -58,6 +58,40 @@ TEST(Sell, PermutationIsValid) {
     }
 }
 
+TEST(Sell, SigmaWindowsSortStablyByDescendingLength) {
+    // Window 0 spans lengths 1..1200, wider than the counting sort's
+    // range bound, so it takes the comparison sort; every other window
+    // has a narrow range and takes the counting sort. Both must give the
+    // stable descending order.
+    CsrBuilder b(600, 1500);
+    for (std::int64_t r = 0; r < 600; ++r) {
+        const std::int64_t len = r == 3 ? 1200 : 1 + (r * 7) % 5;
+        for (std::int64_t j = 0; j < len; ++j)
+            b.push(r, static_cast<std::int32_t>(j), 1.0);
+    }
+    const CsrMatrix csr = std::move(b).finish();
+    for (const std::int64_t sigma : {std::int64_t{8}, std::int64_t{256}}) {
+        const SellGeometry g(csr, 8, sigma);
+        const auto perm = g.perm();
+        for (std::int64_t w = 0; w < 600; w += sigma) {
+            const std::int64_t end = std::min<std::int64_t>(w + sigma, 600);
+            for (std::int64_t p = w; p < end; ++p) {
+                const auto row = perm[static_cast<std::size_t>(p)];
+                ASSERT_GE(row, w);
+                ASSERT_LT(row, end);
+                EXPECT_EQ(g.row_lengths()[static_cast<std::size_t>(p)],
+                          csr.row_nnz(row));
+                if (p == w) continue;
+                const auto prev = perm[static_cast<std::size_t>(p) - 1];
+                const auto len = csr.row_nnz(row);
+                const auto prev_len = csr.row_nnz(prev);
+                EXPECT_TRUE(prev_len > len || (prev_len == len && prev < row))
+                    << "sigma " << sigma << " position " << p;
+            }
+        }
+    }
+}
+
 TEST(Sell, SigmaSortingReducesPadding) {
     // Skewed row lengths: without sorting (sigma = 1) chunks pad to their
     // longest member; sigma sorting groups similar lengths together.
