@@ -56,10 +56,11 @@ BasicSellGeometry<Idx>::BasicSellGeometry(const BasicCsrView<Idx>& csr,
             ++next[static_cast<std::size_t>(longest - row_len(r)) + 1];
         for (std::size_t key = 1; key < next.size(); ++key)
             next[key] += next[key - 1];
-        for (std::int64_t r = window; r < end; ++r)
-            perm_[static_cast<std::size_t>(
-                window + next[static_cast<std::size_t>(longest - row_len(r))]++)] =
+        for (std::int64_t r = window; r < end; ++r) {
+            const auto key = static_cast<std::size_t>(longest - row_len(r));
+            perm_[static_cast<std::size_t>(window + next[key]++)] =
                 static_cast<index_type>(r);
+        }
     }
 
     row_lengths_.resize(static_cast<std::size_t>(rows_));
@@ -113,8 +114,8 @@ void BasicSellGeometry<Idx>::fill(const BasicCsrView<Idx>& csr,
             lane_begin[lane] = 0;
             lane_len[lane] = 0;
             if (p < rows_) {
-                const auto row =
-                    static_cast<std::size_t>(perm_[static_cast<std::size_t>(p)]);
+                const auto row = static_cast<std::size_t>(
+                    perm_[static_cast<std::size_t>(p)]);
                 lane_begin[lane] = static_cast<std::int64_t>(rowptr[row]);
                 lane_len[lane] = row_lengths_[static_cast<std::size_t>(p)];
             }

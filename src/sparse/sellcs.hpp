@@ -144,7 +144,6 @@ private:
 };
 
 using SellGeometry = BasicSellGeometry<Idx32>;
-using SellGeometry64 = BasicSellGeometry<Idx64>;
 using SellCSigmaMatrix = BasicSellCSigmaMatrix<Idx32>;
 using SellCSigmaMatrix64 = BasicSellCSigmaMatrix<Idx64>;
 
