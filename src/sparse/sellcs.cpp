@@ -1,7 +1,6 @@
 #include "sparse/sellcs.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -20,47 +19,23 @@ BasicSellGeometry<Idx>::BasicSellGeometry(const BasicCsrView<Idx>& csr,
     SPMV_EXPECTS(sigma == 1 || sigma % chunk_height == 0);
 
     const auto rowptr = csr.rowptr();
-    auto row_len = [&](std::int64_t r) {
+
+    // Sort rows by descending length within windows of sigma rows.
+    perm_.resize(static_cast<std::size_t>(rows_));
+    std::iota(perm_.begin(), perm_.end(), index_type{0});
+    auto row_len = [&](index_type r) {
         return static_cast<std::int64_t>(
             rowptr[static_cast<std::size_t>(r) + 1] -
             rowptr[static_cast<std::size_t>(r)]);
     };
-
-    // Sort rows by descending length within windows of sigma rows,
-    // stably: a counting sort over the window's range of lengths, or a
-    // comparison sort when that range is far wider than the window.
-    perm_.resize(static_cast<std::size_t>(rows_));
-    std::vector<std::int64_t> next;  // per length key: next position
     for (std::int64_t window = 0; window < rows_; window += sigma_) {
-        const std::int64_t end = std::min(window + sigma_, rows_);
-        std::int64_t longest = 0;
-        std::int64_t shortest = std::numeric_limits<std::int64_t>::max();
-        for (std::int64_t r = window; r < end; ++r) {
-            longest = std::max(longest, row_len(r));
-            shortest = std::min(shortest, row_len(r));
-        }
-        const std::int64_t range = longest - shortest + 1;
-        if (range > 4 * (end - window)) {
-            const auto first =
-                perm_.begin() + static_cast<std::ptrdiff_t>(window);
-            const auto last = perm_.begin() + static_cast<std::ptrdiff_t>(end);
-            std::iota(first, last, static_cast<index_type>(window));
-            std::stable_sort(first, last, [&](index_type a, index_type b) {
-                return row_len(a) > row_len(b);
-            });
-            continue;
-        }
-        // Key longest - length: 0 for the longest rows, which go first.
-        next.assign(static_cast<std::size_t>(range) + 1, 0);
-        for (std::int64_t r = window; r < end; ++r)
-            ++next[static_cast<std::size_t>(longest - row_len(r)) + 1];
-        for (std::size_t key = 1; key < next.size(); ++key)
-            next[key] += next[key - 1];
-        for (std::int64_t r = window; r < end; ++r) {
-            const auto key = static_cast<std::size_t>(longest - row_len(r));
-            perm_[static_cast<std::size_t>(window + next[key]++)] =
-                static_cast<index_type>(r);
-        }
+        const auto begin = perm_.begin() + static_cast<std::ptrdiff_t>(window);
+        const auto end =
+            perm_.begin() +
+            static_cast<std::ptrdiff_t>(std::min(window + sigma_, rows_));
+        std::stable_sort(begin, end, [&](index_type a, index_type b) {
+            return row_len(a) > row_len(b);
+        });
     }
 
     row_lengths_.resize(static_cast<std::size_t>(rows_));

@@ -59,10 +59,8 @@ TEST(Sell, PermutationIsValid) {
 }
 
 TEST(Sell, SigmaWindowsSortStablyByDescendingLength) {
-    // Window 0 spans lengths 1..1200, wider than the counting sort's
-    // range bound, so it takes the comparison sort; every other window
-    // has a narrow range and takes the counting sort. Both must give the
-    // stable descending order.
+    // One very long row in window 0 among short rows of five lengths:
+    // each window must hold its own rows in stable descending order.
     CsrBuilder b(600, 1500);
     for (std::int64_t r = 0; r < 600; ++r) {
         const std::int64_t len = r == 3 ? 1200 : 1 + (r * 7) % 5;
