@@ -16,6 +16,14 @@ std::string_view trim_ws(std::string_view s) {
     return s;
 }
 
+/// Throws the parse error of flag `name`'s value as a ParseError, whatever
+/// code the parse gave it (an out-of-range integer is an OverflowError),
+/// so every unreadable flag value is a usage error.
+[[noreturn]] void throw_unreadable(Error e, const std::string& name) {
+    e.code = ErrorCode::ParseError;
+    throw_status(std::move(e).wrap("parsing --" + name));
+}
+
 }  // namespace
 
 [[nodiscard]] Result<std::int64_t> parse_int(std::string_view text) {
@@ -89,10 +97,7 @@ std::int64_t CliParser::get_int(const std::string& name,
     const auto v = find(name);
     if (!v || v->empty()) return fallback;
     Result<std::int64_t> parsed = parse_int(*v);
-    if (!parsed.ok())
-        throw_status(std::move(parsed)
-                         .wrap("parsing --" + name)
-                         .to_error());
+    if (!parsed.ok()) throw_unreadable(std::move(parsed).to_error(), name);
     return parsed.value();
 }
 
@@ -100,10 +105,7 @@ double CliParser::get_double(const std::string& name, double fallback) const {
     const auto v = find(name);
     if (!v || v->empty()) return fallback;
     Result<double> parsed = parse_double(*v);
-    if (!parsed.ok())
-        throw_status(std::move(parsed)
-                         .wrap("parsing --" + name)
-                         .to_error());
+    if (!parsed.ok()) throw_unreadable(std::move(parsed).to_error(), name);
     return parsed.value();
 }
 

@@ -37,6 +37,8 @@ public:
 
     [[nodiscard]] std::string get(const std::string& name,
                                   const std::string& fallback) const;
+    /// get_int and get_double throw a StatusError carrying ParseError for
+    /// a value they cannot read, an out-of-range one included.
     [[nodiscard]] std::int64_t get_int(const std::string& name,
                                        std::int64_t fallback) const;
     [[nodiscard]] double get_double(const std::string& name,

@@ -192,6 +192,21 @@ TEST(CliParser, GarbageNumericOptionThrowsTyped) {
     }
 }
 
+TEST(CliParser, OutOfRangeIntegerOptionIsAParseError) {
+    // parse_int calls it an OverflowError; as a flag value it is one the
+    // CLI cannot read, which it answers as a usage error.
+    const char* argv[] = {"prog", "--threads", "99999999999999999999"};
+    CliParser cli(3, argv);
+    try {
+        (void)cli.get_int("threads", 1);
+        FAIL() << "expected StatusError";
+    } catch (const StatusError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::ParseError);
+        EXPECT_NE(std::string(e.what()).find("out of int64 range"),
+                  std::string::npos);
+    }
+}
+
 TEST(TraceLength, CheckedFlavourMatchesConstexpr) {
     Result<std::uint64_t> n = try_spmv_trace_length(100, 500);
     ASSERT_TRUE(n.ok());
