@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string>
@@ -36,16 +35,15 @@ namespace detail {
     return static_cast<std::uint64_t>(bytes);
 }
 
-/// Sum of byte counts that fits int64; ContractViolation otherwise.
-[[nodiscard]] inline std::uint64_t checked_byte_sum(
-    std::initializer_list<std::uint64_t> terms) {
-    std::int64_t sum = 0;
-    for (const std::uint64_t term : terms) {
-        std::int64_t bytes = 0;
-        SPMV_EXPECTS(checked_narrow(term, bytes) &&
-                     checked_add(sum, bytes, sum));
-    }
-    return static_cast<std::uint64_t>(sum);
+/// checked_working_set_bytes of a shape the readers admitted;
+/// ContractViolation for one they refuse.
+[[nodiscard]] inline std::uint64_t admitted_working_set_bytes(
+    std::int64_t rows, std::int64_t cols, std::int64_t nnz,
+    IndexWidth width) {
+    const Result<std::int64_t> bytes =
+        checked_working_set_bytes(rows, cols, nnz, width);
+    SPMV_EXPECTS(bytes.ok());
+    return static_cast<std::uint64_t>(bytes.value());
 }
 
 }  // namespace detail
@@ -117,9 +115,8 @@ public:
     }
     /// Total working set: matrix arrays plus both vectors.
     [[nodiscard]] std::uint64_t working_set_bytes() const {
-        return detail::checked_byte_sum({values_bytes(), colidx_bytes(),
-                                         rowptr_bytes(), x_bytes(),
-                                         y_bytes()});
+        return detail::admitted_working_set_bytes(rows_, cols_, nnz(),
+                                                  Idx::width);
     }
 
     /// Checks structural invariants (monotone rowptr, indices in range,

@@ -104,9 +104,8 @@ public:
         return detail::checked_bytes(rows_, sizeof(value_type));
     }
     [[nodiscard]] std::uint64_t working_set_bytes() const {
-        return detail::checked_byte_sum({values_bytes(), colidx_bytes(),
-                                         rowptr_bytes(), x_bytes(),
-                                         y_bytes()});
+        return detail::admitted_working_set_bytes(rows_, cols_, nnz(),
+                                                  Idx::width);
     }
 
 private:
