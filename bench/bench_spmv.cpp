@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -143,36 +142,19 @@ std::string verify_variant(const CsrMatrix& a, KernelEngine& engine,
     return {};
 }
 
-/// Every cell is timed as the fastest of this many blocks of a third of
-/// its iterations: a transient stall on a shared host costs one block,
-/// not the cell.
-constexpr int kTimedBlocks = 3;
-
-/// Seconds of the fastest of kTimedBlocks runs of `block` iterations,
-/// after one warm-up iteration.
-template <class Engine>
-double best_block_seconds(Engine& engine, std::span<const double> x,
-                          std::span<double> y, std::int64_t block) {
-    engine.run_iterations(x, y, 1);  // warm-up
-    double best = std::numeric_limits<double>::infinity();
-    for (int b = 0; b < kTimedBlocks; ++b) {
-        Timer timer;
-        engine.run_iterations(x, y, block);
-        best = std::min(best, timer.seconds());
-    }
-    return best;
-}
-
-/// Times blocks of `block` products on an engine built over `view` at its
-/// physical width; returns GFLOP/s.
+/// Times `iters` products on an engine built over `view` at its physical
+/// width; returns GFLOP/s.
 template <class Engine, class View>
 double time_width_leg(const View& view, const EngineOptions& options,
-                      std::int64_t block, std::span<const double> x,
+                      std::int64_t iters, std::span<const double> x,
                       std::span<double> y) {
     Engine engine(view, options);
-    const double seconds = best_block_seconds(engine, x, y, block);
+    engine.run_iterations(x, y, 1);  // warm-up
+    Timer timer;
+    engine.run_iterations(x, y, iters);
+    const double seconds = timer.seconds();
     const double flops = 2.0 * static_cast<double>(view.nnz()) *
-                         static_cast<double>(block);
+                         static_cast<double>(iters);
     return seconds > 0 ? flops / seconds / 1e9 : 0.0;
 }
 
@@ -208,11 +190,10 @@ int main(int argc, char** argv) {
     cases.push_back(
         {"imbalanced", gen::random_variable_rows(nr, nr, 16.0, 2.0, seed)});
     cases.push_back({"longrow", long_row_windows(nr, 128, 8, seed)});
-    // Iterations per timed block: a third of ~2^28 nonzeros' worth.
-    const auto block_for = [smoke](const CsrMatrix& a) {
-        return smoke ? std::int64_t{1}
+    const auto iters_for = [smoke](const CsrMatrix& a) {
+        return smoke ? std::int64_t{3}
                      : std::max<std::int64_t>(
-                           2, (std::int64_t{1} << 28) / kTimedBlocks /
+                           5, (std::int64_t{1} << 28) /
                                   std::max<std::int64_t>(a.nnz(), 1));
     };
 
@@ -243,7 +224,6 @@ int main(int argc, char** argv) {
                                       : (std::size_t{1} << 25);
     const int triad_reps = smoke ? 3 : 10;
     record.param("triad_doubles", triad_n);
-    record.param("timed_blocks", kTimedBlocks);
     std::vector<double> roofs;
     for (const std::int64_t t : thread_counts) {
         roofs.push_back(stream_triad_roof(t, triad_n, triad_reps));
@@ -257,11 +237,11 @@ int main(int argc, char** argv) {
 
     for (const auto& c : cases) {
         const CsrMatrix& a = c.matrix;
-        const std::int64_t block = block_for(a);
+        const std::int64_t iters = iters_for(a);
         const std::string at = std::string(c.name) + ".";
         record.param(at + "rows", a.rows());
         record.param(at + "nnz", a.nnz());
-        record.param(at + "iters_per_block", block);
+        record.param(at + "iters", iters);
         const double flops_per_iter = 2.0 * static_cast<double>(a.nnz());
         const auto x = random_vector(static_cast<std::size_t>(a.cols()),
                                      seed);
@@ -298,24 +278,26 @@ int main(int argc, char** argv) {
                     continue;
                 }
 
-                const double seconds =
-                    best_block_seconds(engine, x, std::span<double>(y), block);
+                engine.run_iterations(x, y, 1);  // warm-up
+                Timer timer;
+                engine.run_iterations(x, y, iters);
+                const double seconds = timer.seconds();
                 const EngineInfo info = engine.info();
                 const double gflops =
                     seconds > 0 ? flops_per_iter *
-                                      static_cast<double>(block) / seconds /
+                                      static_cast<double>(iters) / seconds /
                                       1e9
                                 : 0.0;
                 const double gbytes =
                     seconds > 0 ? spmv_bytes(a) *
-                                      static_cast<double>(block) / seconds /
+                                      static_cast<double>(iters) / seconds /
                                       1e9
                                 : 0.0;
                 if (v == KernelVariant::CsrScalar) csr_gflops = gflops;
                 const double speedup =
                     csr_gflops > 0 ? gflops / csr_gflops : 0.0;
                 record.metric(at + to_string(v) + "_gflops" + on,
-                              "GFLOP/s", gflops, block);
+                              "GFLOP/s", gflops, iters);
 
                 std::string note;
                 const auto add_note = [&note](const std::string& piece) {
@@ -328,7 +310,7 @@ int main(int argc, char** argv) {
                     record.param(at + "auto_variant" + on,
                                  to_string(resolved));
                     record.metric(at + "auto_vs_best" + on, "ratio",
-                                  vs_best, block);
+                                  vs_best, iters);
                     add_note(std::string("-> ") + to_string(resolved) + ",");
                     add_note(fmt(vs_best, 2) + "x best");
                 } else {
@@ -364,8 +346,7 @@ int main(int argc, char** argv) {
         }
 
         std::cout << c.name << ": " << a.rows() << " rows, " << a.nnz()
-                  << " nnz, best of " << kTimedBlocks << " x " << block
-                  << " iters (triad roof";
+                  << " nnz, " << iters << " iters (triad roof";
         for (std::size_t ti = 0; ti < roofs.size(); ++ti)
             std::cout << (ti == 0 ? " " : " / ") << fmt(roofs[ti], 1)
                       << " GB/s @t" << thread_counts[ti];
@@ -395,7 +376,7 @@ int main(int argc, char** argv) {
     for (const auto& c : cases) {
         const CsrMatrix& a32 = c.matrix;
         const CsrMatrix64 a64 = convert_csr_width<Idx64>(CsrView(a32));
-        const std::int64_t block = block_for(a32);
+        const std::int64_t iters = iters_for(a32);
         const auto x = random_vector(static_cast<std::size_t>(a32.cols()),
                                      seed);
         std::vector<double> y(static_cast<std::size_t>(a32.rows()), 0.0);
@@ -404,12 +385,12 @@ int main(int argc, char** argv) {
         options.threads = width_threads;
         options.variant = KernelVariant::CsrSimd;
         const double w32 = time_width_leg<KernelEngine>(
-            CsrView(a32), options, block, x, std::span<double>(y));
+            CsrView(a32), options, iters, x, std::span<double>(y));
         const double w64 = time_width_leg<KernelEngine64>(
-            CsrView64(a64), options, block, x, std::span<double>(y));
+            CsrView64(a64), options, iters, x, std::span<double>(y));
         const std::string at = std::string(c.name) + ".csr-simd_";
-        record.metric(at + "w32_gflops" + on, "GFLOP/s", w32, block);
-        record.metric(at + "w64_gflops" + on, "GFLOP/s", w64, block);
+        record.metric(at + "w32_gflops" + on, "GFLOP/s", w32, iters);
+        record.metric(at + "w64_gflops" + on, "GFLOP/s", w64, iters);
         width_table.add_row({c.name, fmt(w32, 2), fmt(w64, 2),
                              fmt(w64 > 0 ? w32 / w64 : 0.0, 2)});
     }
