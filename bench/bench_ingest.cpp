@@ -4,15 +4,18 @@
 // measure the same contract — a ready-to-model LoadedMatrix with
 // fingerprint and stats attached. A fourth leg parses the same files with
 // their entry lines sorted by column, the order the reader cannot assemble
-// in place. Each parse leg also reports the process's peak RSS (VmHWM, reset
-// through /proc/self/clear_refs before every load, once freed heap pages
-// are handed back, so a leg's peak does not count what glibc kept of
-// earlier legs; omitted where the kernel refuses the reset).
+// in place, and a fifth parses them with every value written at 17
+// significant digits, too long for the reader's exact short-decimal path.
+// The row- and column-order parse legs also report the process's peak RSS
+// (VmHWM, reset through /proc/self/clear_refs before every load, once
+// freed heap pages are handed back, so a leg's peak does not count what
+// glibc kept of earlier legs; omitted where the kernel refuses the reset).
 // Writes its record to BENCH_ingest.json (--out overrides the path); the
-// headline is the parse/cached-load speedup, expected well above 10x. A
-// warm load that misses the cache, a column-major read that differs from
-// the row-major one, or a cached load slower than parsing exits 1 with no
-// record. --smoke shrinks the suite for CI.
+// headline is the parse/cached-load speedup. A warm load that misses the
+// cache, a column-major read that differs from the row-major one, a
+// 17-digit read that differs from the generated matrix, or a cached load
+// slower than parsing exits 1 with no record. --smoke shrinks the suite
+// for CI.
 #include <malloc.h>
 #include <unistd.h>
 
@@ -20,6 +23,7 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iterator>
 #include <string>
 #include <tuple>
@@ -226,6 +230,46 @@ int main(int argc, char** argv) {
     std::cout << (col_same ? "" : "; MISMATCH against the row-major read")
               << "\n";
 
+    // ---- Long-value leg: one job over the suite written with every value
+    // at 17 significant digits, as a lossless export writes them. Such
+    // values take from_chars, where write_matrix_market's 6 digits take
+    // the exact short-decimal path. One file at a time, and checked
+    // against the generated matrix value for value.
+    double long_parse_total = 0.0;
+    std::uint64_t long_mtx_bytes = 0;
+    bool long_same = true;
+    for (std::size_t n = 0; n < suite.size(); ++n) {
+        const CsrMatrix m = suite[n].factory();
+        const std::string path =
+            (work / (suite[n].name + ".long.mtx")).string();
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << std::setprecision(17);
+            write_matrix_market(out, m);
+        }
+        long_mtx_bytes += static_cast<std::uint64_t>(fs::file_size(path));
+        MatrixSource source;
+        source.path = path;
+        const Timer timer;
+        const Result<LoadedMatrix> loaded = load_matrix_handle(source);
+        long_parse_total += timer.seconds();
+        const CsrView* read =
+            loaded.ok() ? loaded.value().view.as32() : nullptr;
+        long_same = long_same && read != nullptr &&
+                    std::ranges::equal(read->values(), m.values()) &&
+                    loaded.value().fingerprint == fingerprint_matrix(m);
+        fs::remove(path);
+    }
+    const double long_parse_mb_per_s =
+        long_parse_total > 0
+            ? static_cast<double>(long_mtx_bytes) / 1e6 / long_parse_total
+            : 0.0;
+    std::cout << "17-digit values: parse " << fmt(long_parse_total, 3)
+              << " s (" << fmt(long_parse_mb_per_s, 1) << " MB/s, "
+              << fmt_bytes(long_mtx_bytes) << ")"
+              << (long_same ? "" : "; MISMATCH against the generated matrix")
+              << "\n";
+
     // ---- 64-vs-32 index-width leg: cache footprint + warm-load time ----
     // The suite's matrices all fit 32-bit indices, so the default cache
     // above is narrow. Re-warm a second cache at forced 64-bit and
@@ -287,11 +331,12 @@ int main(int argc, char** argv) {
 
     std::error_code ec;
     fs::remove_all(work, ec);
-    if (!all_cached || !col_same || speedup < 1.0) {
+    if (!all_cached || !col_same || !long_same || speedup < 1.0) {
         std::cerr << "FATAL: "
-                  << (!all_cached ? "a warm load missed the cache"
-                      : !col_same ? "the column-major read differs"
-                                  : "cached loads are slower than parsing")
+                  << (!all_cached  ? "a warm load missed the cache"
+                      : !col_same  ? "the column-major read differs"
+                      : !long_same ? "the 17-digit read differs"
+                                   : "cached loads are slower than parsing")
                   << "\n";
         return 1;
     }
@@ -303,11 +348,13 @@ int main(int argc, char** argv) {
     record.param("total_nnz", total_nnz);
     record.param("mtx_bytes", total_mtx_bytes);
     record.param("column_mtx_bytes", col_mtx_bytes);
+    record.param("long_value_mtx_bytes", long_mtx_bytes);
     record.param("parse_jobs", jobs);
     record.param("warm_iters", warm_iters);
     record.metric("parse_s", "s", parse_total);
     record.metric("parallel_parse_s", "s", parallel_total);
     record.metric("column_parse_s", "s", col_parse_total);
+    record.metric("long_value_parse_s", "s", long_parse_total);
     if (rss_ok) {
         record.metric("parse_peak_rss_mib", "MiB", parse_peak_mib);
         record.metric("parallel_parse_peak_rss_mib", "MiB",

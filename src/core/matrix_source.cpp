@@ -102,7 +102,16 @@ const char* to_string(LoadOrigin origin) noexcept {
     if (family == "banded") return gen::banded(n, 16, n / 256 + 1, seed);
     if (family == "circuit")
         return gen::circuit(n, 3.0, n / 64 + 1, 0.05, seed);
-    if (family == "random") return gen::random_uniform(n, n, 24, seed);
+    if (family == "random") {
+        // Every row holds 24 distinct columns, so there must be 24.
+        constexpr std::int64_t kRowNnz = 24;
+        if (n < kRowNnz)
+            return Error(ErrorCode::ValidationError,
+                         "random needs a size of at least " +
+                             std::to_string(kRowNnz) +
+                             " (its nonzeros per row) in '" + spec + "'");
+        return gen::random_uniform(n, n, kRowNnz, seed);
+    }
     if (family == "randomcv")
         return gen::random_variable_rows(n, n, 8.0, 2.0, seed);
     if (family == "blockfem")

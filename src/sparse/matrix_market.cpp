@@ -1,6 +1,7 @@
 #include "sparse/matrix_market.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -103,7 +104,18 @@ public:
         pos_ = 0;
     }
 
+    /// Counts the next line, `bytes` long with its '\n', as read: the
+    /// caller read it in place from rest(), within max_line_bytes.
+    void skip_line(std::size_t bytes) noexcept {
+        ++line_no_;
+        pos_ += bytes;
+    }
+
     [[nodiscard]] std::string_view view() const noexcept { return view_; }
+    /// The unread text: the next line onwards.
+    [[nodiscard]] std::string_view rest() const noexcept {
+        return text_.substr(pos_);
+    }
     [[nodiscard]] std::int64_t line_no() const noexcept { return line_no_; }
     /// Byte offset of the first unread character.
     [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
@@ -118,7 +130,9 @@ private:
     bool overlong_ = false;
 };
 
-const char* skip_ws(const char* p, const char* end) {
+// The scan's helpers are marked inline: out of line, GCC passes the cursor
+// through memory on every field of every line.
+inline const char* skip_ws(const char* p, const char* end) {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
     return p;
 }
@@ -136,9 +150,77 @@ bool parse_i64(const char*& p, const char* end, std::int64_t& out) {
     return true;
 }
 
-bool parse_f64(const char*& p, const char* end, double& out) {
+bool is_digit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+
+static_assert(std::endian::native == std::endian::little,
+              "read_index8 reads the first byte of a word as its lowest");
+
+/// Reads an unsigned index of 1 to 8 digits at `p` from one 8-byte load,
+/// which never reaches `end`. false, `p` unmoved, for anything else: a
+/// sign, no digit, a ninth digit, or fewer than 8 bytes before `end`.
+inline bool read_index8(const char*& p, const char* end, std::int64_t& out) {
+    if (end - p < 8) return false;
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    // A byte is a digit when its high nibble is 3, and still is once 6 is
+    // added; a carry out of a byte above '9' only reaches bytes after it.
+    constexpr std::uint64_t kHigh = 0xF0F0F0F0F0F0F0F0ULL;
+    constexpr std::uint64_t kThrees = 0x3030303030303030ULL;
+    const std::uint64_t other =
+        ((word & kHigh) ^ kThrees) |
+        (((word + 0x0606060606060606ULL) & kHigh) ^ kThrees);
+    const int n = std::countr_zero(other) / 8;  // 8 when all are digits
+    if (n == 0 || (n == 8 && (end - p == 8 || is_digit(p[8])))) return false;
+    // Shift the n digits to the top, zeros before them, and combine
+    // neighbouring digits, then pairs, then quads.
+    std::uint64_t v = (word & 0x0F0F0F0F0F0F0F0FULL) << (8 * (8 - n));
+    v = (v * 2561) >> 8;
+    v = ((v & 0x00FF00FF00FF00FFULL) * 6553601) >> 16;
+    v = ((v & 0x0000FFFF0000FFFFULL) * 42949672960001ULL) >> 32;
+    out = static_cast<std::int64_t>(v);
+    p += n;
+    return true;
+}
+
+/// 10^0 to 10^15: powers of ten a double holds exactly.
+constexpr double kExactPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                  1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+
+/// Reads a decimal of at most 15 digits with no exponent, such as "-1",
+/// "1.92469" or ".5", by Clinger's exact path: its digits are an exact
+/// double and so is the power of ten, so the one division rounds as
+/// from_chars does. false, `p` unmoved, for any other text.
+inline bool parse_short_decimal(const char*& p, const char* end, double& out) {
+    const char* q = p;
+    const bool negative = q < end && *q == '-';
+    if (negative) ++q;
+    std::uint64_t digits = 0;  // wraps past 19 digits, which are refused
+    const auto read_run = [&q, end, &digits] {
+        const char* first = q;
+        for (; q < end && is_digit(*q); ++q)
+            digits = digits * 10 + static_cast<std::uint64_t>(*q - '0');
+        return q - first;
+    };
+    std::ptrdiff_t n = read_run();
+    std::ptrdiff_t fraction = 0;
+    if (q < end && *q == '.') {
+        ++q;
+        fraction = read_run();
+        n += fraction;
+    }
+    if (n == 0 || n > 15 || (q < end && (*q == 'e' || *q == 'E')))
+        return false;
+    const double magnitude =
+        static_cast<double>(digits) / kExactPow10[fraction];
+    out = negative ? -magnitude : magnitude;
+    p = q;
+    return true;
+}
+
+inline bool parse_f64(const char*& p, const char* end, double& out) {
     p = skip_ws(p, end);
     if (p < end && *p == '+') ++p;
+    if (parse_short_decimal(p, end, out)) return true;
     const auto [ptr, ec] = std::from_chars(p, end, out);
     if (ec != std::errc{} || ptr == p) return false;
     p = ptr;
@@ -334,6 +416,34 @@ enum class EntryFault : std::uint8_t {
     return Error(ErrorCode::InternalError, "entry line has no fault", line_no);
 }
 
+/// Reads the entry line at the front of `text` in place when read_entry()
+/// would take it as it stands: indices of 1 to 8 digits (read_index8), a
+/// value that parse_f64 reads, then only blanks up to a '\n' within
+/// max_line_bytes, and every check read_entry() makes in this mode
+/// passed. Returns the bytes the line takes with its '\n', or 0 to leave
+/// the line (and any error it holds) to the line cursor and read_entry().
+[[nodiscard]] inline std::size_t accept_entry(std::string_view text,
+                                              const Grammar& g,
+                                              MmEntry& entry) {
+    const char* begin = text.data();
+    const char* end = begin + text.size();
+    const char* p = skip_ws(begin, end);
+    if (!read_index8(p, end, entry.row)) return 0;
+    p = skip_ws(p, end);
+    if (!read_index8(p, end, entry.col)) return 0;
+    if (!g.header.pattern && !parse_f64(p, end, entry.value)) return 0;
+    p = skip_ws(p, end);
+    const auto len = static_cast<std::size_t>(p - begin);
+    if (p == end || *p != '\n' || len > g.max_line_bytes) return 0;
+    if (entry.row < 1 || entry.row > g.size.rows || entry.col < 1 ||
+        entry.col > g.size.cols)
+        return 0;
+    if (g.strict && (!std::isfinite(entry.value) ||
+                     (g.header.symmetric && entry.col > entry.row)))
+        return 0;
+    return len + 1;
+}
+
 // ---- Pieces: one worker's share of a round -------------------------------
 
 /// How the scan of a piece ended: the lines it counted, the bytes it
@@ -348,9 +458,11 @@ struct PieceEnd {
 };
 
 /// Scans one piece, handing each entry and its piece-relative line to
-/// `on_entry` until it returns false. Stops at the first error; the lines
-/// after it stay uncounted, which is safe because an error either ends
-/// the read or falls after the final entry of a lenient read.
+/// `on_entry` until it returns false. A line accept_entry() takes is read
+/// in place; any other goes through the line cursor and read_entry(), the
+/// one source of errors. Stops at the first error; the lines after it
+/// stay uncounted, which is safe because an error either ends the read or
+/// falls after the final entry of a lenient read.
 template <class OnEntry>
 PieceEnd scan_piece(std::string_view text, bool ends_input, const Grammar& g,
                     OnEntry&& on_entry) {
@@ -362,18 +474,23 @@ PieceEnd scan_piece(std::string_view text, bool ends_input, const Grammar& g,
     }
     BufLineCursor cursor(text, g.max_line_bytes, ends_input);
     for (;;) {
-        if (!cursor.next()) {
-            if (Status s = cursor.status(); !s.ok())
-                end.error = std::move(s).to_error();
-            break;
-        }
-        if (is_comment_or_blank(cursor.view())) continue;
         MmEntry entry;
-        if (const EntryFault fault = read_entry(cursor.view(), g, entry);
-            fault != EntryFault::None) {
-            end.error = entry_error(fault, entry, g, cursor.line_no());
-            end.entry_line = true;
-            break;
+        if (const std::size_t bytes = accept_entry(cursor.rest(), g, entry)) {
+            cursor.skip_line(bytes);
+        } else {
+            if (!cursor.next()) {
+                if (Status s = cursor.status(); !s.ok())
+                    end.error = std::move(s).to_error();
+                break;
+            }
+            if (is_comment_or_blank(cursor.view())) continue;
+            entry = MmEntry{};
+            if (const EntryFault fault = read_entry(cursor.view(), g, entry);
+                fault != EntryFault::None) {
+                end.error = entry_error(fault, entry, g, cursor.line_no());
+                end.entry_line = true;
+                break;
+            }
         }
         if (!on_entry(entry, cursor.line_no())) break;
     }

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 
+#include "core/matrix_source.hpp"
 #include "sparse/gen/banded.hpp"
 #include "sparse/gen/block.hpp"
 #include "sparse/gen/random.hpp"
@@ -105,6 +106,28 @@ TEST(RandomUniform, ExactRowDegrees) {
     m.validate();
     EXPECT_EQ(m.cols(), 400);
     for (std::int64_t r = 0; r < m.rows(); ++r) EXPECT_EQ(m.row_nnz(r), 24);
+}
+
+TEST(GeneratorSpec, SmallSizesBuildOrAreRefusedTyped) {
+    // random puts 24 nonzeros in every row, so it needs 24 columns; every
+    // other family builds at any positive size.
+    for (const char* family : {"stencil2d5", "stencil3d27", "banded", "circuit",
+                               "random", "randomcv", "blockfem"}) {
+        for (const int n : {1, 2, 3, 5, 8, 13, 23, 24, 32}) {
+            const std::string spec =
+                std::string(family) + ":" + std::to_string(n);
+            const Result<CsrMatrix> m = generated_matrix(spec, 7);
+            if (std::string(family) == "random" && n < 24) {
+                ASSERT_FALSE(m.ok()) << spec;
+                EXPECT_EQ(m.code(), ErrorCode::ValidationError) << spec;
+                EXPECT_NE(m.error().render().find(spec), std::string::npos)
+                    << m.error().render();
+            } else {
+                ASSERT_TRUE(m.ok()) << spec << ": " << m.error().render();
+                m.value().validate();
+            }
+        }
+    }
 }
 
 TEST(RandomVariableRows, HitsTargetCv) {

@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -235,6 +237,143 @@ TEST(MmParallel, IndexFieldsReadLikeFromChars) {
                  error(ErrorCode::ParseError, 3));
     expect_small(mtx("real general", {"2 2 1", "1 99999999999999999999 1.0"}),
                  error(ErrorCode::ParseError, 3));
+}
+
+// ---- Lines read in place, and the lines next to them ---------------------
+//
+// The reader takes a plain entry line in place: indices of up to 8
+// digits, a value, then blanks and a '\n'. Any other line goes through
+// the general line parser. The goldens below come from the reader before
+// that path existed, so both paths must give its CSR, or its error's code
+// and line.
+
+TEST(MmParallel, InPlaceIndicesOfSevenEightAndNineDigits) {
+    // Leading zeros count as digits: row fields of 7, 8 and 9 digits, and
+    // columns whose values run to 7, 8 and 9 digits.
+    const Golden golden = matrix(3, 200000000, 6, 0xa180270ccebc189cULL);
+    expect_small(mtx("real general",
+                     {"3 200000000 6", "1 1234567 1.5", "1 12345678 2.5",
+                      "0000002 123456789 3.5", "00000002 99999999 4.5",
+                      "00000003 100000000 5.5", "000000003 7 6.5"}),
+                 golden);
+    // Out of range at 8 and at 9 digits.
+    expect_small(mtx("real general",
+                     {"2 50000000 2", "1 1 1.0", "2 50000001 2.0"}),
+                 error(ErrorCode::ValidationError, 4));
+    expect_small(mtx("real general",
+                     {"2 50000000 2", "1 1 1.0", "2 500000000 2.0"}),
+                 error(ErrorCode::ValidationError, 4));
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.0", "00000000 1 2.0"}),
+                 error(ErrorCode::ValidationError, 4));
+}
+
+TEST(MmParallel, InPlaceBlanksBetweenFields) {
+    expect_small(mtx("real general",
+                     {"3 3 6", "1\t1\t1.5", "1  2   2.5", "  2 1 3.5",
+                      "\t2\t \t2 \t4.5 \t", "3 1 5.5   ", "3\t\t3\t\t6.5\t\t"}),
+                 matrix(3, 3, 6, 0x563428d6bb6cba18ULL));
+    expect_small(mtx("pattern general", {"2 2 3", "1\t1", " 1  2 ", "2 2\t"}),
+                 matrix(2, 2, 3, 0x0b67a3d8654aeb89ULL));
+}
+
+TEST(MmParallel, InPlaceValuesRoundLikeFromChars) {
+    // 15 and 16 significant digits; 22 and 23 digits after the point;
+    // leading zeros, signed zero and the short forms of a decimal.
+    expect_small(mtx("real general",
+                     {"1 24 24", "1 1 0.123456789012345", "1 2 123456789012345",
+                      "1 3 -9.99999999999999", "1 4 0.1234567890123456",
+                      "1 5 9007199254740993", "1 6 -1.000000000000001",
+                      "1 7 0.0000000000000000000001",
+                      "1 8 0.0000000123456789012345",
+                      "1 9 0.00000000000000000000001",
+                      "1 10 0.00000000123456789012345",
+                      "1 11 1.0000000000000000000000",
+                      "1 12 0000000000000000000001.5", "1 13 00.25",
+                      "1 14 -007", "1 15 -0", "1 16 5.", "1 17 .5", "1 18 +.5",
+                      "1 19 -.75", "1 20 1e5", "1 21 2.5E-3", "1 22 0",
+                      "1 23 0.1", "1 24 123456.7890123"}),
+                 matrix(1, 24, 24, 0xce4f06f694de6453ULL));
+    // Values from_chars alone reads: strict mode refuses the non-finite
+    // ones, and 1e400 is out of a double's range in both modes.
+    expect_small(mtx("real general", {"2 2 2", "1 1 inf", "2 2 2.0"}),
+                 matrix(2, 2, 2, 0x0be7cbf73a54ebd6ULL),
+                 error(ErrorCode::ValidationError, 3));
+    expect_small(mtx("real general", {"2 2 2", "1 1 -inf", "2 2 2.0"}),
+                 matrix(2, 2, 2, 0xc1127ac187cff556ULL),
+                 error(ErrorCode::ValidationError, 3));
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.0", "2 2 nan"}),
+                 matrix(2, 2, 2, 0x32100f921437e47fULL),
+                 error(ErrorCode::ValidationError, 4));
+    expect_small(mtx("real general", {"2 2 2", "1 1 1e400", "2 2 2.0"}),
+                 error(ErrorCode::ParseError, 3));
+    // Text the value grammar stops at: lenient mode keeps the number
+    // before it, strict mode refuses the rest of the line.
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.5.5", "2 2 0x10"}),
+                 matrix(2, 2, 2, 0x10192e01d6240b9eULL),
+                 error(ErrorCode::ParseError, 3));
+    expect_small(mtx("real general", {"2 2 2", "1 1 1.5e", "2 2 2.0"}),
+                 matrix(2, 2, 2, 0x1018ee01d6239edeULL),
+                 error(ErrorCode::ParseError, 3));
+}
+
+TEST(MmParallel, DecimalsReadBitForBitAsFromChars) {
+    // Random decimals of 1 to 17 digits, signed or not, with the point
+    // anywhere in them or up to 12 zeros before them: each value must
+    // hold the bits std::from_chars gives for its text.
+    constexpr std::int64_t kEntries = 20000;
+    Xoshiro256 rng(5);
+    std::string text = "%%MatrixMarket matrix coordinate real general\n" +
+                       std::to_string(kEntries) + " 1 " +
+                       std::to_string(kEntries) + "\n";
+    std::vector<double> want;
+    for (std::int64_t i = 1; i <= kEntries; ++i) {
+        std::string digits;
+        const auto n = 1 + rng.bounded(17);
+        for (std::uint64_t d = 0; d < n; ++d)
+            digits += static_cast<char>('0' + rng.bounded(10));
+        std::string value = rng.bounded(2) == 0 ? "-" : "";
+        if (rng.bounded(4) == 0) {
+            value += "0." + std::string(rng.bounded(13), '0') + digits;
+        } else {
+            const auto point = rng.bounded(n + 1);
+            value += digits.substr(0, point) + "." + digits.substr(point);
+        }
+        double parsed = 0.0;
+        std::from_chars(value.data(), value.data() + value.size(), parsed);
+        want.push_back(parsed);
+        text += std::to_string(i) + " 1 " + value + "\n";
+    }
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+        MmReadOptions options;
+        options.jobs = jobs;
+        const Result<AnyCsrMatrix> r = parse(text, options);
+        ASSERT_TRUE(r.ok()) << r.error().render();
+        const auto values = r.value().as32()->values();
+        ASSERT_EQ(values.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(values[i]),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << "line " << i + 3 << " jobs=" << jobs;
+    }
+}
+
+TEST(MmParallel, InPlaceReadsStopAtABlockEnd) {
+    // A comment of every length from 0 to 23 bytes moves the block end of
+    // the first round across each byte of the first entries, so an index
+    // or a value starts within 8 bytes of it.
+    constexpr std::size_t kBlockBytes = 96;
+    MmReadOptions base;
+    for (std::size_t pad = 0; pad < 24; ++pad) {
+        SCOPED_TRACE("pad=" + std::to_string(pad));
+        const std::string text =
+            "%%MatrixMarket matrix coordinate real general\n%" +
+            std::string(pad, 'c') +
+            "\n4 87654321 5\n1 12345678 0.125\n2 87654321 -2.5\n"
+            "3 1 1234.5678\n4 7654321 -0.0625\n4 87654320 9\n";
+        const Golden golden = matrix(4, 87654321, 5, 0xeb82e3b385cf41eaULL);
+        expect_golden(text, golden, golden, base, {kBlockBytes, 7, 61});
+        expect_golden(crlf(text), golden, golden, base, {kBlockBytes, 7, 61});
+    }
 }
 
 // ---- Errors: the serial reader's code and line at every grid point -----

@@ -494,22 +494,59 @@ TEST(MatrixMarketHardened, LegacyWrapperStillThrowsRuntimeError) {
 }
 
 TEST(MatrixMarketHardened, CorruptCorpusAlwaysYieldsTypedLineNumberedError) {
+    // Each file's code, line and message, as the reader gave them before
+    // it read plain entry lines in place; the same at every job count.
+    struct Want {
+        const char* file;
+        ErrorCode code;
+        std::int64_t line;
+        const char* message;
+    };
+    const Want corpus[] = {
+        {"duplicate_entries.mtx", ErrorCode::ValidationError, 5,
+         "duplicate entry (1, 1)"},
+        {"huge_dims_overflow.mtx", ErrorCode::OverflowError, 2,
+         "rows*cols overflows int64"},
+        {"negative_dims.mtx", ErrorCode::ValidationError, 3,
+         "negative Matrix Market dimensions"},
+        {"nnz_exceeds_cells.mtx", ErrorCode::ValidationError, 2,
+         "declared nnz 7 exceeds rows*cols = 4"},
+        {"non_numeric_value.mtx", ErrorCode::ParseError, 4,
+         "missing or non-numeric value on entry line"},
+        {"out_of_range_index.mtx", ErrorCode::ValidationError, 4,
+         "index (4, 1) out of range for 3x3 matrix"},
+        {"size_line_garbage.mtx", ErrorCode::ParseError, 2,
+         "trailing garbage after size line"},
+        {"truncated_entries.mtx", ErrorCode::ParseError, 4,
+         "truncated: size line declares 4 entries, found 2"},
+        {"truncated_header.mtx", ErrorCode::ParseError, 2,
+         "missing size line"},
+        {"unaddressable_cols.mtx", ErrorCode::OverflowError, 2,
+         "x of 2305843009213694052 doubles overflows int64 bytes"},
+    };
     namespace fs = std::filesystem;
     const fs::path dir = fs::path(SPMVCACHE_TEST_DATA_DIR) / "corrupt";
     ASSERT_TRUE(fs::is_directory(dir)) << dir;
     std::size_t files = 0;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-        if (entry.path().extension() != ".mtx") continue;
-        ++files;
-        const Result<AnyCsrMatrix> r = try_read_matrix_market_any_file(
-            entry.path().string(), MmReadOptions{.strict = true});
-        ASSERT_FALSE(r.ok()) << entry.path();
-        EXPECT_NE(r.code(), ErrorCode::Ok) << entry.path();
-        EXPECT_NE(r.code(), ErrorCode::InternalError) << entry.path();
-        EXPECT_GT(r.error().line, 0)
-            << entry.path() << ": " << r.error().render();
+    for (const auto& entry : fs::directory_iterator(dir))
+        if (entry.path().extension() == ".mtx") ++files;
+    EXPECT_EQ(files, std::size(corpus)) << "a corpus file has no pinned error";
+    for (const Want& want : corpus) {
+        const std::string path = (dir / want.file).string();
+        for (const std::size_t jobs : {1, 4}) {
+            SCOPED_TRACE(std::string(want.file) +
+                         " jobs=" + std::to_string(jobs));
+            const Result<AnyCsrMatrix> r = try_read_matrix_market_any_file(
+                path, MmReadOptions{.strict = true, .jobs = jobs});
+            ASSERT_FALSE(r.ok());
+            EXPECT_EQ(r.code(), want.code);
+            EXPECT_EQ(r.error().line, want.line);
+            EXPECT_EQ(r.error().render(),
+                      "reading '" + path + "': " + want.message + " (line " +
+                          std::to_string(want.line) + ") [" +
+                          to_string(want.code) + "]");
+        }
     }
-    EXPECT_GE(files, 9u);  // the corpus must actually be exercised
 }
 
 TEST(Coo, TryToCsrReportsDuplicateCount) {
