@@ -189,27 +189,29 @@ constexpr double kExactPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
 /// Reads a decimal of at most 15 digits with no exponent, such as "-1",
 /// "1.92469" or ".5", by Clinger's exact path: its digits are an exact
 /// double and so is the power of ten, so the one division rounds as
-/// from_chars does. false, `p` unmoved, for any other text.
+/// from_chars does. false, `p` unmoved, for any other text. The digits are
+/// counted before any is combined, so a longer value costs one scan.
 inline bool parse_short_decimal(const char*& p, const char* end, double& out) {
     const char* q = p;
     const bool negative = q < end && *q == '-';
     if (negative) ++q;
-    std::uint64_t digits = 0;  // wraps past 19 digits, which are refused
-    const auto read_run = [&q, end, &digits] {
-        const char* first = q;
-        for (; q < end && is_digit(*q); ++q)
-            digits = digits * 10 + static_cast<std::uint64_t>(*q - '0');
-        return q - first;
-    };
-    std::ptrdiff_t n = read_run();
-    std::ptrdiff_t fraction = 0;
+    const char* whole = q;
+    while (q < end && is_digit(*q)) ++q;
+    const char* whole_end = q;
+    const char* part = q;
     if (q < end && *q == '.') {
-        ++q;
-        fraction = read_run();
-        n += fraction;
+        part = ++q;
+        while (q < end && is_digit(*q)) ++q;
     }
+    const std::ptrdiff_t fraction = q - part;
+    const std::ptrdiff_t n = (whole_end - whole) + fraction;
     if (n == 0 || n > 15 || (q < end && (*q == 'e' || *q == 'E')))
         return false;
+    std::uint64_t digits = 0;
+    for (const char* c = whole; c < whole_end; ++c)
+        digits = digits * 10 + static_cast<std::uint64_t>(*c - '0');
+    for (const char* c = part; c < q; ++c)
+        digits = digits * 10 + static_cast<std::uint64_t>(*c - '0');
     const double magnitude =
         static_cast<double>(digits) / kExactPow10[fraction];
     out = negative ? -magnitude : magnitude;
