@@ -4,12 +4,13 @@
 // case below is checked against a golden: the CSR arrays' shape and
 // FNV-1a digest (W32 unless a case forces another width), or the typed
 // error's (code, line), as an earlier reader produced them (the serial
-// block reader, or for the storage cases the reader that kept 24-byte
-// entry triples). Each golden must hold at every (jobs, block
-// size) grid point, in strict and in lenient mode, so blocks cut lines,
-// entry runs and over-long lines everywhere a boundary can fall. The suite
-// is TSan-friendly (CI runs it under ThreadSanitizer): every grid point
-// with more than one job fans out over the pool.
+// block reader, for the storage cases the reader that kept 24-byte entry
+// triples, and for the in-place cases the reader before it read lines in
+// place). Each golden must hold at every (jobs, block size) grid point,
+// in strict and in lenient mode, so blocks cut lines, entry runs and
+// over-long lines everywhere a boundary can fall. The suite is
+// TSan-friendly (CI runs it under ThreadSanitizer): every grid point with
+// more than one job fans out over the pool.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
