@@ -4,6 +4,10 @@
 // paper's setup.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "model/classify.hpp"
 #include "sparse/gen/banded.hpp"
@@ -157,6 +161,70 @@ TEST(ModelVsMeasured, MethodAExactOnOneSetLru) {
                     << "rows " << m.rows() << ", threads " << threads
                     << ", config " << i;
         }
+    }
+}
+
+/// FNV-1a over 64-bit words (test_sweep_golden's digest).
+class Fnv1a {
+public:
+    void add(double v) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int byte = 0; byte < 8; ++byte) {
+            h_ ^= (bits >> (8 * byte)) & 0xffu;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    [[nodiscard]] std::uint64_t value() const { return h_; }
+
+private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+void add(Fnv1a& h, const ModelResult& r) {
+    for (const ConfigPrediction& c : r.configs) {
+        h.add(c.l2_misses);
+        h.add(c.l2_x_misses);
+    }
+    h.add(r.l1_misses);
+}
+
+TEST(ModelVsMeasured, GoldenCells) {
+    // The Tables 2/3 path on the scaled machine with its prefetchers on:
+    // each cell's measured counts and both methods' predictions, pinned
+    // bit for bit. A drift in ExperimentOptions::model_options() moves the
+    // model and the simulator together, so MethodAExactOnOneSetLru and
+    // the ratio tolerances above can miss it; these digests cannot.
+    struct Cell {
+        CsrMatrix m;
+        std::int64_t threads;
+        std::uint64_t digest;
+    };
+    const CsrMatrix stencil = gen::stencil_2d_5pt(96, 96);
+    const CsrMatrix banded = gen::banded(12288, 9, 64, 5);
+    const CsrMatrix random = gen::random_uniform(4096, 4096, 16, 11);
+    const std::vector<Cell> cells = {
+        {stencil, 1, 0xff48aca874ae2ee1ULL},
+        {stencil, 2, 0x3b970c226a8173d6ULL},
+        {stencil, 4, 0xfe6cd7df12e93718ULL},
+        {banded, 1, 0xecb0c7a12c7fb985ULL},
+        {banded, 2, 0x51477ff8dd6b0494ULL},
+        {banded, 4, 0x31667205ab6351ecULL},
+        {random, 1, 0xda75ab2283042120ULL},
+        {random, 2, 0x89c704e4aa38a7d1ULL},
+        {random, 4, 0x657ab05785d62147ULL}};
+    ExperimentOptions o = sequential_options();
+    for (const Cell& cell : cells) {
+        o.threads = cell.threads;
+        const auto comparison = model_vs_measured(cell.m, {2, 4, 6}, o);
+        ASSERT_EQ(comparison.measured_l2.size(), 4u);
+        Fnv1a h;
+        for (const double v : comparison.measured_l2) h.add(v);
+        h.add(comparison.measured_l1_unpartitioned);
+        add(h, comparison.method_a);
+        add(h, comparison.method_b);
+        EXPECT_EQ(h.value(), cell.digest)
+            << "rows " << cell.m.rows() << ", threads " << cell.threads
+            << ": 0x" << std::hex << h.value() << "ULL";
     }
 }
 
