@@ -66,3 +66,28 @@ if(SPMV_CLANG_FORMAT_EXE)
 else()
   message(STATUS "clang-format not found; `format`/`format-check` disabled")
 endif()
+
+# header_check compiles every src/ header alone, one include per
+# translation unit, so a header that leans on what its includers happen
+# to include first fails to build. Not part of `all`; CI's lint job builds
+# it. A *_impl.hpp holds template bodies for the one .cpp that includes
+# it after their declarations, so it is not meant to stand alone. Paths
+# are anchored at this project's directories, not CMAKE_SOURCE_DIR:
+# perfbench builds the project as a subdirectory of its own.
+file(GLOB_RECURSE SPMV_CHECKED_HEADERS
+     RELATIVE ${CMAKE_CURRENT_SOURCE_DIR}/src
+     ${CMAKE_CURRENT_SOURCE_DIR}/src/*.hpp)
+list(FILTER SPMV_CHECKED_HEADERS EXCLUDE REGEX "_impl\\.hpp$")
+set(SPMV_HEADER_CHECK_SOURCES)
+foreach(SPMV_HEADER ${SPMV_CHECKED_HEADERS})
+  string(MAKE_C_IDENTIFIER ${SPMV_HEADER} stem)
+  set(unit ${CMAKE_CURRENT_BINARY_DIR}/header_check/${stem}.cpp)
+  configure_file(${CMAKE_CURRENT_SOURCE_DIR}/cmake/header_check.cpp.in
+                 ${unit} @ONLY)
+  list(APPEND SPMV_HEADER_CHECK_SOURCES ${unit})
+endforeach()
+add_library(header_check OBJECT EXCLUDE_FROM_ALL ${SPMV_HEADER_CHECK_SOURCES})
+target_include_directories(header_check PRIVATE ${CMAKE_CURRENT_SOURCE_DIR}/src)
+target_link_libraries(header_check PRIVATE spmvcache_warnings)
+# Keep the one-line units out of the database clang-tidy and cppcheck read.
+set_target_properties(header_check PROPERTIES EXPORT_COMPILE_COMMANDS OFF)

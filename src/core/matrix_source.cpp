@@ -37,8 +37,7 @@ namespace fs = std::filesystem;
     Result<CsrMatrix> narrow = generated_matrix(source.gen_spec, source.seed);
     if (!narrow.ok()) return std::move(narrow).to_error();
     if (source.index_width == IndexWidthChoice::W64)
-        return AnyCsrMatrix(
-            convert_csr_width<Idx64>(CsrView(narrow.value())));
+        return AnyCsrMatrix(convert_csr_width<Idx64>(narrow.value()));
     return AnyCsrMatrix(std::move(narrow).value());
 }
 

@@ -41,7 +41,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, std::span<const double> b,
     double rr = dot(r, r);
     CgResult result;
     for (std::int64_t it = 0; it < max_iterations; ++it) {
-        spmv_csr_overwrite(CsrView(a), p, ap);
+        spmv_csr_overwrite(a, p, ap);
         const double pap = dot(p, ap);
         if (pap <= 0.0) break;  // not SPD (or breakdown)
         const double alpha = rr / pap;

@@ -8,7 +8,6 @@
 
 #include <span>
 
-#include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
 
 namespace spmvcache {
@@ -37,19 +36,5 @@ extern template void spmv_csr_overwrite<Idx32>(const BasicCsrView<Idx32>&,
 extern template void spmv_csr_overwrite<Idx64>(const BasicCsrView<Idx64>&,
                                                std::span<const double>,
                                                std::span<double>);
-
-// Owning-matrix conveniences: template argument deduction cannot see
-// through BasicCsrMatrix -> BasicCsrView, so forward explicitly.
-template <class Idx>
-void spmv_csr(const BasicCsrMatrix<Idx>& a, std::span<const double> x,
-              std::span<double> y) {
-    spmv_csr(BasicCsrView<Idx>(a), x, y);
-}
-
-template <class Idx>
-void spmv_csr_overwrite(const BasicCsrMatrix<Idx>& a,
-                        std::span<const double> x, std::span<double> y) {
-    spmv_csr_overwrite(BasicCsrView<Idx>(a), x, y);
-}
 
 }  // namespace spmvcache

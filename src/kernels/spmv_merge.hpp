@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
 
 namespace spmvcache {
@@ -33,13 +32,5 @@ extern template MergeCoordinate merge_path_search<Idx32>(
     const BasicCsrView<Idx32>&, std::int64_t);
 extern template MergeCoordinate merge_path_search<Idx64>(
     const BasicCsrView<Idx64>&, std::int64_t);
-
-// Owning-matrix convenience (deduction cannot see through the implicit
-// matrix -> view conversion).
-template <class Idx>
-[[nodiscard]] MergeCoordinate merge_path_search(const BasicCsrMatrix<Idx>& a,
-                                                std::int64_t diagonal) {
-    return merge_path_search(BasicCsrView<Idx>(a), diagonal);
-}
 
 }  // namespace spmvcache

@@ -62,11 +62,11 @@ ModelOptions model_options_for(const ServeRequest& request) {
 
 /// Plan-cache key: fingerprint mix xor'd with a digest of everything that
 /// changes the payload (op, threads, method, way list, sampling rate).
-/// `jobs` and the trace buffer are deliberately excluded — predictions are
-/// bit-identical across them, so requests differing only there share a
-/// plan. The sampling rate is included for the opposite reason: an exact
-/// plan and a SHARDS estimate for the same matrix must never alias, and
-/// two different rates produce different estimates.
+/// `jobs` is deliberately excluded — predictions are bit-identical across
+/// it, so requests differing only there share a plan. The sampling rate
+/// is included for the opposite reason: an exact plan and a SHARDS
+/// estimate for the same matrix must never alias, and two different rates
+/// produce different estimates.
 PlanKey plan_key_for(const MatrixFingerprint& fp,
                      const ServeRequest& request,
                      const ModelOptions& options, IndexWidth width) {

@@ -3,10 +3,13 @@
 // Inside a subsystem (parser, kernel engine, trace generator, model
 // method) everything is templated on Idx32/Idx64 and pays nothing for the
 // choice. At the seams — CLI subcommands, the matrix source, the binary
-// cache loader — the width is a runtime fact, so these variants carry
-// "a matrix at whichever width it resolved to" plus the width-agnostic
-// accessors (dims, byte sizes) that the seams need without dispatching.
-// Anything that touches the actual arrays goes through visit().
+// cache loader — the width is a runtime fact. AnyCsrView carries "a view
+// at whichever width the matrix resolved to" plus the width-agnostic
+// accessors (dims, byte sizes) that the seams need without dispatching;
+// anything that touches the actual arrays goes through visit(). An
+// owning matrix converts to it through its view base. AnyCsrMatrix owns
+// the arrays at either width and hands out view() and, for the narrow
+// paths, take32().
 #pragma once
 
 #include <cstdint>
@@ -25,9 +28,6 @@ public:
     AnyCsrView() = default;
     /* implicit */ AnyCsrView(CsrView v) noexcept : v_(v) {}
     /* implicit */ AnyCsrView(CsrView64 v) noexcept : v_(v) {}
-    /* implicit */ AnyCsrView(const CsrMatrix& m) noexcept : v_(CsrView(m)) {}
-    /* implicit */ AnyCsrView(const CsrMatrix64& m) noexcept
-        : v_(CsrView64(m)) {}
 
     [[nodiscard]] IndexWidth index_width() const noexcept {
         return v_.index() == 0 ? IndexWidth::W32 : IndexWidth::W64;
@@ -81,48 +81,18 @@ private:
 /// Owning CSR matrix at either index width.
 class AnyCsrMatrix {
 public:
-    AnyCsrMatrix() = default;
     /* implicit */ AnyCsrMatrix(CsrMatrix m) noexcept : v_(std::move(m)) {}
     /* implicit */ AnyCsrMatrix(CsrMatrix64 m) noexcept : v_(std::move(m)) {}
 
-    [[nodiscard]] IndexWidth index_width() const noexcept {
-        return v_.index() == 0 ? IndexWidth::W32 : IndexWidth::W64;
-    }
-
-    template <class F>
-    decltype(auto) visit(F&& f) const {
-        return std::visit(std::forward<F>(f), v_);
-    }
-
-    [[nodiscard]] const CsrMatrix* as32() const noexcept {
-        return std::get_if<CsrMatrix>(&v_);
-    }
-    [[nodiscard]] const CsrMatrix64* as64() const noexcept {
-        return std::get_if<CsrMatrix64>(&v_);
-    }
-
-    /// Moves the narrow alternative out. Pre: index_width() == W32.
-    [[nodiscard]] CsrMatrix take32() && {
-        return std::get<CsrMatrix>(std::move(v_));
-    }
-    /// Moves the wide alternative out. Pre: index_width() == W64.
-    [[nodiscard]] CsrMatrix64 take64() && {
-        return std::get<CsrMatrix64>(std::move(v_));
-    }
-
     /// A width-erased view of this matrix (valid while *this lives).
     [[nodiscard]] AnyCsrView view() const noexcept {
-        return visit([](const auto& m) { return AnyCsrView(m); });
+        return std::visit([](const auto& m) { return AnyCsrView(m); }, v_);
     }
 
-    [[nodiscard]] std::int64_t rows() const noexcept {
-        return visit([](const auto& m) { return m.rows(); });
-    }
-    [[nodiscard]] std::int64_t cols() const noexcept {
-        return visit([](const auto& m) { return m.cols(); });
-    }
-    [[nodiscard]] std::int64_t nnz() const noexcept {
-        return visit([](const auto& m) { return m.nnz(); });
+    /// Moves the narrow alternative out. Pre: the matrix is narrow
+    /// (view().index_width() == W32).
+    [[nodiscard]] CsrMatrix take32() && {
+        return std::get<CsrMatrix>(std::move(v_));
     }
 
 private:

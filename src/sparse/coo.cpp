@@ -47,8 +47,6 @@ BasicCsrMatrix<Idx> CooMatrix::assemble(CooArrays<Stored>& coo,
     const auto rows = static_cast<std::size_t>(rows_);
 
     BasicCsrMatrix<Idx> m;
-    m.rows_ = rows_;
-    m.cols_ = cols_;
     auto& rowptr = m.rowptr_;
     auto& colidx = m.colidx_;
     auto& values = m.values_;
@@ -132,6 +130,7 @@ BasicCsrMatrix<Idx> CooMatrix::assemble(CooArrays<Stored>& coo,
         colidx.shrink_to_fit();
         values.shrink_to_fit();
     }
+    m.bind(rows_, cols_);
     return m;
 }
 

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "sparse/csr_view.hpp"
 #include "util/error.hpp"
 
 namespace spmvcache {
@@ -15,11 +14,6 @@ template <class Idx>
 void BasicCsrMatrix<Idx>::validate() const {
     if (const Status s = check(); !s.ok())
         throw ContractViolation("CsrMatrix::validate: " + s.render());
-}
-
-template <class Idx>
-[[nodiscard]] Status BasicCsrMatrix<Idx>::check() const {
-    return check_csr_view(BasicCsrView<Idx>(*this));
 }
 
 template <class Idx>
@@ -64,21 +58,22 @@ template <class Idx>
 template <class Idx>
 BasicCsrMatrix<Idx> BasicCsrMatrix<Idx>::permuted_symmetric(
     std::span<const index_type> perm) const {
-    SPMV_EXPECTS(rows_ == cols_);
-    SPMV_EXPECTS(perm.size() == static_cast<std::size_t>(rows_));
+    const std::int64_t rows = this->rows();
+    SPMV_EXPECTS(rows == this->cols());
+    SPMV_EXPECTS(perm.size() == static_cast<std::size_t>(rows));
 
     // inverse[old] = new
     std::vector<index_type> inverse(perm.size());
     for (std::size_t n = 0; n < perm.size(); ++n) {
         const auto old = perm[n];
-        SPMV_EXPECTS(old >= 0 && static_cast<std::int64_t>(old) < rows_);
+        SPMV_EXPECTS(old >= 0 && static_cast<std::int64_t>(old) < rows);
         inverse[static_cast<std::size_t>(old)] = static_cast<index_type>(n);
     }
 
-    BasicCsrBuilder<Idx> builder(rows_, cols_,
-                                 static_cast<std::size_t>(nnz()));
+    BasicCsrBuilder<Idx> builder(rows, rows,
+                                 static_cast<std::size_t>(this->nnz()));
     std::vector<std::pair<index_type, double>> row_entries;
-    for (std::int64_t new_r = 0; new_r < rows_; ++new_r) {
+    for (std::int64_t new_r = 0; new_r < rows; ++new_r) {
         const auto old_r = static_cast<std::size_t>(perm[
             static_cast<std::size_t>(new_r)]);
         row_entries.clear();
@@ -97,15 +92,14 @@ BasicCsrMatrix<Idx> BasicCsrMatrix<Idx>::permuted_symmetric(
 
 template <class Idx>
 BasicCsrBuilder<Idx>::BasicCsrBuilder(std::int64_t rows, std::int64_t cols,
-                                      std::size_t nnz_hint) {
+                                      std::size_t nnz_hint)
+    : rows_(rows), cols_(cols) {
     SPMV_EXPECTS(rows >= 0);
     SPMV_EXPECTS(cols >= 0);
     SPMV_EXPECTS(cols <= static_cast<std::int64_t>(
                              std::numeric_limits<index_type>::max()));
     SPMV_EXPECTS(rows < static_cast<std::int64_t>(
                             std::numeric_limits<offset_type>::max()));
-    m_.rows_ = rows;
-    m_.cols_ = cols;
     m_.rowptr_.reserve(static_cast<std::size_t>(rows) + 1);
     m_.rowptr_.push_back(0);
     m_.colidx_.reserve(nnz_hint);
@@ -115,8 +109,8 @@ BasicCsrBuilder<Idx>::BasicCsrBuilder(std::int64_t rows, std::int64_t cols,
 template <class Idx>
 void BasicCsrBuilder<Idx>::push(std::int64_t row, std::int64_t col,
                                 double value) {
-    SPMV_EXPECTS(row >= current_row_ && row < m_.rows_);
-    SPMV_EXPECTS(col >= 0 && col < m_.cols_);
+    SPMV_EXPECTS(row >= current_row_ && row < rows_);
+    SPMV_EXPECTS(col >= 0 && col < cols_);
     while (current_row_ < row) {
         m_.rowptr_.push_back(checked_nnz());
         ++current_row_;
@@ -130,15 +124,16 @@ void BasicCsrBuilder<Idx>::push(std::int64_t row, std::int64_t col,
 
 template <class Idx>
 BasicCsrMatrix<Idx> BasicCsrBuilder<Idx>::finish() && {
-    while (current_row_ < m_.rows_) {
+    while (current_row_ < rows_) {
         m_.rowptr_.push_back(checked_nnz());
         ++current_row_;
     }
+    m_.bind(rows_, cols_);
     return std::move(m_);
 }
 
 template <class Idx>
-std::vector<double> to_dense(const BasicCsrMatrix<Idx>& m) {
+std::vector<double> to_dense(const BasicCsrView<Idx>& m) {
     std::vector<double> dense(
         static_cast<std::size_t>(m.rows()) * static_cast<std::size_t>(m.cols()),
         0.0);
@@ -165,8 +160,8 @@ template class BasicCsrMatrix<Idx32>;
 template class BasicCsrMatrix<Idx64>;
 template class BasicCsrBuilder<Idx32>;
 template class BasicCsrBuilder<Idx64>;
-template std::vector<double> to_dense<Idx32>(const CsrMatrix&);
-template std::vector<double> to_dense<Idx64>(const CsrMatrix64&);
+template std::vector<double> to_dense<Idx32>(const CsrView&);
+template std::vector<double> to_dense<Idx64>(const CsrView64&);
 template Status check_csr_view<Idx32>(const CsrView&);
 template Status check_csr_view<Idx64>(const CsrView64&);
 

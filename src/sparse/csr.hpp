@@ -7,46 +7,27 @@
 // arrays are aligned to A64FX cache-line (256 B) boundaries so the host
 // kernels, trace generator and simulator share one notion of line
 // boundaries.
+//
+// A BasicCsrMatrix owns those arrays and is the BasicCsrView of them
+// (sparse/csr_view.hpp), so the read API is the view's: every consumer
+// takes a view, and a matrix is one. Each change of owner (building,
+// copying, moving, assigning) re-points the view at the arrays of the
+// matrix that now holds them; a moved-from matrix is an empty 0 x 0 one.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "sparse/csr_view.hpp"
 #include "sparse/index_width.hpp"
 #include "util/align.hpp"
-#include "util/checked.hpp"
 #include "util/error.hpp"
 #include "util/status.hpp"
 
 namespace spmvcache {
-
-namespace detail {
-
-/// `count` elements of `element_bytes` each, as a byte count that fits
-/// int64; ContractViolation otherwise.
-[[nodiscard]] inline std::uint64_t checked_bytes(std::int64_t count,
-                                                 std::size_t element_bytes) {
-    std::int64_t bytes = 0;
-    SPMV_EXPECTS(checked_mul(count, static_cast<std::int64_t>(element_bytes),
-                             bytes));
-    return static_cast<std::uint64_t>(bytes);
-}
-
-/// checked_working_set_bytes of a shape the readers admitted;
-/// ContractViolation for one they refuse.
-[[nodiscard]] inline std::uint64_t admitted_working_set_bytes(
-    std::int64_t rows, std::int64_t cols, std::int64_t nnz,
-    IndexWidth width) {
-    const Result<std::int64_t> bytes =
-        checked_working_set_bytes(rows, cols, nnz, width);
-    SPMV_EXPECTS(bytes.ok());
-    return static_cast<std::uint64_t>(bytes.value());
-}
-
-}  // namespace detail
 
 template <class Idx>
 class BasicCsrBuilder;
@@ -54,69 +35,37 @@ class BasicCsrBuilder;
 /// Immutable CSR matrix at index width `Idx` (Idx32 or Idx64); build via
 /// BasicCsrBuilder or CooMatrix::to_csr().
 template <class Idx>
-class BasicCsrMatrix {
+class BasicCsrMatrix : public BasicCsrView<Idx> {
 public:
-    using value_type = double;
-    using index_type = typename Idx::index_type;
-    using offset_type = typename Idx::offset_type;
-    using idx_tag = Idx;
+    using typename BasicCsrView<Idx>::value_type;
+    using typename BasicCsrView<Idx>::index_type;
+    using typename BasicCsrView<Idx>::offset_type;
 
     BasicCsrMatrix() = default;
-
-    [[nodiscard]] static constexpr IndexWidth index_width() noexcept {
-        return Idx::width;
+    BasicCsrMatrix(const BasicCsrMatrix& o)
+        : BasicCsrView<Idx>(),
+          rowptr_(o.rowptr_),
+          colidx_(o.colidx_),
+          values_(o.values_) {
+        bind(o.rows(), o.cols());
     }
-
-    [[nodiscard]] std::int64_t rows() const noexcept { return rows_; }
-    [[nodiscard]] std::int64_t cols() const noexcept { return cols_; }
-    [[nodiscard]] std::int64_t nnz() const noexcept {
-        return rowptr_.empty() ? 0
-                               : static_cast<std::int64_t>(rowptr_.back());
+    /// Keeps o's buffers; o becomes an empty 0 x 0 matrix.
+    BasicCsrMatrix(BasicCsrMatrix&& o) noexcept
+        : BasicCsrView<Idx>(),
+          rowptr_(std::move(o.rowptr_)),
+          colidx_(std::move(o.colidx_)),
+          values_(std::move(o.values_)) {
+        bind(o.rows(), o.cols());
+        o.bind(0, 0);
     }
-
-    [[nodiscard]] std::span<const offset_type> rowptr() const noexcept {
-        return {rowptr_.data(), rowptr_.size()};
-    }
-    [[nodiscard]] std::span<const index_type> colidx() const noexcept {
-        return {colidx_.data(), colidx_.size()};
-    }
-    [[nodiscard]] std::span<const value_type> values() const noexcept {
-        return {values_.data(), values_.size()};
-    }
-
-    /// Number of nonzeros in row r. Pre: 0 <= r < rows().
-    [[nodiscard]] std::int64_t row_nnz(std::int64_t r) const {
-        SPMV_EXPECTS(r >= 0 && r < rows_);
-        return static_cast<std::int64_t>(
-            rowptr_[static_cast<std::size_t>(r) + 1] -
-            rowptr_[static_cast<std::size_t>(r)]);
-    }
-
-    /// Byte sizes of the individual arrays (as used by the paper's
-    /// working-set classification in §3.1).
-    [[nodiscard]] std::uint64_t values_bytes() const noexcept {
-        return values_.size() * sizeof(value_type);
-    }
-    [[nodiscard]] std::uint64_t colidx_bytes() const noexcept {
-        return colidx_.size() * sizeof(index_type);
-    }
-    [[nodiscard]] std::uint64_t rowptr_bytes() const noexcept {
-        return rowptr_.size() * sizeof(offset_type);
-    }
-    /// Size of the input vector x (cols() doubles). These three throw
-    /// ContractViolation for a shape whose byte count does not fit int64;
-    /// the readers refuse such a shape at the door.
-    [[nodiscard]] std::uint64_t x_bytes() const {
-        return detail::checked_bytes(cols_, sizeof(value_type));
-    }
-    /// Size of the output vector y (rows() doubles).
-    [[nodiscard]] std::uint64_t y_bytes() const {
-        return detail::checked_bytes(rows_, sizeof(value_type));
-    }
-    /// Total working set: matrix arrays plus both vectors.
-    [[nodiscard]] std::uint64_t working_set_bytes() const {
-        return detail::admitted_working_set_bytes(rows_, cols_, nnz(),
-                                                  Idx::width);
+    /// Copy or move assignment: `o` is built by the matching constructor
+    /// above, then hands its arrays over.
+    BasicCsrMatrix& operator=(BasicCsrMatrix o) noexcept {
+        rowptr_.swap(o.rowptr_);
+        colidx_.swap(o.colidx_);
+        values_.swap(o.values_);
+        bind(o.rows(), o.cols());
+        return *this;
     }
 
     /// Checks structural invariants (monotone rowptr, indices in range,
@@ -126,7 +75,7 @@ public:
     /// Typed form of validate() for input pipelines: never throws, reports
     /// the first violated invariant (with the offending row) as a
     /// ValidationError Status.
-    [[nodiscard]] Status check() const;
+    [[nodiscard]] Status check() const { return check_csr_view(*this); }
 
     /// Returns a new matrix with rows and columns permuted by `perm`,
     /// where perm[new_index] = old_index. Pre: square matrix, perm is a
@@ -138,8 +87,14 @@ private:
     friend class BasicCsrBuilder<Idx>;
     friend class CooMatrix;  // moves or scatters its arrays in
 
-    std::int64_t rows_ = 0;
-    std::int64_t cols_ = 0;
+    /// Re-points the view at this matrix's own arrays.
+    void bind(std::int64_t rows, std::int64_t cols) noexcept {
+        static_cast<BasicCsrView<Idx>&>(*this) = BasicCsrView<Idx>(
+            rows, cols, {rowptr_.data(), rowptr_.size()},
+            {colidx_.data(), colidx_.size()},
+            {values_.data(), values_.size()});
+    }
+
     aligned_vector<offset_type> rowptr_;
     aligned_vector<index_type> colidx_;
     aligned_vector<value_type> values_;
@@ -180,6 +135,8 @@ private:
     }
 
     BasicCsrMatrix<Idx> m_;
+    std::int64_t rows_ = 0;
+    std::int64_t cols_ = 0;
     std::int64_t current_row_ = 0;
     std::int64_t last_col_ = -1;
 };
@@ -216,13 +173,13 @@ template <class To, class FromView>
 /// Builds a small dense row-major reference of the matrix (tests only).
 /// Pre: rows*cols small enough to allocate.
 template <class Idx>
-[[nodiscard]] std::vector<double> to_dense(const BasicCsrMatrix<Idx>& m);
+[[nodiscard]] std::vector<double> to_dense(const BasicCsrView<Idx>& m);
 
 extern template class BasicCsrMatrix<Idx32>;
 extern template class BasicCsrMatrix<Idx64>;
 extern template class BasicCsrBuilder<Idx32>;
 extern template class BasicCsrBuilder<Idx64>;
-extern template std::vector<double> to_dense<Idx32>(const CsrMatrix&);
-extern template std::vector<double> to_dense<Idx64>(const CsrMatrix64&);
+extern template std::vector<double> to_dense<Idx32>(const CsrView&);
+extern template std::vector<double> to_dense<Idx64>(const CsrView64&);
 
 }  // namespace spmvcache

@@ -1,14 +1,15 @@
-// Non-owning read-only view of a CSR matrix.
+// Read-only CSR matrix: the one read API of the sparse layer.
 //
 // The paper's pipeline (trace generation, reuse-distance replay, kernels,
-// statistics, fingerprinting) only ever *reads* the three CSR arrays. A
-// BasicCsrView carries spans over rowptr/colidx/values plus the
-// dimensions, so those consumers no longer care who owns the bytes: an
-// aligned_vector inside a BasicCsrMatrix, or a read-only mmap of a
-// `.spmvc` binary cache file (sparse/binary_cache.hpp). The view mirrors
-// the matrix's read API exactly and converts implicitly from
-// `const BasicCsrMatrix<Idx>&`, so call sites holding a real matrix keep
-// working unchanged. `CsrView` aliases the narrow default width;
+// statistics, fingerprinting) only ever *reads* the three CSR arrays of
+// Listing 1 — rowptr, colidx and the values `a` — plus the §3.1
+// working-set byte terms. A BasicCsrView carries spans over those arrays
+// plus the dimensions, so its consumers do not care who owns the bytes:
+// a BasicCsrMatrix (sparse/csr.hpp), which derives from the view of its
+// own aligned arrays, or a read-only mmap of a `.spmvc` binary cache file
+// (sparse/binary_cache.hpp). A function template taking
+// `const BasicCsrView<Idx>&` deduces Idx from an owning matrix through
+// that base class. `CsrView` aliases the narrow default width;
 // `CsrView64` the wide fallback (sparse/index_width.hpp).
 //
 // Lifetime: a view never keeps anything alive. Pair it with whatever owns
@@ -16,13 +17,41 @@
 // outlives the owner's scope.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
-#include "sparse/csr.hpp"
+#include "sparse/index_width.hpp"
+#include "util/checked.hpp"
+#include "util/error.hpp"
 #include "util/status.hpp"
 
 namespace spmvcache {
+
+namespace detail {
+
+/// `count` elements of `element_bytes` each, as a byte count that fits
+/// int64; ContractViolation otherwise.
+[[nodiscard]] inline std::uint64_t checked_bytes(std::int64_t count,
+                                                 std::size_t element_bytes) {
+    std::int64_t bytes = 0;
+    SPMV_EXPECTS(checked_mul(count, static_cast<std::int64_t>(element_bytes),
+                             bytes));
+    return static_cast<std::uint64_t>(bytes);
+}
+
+/// checked_working_set_bytes of a shape the readers admitted;
+/// ContractViolation for one they refuse.
+[[nodiscard]] inline std::uint64_t admitted_working_set_bytes(
+    std::int64_t rows, std::int64_t cols, std::int64_t nnz,
+    IndexWidth width) {
+    const Result<std::int64_t> bytes =
+        checked_working_set_bytes(rows, cols, nnz, width);
+    SPMV_EXPECTS(bytes.ok());
+    return static_cast<std::uint64_t>(bytes.value());
+}
+
+}  // namespace detail
 
 /// Read-only, non-owning CSR matrix view (see file comment).
 template <class Idx>
@@ -35,21 +64,8 @@ public:
 
     BasicCsrView() = default;
 
-    [[nodiscard]] static constexpr IndexWidth index_width() noexcept {
-        return Idx::width;
-    }
-
-    /// Views an owning matrix. Implicit on purpose: every consumer of the
-    /// locality pipeline takes a view, and a BasicCsrMatrix is one.
-    /* implicit */ BasicCsrView(const BasicCsrMatrix<Idx>& m) noexcept
-        : rows_(m.rows()),
-          cols_(m.cols()),
-          rowptr_(m.rowptr()),
-          colidx_(m.colidx()),
-          values_(m.values()) {}
-
-    /// Views raw arrays (the mmap path). Pre: rowptr.size() == rows + 1,
-    /// colidx.size() == values.size() == rowptr.back().
+    /// Views raw arrays. Pre: rowptr.size() == rows + 1, colidx.size() ==
+    /// values.size() == rowptr.back(); or all three empty for 0 x 0.
     BasicCsrView(std::int64_t rows, std::int64_t cols,
                  std::span<const offset_type> rowptr,
                  std::span<const index_type> colidx,
@@ -59,6 +75,10 @@ public:
           rowptr_(rowptr),
           colidx_(colidx),
           values_(values) {}
+
+    [[nodiscard]] static constexpr IndexWidth index_width() noexcept {
+        return Idx::width;
+    }
 
     [[nodiscard]] std::int64_t rows() const noexcept { return rows_; }
     [[nodiscard]] std::int64_t cols() const noexcept { return cols_; }
@@ -95,14 +115,17 @@ public:
     [[nodiscard]] std::uint64_t rowptr_bytes() const noexcept {
         return rowptr_.size() * sizeof(offset_type);
     }
-    /// x, y and the working set throw ContractViolation for a shape whose
-    /// byte count does not fit int64 (as BasicCsrMatrix's do).
+    /// Size of the input vector x (cols() doubles). These three throw
+    /// ContractViolation for a shape whose byte count does not fit int64;
+    /// the readers refuse such a shape at the door.
     [[nodiscard]] std::uint64_t x_bytes() const {
         return detail::checked_bytes(cols_, sizeof(value_type));
     }
+    /// Size of the output vector y (rows() doubles).
     [[nodiscard]] std::uint64_t y_bytes() const {
         return detail::checked_bytes(rows_, sizeof(value_type));
     }
+    /// Total working set: matrix arrays plus both vectors.
     [[nodiscard]] std::uint64_t working_set_bytes() const {
         return detail::admitted_working_set_bytes(rows_, cols_, nnz(),
                                                   Idx::width);

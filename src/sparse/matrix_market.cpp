@@ -219,9 +219,14 @@ inline bool parse_short_decimal(const char*& p, const char* end, double& out) {
     return true;
 }
 
+/// Reads a value after blanks, as from_chars would after one optional
+/// '+'. A value has one sign: false for a '-' right after the '+'.
 inline bool parse_f64(const char*& p, const char* end, double& out) {
     p = skip_ws(p, end);
-    if (p < end && *p == '+') ++p;
+    if (p < end && *p == '+') {
+        ++p;
+        if (p < end && *p == '-') return false;
+    }
     if (parse_short_decimal(p, end, out)) return true;
     const auto [ptr, ec] = std::from_chars(p, end, out);
     if (ec != std::errc{} || ptr == p) return false;

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
 #include "trace/memref.hpp"
 
@@ -40,12 +39,6 @@ public:
     /// pinned trace corpus depends on that).
     template <class Idx>
     SpmvLayout(const BasicCsrView<Idx>& m, std::uint64_t line_bytes)
-        : SpmvLayout(m.rows(), m.cols(), m.nnz(), line_bytes) {}
-
-    /// Same, from an owning matrix (deduction cannot see through the
-    /// implicit matrix -> view conversion).
-    template <class Idx>
-    SpmvLayout(const BasicCsrMatrix<Idx>& m, std::uint64_t line_bytes)
         : SpmvLayout(m.rows(), m.cols(), m.nnz(), line_bytes) {}
 
     [[nodiscard]] std::uint64_t line_bytes() const noexcept {

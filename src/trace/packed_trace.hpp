@@ -106,15 +106,4 @@ try_pack_spmv_trace_segment<Idx64>(const BasicCsrView<Idx64>&,
                                    std::int64_t, std::int64_t,
                                    const SampleFilter&);
 
-// Owning-matrix convenience (deduction cannot see through the implicit
-// matrix -> view conversion).
-template <class Idx>
-[[nodiscard]] Result<std::vector<std::uint64_t>> try_pack_spmv_trace_segment(
-    const BasicCsrMatrix<Idx>& m, const SpmvLayout& layout,
-    const TraceConfig& cfg, std::int64_t cores_per_numa,
-    std::int64_t segment, const SampleFilter& filter = SampleFilter{}) {
-    return try_pack_spmv_trace_segment(BasicCsrView<Idx>(m), layout, cfg,
-                                       cores_per_numa, segment, filter);
-}
-
 }  // namespace spmvcache

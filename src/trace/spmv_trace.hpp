@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "sparse/csr.hpp"
 #include "sparse/csr_view.hpp"
 #include "sparse/partition.hpp"
 #include "trace/layout.hpp"
@@ -239,49 +238,5 @@ extern template std::vector<std::uint64_t> spmv_segment_lengths<Idx32>(
     const BasicCsrView<Idx32>&, const TraceConfig&, std::int64_t);
 extern template std::vector<std::uint64_t> spmv_segment_lengths<Idx64>(
     const BasicCsrView<Idx64>&, const TraceConfig&, std::int64_t);
-
-// Owning-matrix conveniences: deduction cannot see through the implicit
-// matrix -> view conversion.
-template <class Idx, class Sink>
-void generate_spmv_trace(const BasicCsrMatrix<Idx>& m,
-                         const SpmvLayout& layout, const TraceConfig& cfg,
-                         Sink&& sink) {
-    generate_spmv_trace(BasicCsrView<Idx>(m), layout, cfg,
-                        std::forward<Sink>(sink));
-}
-
-template <class Idx, class Sink>
-void generate_spmv_trace_segment(const BasicCsrMatrix<Idx>& m,
-                                 const SpmvLayout& layout,
-                                 const TraceConfig& cfg,
-                                 std::int64_t cores_per_numa,
-                                 std::int64_t segment, Sink&& sink) {
-    generate_spmv_trace_segment(BasicCsrView<Idx>(m), layout, cfg,
-                                cores_per_numa, segment,
-                                std::forward<Sink>(sink));
-}
-
-template <class Idx>
-[[nodiscard]] std::vector<MemRef> collect_spmv_trace(
-    const BasicCsrMatrix<Idx>& m, const SpmvLayout& layout,
-    const TraceConfig& cfg) {
-    return collect_spmv_trace(BasicCsrView<Idx>(m), layout, cfg);
-}
-
-template <class Idx>
-[[nodiscard]] std::vector<MemRef> collect_spmv_trace_segment(
-    const BasicCsrMatrix<Idx>& m, const SpmvLayout& layout,
-    const TraceConfig& cfg, std::int64_t cores_per_numa,
-    std::int64_t segment) {
-    return collect_spmv_trace_segment(BasicCsrView<Idx>(m), layout, cfg,
-                                      cores_per_numa, segment);
-}
-
-template <class Idx>
-[[nodiscard]] std::vector<std::uint64_t> spmv_segment_lengths(
-    const BasicCsrMatrix<Idx>& m, const TraceConfig& cfg,
-    std::int64_t cores_per_numa) {
-    return spmv_segment_lengths(BasicCsrView<Idx>(m), cfg, cores_per_numa);
-}
 
 }  // namespace spmvcache

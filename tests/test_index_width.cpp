@@ -123,7 +123,7 @@ TEST(IndexWidthParse, AutoFallsBackToW64OnHugeColumnSpace) {
     options.index_width = IndexWidthChoice::Auto;
     const Result<AnyCsrMatrix> m = try_read_matrix_market_any(in, options);
     ASSERT_TRUE(m.ok()) << m.error().render();
-    EXPECT_EQ(m.value().index_width(), IndexWidth::W64);
+    EXPECT_EQ(m.value().view().index_width(), IndexWidth::W64);
     const AnyCsrView v = m.value().view();
     ASSERT_NE(v.as64(), nullptr);
     EXPECT_EQ(v.as64()->colidx()[0], 2499999999);  // 0-based
@@ -146,7 +146,7 @@ TEST(IndexWidthParse, ForcedW64OnSmallMatrixWidens) {
     options.index_width = IndexWidthChoice::W64;
     const Result<AnyCsrMatrix> m = try_read_matrix_market_any(in, options);
     ASSERT_TRUE(m.ok()) << m.error().render();
-    EXPECT_EQ(m.value().index_width(), IndexWidth::W64);
+    EXPECT_EQ(m.value().view().index_width(), IndexWidth::W64);
 }
 
 // ---- .spmvc: width-mismatch rejection and the narrow-entry payoff ------

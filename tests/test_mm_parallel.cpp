@@ -68,7 +68,7 @@ constexpr Golden error(ErrorCode code, std::int64_t line) {
 
 /// FNV-1a over the bytes of rowptr, colidx and values, in that order.
 template <class Idx>
-std::uint64_t digest(const BasicCsrMatrix<Idx>& m) {
+std::uint64_t digest(const BasicCsrView<Idx>& m) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto mix = [&h](const void* data, std::uint64_t bytes) {
         const auto* p = static_cast<const unsigned char*>(data);
@@ -87,7 +87,7 @@ std::uint64_t digest(const BasicCsrMatrix<Idx>& m) {
 /// bytes, so a W64 matrix never matches a W32 golden.
 Golden observe(const Result<AnyCsrMatrix>& r) {
     if (!r.ok()) return error(r.error().code, r.error().line);
-    return r.value().visit([](const auto& m) {
+    return r.value().view().visit([](const auto& m) {
         return matrix(m.rows(), m.cols(), m.nnz(), digest(m));
     });
 }
@@ -317,6 +317,16 @@ TEST(MmParallel, InPlaceValuesRoundLikeFromChars) {
                  error(ErrorCode::ParseError, 3));
 }
 
+TEST(MmParallel, ValueTakesOneSign) {
+    // A '-' after the '+' the reader skips is no value in either mode, on
+    // the in-place path as on the line cursor; so is a second '+'.
+    for (const std::string value : {"+-5", "+-.5e1", "++5", "+-inf"}) {
+        const std::string line = "2 2 " + value;
+        expect_small(mtx("real general", {"2 2 2", "1 1 1.0", line.c_str()}),
+                     error(ErrorCode::ParseError, 4));
+    }
+}
+
 TEST(MmParallel, DecimalsReadBitForBitAsFromChars) {
     // Random decimals of 1 to 17 digits, signed or not, with the point
     // anywhere in them or up to 12 zeros before them: each value must
@@ -349,7 +359,7 @@ TEST(MmParallel, DecimalsReadBitForBitAsFromChars) {
         options.jobs = jobs;
         const Result<AnyCsrMatrix> r = parse(text, options);
         ASSERT_TRUE(r.ok()) << r.error().render();
-        const auto values = r.value().as32()->values();
+        const auto values = r.value().view().as32()->values();
         ASSERT_EQ(values.size(), want.size());
         for (std::size_t i = 0; i < want.size(); ++i)
             ASSERT_EQ(std::bit_cast<std::uint64_t>(values[i]),
@@ -538,7 +548,7 @@ TEST(MmParallel, OverlongLineMatchesSerial) {
     };
     const Result<AnyCsrMatrix> accepted = parse(with_entry_of(48), base);
     ASSERT_TRUE(accepted.ok()) << accepted.error().render();
-    EXPECT_EQ(accepted.value().as32()->values()[1], 2.0);
+    EXPECT_EQ(accepted.value().view().as32()->values()[1], 2.0);
     const Golden two = matrix(2, 2, 2, 0x3151f49213968d96ULL);
     const Golden line4 = error(ErrorCode::ParseError, 4);
     expect_golden(with_entry_of(48), two, two, base);
@@ -656,7 +666,7 @@ TEST(MmParallel, DuplicatesSumInInsertionOrder) {
         entries;
     const Result<AnyCsrMatrix> r = parse(text);
     ASSERT_TRUE(r.ok()) << r.error().render();
-    const CsrMatrix& m = *r.value().as32();
+    const CsrView m = *r.value().view().as32();
     ASSERT_EQ(m.nnz(), 128);
     EXPECT_EQ(m.colidx()[64 + 5], 5);
     EXPECT_EQ(m.values()[64 + 5], 1.0);
@@ -797,7 +807,7 @@ TEST(MmStorage, InOrderRowsMergeUnorderedAndRepeatedColumns) {
         entries;
     const Result<AnyCsrMatrix> r = parse(text);
     ASSERT_TRUE(r.ok()) << r.error().render();
-    EXPECT_EQ(r.value().as32()->values()[64 + 5], 1.0);
+    EXPECT_EQ(r.value().view().as32()->values()[64 + 5], 1.0);
     expect_small(text, matrix(3, 64, 128, 0xcf4f50d779923b25ULL),
                  error(ErrorCode::ValidationError, 100));
 }

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "sparse/any_csr.hpp"
@@ -148,6 +149,59 @@ TEST(Csr, PermutedSymmetricPreservesEntries) {
                         static_cast<std::size_t>(new_of[c])],
                 dense_m[static_cast<std::size_t>(r) * 4 +
                         static_cast<std::size_t>(c)]);
+}
+
+/// Copies and moves of `m` at its width: a copy views arrays of its own,
+/// a move keeps the buffers and leaves the source an empty 0 x 0 matrix.
+template <class Idx>
+void expect_owners_view_own_arrays(const BasicCsrMatrix<Idx>& m) {
+    using Matrix = BasicCsrMatrix<Idx>;
+    const std::vector<double> dense = to_dense(m);
+    const auto expect_emptied = [](const Matrix& moved) {
+        EXPECT_EQ(moved.rows(), 0);
+        EXPECT_EQ(moved.cols(), 0);
+        EXPECT_EQ(moved.nnz(), 0);
+        EXPECT_TRUE(moved.rowptr().empty());
+        EXPECT_TRUE(moved.colidx().empty());
+        EXPECT_TRUE(moved.values().empty());
+    };
+
+    auto source = std::make_unique<Matrix>(m);
+    Matrix copied(*source);
+    Matrix assigned;
+    assigned = *source;
+    for (const Matrix* copy : {&copied, &assigned}) {
+        EXPECT_NE(copy->rowptr().data(), source->rowptr().data());
+        EXPECT_NE(copy->colidx().data(), source->colidx().data());
+        EXPECT_NE(copy->values().data(), source->values().data());
+    }
+    source.reset();
+    EXPECT_EQ(to_dense(copied), dense);
+    EXPECT_EQ(to_dense(assigned), dense);
+
+    Matrix from = copied;
+    const double* buffer = from.values().data();
+    const Matrix moved(std::move(from));
+    EXPECT_EQ(moved.values().data(), buffer);
+    EXPECT_EQ(to_dense(moved), dense);
+    // The moved-from state is the class's documented contract under test.
+    // cppcheck-suppress accessMoved
+    expect_emptied(from);
+
+    Matrix target = copied;
+    Matrix other = copied;
+    buffer = other.values().data();
+    target = std::move(other);
+    EXPECT_EQ(target.values().data(), buffer);
+    EXPECT_EQ(to_dense(target), dense);
+    // cppcheck-suppress accessMoved
+    expect_emptied(other);
+}
+
+TEST(Csr, CopiesAndMovesViewTheirOwnArrays) {
+    const CsrMatrix m = small_matrix();
+    expect_owners_view_own_arrays(m);
+    expect_owners_view_own_arrays(convert_csr_width<Idx64>(m));
 }
 
 TEST(MatrixMarket, RoundTripsGeneral) {
@@ -324,7 +378,7 @@ TEST(MatrixMarketHardened, TypedReadSucceedsOnValidInput) {
     write_matrix_market(ss, small_matrix());
     const Result<AnyCsrMatrix> r = try_read_matrix_market_any(ss);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value().nnz(), 7);
+    EXPECT_EQ(r.value().view().nnz(), 7);
 }
 
 TEST(MatrixMarketHardened, SizeLineTrailingGarbageRejectedInBothModes) {
@@ -414,8 +468,8 @@ TEST(MatrixMarketHardened, DuplicatesCombinedLenientlyRejectedStrictly) {
         "1 1 0.5\n";
     const Result<AnyCsrMatrix> lenient = parse(text, /*strict=*/false);
     ASSERT_TRUE(lenient.ok());
-    EXPECT_EQ(lenient.value().nnz(), 2);  // duplicates summed
-    EXPECT_DOUBLE_EQ(to_dense(*lenient.value().as32())[0], 2.0);
+    EXPECT_EQ(lenient.value().view().nnz(), 2);  // duplicates summed
+    EXPECT_DOUBLE_EQ(to_dense(*lenient.value().view().as32())[0], 2.0);
 
     const Result<AnyCsrMatrix> strict = parse(text, /*strict=*/true);
     ASSERT_FALSE(strict.ok());
@@ -503,6 +557,8 @@ TEST(MatrixMarketHardened, CorruptCorpusAlwaysYieldsTypedLineNumberedError) {
         const char* message;
     };
     const Want corpus[] = {
+        {"double_sign_value.mtx", ErrorCode::ParseError, 4,
+         "missing or non-numeric value on entry line"},
         {"duplicate_entries.mtx", ErrorCode::ValidationError, 5,
          "duplicate entry (1, 1)"},
         {"huge_dims_overflow.mtx", ErrorCode::OverflowError, 2,
